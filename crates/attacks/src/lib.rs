@@ -21,9 +21,9 @@
 //! implements the [`Attack`] trait so the transfer harness in
 //! `advcomp-core` treats them uniformly.
 //!
-//! Attack *evaluation* (transfer accuracy, black-box oracle queries) runs
-//! eval-only forwards through a compiled [`PlannedEval`] plan; gradient
-//! crafting stays on the `Sequential` forward/backward path.
+//! Every eval-only forward (accuracy, transfer accuracy, black-box oracle
+//! queries, UAP fool rates) runs through a compiled [`PlannedEval`] plan;
+//! gradient crafting stays on the `Sequential` forward/backward path.
 //!
 //! # Example
 //!

@@ -1,64 +1,51 @@
-//! Compiled evaluation forwards for attack loops.
+//! Compiled evaluation forwards.
 //!
 //! Crafting adversarial samples needs the `Sequential` forward/backward
-//! machinery (input gradients), but *measuring* an attack does not: the
-//! transfer harness and black-box oracle only run eval-mode forwards, over
-//! and over, on the same victim. [`PlannedEval`] compiles the victim once
-//! with the graph compiler (`advcomp-graph`) and reuses the plan — and its
-//! activation arena — for every subsequent evaluation batch. The plan's
-//! forward is bit-identical to `Sequential::forward(Mode::Eval)` (the
-//! `graph_parity` suite enforces this), so accuracies and predictions are
-//! unchanged; only the cost per query drops.
-//!
-//! A model the compiler cannot lower falls back to the layer-at-a-time
-//! forward transparently.
+//! machinery (input gradients), but *measuring* a model does not: accuracy
+//! evaluation, transfer measurement and black-box oracles only run
+//! eval-mode forwards, over and over, on the same model. [`PlannedEval`]
+//! compiles the model once with the graph compiler (`advcomp-graph`) and
+//! reuses the plan — and its activation arena — for every subsequent
+//! evaluation batch. The plan's forward is bit-identical to
+//! `Sequential::forward(Mode::Eval)` (the `graph_parity` suite enforces
+//! this), so it is the only eval forward the workspace runs.
 
-use crate::Result;
+use crate::{AttackError, Result};
 use advcomp_graph::ExecPlan;
-use advcomp_nn::{accuracy, Mode, Sequential};
+use advcomp_nn::{accuracy, Sequential};
 use advcomp_tensor::Tensor;
 
-/// A reusable, compiled eval-forward for one victim model.
+/// A reusable, compiled eval-forward for one model.
 ///
-/// Holds only the plan (arena, packed weights, schedule); the model itself
-/// stays with the caller and is used as a fallback when compilation or a
-/// later forward is rejected.
+/// Holds only the plan (arena, packed weights, schedule); it copies the
+/// weights at compile time, so later edits to the source model are not
+/// seen.
 #[derive(Debug)]
 pub struct PlannedEval {
-    plan: Option<ExecPlan>,
+    plan: ExecPlan,
 }
 
 impl PlannedEval {
     /// Compiles `model` for per-sample inputs of `sample_shape` (no batch
-    /// axis). Never fails: an uncompilable model yields a fallback-only
-    /// evaluator.
-    pub fn compile(model: &Sequential, sample_shape: &[usize]) -> Self {
-        PlannedEval {
-            plan: ExecPlan::compile(model, sample_shape).ok(),
-        }
-    }
-
-    /// Whether a compiled plan backs this evaluator (false = every call
-    /// goes through `Sequential`).
-    pub fn is_compiled(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Eval-mode logits for `x`, through the plan when possible.
+    /// axis).
     ///
     /// # Errors
     ///
-    /// Propagates network errors from the fallback forward.
-    pub fn logits(&mut self, model: &mut Sequential, x: &Tensor) -> Result<Tensor> {
-        if let Some(plan) = &mut self.plan {
-            if let Ok(out) = plan.forward(x) {
-                return Ok(out);
-            }
-            // The plan rejected this input (e.g. a differently-shaped
-            // probe); drop it rather than paying a failed attempt per call.
-            self.plan = None;
-        }
-        model.forward(x, Mode::Eval).map_err(Into::into)
+    /// [`AttackError::InvalidConfig`] when the model does not lower for
+    /// `sample_shape`.
+    pub fn compile(model: &Sequential, sample_shape: &[usize]) -> Result<Self> {
+        let plan = ExecPlan::compile(model, sample_shape).map_err(graph_error)?;
+        Ok(PlannedEval { plan })
+    }
+
+    /// Eval-mode logits for `x`.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::InvalidConfig`] when `x` does not match the compiled
+    /// sample shape.
+    pub fn logits(&mut self, x: &Tensor) -> Result<Tensor> {
+        self.plan.forward(x).map_err(graph_error)
     }
 
     /// Top-1 predictions for `x`.
@@ -66,34 +53,29 @@ impl PlannedEval {
     /// # Errors
     ///
     /// As [`PlannedEval::logits`].
-    pub fn predictions(&mut self, model: &mut Sequential, x: &Tensor) -> Result<Vec<usize>> {
-        let logits = self.logits(model, x)?;
-        logits
-            .argmax_rows()
-            .map_err(advcomp_nn::NnError::from)
-            .map_err(Into::into)
+    pub fn predictions(&mut self, x: &Tensor) -> Result<Vec<usize>> {
+        Ok(self.logits(x)?.argmax_rows()?)
     }
 
-    /// Top-1 accuracy of `model` on `(x, labels)`.
+    /// Top-1 accuracy on `(x, labels)`.
     ///
     /// # Errors
     ///
     /// As [`PlannedEval::logits`], plus label/batch mismatches.
-    pub fn accuracy(
-        &mut self,
-        model: &mut Sequential,
-        x: &Tensor,
-        labels: &[usize],
-    ) -> Result<f64> {
-        let logits = self.logits(model, x)?;
+    pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> Result<f64> {
+        let logits = self.logits(x)?;
         accuracy(&logits, labels).map_err(Into::into)
     }
+}
+
+fn graph_error(e: advcomp_graph::GraphError) -> AttackError {
+    AttackError::InvalidConfig(format!("compiled eval forward: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use advcomp_nn::{Dense, Relu};
+    use advcomp_nn::{Dense, Mode, Relu};
     use rand::SeedableRng;
 
     fn net(seed: u64) -> Sequential {
@@ -113,31 +95,33 @@ mod tests {
     #[test]
     fn planned_eval_matches_sequential() {
         let mut model = net(3);
-        let mut eval = PlannedEval::compile(&model, &[6]);
-        assert!(eval.is_compiled());
+        let mut eval = PlannedEval::compile(&model, &[6]).unwrap();
         let x = batch(4, 5);
         let want = model.forward(&x, Mode::Eval).unwrap();
-        let got = eval.logits(&mut model, &x).unwrap();
+        let got = eval.logits(&x).unwrap();
         assert_eq!(want.data(), got.data());
         let labels = vec![0usize; 5];
-        let a = eval.accuracy(&mut model, &x, &labels).unwrap();
+        let a = eval.accuracy(&x, &labels).unwrap();
         let b = accuracy(&want, &labels).unwrap();
         assert_eq!(a, b);
-        assert_eq!(
-            eval.predictions(&mut model, &x).unwrap(),
-            want.argmax_rows().unwrap()
-        );
+        assert_eq!(eval.predictions(&x).unwrap(), want.argmax_rows().unwrap());
     }
 
     #[test]
-    fn shape_mismatch_falls_back_to_sequential() {
-        let mut model = net(5);
-        // Compiled for the wrong sample shape: the first call drops the
-        // plan and the fallback (which flattens nothing here) answers.
-        let mut eval = PlannedEval::compile(&model, &[3]);
-        let x = batch(6, 2);
-        let out = eval.logits(&mut model, &x).unwrap();
-        assert_eq!(out.shape(), &[2, 4]);
-        assert!(!eval.is_compiled(), "stale plan must be dropped");
+    fn shape_mismatch_is_an_error() {
+        let model = net(5);
+        // A sample shape the first layer cannot take fails at compile time.
+        assert!(matches!(
+            PlannedEval::compile(&model, &[3]),
+            Err(AttackError::InvalidConfig(_))
+        ));
+        // A batch that does not match the compiled shape fails per call,
+        // and the plan keeps answering well-shaped batches afterwards.
+        let mut eval = PlannedEval::compile(&model, &[6]).unwrap();
+        assert!(matches!(
+            eval.logits(&Tensor::zeros(&[2, 3])),
+            Err(AttackError::InvalidConfig(_))
+        ));
+        assert_eq!(eval.logits(&batch(6, 2)).unwrap().shape(), &[2, 4]);
     }
 }

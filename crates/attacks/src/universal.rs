@@ -17,8 +17,8 @@
 //! reproducible and golden-pinnable under a pinned kernel backend.
 
 use crate::grad::loss_input_grad;
-use crate::{AttackError, Result};
-use advcomp_nn::{Mode, Sequential};
+use crate::{AttackError, PlannedEval, Result};
+use advcomp_nn::Sequential;
 use advcomp_tensor::Tensor;
 
 /// Configuration for [`craft_uap`].
@@ -144,16 +144,12 @@ impl Uap {
     ///
     /// # Errors
     ///
-    /// As [`Uap::apply`], plus network errors.
-    pub fn fool_rate(&self, model: &mut Sequential, x: &Tensor) -> Result<f64> {
-        let clean = model
-            .forward(x, Mode::Eval)?
-            .argmax_rows()
-            .map_err(advcomp_nn::NnError::from)?;
-        let adv = model
-            .forward(&self.apply(x)?, Mode::Eval)?
-            .argmax_rows()
-            .map_err(advcomp_nn::NnError::from)?;
+    /// As [`Uap::apply`], plus compile errors ([`PlannedEval::compile`]).
+    pub fn fool_rate(&self, model: &Sequential, x: &Tensor) -> Result<f64> {
+        let adv_x = self.apply(x)?;
+        let mut eval = PlannedEval::compile(model, &x.shape()[1..])?;
+        let clean = eval.predictions(x)?;
+        let adv = eval.predictions(&adv_x)?;
         let flipped = clean.iter().zip(&adv).filter(|(c, a)| c != a).count();
         Ok(flipped as f64 / clean.len().max(1) as f64)
     }
@@ -276,7 +272,7 @@ pub fn craft_uap(
 mod tests {
     use super::*;
     use advcomp_nn::Dense;
-    use advcomp_nn::Relu;
+    use advcomp_nn::{Mode, Relu};
     use rand::SeedableRng;
 
     fn net(seed: u64) -> Sequential {
@@ -342,7 +338,7 @@ mod tests {
         assert!(adv.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
         // The perturbation ascends the crafting loss, so it should flip at
         // least one crafting-set prediction at this budget.
-        let rate = uap.fool_rate(&mut model, &x).unwrap();
+        let rate = uap.fool_rate(&model, &x).unwrap();
         assert!(rate > 0.0, "fool rate {rate}");
     }
 

@@ -31,11 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let a = TrainedModel::train(&setup, &opts.scale, 11)?;
         let b = TrainedModel::train(&setup, &opts.scale, 22)?;
         let mut ma = a.instantiate()?;
-        let mut mb = b.instantiate()?;
+        let mb = b.instantiate()?;
         let n = opts.scale.deepfool_eval.min(setup.test.len());
         let (x, y) = setup.test.slice(0, n)?;
         let attack = PaperParams::build(net, AttackKind::DeepFool);
-        let result = cross_seed_transfer(&mut ma, &mut mb, attack.as_ref(), &x, &y)?;
+        let result = cross_seed_transfer(&mut ma, &mb, attack.as_ref(), &x, &y)?;
         table.push_row(vec![
             net.id().into(),
             pct(a.test_accuracy),

@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let fmt = bitwidth.map(QFormat::for_bitwidth).transpose()?;
         let report = ModelSize::measure(&model, fmt)?;
-        let acc = advcomp_core::evaluate_model(&mut model, &setup.test, 64)?;
+        let acc = advcomp_core::evaluate_model(&model, &setup.test, 64)?;
         table.push_row(vec![
             name,
             format!("{:.2}", 100.0 * acc),

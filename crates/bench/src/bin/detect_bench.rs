@@ -29,7 +29,7 @@
 //! the clean false-positive rate — the regression gate `scripts/check.sh`
 //! relies on, mirroring the other `--check-*` benches.
 
-use advcomp_attacks::{craft_uap, Attack, Ifgsm, NetKind, UapConfig};
+use advcomp_attacks::{craft_uap, Attack, Ifgsm, NetKind, PlannedEval, UapConfig};
 use advcomp_compress::Quantizer;
 use advcomp_core::advtrain::{adversarial_finetune, AdvTrainConfig};
 use advcomp_core::{Compression, ExperimentScale, TaskSetup, TrainedModel};
@@ -37,7 +37,7 @@ use advcomp_detect::{
     detector_by_name, run_detection_grid, DetectionGridConfig, DetectorCalibration, RocCurve,
     VariantEnsemble,
 };
-use advcomp_nn::{Mode, Sequential};
+use advcomp_nn::Sequential;
 use advcomp_serve::{Engine, GuardConfig, ModelRegistry, ServeConfig};
 use advcomp_tensor::Tensor;
 use serde::Serialize;
@@ -182,9 +182,9 @@ fn build_fixture(scale: &ExperimentScale) -> Fixture {
 
 fn ensemble_of(fixture: &Fixture) -> VariantEnsemble {
     let shape = fixture.setup.test.sample_shape();
-    let mut e = VariantEnsemble::new("dense", fixture.dense.clone(), shape);
+    let mut e = VariantEnsemble::new("dense", &fixture.dense, shape).expect("dense compiles");
     for (name, model) in &fixture.variants {
-        e.push_variant(*name, model.clone());
+        e.push_variant(*name, model).expect("variant compiles");
     }
     e
 }
@@ -209,16 +209,9 @@ fn gate_fixture(
         .unwrap()
         .generate(&mut surrogate, &x, &y)
         .expect("ifgsm crafting");
-    let clean_pred = surrogate
-        .forward(&x, Mode::Eval)
-        .expect("clean forward")
-        .argmax_rows()
-        .expect("clean predictions");
-    let adv_pred = surrogate
-        .forward(&adv, Mode::Eval)
-        .expect("adversarial forward")
-        .argmax_rows()
-        .expect("adversarial predictions");
+    let mut eval = PlannedEval::compile(&surrogate, &x.shape()[1..]).expect("dense compiles");
+    let clean_pred = eval.predictions(&x).expect("clean predictions");
+    let adv_pred = eval.predictions(&adv).expect("adversarial predictions");
 
     let clean_all = ensemble.score(detector.as_ref(), &x).expect("clean scores");
     let adv_all = ensemble.score(detector.as_ref(), &adv).expect("adv scores");
@@ -353,9 +346,7 @@ fn online_report(fixture: &Fixture, cal: &DetectorCalibration) -> OnlineReport {
 
     let n = 48;
     let (x_eval, _) = fixture.setup.test.slice(0, n).expect("eval slice");
-    let uap_fool_rate = uap
-        .fool_rate(&mut fixture.dense.clone(), &x_eval)
-        .expect("fool rate");
+    let uap_fool_rate = uap.fool_rate(&fixture.dense, &x_eval).expect("fool rate");
     let x_uap = uap.apply(&x_eval).expect("uap apply");
 
     let registry = registry_of(fixture, Some(cal));

@@ -35,7 +35,6 @@ const GATE_SPEEDUP: f64 = 1.3;
 #[derive(Serialize)]
 struct FusionCounts {
     elided_quantize: usize,
-    fused_conv_bn: usize,
     fused_conv_act: usize,
     fused_dense_act: usize,
     int8_chain_links: usize,
@@ -141,7 +140,6 @@ fn bench_model(
         alloc_events_steady,
         fusion: FusionCounts {
             elided_quantize: stats.elided_quantize,
-            fused_conv_bn: stats.fused_conv_bn,
             fused_conv_act: stats.fused_conv_act,
             fused_dense_act: stats.fused_dense_act,
             int8_chain_links: stats.int8_chain_links,

@@ -161,7 +161,7 @@ mod tests {
             ..AdvTrainConfig::default()
         };
         adversarial_finetune(&mut hardened, &setup.train, &attack, &cfg).unwrap();
-        let clean_acc = evaluate_model(&mut hardened, &setup.test, 64).unwrap();
+        let clean_acc = evaluate_model(&hardened, &setup.test, 64).unwrap();
         let adv2 = attack.generate(&mut hardened, &x, &y).unwrap();
         let logits = hardened.forward(&adv2, Mode::Eval).unwrap();
         let hardened_adv_acc = advcomp_nn::accuracy(&logits, &y).unwrap();

@@ -47,17 +47,17 @@ impl Default for SurrogateConfig {
 /// # Errors
 ///
 /// Propagates forward-pass errors.
-pub fn query_labels(target: &mut Sequential, images: &Tensor, batch: usize) -> Result<Vec<usize>> {
+pub fn query_labels(target: &Sequential, images: &Tensor, batch: usize) -> Result<Vec<usize>> {
     let n = *images.shape().first().unwrap_or(&0);
     // One compiled plan answers every oracle query; its activation arena
     // is reused across chunks.
-    let mut oracle = PlannedEval::compile(target, images.shape().get(1..).unwrap_or(&[]));
+    let mut oracle = PlannedEval::compile(target, images.shape().get(1..).unwrap_or(&[]))?;
     let mut labels = Vec::with_capacity(n);
     let mut start = 0usize;
     while start < n {
         let len = batch.max(1).min(n - start);
         let chunk = images.narrow(start, len)?;
-        labels.extend(oracle.predictions(target, &chunk)?);
+        labels.extend(oracle.predictions(&chunk)?);
         start += len;
     }
     Ok(labels)
@@ -86,7 +86,7 @@ pub struct SurrogateReport {
 /// propagates network errors.
 pub fn distill_surrogate(
     surrogate: &mut Sequential,
-    target: &mut Sequential,
+    target: &Sequential,
     probe: &Tensor,
     cfg: &SurrogateConfig,
 ) -> Result<SurrogateReport> {
@@ -150,7 +150,7 @@ fn plan_iter(
 /// Propagates distillation and attack errors.
 pub fn black_box_attack(
     surrogate: &mut Sequential,
-    target: &mut Sequential,
+    target: &Sequential,
     probe: &Tensor,
     eval: (&Tensor, &[usize]),
     attack: &dyn advcomp_attacks::Attack,
@@ -158,10 +158,10 @@ pub fn black_box_attack(
 ) -> Result<(SurrogateReport, f64, f64)> {
     let report = distill_surrogate(surrogate, target, probe, cfg)?;
     let (x, y) = eval;
-    let mut teval = PlannedEval::compile(target, x.shape().get(1..).unwrap_or(&[]));
-    let clean_acc = teval.accuracy(target, x, y)?;
+    let mut teval = PlannedEval::compile(target, x.shape().get(1..).unwrap_or(&[]))?;
+    let clean_acc = teval.accuracy(x, y)?;
     let adv = attack.generate(surrogate, x, y)?;
-    let adv_acc = teval.accuracy(target, &adv, y)?;
+    let adv_acc = teval.accuracy(&adv, y)?;
     Ok((report, clean_acc, adv_acc))
 }
 
@@ -176,10 +176,10 @@ mod tests {
         let scale = ExperimentScale::tiny();
         let setup = TaskSetup::new(NetKind::LeNet5, &scale);
         let trained = TrainedModel::train(&setup, &scale, 1).unwrap();
-        let mut model = trained.instantiate().unwrap();
+        let model = trained.instantiate().unwrap();
         let (x, _) = setup.test.slice(0, 10).unwrap();
-        let a = query_labels(&mut model, &x, 3).unwrap();
-        let b = query_labels(&mut model, &x, 10).unwrap();
+        let a = query_labels(&model, &x, 3).unwrap();
+        let b = query_labels(&model, &x, 10).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
     }
@@ -189,7 +189,7 @@ mod tests {
         let scale = ExperimentScale::tiny();
         let setup = TaskSetup::new(NetKind::LeNet5, &scale);
         let trained = TrainedModel::train(&setup, &scale, 2).unwrap();
-        let mut target = trained.instantiate().unwrap();
+        let target = trained.instantiate().unwrap();
         // The attacker uses their own architecture and initialisation.
         let mut surrogate = setup.fresh_model(999);
         let probe = setup.train.images().narrow(0, 200).unwrap();
@@ -197,7 +197,7 @@ mod tests {
         let attack = Ifgsm::new(0.08, 8).unwrap();
         let cfg = SurrogateConfig::default();
         let (report, clean, adv) =
-            black_box_attack(&mut surrogate, &mut target, &probe, (&x, &y), &attack, &cfg).unwrap();
+            black_box_attack(&mut surrogate, &target, &probe, (&x, &y), &attack, &cfg).unwrap();
         assert_eq!(report.queries, 200);
         assert!(report.agreement > 0.6, "agreement {}", report.agreement);
         assert!(
@@ -210,15 +210,12 @@ mod tests {
     fn empty_probe_rejected() {
         let scale = ExperimentScale::tiny();
         let setup = TaskSetup::new(NetKind::LeNet5, &scale);
-        let mut target = setup.fresh_model(0);
+        let target = setup.fresh_model(0);
         let mut surrogate = setup.fresh_model(1);
         let probe = Tensor::zeros(&[0, 1, 28, 28]);
-        assert!(distill_surrogate(
-            &mut surrogate,
-            &mut target,
-            &probe,
-            &SurrogateConfig::default()
-        )
-        .is_err());
+        assert!(
+            distill_surrogate(&mut surrogate, &target, &probe, &SurrogateConfig::default())
+                .is_err()
+        );
     }
 }

@@ -137,7 +137,7 @@ mod tests {
         ] {
             let mut model = trained.instantiate().unwrap();
             recipe.apply(&mut model, &setup.train, &cfg).unwrap();
-            let acc = crate::trainer::evaluate_model(&mut model, &setup.test, 64).unwrap();
+            let acc = crate::trainer::evaluate_model(&model, &setup.test, 64).unwrap();
             assert!(
                 acc > trained.test_accuracy - 0.25,
                 "{} collapsed accuracy {} -> {acc}",

@@ -77,7 +77,7 @@ pub struct TransferOutcome {
 /// Propagates attack and network errors.
 pub fn attack_transfer(
     source: &mut Sequential,
-    target: &mut Sequential,
+    target: &Sequential,
     attack: &dyn Attack,
     x: &Tensor,
     labels: &[usize],
@@ -85,10 +85,10 @@ pub fn attack_transfer(
     // Measurement forwards run through the compiled plan (bit-identical
     // to Sequential eval, see graph_parity); crafting keeps the layer
     // path for gradients.
-    let mut eval = PlannedEval::compile(target, sample_shape(x));
-    let clean_accuracy = eval.accuracy(target, x, labels)?;
+    let mut eval = PlannedEval::compile(target, sample_shape(x))?;
+    let clean_accuracy = eval.accuracy(x, labels)?;
     let adv = attack.generate(source, x, labels)?;
-    let adversarial_accuracy = eval.accuracy(target, &adv, labels)?;
+    let adversarial_accuracy = eval.accuracy(&adv, labels)?;
     let stats = advcomp_attacks::PerturbationStats::between(x, &adv)?;
     Ok(TransferOutcome {
         adversarial_accuracy,
@@ -116,14 +116,14 @@ pub struct CrossSeedTransfer {
 /// Propagates attack and network errors.
 pub fn cross_seed_transfer(
     source: &mut Sequential,
-    target: &mut Sequential,
+    target: &Sequential,
     attack: &dyn Attack,
     x: &Tensor,
     labels: &[usize],
 ) -> Result<CrossSeedTransfer> {
     let adv = attack.generate(source, x, labels)?;
-    let src_preds = PlannedEval::compile(source, sample_shape(x)).predictions(source, &adv)?;
-    let tgt_preds = PlannedEval::compile(target, sample_shape(x)).predictions(target, &adv)?;
+    let src_preds = PlannedEval::compile(source, sample_shape(x))?.predictions(&adv)?;
+    let tgt_preds = PlannedEval::compile(target, sample_shape(x))?.predictions(&adv)?;
     let mut fooled_src = 0usize;
     let mut fooled_both = 0usize;
     for i in 0..labels.len() {
@@ -165,10 +165,10 @@ mod tests {
         let setup = TaskSetup::new(NetKind::LeNet5, &scale);
         let trained = TrainedModel::train(&setup, &scale, 5).unwrap();
         let mut model = trained.instantiate().unwrap();
-        let mut target = trained.instantiate().unwrap();
+        let target = trained.instantiate().unwrap();
         let (x, y) = setup.test.slice(0, 48).unwrap();
         let attack = Ifgsm::new(0.05, 8).unwrap();
-        let out = attack_transfer(&mut model, &mut target, &attack, &x, &y).unwrap();
+        let out = attack_transfer(&mut model, &target, &attack, &x, &y).unwrap();
         assert!(out.clean_accuracy > 0.7);
         assert!(
             out.adversarial_accuracy < out.clean_accuracy - 0.2,
@@ -186,10 +186,10 @@ mod tests {
         let a = TrainedModel::train(&setup, &scale, 1).unwrap();
         let b = TrainedModel::train(&setup, &scale, 2).unwrap();
         let mut ma = a.instantiate().unwrap();
-        let mut mb = b.instantiate().unwrap();
+        let mb = b.instantiate().unwrap();
         let (x, y) = setup.test.slice(0, 32).unwrap();
         let attack = Ifgsm::new(0.05, 8).unwrap();
-        let ct = cross_seed_transfer(&mut ma, &mut mb, &attack, &x, &y).unwrap();
+        let ct = cross_seed_transfer(&mut ma, &mb, &attack, &x, &y).unwrap();
         assert!((0.0..=1.0).contains(&ct.source_fool_rate));
         assert!((0.0..=1.0).contains(&ct.transfer_rate));
         assert!(ct.source_fool_rate > 0.1, "source barely fooled");

@@ -5,11 +5,11 @@ use crate::journal::{point_key, Journal, PointRecord, PointStatus};
 use crate::resilience::RetryPolicy;
 use crate::runner::{run_parallel, run_supervised};
 use crate::scale::ExperimentScale;
-use crate::trainer::{evaluate_model, TaskSetup, TrainedModel};
+use crate::trainer::{evaluate_planned, TaskSetup, TrainedModel};
 use crate::{CoreError, Result};
-use advcomp_attacks::{AttackKind, NetKind, PaperParams};
+use advcomp_attacks::{AttackKind, NetKind, PaperParams, PlannedEval};
 use advcomp_compress::TrainConfig;
-use advcomp_nn::{faults, health, Mode};
+use advcomp_nn::{faults, health};
 use advcomp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -648,8 +648,12 @@ fn compute_point(
 ) -> Result<RecipeOutcome> {
     let mut comp = baseline.instantiate()?;
     recipe.apply(&mut comp, &setup.train, finetune_cfg)?;
-    let mut full = baseline.instantiate()?;
-    let base_accuracy = evaluate_model(&mut comp, &setup.test, 64)?;
+    // Every accuracy below runs through one plan per model; crafting
+    // keeps `comp`'s layer path for gradients.
+    let sample_shape = setup.test.sample_shape();
+    let mut comp_eval = PlannedEval::compile(&comp, sample_shape)?;
+    let mut full_eval = PlannedEval::compile(&baseline.instantiate()?, sample_shape)?;
+    let base_accuracy = evaluate_planned(&mut comp_eval, &setup.test, 64)?;
     let mut scenarios = Vec::with_capacity(attacks.len());
     for (i, &kind) in attacks.iter().enumerate() {
         let (x, y) = &eval_sets[i];
@@ -658,9 +662,9 @@ fn compute_point(
         // (evaluate on itself) and Scenario 3 (evaluate on the hidden
         // baseline).
         let adv_comp = attack.generate(&mut comp, x, y)?;
-        let s1 = accuracy_on(&mut comp, &adv_comp, y)?;
-        let s3 = accuracy_on(&mut full, &adv_comp, y)?;
-        let s2 = accuracy_on(&mut comp, &adv_from_full[i], y)?;
+        let s1 = comp_eval.accuracy(&adv_comp, y)?;
+        let s3 = full_eval.accuracy(&adv_comp, y)?;
+        let s2 = comp_eval.accuracy(&adv_from_full[i], y)?;
         scenarios.push((s1, s2, s3));
     }
     Ok(RecipeOutcome {
@@ -742,11 +746,6 @@ fn eval_count(attack: AttackKind, scale: &ExperimentScale, test_len: usize) -> u
     want.min(test_len).max(1)
 }
 
-fn accuracy_on(model: &mut advcomp_nn::Sequential, x: &Tensor, labels: &[usize]) -> Result<f64> {
-    let logits = model.forward(x, Mode::Eval)?;
-    Ok(advcomp_nn::accuracy(&logits, labels)?)
-}
-
 /// One point of the Figure 3 grid: white-box attack strength versus (ε,
 /// iterations) on the uncompressed model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -803,7 +802,7 @@ pub fn epsilon_grid(
                 };
                 let mut model = trained.instantiate()?;
                 let adv = attack_obj.generate(&mut model, &x, &y)?;
-                let acc = accuracy_on(&mut model, &adv, &y)?;
+                let acc = PlannedEval::compile(&model, &x.shape()[1..])?.accuracy(&adv, &y)?;
                 Ok(EpsilonPoint {
                     epsilon: eps,
                     iterations: it,
@@ -876,8 +875,15 @@ mod tests {
         assert!(matrix.run(&ExperimentScale::tiny()).is_err());
     }
 
+    /// Holds the process-wide fault lock with nothing installed, so a
+    /// fault another test arms at `sweep_point` cannot fire in this one.
+    fn no_faults() -> advcomp_nn::faults::FaultGuard {
+        advcomp_nn::faults::install(Vec::new())
+    }
+
     #[test]
     fn tiny_pruning_sweep_end_to_end() {
+        let _serial = no_faults();
         let scale = ExperimentScale::tiny();
         let sweep = TransferSweep::pruning(NetKind::LeNet5, AttackKind::Ifgsm, &[1.0, 0.3]);
         let result = sweep.run(&scale).unwrap();
@@ -906,6 +912,7 @@ mod tests {
 
     #[test]
     fn matrix_shares_baseline_across_attacks() {
+        let _serial = no_faults();
         let scale = ExperimentScale::tiny();
         let matrix = TransferMatrix::pruning(
             NetKind::LeNet5,
@@ -970,6 +977,7 @@ mod tests {
 
     #[test]
     fn journalled_rerun_resumes_every_point_bit_identically() {
+        let _serial = no_faults();
         let run_dir = std::env::temp_dir().join(format!(
             "advcomp-sweep-resume-{}-{:?}",
             std::process::id(),

@@ -3,11 +3,11 @@
 use crate::resilience::{train_guarded, HealthPolicy, TrainHealth};
 use crate::scale::ExperimentScale;
 use crate::{CoreError, Result};
-use advcomp_attacks::NetKind;
+use advcomp_attacks::{NetKind, PlannedEval};
 use advcomp_compress::TrainConfig;
 use advcomp_data::{Batches, Dataset, DatasetConfig, SynthDigits, SynthObjects};
 use advcomp_models::{cifarnet, lenet5, Checkpoint};
-use advcomp_nn::{accuracy, Mode, Sequential, StepDecay};
+use advcomp_nn::{Sequential, StepDecay};
 
 /// A network kind bound to its train/test data at a given scale.
 #[derive(Debug)]
@@ -143,7 +143,7 @@ impl TrainedModel {
             seed,
         };
         let (stats, health) = train_guarded(&mut model, &setup.train, &cfg, policy)?;
-        let test_accuracy = evaluate_model(&mut model, &setup.test, scale.batch_size)?;
+        let test_accuracy = evaluate_model(&model, &setup.test, scale.batch_size)?;
         Ok(TrainedModel {
             net: setup.net,
             test_accuracy,
@@ -202,20 +202,30 @@ fn setup_width(setup: &TaskSetup) -> f32 {
     setup.width
 }
 
-/// Test accuracy of `model` over `data`, batched.
+/// Test accuracy of `model` over `data`, batched, through a compiled eval
+/// plan ([`PlannedEval`]).
 ///
 /// # Errors
 ///
-/// Propagates network errors.
-pub fn evaluate_model(model: &mut Sequential, data: &Dataset, batch_size: usize) -> Result<f64> {
+/// Propagates compile and network errors.
+pub fn evaluate_model(model: &Sequential, data: &Dataset, batch_size: usize) -> Result<f64> {
+    let mut eval = PlannedEval::compile(model, data.sample_shape())?;
+    evaluate_planned(&mut eval, data, batch_size)
+}
+
+/// [`evaluate_model`] over an already compiled plan.
+pub(crate) fn evaluate_planned(
+    eval: &mut PlannedEval,
+    data: &Dataset,
+    batch_size: usize,
+) -> Result<f64> {
     if data.is_empty() {
         return Ok(0.0);
     }
     let plan = Batches::sequential(data.len(), batch_size.max(1));
     let mut correct = 0.0f64;
     for (x, y) in plan.iter(data) {
-        let logits = model.forward(&x, Mode::Eval)?;
-        correct += accuracy(&logits, &y)? * y.len() as f64;
+        correct += eval.accuracy(&x, &y)? * y.len() as f64;
     }
     Ok(correct / data.len() as f64)
 }
@@ -240,8 +250,8 @@ mod tests {
         let scale = ExperimentScale::tiny();
         let setup = TaskSetup::new(NetKind::LeNet5, &scale);
         let trained = TrainedModel::train(&setup, &scale, 1).unwrap();
-        let mut copy = trained.instantiate().unwrap();
-        let acc = evaluate_model(&mut copy, &setup.test, 64).unwrap();
+        let copy = trained.instantiate().unwrap();
+        let acc = evaluate_model(&copy, &setup.test, 64).unwrap();
         assert!((acc - trained.test_accuracy).abs() < 1e-9);
     }
 

@@ -13,6 +13,7 @@
 //! verdicts.
 
 use crate::{DetectError, Result};
+use advcomp_models::crc32;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -378,21 +379,6 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-}
-
-/// Bitwise CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) — self-contained
-/// so the artifact format has no dependency on the checkpoint crate's
-/// private implementation, while producing identical digests.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]

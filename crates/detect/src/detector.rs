@@ -189,38 +189,49 @@ pub fn detector_by_name(name: &str) -> Option<Box<dyn Detector>> {
     }
 }
 
-/// An owning compression ensemble for offline scoring: the dense baseline
-/// plus its compressed variants, each paired with a compiled
-/// `advcomp-graph` eval plan ([`PlannedEval`]; models the compiler cannot
-/// lower fall back to the layer-at-a-time forward transparently).
+/// A compression ensemble for offline scoring: the dense baseline plus its
+/// compressed variants, each compiled to an `advcomp-graph` eval plan
+/// ([`PlannedEval`]).
 pub struct VariantEnsemble {
-    baseline: (String, Sequential, PlannedEval),
-    variants: Vec<(String, Sequential, PlannedEval)>,
+    baseline: (String, PlannedEval),
+    variants: Vec<(String, PlannedEval)>,
     sample_shape: Vec<usize>,
 }
 
 impl VariantEnsemble {
     /// Builds the ensemble around `baseline`, compiling its eval plan for
     /// per-sample inputs of `sample_shape` (no batch axis).
-    pub fn new(name: impl Into<String>, baseline: Sequential, sample_shape: &[usize]) -> Self {
-        let plan = PlannedEval::compile(&baseline, sample_shape);
-        VariantEnsemble {
-            baseline: (name.into(), baseline, plan),
+    ///
+    /// # Errors
+    ///
+    /// Propagates compile errors.
+    pub fn new(
+        name: impl Into<String>,
+        baseline: &Sequential,
+        sample_shape: &[usize],
+    ) -> Result<Self> {
+        Ok(VariantEnsemble {
+            baseline: (name.into(), PlannedEval::compile(baseline, sample_shape)?),
             variants: Vec::new(),
             sample_shape: sample_shape.to_vec(),
-        }
+        })
     }
 
     /// Adds one compressed variant (compiled on insertion).
-    pub fn push_variant(&mut self, name: impl Into<String>, model: Sequential) {
-        let plan = PlannedEval::compile(&model, &self.sample_shape);
-        self.variants.push((name.into(), model, plan));
+    ///
+    /// # Errors
+    ///
+    /// Propagates compile errors.
+    pub fn push_variant(&mut self, name: impl Into<String>, model: &Sequential) -> Result<()> {
+        let plan = PlannedEval::compile(model, &self.sample_shape)?;
+        self.variants.push((name.into(), plan));
+        Ok(())
     }
 
     /// Ensemble member names, baseline first.
     pub fn names(&self) -> Vec<&str> {
         std::iter::once(self.baseline.0.as_str())
-            .chain(self.variants.iter().map(|(n, _, _)| n.as_str()))
+            .chain(self.variants.iter().map(|(n, _)| n.as_str()))
             .collect()
     }
 
@@ -229,28 +240,16 @@ impl VariantEnsemble {
         self.variants.len()
     }
 
-    /// Mutable access to a member's model (index 0 = baseline, then
-    /// variants in insertion order) — attack crafting needs the
-    /// forward/backward machinery.
-    pub fn model_mut(&mut self, index: usize) -> Option<&mut Sequential> {
-        if index == 0 {
-            Some(&mut self.baseline.1)
-        } else {
-            self.variants.get_mut(index - 1).map(|(_, m, _)| m)
-        }
-    }
-
     /// Eval logits of every member for `x`: `(baseline, variants)`.
     ///
     /// # Errors
     ///
     /// Propagates forward errors.
     pub fn logits(&mut self, x: &Tensor) -> Result<(Tensor, Vec<Tensor>)> {
-        let (_, model, plan) = &mut self.baseline;
-        let base = plan.logits(model, x)?;
+        let base = self.baseline.1.logits(x)?;
         let mut variants = Vec::with_capacity(self.variants.len());
-        for (_, model, plan) in &mut self.variants {
-            variants.push(plan.logits(model, x)?);
+        for (_, plan) in &mut self.variants {
+            variants.push(plan.logits(x)?);
         }
         Ok((base, variants))
     }
@@ -271,8 +270,7 @@ impl VariantEnsemble {
     ///
     /// Propagates forward errors and label/batch mismatches.
     pub fn baseline_accuracy(&mut self, x: &Tensor, labels: &[usize]) -> Result<f64> {
-        let (_, model, plan) = &mut self.baseline;
-        plan.accuracy(model, x, labels).map_err(Into::into)
+        Ok(self.baseline.1.accuracy(x, labels)?)
     }
 }
 
@@ -361,9 +359,10 @@ mod tests {
 
     #[test]
     fn ensemble_scores_through_compiled_plans() {
-        let mut ens = VariantEnsemble::new("dense", net(1), &[6]);
-        ens.push_variant("v0", net(2));
-        ens.push_variant("v1", net(3));
+        let mut dense = net(1);
+        let mut ens = VariantEnsemble::new("dense", &dense, &[6]).unwrap();
+        ens.push_variant("v0", &net(2)).unwrap();
+        ens.push_variant("v1", &net(3)).unwrap();
         assert_eq!(ens.names(), vec!["dense", "v0", "v1"]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let x = advcomp_tensor::Init::Uniform { lo: 0.0, hi: 1.0 }.tensor(&[5, 6], &mut rng);
@@ -373,11 +372,7 @@ mod tests {
         // Plan output must match the direct Sequential forward: the scores
         // of a manually-assembled logits set are identical.
         let (base, variants) = ens.logits(&x).unwrap();
-        let direct = ens
-            .model_mut(0)
-            .unwrap()
-            .forward(&x, advcomp_nn::Mode::Eval)
-            .unwrap();
+        let direct = dense.forward(&x, advcomp_nn::Mode::Eval).unwrap();
         assert_eq!(base.data(), direct.data());
         assert_eq!(
             DisagreementDetector.score(&base, &variants).unwrap(),

@@ -283,24 +283,13 @@ impl PreparedGrid<'_> {
 
     fn run_member_inner(&self, i: usize) -> Result<MemberOutcome> {
         let detector = self.detector();
-        // Each job owns clones: crafting mutates gradient state and plans
-        // are per-thread.
+        // Each job owns its surrogate clone (crafting mutates gradient
+        // state) and its plans (plans are per-thread).
         let mut surrogate = self.members[i].model.clone();
-        let mut ensemble = VariantEnsemble::new(
-            self.members[0].name.clone(),
-            self.members[0].model.clone(),
-            &self.sample_shape,
-        );
-        for m in &self.members[1..] {
-            ensemble.push_variant(m.name.clone(), m.model.clone());
-        }
+        let mut ensemble = ensemble_of(&self.members, &self.sample_shape)?;
 
-        let clean_accuracy = PlannedEval::compile(&self.members[i].model, &self.sample_shape)
-            .accuracy(
-                &mut self.members[i].model.clone(),
-                &self.x_eval,
-                &self.y_eval,
-            )?;
+        let clean_accuracy = PlannedEval::compile(&self.members[i].model, &self.sample_shape)?
+            .accuracy(&self.x_eval, &self.y_eval)?;
 
         let mut attacks = Vec::with_capacity(GRID_ATTACKS.len());
         let mut transfer = Vec::with_capacity(self.members.len());
@@ -328,7 +317,7 @@ impl PreparedGrid<'_> {
                     // The universal delta is what transfers: measure its
                     // fool rate on every member while we hold it.
                     for m in &self.members {
-                        transfer.push(uap.fool_rate(&mut m.model.clone(), &self.x_eval)?);
+                        transfer.push(uap.fool_rate(&m.model, &self.x_eval)?);
                     }
                     uap.apply(&self.x_eval)?
                 }
@@ -383,6 +372,16 @@ impl PreparedGrid<'_> {
                 .collect(),
         }
     }
+}
+
+/// The deployed ensemble: member 0 as the baseline, the rest as variants.
+fn ensemble_of(members: &[Member], sample_shape: &[usize]) -> Result<VariantEnsemble> {
+    let mut ensemble =
+        VariantEnsemble::new(members[0].name.clone(), &members[0].model, sample_shape)?;
+    for m in &members[1..] {
+        ensemble.push_variant(m.name.clone(), &m.model)?;
+    }
+    Ok(ensemble)
 }
 
 /// Coordinate a compression recipe occupies on the grid's x axis (density
@@ -466,14 +465,7 @@ pub fn run_detection_grid(
     // Calibrate on the held-out batch: clean scores vs. IFGSM-on-baseline
     // scores, operating point at the configured FPR budget.
     let detector = detector_by_name(&cfg.detector).expect("validated detector name");
-    let mut ensemble = VariantEnsemble::new(
-        members[0].name.clone(),
-        members[0].model.clone(),
-        &sample_shape,
-    );
-    for m in &members[1..] {
-        ensemble.push_variant(m.name.clone(), m.model.clone());
-    }
+    let mut ensemble = ensemble_of(&members, &sample_shape)?;
     let cal_clean = ensemble.score(detector.as_ref(), &x_cal)?;
     let cal_attack = Ifgsm::new(cfg.epsilon, cfg.steps)?;
     let x_cal_adv = cal_attack.generate(&mut members[0].model.clone(), &x_cal, &y_cal)?;

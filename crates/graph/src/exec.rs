@@ -54,7 +54,7 @@ enum Src {
 }
 
 /// A GEMM weight in executor-ready form.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum PlannedGemm {
     /// f32 weights: raw `[k, n]` row-major (for the sparse kernel) plus
     /// the pre-packed panels (for the dense kernel).
@@ -68,19 +68,18 @@ enum PlannedGemm {
     Packed { weights: QuantizedWeights },
 }
 
-/// Fused per-element epilogue of one GEMM: bias, optional batch-norm,
-/// optional activation, optional i8 code emission for the next layer.
-#[derive(Debug)]
+/// Fused per-element epilogue of one GEMM: bias, optional activation,
+/// optional i8 code emission for the next layer.
+#[derive(Debug, Clone)]
 struct EpilogueParams {
     bias: Vec<f32>,
-    bn: Option<BnFold>,
     act: Option<Act>,
     /// `(qbuf index, format)` — emit codes of the final value.
     emit: Option<(usize, QFormat)>,
 }
 
 /// One executor instruction. Indices refer to the plan's side tables.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Step {
     /// Copy the caller input into an arena buffer (only when the first
     /// real op is in-place).
@@ -103,7 +102,7 @@ enum Step {
         dst: usize,
         weight: usize,
     },
-    /// In-place bias/batch-norm/activation epilogue over GEMM rows.
+    /// In-place bias/activation epilogue over GEMM rows.
     Epilogue { buf: usize, cols: usize, epi: usize },
     /// Permute GEMM rows (`[m, oc]`) back to NCHW.
     RowsToNchw {
@@ -230,7 +229,6 @@ impl Builder {
     fn epilogue(&mut self, unit: &GemmUnit, emit: Option<(usize, QFormat)>) -> usize {
         self.epilogues.push(EpilogueParams {
             bias: unit.bias.clone(),
-            bn: unit.bn.clone(),
             act: unit.act,
             emit,
         });
@@ -265,7 +263,10 @@ fn split_pair(
 /// [`ExecPlan::forward_into`]. Training and backward stay on
 /// [`Sequential`] — the plan has no parameter gradients, caches or
 /// stochastic layers, which is exactly what lets it pre-plan memory.
-#[derive(Debug)]
+///
+/// Cloning copies the packed weights and the arena, so each clone runs
+/// forwards independently (serve workers clone one plan per model).
+#[derive(Debug, Clone)]
 pub struct ExecPlan {
     backend: KernelBackend,
     input_shape: Vec<usize>,
@@ -670,10 +671,6 @@ impl ExecPlan {
                         let out_row = &mut dst[row * cols..(row + 1) * cols];
                         for (j, v) in out_row.iter_mut().enumerate() {
                             let mut y = *v + params.bias[j];
-                            if let Some(bn) = &params.bn {
-                                let norm = (y - bn.mean[j]) * bn.inv_std[j];
-                                y = bn.gamma[j] * norm + bn.beta[j];
-                            }
                             if let Some(act) = params.act {
                                 y = act.apply(y);
                             }

@@ -12,10 +12,10 @@
 //!    monotone quantiser — the pooled *value* is the quantised max either
 //!    way) and `Flatten` (a permutation). Zero padding introduced by
 //!    im2col is covered because `encode(0) == 0`.
-//! 2. **Pattern fusion.** `Conv2d [+ BatchNorm] [+ Act]` and
-//!    `Dense [+ Act]` collapse into single GEMM units whose epilogue
-//!    applies bias, normalisation and activation per element while the
-//!    output rows are still hot. The epilogue runs in the GEMM's
+//! 2. **Pattern fusion.** `Conv2d [+ Act]` and `Dense [+ Act]` collapse
+//!    into single GEMM units whose epilogue applies bias and activation
+//!    per element while the output rows are still hot. A `BatchNorm`
+//!    stays a standalone step. The epilogue runs in the GEMM's
 //!    rows layout (`[m, oc]`, channel = column), which commutes with the
 //!    later rows→NCHW permutation, so fused arithmetic is bit-identical
 //!    to the layer-at-a-time chain.
@@ -36,8 +36,6 @@ use crate::ir::{Act, GemmWeight, Graph, Node, Op};
 pub struct FusionStats {
     /// `Quantize` nodes elided into a downstream packed GEMM.
     pub elided_quantize: usize,
-    /// Conv2d nodes that absorbed a following BatchNorm.
-    pub fused_conv_bn: usize,
     /// Conv2d nodes that absorbed a following activation.
     pub fused_conv_act: usize,
     /// Dense nodes that absorbed a following activation.
@@ -49,7 +47,7 @@ pub struct FusionStats {
     pub dropped_identity: usize,
 }
 
-/// Per-channel batch-norm fold applied in a GEMM epilogue.
+/// Inference batch-norm parameters of a standalone batch-norm step.
 #[derive(Debug, Clone)]
 pub struct BnFold {
     /// Per-channel scale.
@@ -69,8 +67,6 @@ pub struct GemmUnit {
     pub weight: GemmWeight,
     /// Bias added per output column.
     pub bias: Vec<f32>,
-    /// Folded batch normalisation (convolutions only).
-    pub bn: Option<BnFold>,
     /// Fused elementwise activation.
     pub act: Option<Act>,
     /// When set, the epilogue also emits i8 codes of the final value in
@@ -86,7 +82,6 @@ impl GemmUnit {
         GemmUnit {
             weight,
             bias,
-            bn: None,
             act: None,
             emit_codes: None,
             consume_codes: false,
@@ -219,27 +214,6 @@ fn fuse_patterns(nodes: Vec<Node>, stats: &mut FusionStats) -> Vec<(FusedOp, Vec
                 padding,
             } => {
                 let mut unit = GemmUnit::new(weight, bias);
-                if let Some(Node {
-                    op:
-                        Op::BatchNorm {
-                            gamma,
-                            beta,
-                            mean,
-                            inv_std,
-                        },
-                    out_shape,
-                }) = nodes.get(i + 1).cloned()
-                {
-                    unit.bn = Some(BnFold {
-                        gamma,
-                        beta,
-                        mean,
-                        inv_std,
-                    });
-                    shape = out_shape;
-                    stats.fused_conv_bn += 1;
-                    i += 1;
-                }
                 if let Some(Node {
                     op: Op::Activation(act),
                     out_shape,

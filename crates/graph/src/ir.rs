@@ -362,14 +362,13 @@ fn lower_weight(repr: &WeightRepr<'_>, gemm_rows: Option<usize>) -> Result<GemmW
 ///
 /// `input_shape` is the per-sample shape (e.g. `[1, 28, 28]` for MNIST —
 /// no batch dimension). Inference identities (`Dropout`, `FakeQuant` with
-/// no format) are dropped. Layers reporting [`LayerSpec::Opaque`] abort
-/// the lowering: a compiler that silently skipped an unknown layer would
-/// diverge from the model it claims to replicate.
+/// no format) are dropped.
 ///
 /// # Errors
 ///
-/// [`GraphError::Unsupported`] for opaque layers, [`GraphError::Shape`]
-/// when a layer cannot accept its inferred input shape.
+/// [`GraphError::Unsupported`] for a model that lowers to no nodes,
+/// [`GraphError::Shape`] when a layer cannot accept its inferred input
+/// shape.
 pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
     check_shape(input_shape, "input")?;
     let mut nodes = Vec::with_capacity(model.len());
@@ -429,12 +428,6 @@ pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
             LayerSpec::FakeQuant {
                 format: Some(format),
             } => Op::Quantize(format),
-            LayerSpec::Opaque => {
-                return Err(GraphError::Unsupported(format!(
-                    "layer '{}' reports no lowering (LayerSpec::Opaque)",
-                    layer.kind()
-                )));
-            }
         };
         let out_shape = infer_shape(&op, &cur)?;
         check_shape(&out_shape, op.name())?;

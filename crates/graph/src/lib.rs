@@ -12,7 +12,7 @@
 //!   [`Sequential`](advcomp_nn::Sequential) via
 //!   [`LayerSpec`](advcomp_nn::LayerSpec), with per-sample shape
 //!   inference;
-//! * [`fuse`] — pattern fusion (`Conv2d+BatchNorm+Relu`,
+//! * [`fuse`] — pattern fusion (`Conv2d+bias+activation`,
 //!   `Dense+bias+activation`), quant→dequant elision, and int8 chaining
 //!   so adjacent packed layers exchange i8 codes without an f32 round
 //!   trip;
@@ -25,9 +25,9 @@
 //!
 //! Backward is deliberately out of scope: training needs per-layer
 //! caches, parameter gradients and stochastic layers, which defeat static
-//! planning. The serving engine and attack evaluation loops run compiled
-//! plans; training and gradient-based crafting keep the `Sequential`
-//! path.
+//! planning. Every eval-only forward — serving, accuracy evaluation,
+//! transfer measurement, detection scoring — runs a compiled plan;
+//! training and gradient-based crafting keep the `Sequential` path.
 //!
 //! # Example
 //!

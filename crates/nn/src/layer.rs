@@ -33,8 +33,8 @@ pub enum WeightRepr<'a> {
 /// [`Layer::spec`] lets `advcomp-graph` lower a [`crate::Sequential`] into
 /// its typed IR without downcasting: each variant carries exactly the
 /// state the inference forward pass depends on, borrowed from the layer.
-/// Layers a compiler cannot express report [`LayerSpec::Opaque`] and make
-/// the whole-model lowering fail loudly rather than silently diverge.
+/// Every layer must describe itself, so a layer with no lowering does not
+/// compile.
 #[derive(Debug, Clone, Copy)]
 pub enum LayerSpec<'a> {
     /// 2-D convolution over NCHW input (square kernel).
@@ -101,8 +101,6 @@ pub enum LayerSpec<'a> {
         /// Installed activation format, if enabled.
         format: Option<advcomp_qformat::QFormat>,
     },
-    /// A layer the compiler has no lowering for.
-    Opaque,
 }
 
 /// A differentiable network layer.
@@ -152,12 +150,8 @@ pub trait Layer: Send + Sync {
     fn kind(&self) -> &'static str;
 
     /// Structural description of this layer for the graph compiler
-    /// ([`LayerSpec`]). The default is [`LayerSpec::Opaque`], which makes
-    /// lowering a model containing this layer fail; every in-tree layer
-    /// overrides it.
-    fn spec(&self) -> LayerSpec<'_> {
-        LayerSpec::Opaque
-    }
+    /// ([`LayerSpec`]).
+    fn spec(&self) -> LayerSpec<'_>;
 
     /// Clones this layer into an independent replica with **fresh (empty)
     /// backward caches** but identical persistent state: parameter values,

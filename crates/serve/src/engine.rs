@@ -15,13 +15,15 @@
 //!          a hang)                                           batched forward
 //! ```
 //!
-//! Each worker owns one shard and a private [`ReplicaSet`] — forwards
-//! never touch shared layer state (see `Layer::clone_layer`). An idle
-//! worker steals a chunk of queued jobs from the most loaded shard, so a
-//! stalled worker never strands requests. Before each batch the worker
-//! compares the registry's swap generation with its cached one and
-//! re-replicates on change: a hot model swap lands between batches,
-//! without draining in-flight work.
+//! Each worker owns one shard and private clones of the registry's
+//! compiled [`ExecPlan`]s, so forwards never share an activation arena.
+//! Every forward runs a plan: the registry compiles each model when it is
+//! registered or swapped and rejects one that does not lower, so there is
+//! no other path to fall back to. An idle worker steals a chunk of queued
+//! jobs from the most loaded shard, so a stalled worker never strands
+//! requests. Before each batch the worker compares the registry's swap
+//! generation with its cached one and re-clones the plans on change: a
+//! hot model swap lands between batches, without draining in-flight work.
 //!
 //! # Completion contract
 //!
@@ -51,12 +53,12 @@
 //! metrics snapshot reports the verdicts as calibrated.
 
 use crate::metrics::GuardDeployment;
-use crate::registry::{ModelRegistry, RegistryHandle, ReplicaSet};
+use crate::registry::{ModelRegistry, ModelSet, RegistryHandle};
 use crate::shard::{PushError, ShardedQueue};
 use crate::{ServeError, ServeMetrics};
 use advcomp_detect::{detector_by_name, Detector, DisagreementDetector};
 use advcomp_graph::ExecPlan;
-use advcomp_nn::{faults, softmax, Mode, Sequential};
+use advcomp_nn::{faults, softmax};
 use advcomp_tensor::Tensor;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Sender};
@@ -311,12 +313,12 @@ impl Engine {
         let mut workers = Vec::with_capacity(shared.config.workers);
         for idx in 0..shared.config.workers {
             let (generation, set) = shared.registry.snapshot();
-            let replicas = set.replica();
+            let planned = PlannedSet::new(&set, &shared);
             let shared = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{idx}"))
-                    .spawn(move || worker_loop(idx, replicas, generation, shared))
+                    .spawn(move || worker_loop(idx, planned, generation, shared))
                     .map_err(ServeError::Io)?,
             );
         }
@@ -577,92 +579,76 @@ impl Engine {
     }
 }
 
-/// A per-worker model replica paired with its compiled forward plan.
+/// A worker's own clone of one registered model's compiled plan.
 ///
-/// The plan is compiled once per (replica, registry generation) and keeps
-/// its activation arena and quantisation scratch across batches, so the
-/// steady-state serving forward performs no per-layer heap allocation. A
-/// model the graph compiler cannot lower (or a plan that rejects the live
-/// input) falls back to the layer-at-a-time `Sequential` forward — the
-/// engine serves either way.
+/// The plan keeps its activation arena and quantisation scratch across
+/// batches, so the steady-state serving forward performs no per-layer heap
+/// allocation.
 struct PlannedModel {
     name: String,
-    model: Sequential,
-    plan: Option<ExecPlan>,
+    plan: ExecPlan,
 }
 
 impl PlannedModel {
-    /// Compiles `model` for the engine's input shape and publishes the
-    /// compile-time gauges under metrics slot `index`.
-    fn compile(index: usize, name: String, model: Sequential, shared: &Shared) -> Self {
-        let plan = match ExecPlan::compile(&model, &shared.input_shape) {
-            Ok(mut p) => {
-                // Pre-size the arena for the largest coalesced batch so
-                // even the first forward allocates nothing.
-                p.reserve_batch(shared.config.max_batch);
-                shared.metrics.set_model_plan(
-                    index,
-                    p.compile_us().max(1),
-                    p.arena_peak_bytes() as u64,
-                );
-                Some(p)
-            }
-            Err(_) => None,
-        };
-        PlannedModel { name, model, plan }
+    /// Clones the registry's plan, pre-sizes it for the largest coalesced
+    /// batch so even the first forward allocates nothing, and publishes
+    /// the plan gauges under metrics slot `index`.
+    fn new(index: usize, (name, plan): &(String, ExecPlan), shared: &Shared) -> Self {
+        let mut plan = plan.clone();
+        plan.reserve_batch(shared.config.max_batch);
+        shared.metrics.set_model_plan(
+            index,
+            plan.compile_us().max(1),
+            plan.arena_peak_bytes() as u64,
+        );
+        PlannedModel {
+            name: name.clone(),
+            plan,
+        }
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, ServeError> {
-        if let Some(plan) = &mut self.plan {
-            if let Ok(out) = plan.forward(input) {
-                return Ok(out);
-            }
-            // A plan that cannot execute the live input is stale; drop it
-            // and serve through the layer path from now on.
-            self.plan = None;
-        }
-        self.model
-            .forward(input, Mode::Eval)
-            .map_err(ServeError::from)
+        self.plan
+            .forward(input)
+            .map_err(|e| ServeError::BadRequest(format!("model {}: {e}", self.name)))
     }
 }
 
-/// Every registered model of one worker, compiled.
+/// Every registered model of one worker.
 struct PlannedSet {
     baseline: PlannedModel,
     variants: Vec<PlannedModel>,
 }
 
 impl PlannedSet {
-    fn compile(replicas: ReplicaSet, shared: &Shared) -> Self {
+    fn new(set: &ModelSet, shared: &Shared) -> Self {
         PlannedSet {
-            baseline: PlannedModel::compile(0, replicas.baseline.0, replicas.baseline.1, shared),
-            variants: replicas
-                .variants
-                .into_iter()
+            baseline: PlannedModel::new(0, set.baseline(), shared),
+            variants: set
+                .variants()
+                .iter()
                 .enumerate()
-                .map(|(i, (n, m))| PlannedModel::compile(1 + i, n, m, shared))
+                .map(|(i, m)| PlannedModel::new(1 + i, m, shared))
                 .collect(),
         }
     }
 }
 
-fn worker_loop(idx: usize, replicas: ReplicaSet, mut generation: u64, shared: Arc<Shared>) {
+fn worker_loop(idx: usize, mut planned: PlannedSet, mut generation: u64, shared: Arc<Shared>) {
     let max_batch = shared.config.max_batch;
     let max_delay = shared.config.max_delay;
     let steal_poll = shared.config.steal_poll;
-    let mut planned = PlannedSet::compile(replicas, &shared);
     while let Some(jobs) = shared
         .queue
         .pop_batch(idx, max_batch, max_delay, steal_poll)
     {
-        // Hot swap: between batches, refresh replicas when the registry
+        // Hot swap: between batches, re-clone the plans when the registry
         // generation moved. In-flight work finished on the old weights;
-        // this batch runs on the new ones (recompiled plans included).
+        // this batch runs on the new ones.
         let current = shared.registry.generation();
         if current != generation {
             let (g, set) = shared.registry.snapshot();
-            planned = PlannedSet::compile(set.replica(), &shared);
+            planned = PlannedSet::new(&set, &shared);
             generation = g;
         }
         let mut batch = Vec::with_capacity(jobs.len());
@@ -941,28 +927,6 @@ mod tests {
         }
         tokens.sort_unstable();
         assert_eq!(tokens, vec![7, 8, 9]);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn injected_worker_panic_reports_worker_lost_not_a_hang() {
-        let _g = faults::install(vec![faults::FaultSpec::once(
-            faults::FaultKind::Panic,
-            "serve_batch",
-            0,
-        )]);
-        let engine = Engine::start(&registry(0), cfg()).unwrap();
-        // First batch panics: its jobs must resolve to WorkerLost.
-        let r = engine.submit(vec![0.2; 28 * 28], false);
-        assert!(matches!(r, Err(ServeError::WorkerLost)), "{r:?}");
-        // The worker survived the panic and still serves.
-        let p = engine.submit(vec![0.3; 28 * 28], false).unwrap();
-        assert!(p.label < 10);
-        assert_eq!(
-            engine.metrics().worker_panics.load(Ordering::Relaxed),
-            1,
-            "panic counted"
-        );
         engine.shutdown();
     }
 

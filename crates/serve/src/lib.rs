@@ -9,8 +9,10 @@
 //!   variants, publishes them as generation-stamped immutable snapshots,
 //!   and supports [`ModelRegistry::swap`]: an atomic hot swap picked up
 //!   by workers at their next batch boundary, without draining in-flight
-//!   work. Workers forward on independent per-worker [`ReplicaSet`]s so
-//!   concurrent forwards never share layer state.
+//!   work. Every model is compiled to an `ExecPlan` when it is registered
+//!   or swapped in, and one that does not lower is rejected. Workers
+//!   forward on their own clones of the plans, so concurrent forwards
+//!   never share an arena.
 //! * [`Engine`] — a sharded dynamic batcher: each worker owns a bounded
 //!   queue shard and steals from loaded shards when idle, coalescing
 //!   requests until `max_batch` or `max_delay` before one batched eval
@@ -69,5 +71,5 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use metrics::{BatchSizeDistribution, GuardDeployment, LatencyHistogram, ServeMetrics};
-pub use registry::{ModelRegistry, ModelSet, RegistryHandle, ReplicaSet};
+pub use registry::{ModelRegistry, ModelSet, RegistryHandle};
 pub use server::{Client, RateLimitConfig, Server, ServerConfig};

@@ -163,10 +163,10 @@ impl BatchSizeDistribution {
     }
 }
 
-/// Per-model gauges for the compiled forward plan: set once per compile
-/// (workers compile identical models, so last-writer-wins is fine).
-/// Both gauges stay 0 for a model the graph compiler could not plan —
-/// that model serves through the `Sequential` fallback.
+/// Per-model gauges for the compiled forward plan: set each time a worker
+/// installs its clone of the plan (the clones are identical, so
+/// last-writer-wins is fine). Both gauges stay 0 until a worker has
+/// installed the model's plan.
 #[derive(Debug, Default)]
 pub struct PlanGauge {
     /// Time the graph compiler spent building the plan, in microseconds.

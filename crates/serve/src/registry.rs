@@ -1,5 +1,4 @@
-//! Model registry: named, validated, replica-able, hot-swappable model
-//! sets.
+//! Model registry: named, validated, compiled, hot-swappable model sets.
 //!
 //! The registry holds one **baseline** (the full-precision reference model)
 //! and any number of **compressed variants** (pruned / quantised copies of
@@ -10,57 +9,59 @@
 //! [`CheckpointError::Corrupt`](advcomp_models::CheckpointError) instead of
 //! serving garbage predictions.
 //!
-//! Every registered model is probe-forwarded once on a zero batch to pin
-//! down its output arity; variants must agree with the baseline's class
-//! count.
+//! Every registered model is compiled to an [`ExecPlan`] for the
+//! registry's input shape when it is registered or swapped in. A model
+//! that does not lower is rejected there, the same way a corrupt
+//! checkpoint is, and nothing is published. The plan is then
+//! probe-forwarded once on a zero sample to pin down its output arity;
+//! variants must agree with the baseline's class count.
 //!
 //! # Snapshots and hot swap
 //!
 //! The registry publishes its models as immutable [`ModelSet`] snapshots
 //! behind an [`Arc`], stamped with a monotonically increasing
 //! **generation**. Engines take a [`RegistryHandle`] at start; each worker
-//! caches `(generation, Arc<ModelSet>)` and re-replicates only when the
+//! clones its own copies of the set's plans and re-clones only when the
 //! generation moves — a relaxed integer compare per batch, no lock on the
 //! forward path.
 //!
 //! [`ModelRegistry::swap`] atomically replaces one named model with a
-//! freshly CRC-validated + probe-validated checkpoint load: the new
-//! [`ModelSet`] is built off to the side and published in one pointer
-//! store, so a swap never blocks or drains in-flight batches — workers
+//! freshly CRC-validated, compiled and probe-validated checkpoint load:
+//! the new [`ModelSet`] is built off to the side and published in one
+//! pointer store, so a swap never blocks or drains in-flight batches — workers
 //! finish the current batch on the old weights and pick up the new set at
 //! the next batch boundary. A swap that fails validation leaves the
 //! published set untouched.
 
 use crate::ServeError;
 use advcomp_detect::{detector_by_name, DetectorCalibration};
+use advcomp_graph::ExecPlan;
 use advcomp_models::Checkpoint;
-use advcomp_nn::{Mode, Sequential};
+use advcomp_nn::Sequential;
 use advcomp_tensor::Tensor;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One immutable published snapshot of every registered model.
-#[derive(Debug)]
+/// One immutable published snapshot of every registered model, each
+/// compiled for the registry's input shape.
+#[derive(Debug, Clone)]
 pub struct ModelSet {
-    baseline: (String, Sequential),
-    variants: Vec<(String, Sequential)>,
+    baseline: (String, ExecPlan),
+    variants: Vec<(String, ExecPlan)>,
     classes: usize,
 }
 
 impl ModelSet {
-    /// Clones every model into an independent per-worker [`ReplicaSet`]
-    /// (fresh-cache clones, see `advcomp_nn::Layer::clone_layer`), so
-    /// concurrent forward passes never contend on shared layer state.
-    pub fn replica(&self) -> ReplicaSet {
-        ReplicaSet {
-            baseline: (self.baseline.0.clone(), self.baseline.1.clone()),
-            variants: self
-                .variants
-                .iter()
-                .map(|(n, m)| (n.clone(), m.clone()))
-                .collect(),
-        }
+    /// `(name, plan)` of the baseline. Workers clone the plan, so
+    /// concurrent forwards never share an arena.
+    pub fn baseline(&self) -> &(String, ExecPlan) {
+        &self.baseline
+    }
+
+    /// `(name, plan)` of each compressed variant, registry order.
+    pub fn variants(&self) -> &[(String, ExecPlan)] {
+        &self.variants
     }
 
     /// Number of output classes.
@@ -74,15 +75,6 @@ impl ModelSet {
             .chain(self.variants.iter().map(|(n, _)| n.clone()))
             .collect()
     }
-}
-
-/// A per-worker clone of every registered model.
-#[derive(Debug)]
-pub struct ReplicaSet {
-    /// `(name, model)` of the baseline.
-    pub baseline: (String, Sequential),
-    /// `(name, model)` of each compressed variant, registry order.
-    pub variants: Vec<(String, Sequential)>,
 }
 
 /// Shared swap cell: the published snapshot plus its generation stamp.
@@ -212,24 +204,26 @@ impl ModelRegistry {
         }
     }
 
-    /// Registers the baseline model, validating it on a zero probe batch.
+    /// Registers the baseline model, compiling it and validating the plan
+    /// on a zero probe sample.
     ///
     /// # Errors
     ///
     /// [`ServeError::Config`] when a baseline is already set or the model
-    /// rejects the registry's input shape.
+    /// does not compile for the registry's input shape.
     pub fn set_baseline(
         &mut self,
         name: impl Into<String>,
-        mut model: Sequential,
+        model: Sequential,
     ) -> Result<(), ServeError> {
         if self.current().is_some() {
             return Err(ServeError::Config("baseline already registered".into()));
         }
-        let classes = self.probe(&mut model)?;
+        let name = name.into();
+        let (plan, classes) = self.compile(&name, &model)?;
         self.publish(
             ModelSet {
-                baseline: (name.into(), model),
+                baseline: (name, plan),
                 variants: Vec::new(),
                 classes,
             },
@@ -243,12 +237,12 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] without a baseline, on duplicate names, or on
-    /// probe/class mismatches.
+    /// [`ServeError::Config`] without a baseline, on duplicate names, on a
+    /// model that does not compile, or on a class mismatch.
     pub fn add_variant(
         &mut self,
         name: impl Into<String>,
-        mut model: Sequential,
+        model: Sequential,
     ) -> Result<(), ServeError> {
         let name = name.into();
         let Some(old) = self.current() else {
@@ -259,23 +253,16 @@ impl ModelRegistry {
         if old.names().contains(&name) {
             return Err(ServeError::Config(format!("duplicate model name {name}")));
         }
-        let classes = self.probe(&mut model)?;
+        let (plan, classes) = self.compile(&name, &model)?;
         if classes != old.classes {
             return Err(ServeError::Config(format!(
                 "variant {name} has {classes} classes, baseline has {}",
                 old.classes
             )));
         }
-        let mut next = old.replica();
-        next.variants.push((name, model));
-        self.publish(
-            ModelSet {
-                baseline: next.baseline,
-                variants: next.variants,
-                classes: old.classes,
-            },
-            false,
-        );
+        let mut next = (*old).clone();
+        next.variants.push((name, plan));
+        self.publish(next, false);
         Ok(())
     }
 
@@ -325,39 +312,32 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Checkpoint I/O / corruption, [`ServeError::Config`] for an unknown
-    /// `name`, a probe failure, or a class-count mismatch.
+    /// `name`, a model that does not compile, or a class-count mismatch.
     pub fn swap(&self, name: &str, mut arch: Sequential, path: &Path) -> Result<(), ServeError> {
         Checkpoint::load(path)?.restore(&mut arch)?;
         let Some(old) = self.current() else {
             return Err(ServeError::Config("no baseline registered".into()));
         };
-        let classes = self.probe(&mut arch)?;
+        let (plan, classes) = self.compile(name, &arch)?;
         if classes != old.classes {
             return Err(ServeError::Config(format!(
                 "swap for {name} has {classes} classes, registry has {}",
                 old.classes
             )));
         }
-        let mut next = old.replica();
+        let mut next = (*old).clone();
         let slot = if next.baseline.0 == name {
             &mut next.baseline.1
-        } else if let Some((_, m)) = next.variants.iter_mut().find(|(n, _)| n == name) {
-            m
+        } else if let Some((_, p)) = next.variants.iter_mut().find(|(n, _)| n == name) {
+            p
         } else {
             return Err(ServeError::Config(format!(
                 "no model named {name} to swap (have {:?})",
                 old.names()
             )));
         };
-        *slot = arch;
-        self.publish(
-            ModelSet {
-                baseline: next.baseline,
-                variants: next.variants,
-                classes: old.classes,
-            },
-            true,
-        );
+        *slot = plan;
+        self.publish(next, true);
         Ok(())
     }
 
@@ -411,29 +391,24 @@ impl ModelRegistry {
         self.current().map_or(0, |s| s.variants.len())
     }
 
-    /// Clones every model into an independent per-worker [`ReplicaSet`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] when no baseline is registered.
-    pub fn replica(&self) -> Result<ReplicaSet, ServeError> {
-        self.current()
-            .map(|s| s.replica())
-            .ok_or_else(|| ServeError::Config("no baseline registered".into()))
-    }
-
-    /// Probe-forwards a zero batch, returning the model's class count.
-    fn probe(&self, model: &mut Sequential) -> Result<usize, ServeError> {
+    /// Compiles `model` for the registry's input shape and probe-forwards a
+    /// zero sample through the plan, returning the plan and the model's
+    /// class count.
+    fn compile(&self, name: &str, model: &Sequential) -> Result<(ExecPlan, usize), ServeError> {
+        let mut plan = ExecPlan::compile(model, &self.input_shape)
+            .map_err(|e| ServeError::Config(format!("model {name} does not compile: {e}")))?;
         let mut shape = vec![1];
         shape.extend_from_slice(&self.input_shape);
-        let logits = model.forward(&Tensor::zeros(&shape), Mode::Eval)?;
-        if logits.ndim() != 2 || logits.shape()[0] != 1 {
+        let logits = plan
+            .forward(&Tensor::zeros(&shape))
+            .map_err(|e| ServeError::Config(format!("model {name} probe failed: {e}")))?;
+        if logits.ndim() != 2 {
             return Err(ServeError::Config(format!(
-                "model produced logits of shape {:?}, expected [1, classes]",
+                "model {name} produced logits of shape {:?}, expected [1, classes]",
                 logits.shape()
             )));
         }
-        Ok(logits.shape()[1])
+        Ok((plan, logits.shape()[1]))
     }
 }
 
@@ -441,15 +416,32 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use advcomp_models::mlp;
+    use advcomp_nn::Mode;
 
     fn shape() -> [usize; 3] {
         [1, 28, 28]
     }
 
+    fn probe_input() -> Tensor {
+        Tensor::full(&[2, 1, 28, 28], 0.3)
+    }
+
+    /// Logits of a published plan (cloned, as a worker would).
+    fn plan_logits(entry: &(String, ExecPlan)) -> Vec<f32> {
+        entry.1.clone().forward(&probe_input()).unwrap().into_data()
+    }
+
+    /// Logits of the `Sequential` reference.
+    fn model_logits(mut model: Sequential) -> Vec<f32> {
+        model
+            .forward(&probe_input(), Mode::Eval)
+            .unwrap()
+            .into_data()
+    }
+
     #[test]
     fn baseline_then_variants() {
         let mut reg = ModelRegistry::new(&shape()).unwrap();
-        assert!(reg.replica().is_err());
         assert!(reg.handle().is_err());
         reg.set_baseline("dense", mlp(8, 0)).unwrap();
         reg.add_variant("quant8", mlp(8, 1)).unwrap();
@@ -457,27 +449,12 @@ mod tests {
         assert_eq!(reg.num_classes(), 10);
         assert_eq!(reg.baseline_name().as_deref(), Some("dense"));
         assert_eq!(reg.names(), vec!["dense", "quant8", "pruned"]);
-        let replica = reg.replica().unwrap();
-        assert_eq!(replica.baseline.0, "dense");
-        assert_eq!(replica.variants.len(), 2);
-    }
-
-    #[test]
-    fn replicas_are_independent() {
-        let mut reg = ModelRegistry::new(&shape()).unwrap();
-        reg.set_baseline("dense", mlp(8, 0)).unwrap();
-        let mut a = reg.replica().unwrap();
-        let b = reg.replica().unwrap();
-        a.baseline
-            .1
-            .param_mut("fc1.weight")
-            .unwrap()
-            .value
-            .data_mut()[0] = 99.0;
-        assert_ne!(
-            b.baseline.1.param("fc1.weight").unwrap().value.data()[0],
-            99.0
-        );
+        let (_, set) = reg.handle().unwrap().snapshot();
+        assert_eq!(set.baseline().0, "dense");
+        assert_eq!(set.variants().len(), 2);
+        // Each published plan answers exactly as its source model.
+        assert_eq!(plan_logits(set.baseline()), model_logits(mlp(8, 0)));
+        assert_eq!(plan_logits(&set.variants()[1]), model_logits(mlp(6, 2)));
     }
 
     #[test]
@@ -494,11 +471,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_input_shape() {
+    fn rejects_a_model_that_does_not_compile() {
         // An MLP flattens anything, so use a shape whose element count
-        // mismatches the dense layer input.
+        // mismatches the dense layer input: lowering fails, and the
+        // registry rejects the model before publishing anything.
         let mut reg = ModelRegistry::new(&[1, 3, 3]).unwrap();
-        assert!(reg.set_baseline("dense", mlp(4, 0)).is_err());
+        match reg.set_baseline("dense", mlp(4, 0)) {
+            Err(ServeError::Config(msg)) => assert!(msg.contains("does not compile"), "{msg}"),
+            other => panic!("expected a compile rejection, got {other:?}"),
+        }
+        assert!(reg.handle().is_err(), "a rejected model publishes nothing");
     }
 
     #[test]
@@ -511,11 +493,8 @@ mod tests {
 
         let mut reg = ModelRegistry::new(&shape()).unwrap();
         reg.load_baseline("dense", mlp(8, 0), &path).unwrap();
-        let replica = reg.replica().unwrap();
-        assert_eq!(
-            replica.baseline.1.param("fc1.weight").unwrap().value.data(),
-            trained.param("fc1.weight").unwrap().value.data()
-        );
+        let (_, set) = reg.handle().unwrap().snapshot();
+        assert_eq!(plan_logits(set.baseline()), model_logits(trained));
 
         // Flip one byte in the middle of the file: load must fail with a
         // corruption error, not restore garbage.
@@ -548,41 +527,19 @@ mod tests {
         reg.add_variant("quant8", mlp(8, 1)).unwrap();
         let handle = reg.handle().unwrap();
         let (g0, s0) = handle.snapshot();
-        let before = s0.replica().variants[0]
-            .1
-            .param("fc1.weight")
-            .unwrap()
-            .value
-            .data()
-            .to_vec();
+        let before = plan_logits(&s0.variants()[0]);
 
         reg.swap("quant8", mlp(8, 0), &path).unwrap();
         let (g1, s1) = handle.snapshot();
         assert!(g1 > g0, "generation must move: {g0} -> {g1}");
         assert_eq!(handle.swaps(), 1);
-        // Names and order are unchanged; the weights are the new ones.
+        // Names and order are unchanged; the plan is the new model's.
         assert_eq!(s1.names(), vec!["dense", "quant8"]);
-        let after = s1.replica().variants[0]
-            .1
-            .param("fc1.weight")
-            .unwrap()
-            .value
-            .data()
-            .to_vec();
+        let after = plan_logits(&s1.variants()[0]);
         assert_ne!(before, after);
-        assert_eq!(
-            after,
-            next.param("fc1.weight").unwrap().value.data().to_vec()
-        );
+        assert_eq!(after, model_logits(next));
         // The old snapshot is untouched (in-flight batches keep working).
-        let still = s0.replica().variants[0]
-            .1
-            .param("fc1.weight")
-            .unwrap()
-            .value
-            .data()
-            .to_vec();
-        assert_eq!(before, still);
+        assert_eq!(before, plan_logits(&s0.variants()[0]));
         std::fs::remove_file(&path).ok();
     }
 

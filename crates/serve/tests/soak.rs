@@ -90,6 +90,10 @@ fn chaos_round(addr: SocketAddr, mode: usize) {
 }
 
 fn run_chaos_soak(chaos_threads: usize, rounds: usize, clean_per_thread: usize) {
+    // Hold the process-wide fault lock with nothing installed: the faults
+    // the injected-fault test arms fire at the first hit of their site in
+    // the process, and must not land in this server.
+    let _no_faults = install(Vec::new());
     let server = start_server(2, 64);
     let addr = server.local_addr();
 

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let victim = TrainedModel::train(&setup, &scale, 42)?;
     println!("victim accuracy: {}%\n", pct(victim.test_accuracy));
 
-    let mut target = victim.instantiate()?;
+    let target = victim.instantiate()?;
     // Attacker's own architecture + initialisation; they never see the
     // victim's weights.
     let mut surrogate = setup.fresh_model(1234);
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attack = Ifgsm::new(0.05, 8)?;
     let (report, clean, adv) = black_box_attack(
         &mut surrogate,
-        &mut target,
+        &target,
         &probe,
         (&x, &y),
         &attack,

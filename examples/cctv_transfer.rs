@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Compression::DnsPrune { density }.apply(&mut device, &setup.train, &finetune_cfg)?;
         // The attacker generates on their own copy of the public model.
         let mut public = baseline.instantiate()?;
-        let outcome = attack_transfer(&mut public, &mut device, attack.as_ref(), &x, &y)?;
+        let outcome = attack_transfer(&mut public, &device, attack.as_ref(), &x, &y)?;
         table.push_row(vec![
             format!("{density:.1}"),
             pct(outcome.clean_accuracy),

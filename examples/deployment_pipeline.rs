@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let fmt = QFormat::for_bitwidth(8)?;
     Quantizer::for_bitwidth(8)?.quantize(&mut model);
-    let acc = advcomp::core::evaluate_model(&mut model, &setup.test, 64)?;
+    let acc = advcomp::core::evaluate_model(&model, &setup.test, 64)?;
     println!("   compressed accuracy: {}%\n", pct(acc));
 
     println!("3. encoding every weight tensor for shipment...");

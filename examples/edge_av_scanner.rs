@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             weights_only: false,
         }
         .apply(&mut edge, &setup.train, &finetune_cfg)?;
-        let edge_clean = advcomp::core::evaluate_model(&mut edge, &setup.test, 64)?;
+        let edge_clean = advcomp::core::evaluate_model(&edge, &setup.test, 64)?;
 
         // Attacker white-boxes the edge model...
         let attack = PaperParams::build_adapted(NetKind::LeNet5, AttackKind::Ifgsm);
@@ -48,10 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             weights_only: false,
         }
         .apply(&mut edge_target, &setup.train, &finetune_cfg)?;
-        let own = attack_transfer(&mut edge, &mut edge_target, attack.as_ref(), &x, &y)?;
+        let own = attack_transfer(&mut edge, &edge_target, attack.as_ref(), &x, &y)?;
         // ...and replays the same samples against the hidden master.
-        let mut hidden = master.instantiate()?;
-        let crossed = attack_transfer(&mut edge, &mut hidden, attack.as_ref(), &x, &y)?;
+        let hidden = master.instantiate()?;
+        let crossed = attack_transfer(&mut edge, &hidden, attack.as_ref(), &x, &y)?;
 
         table.push_row(vec![
             bitwidth.to_string(),

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         {
             target.set_activation_format(Some(advcomp::qformat::QFormat::for_bitwidth(bitwidth)?));
         }
-        let outcome = attack_transfer(&mut model, &mut target, attack.as_ref(), &x, &y)?;
+        let outcome = attack_transfer(&mut model, &target, attack.as_ref(), &x, &y)?;
         let weights = weight_values(&model);
         let acts = activation_values(&mut model, &probe)?;
         let act_max = acts.iter().fold(0.0f32, |a, v| a.max(*v));

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attack = Ifgsm::new(0.02, 12)?;
     let adv = attack.generate(&mut model, &x, &y)?;
 
-    let clean_acc = evaluate_model(&mut model, &setup.test, 64)?;
+    let clean_acc = evaluate_model(&model, &setup.test, 64)?;
     let logits = model.forward(&adv, Mode::Eval)?;
     let adv_acc = advcomp::nn::accuracy(&logits, &y)?;
     let stats = PerturbationStats::between(&x, &adv)?;

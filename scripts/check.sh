@@ -48,13 +48,14 @@ for kernel in scalar simd; do
 done
 echo "quant parity: packed storage and int8 kernels agree"
 
-# Graph-compiler parity: the compiled ExecPlan forward must be per-logit
-# bit-identical to Sequential::forward for both paper nets at f32,
-# q8-frozen and q4-frozen (scalar-vs-SIMD plans additionally compared
-# under the 1e-5 relative-L2 gate), the fusion passes must fire on their
-# patterns, and the static memory plan must never alias simultaneously
-# live buffers under any topological order. Run under both dispatch
-# values like kernel_parity.
+# Graph-compiler parity: the compiled ExecPlan forward — the only eval
+# forward — must be per-logit bit-identical to Sequential::forward for
+# both paper nets at f32, q8-frozen, q4-frozen and DNS-pruned
+# (scalar-vs-SIMD plans additionally compared under the 1e-5 relative-L2
+# gate), the Dense+activation fusion must fire on its pattern, BatchNorm
+# must stay bit-exact as a standalone step, and the static memory plan
+# must never alias simultaneously live buffers under any topological
+# order. Run under both dispatch values like kernel_parity.
 for kernel in scalar simd; do
     ADVCOMP_KERNEL="$kernel" \
         cargo test -q -p advcomp-testkit --test graph_parity >/dev/null
@@ -96,6 +97,13 @@ graph_tmp="$(mktemp -d)"
     --check-graph >/dev/null
 rm -rf "$graph_tmp"
 echo "graph gate: compiled q8 LeNet-5 >= 1.3x unfused, zero steady-state allocs"
+
+# Benchmark smoke: advbench is a separate package, so the workspace suite
+# does not run its tests. Its traced sweep smoke checks that run_point's
+# records equal a pipeline rebuilt from public calls, bit for bit — the
+# eval path must stay bit-identical to the layer path it replaced.
+cargo test -q --offline --manifest-path advbench/Cargo.toml >/dev/null
+echo "advbench: smoke runs and traced sweep bit-identity OK"
 
 # Fault-injection smoke: a tiny sweep with a sticky panic injected at one
 # point must still exit 0, keeping the surviving point and recording the

@@ -67,10 +67,10 @@ fn offline_crafted_uap_is_flagged_at_the_calibrated_threshold() {
     // boundary, exactly where the variants' shifted boundaries disagree —
     // the paper's transfer gap at its sharpest.
     let sample_shape = setup.test.sample_shape();
-    let mut ensemble = VariantEnsemble::new("dense", dense.clone(), sample_shape);
-    ensemble.push_variant("quant4", quant4.clone());
-    ensemble.push_variant("pruned", pruned.clone());
-    ensemble.push_variant("hardened", hardened.clone());
+    let mut ensemble = VariantEnsemble::new("dense", &dense, sample_shape).unwrap();
+    ensemble.push_variant("quant4", &quant4).unwrap();
+    ensemble.push_variant("pruned", &pruned).unwrap();
+    ensemble.push_variant("hardened", &hardened).unwrap();
     let detector = detector_by_name("disagreement").unwrap();
     let (x_cal, y_cal) = setup.test.slice(64, 64).unwrap();
     let clean_scores = ensemble.score(detector.as_ref(), &x_cal).unwrap();

@@ -34,14 +34,14 @@ fn train_prune_attack_transfer_pipeline() {
         )
         .unwrap();
     assert!((mask.overall_density() - 0.3).abs() < 0.05);
-    let comp_acc = evaluate_model(&mut compressed, &setup.test, 64).unwrap();
+    let comp_acc = evaluate_model(&compressed, &setup.test, 64).unwrap();
     assert!(comp_acc > 0.5, "pruned accuracy collapsed: {comp_acc}");
 
     // Scenario 3: attack the hidden baseline from the compressed model.
     let (x, y) = setup.test.slice(0, 32).unwrap();
     let attack = Ifgsm::new(0.05, 8).unwrap();
-    let mut full = baseline.instantiate().unwrap();
-    let outcome = attack_transfer(&mut compressed, &mut full, &attack, &x, &y).unwrap();
+    let full = baseline.instantiate().unwrap();
+    let outcome = attack_transfer(&mut compressed, &full, &attack, &x, &y).unwrap();
     // Transferability: samples from the pruned model must hurt the baseline.
     assert!(
         outcome.adversarial_accuracy < outcome.clean_accuracy,
@@ -62,7 +62,7 @@ fn train_quantise_attack_pipeline() {
     quantizer
         .quantize_and_finetune(&mut quantised, &setup.train, &setup.finetune_config(&scale))
         .unwrap();
-    let qacc = evaluate_model(&mut quantised, &setup.test, 64).unwrap();
+    let qacc = evaluate_model(&quantised, &setup.test, 64).unwrap();
     assert!(
         qacc > baseline.test_accuracy - 0.15,
         "8-bit QAT collapsed accuracy: {} -> {qacc}",
@@ -101,7 +101,7 @@ fn checkpoint_roundtrip_through_facade() {
         .unwrap()
         .restore(&mut restored)
         .unwrap();
-    let acc = evaluate_model(&mut restored, &setup.test, 64).unwrap();
+    let acc = evaluate_model(&restored, &setup.test, 64).unwrap();
     assert!((acc - trained.test_accuracy).abs() < 1e-9);
     std::fs::remove_file(&path).ok();
 }
@@ -124,10 +124,10 @@ fn compression_recipes_compose_with_scenarios() {
     ] {
         let mut comp = baseline.instantiate().unwrap();
         recipe.apply(&mut comp, &setup.train, &cfg).unwrap();
-        let mut full = baseline.instantiate().unwrap();
+        let full = baseline.instantiate().unwrap();
         // All three scenario directions produce accuracies in [0, 1].
         let s1_src = &mut comp;
-        let o = attack_transfer(s1_src, &mut full, &attack, &x, &y).unwrap();
+        let o = attack_transfer(s1_src, &full, &attack, &x, &y).unwrap();
         assert!((0.0..=1.0).contains(&o.adversarial_accuracy));
         assert!(o.mean_l2 > 0.0, "{}: no perturbation applied", recipe.id());
     }
@@ -140,14 +140,14 @@ fn cross_seed_models_differ_but_both_work() {
     let a = TrainedModel::train(&setup, &scale, 1).unwrap();
     let b = TrainedModel::train(&setup, &scale, 2).unwrap();
     let mut ma = a.instantiate().unwrap();
-    let mut mb = b.instantiate().unwrap();
+    let mb = b.instantiate().unwrap();
     assert_ne!(
         ma.param("conv1.weight").unwrap().value.data(),
         mb.param("conv1.weight").unwrap().value.data()
     );
     let (x, y) = setup.test.slice(0, 24).unwrap();
     let attack = Ifgsm::new(0.05, 8).unwrap();
-    let ct = cross_seed_transfer(&mut ma, &mut mb, &attack, &x, &y).unwrap();
+    let ct = cross_seed_transfer(&mut ma, &mb, &attack, &x, &y).unwrap();
     assert!(ct.source_fool_rate > 0.0);
     assert!((0.0..=1.0).contains(&ct.transfer_rate));
 }

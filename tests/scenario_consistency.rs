@@ -117,7 +117,7 @@ fn transfer_outcome_reports_clean_accuracy_of_target() {
     let mut tgt = trained.instantiate().unwrap();
     let (x, y) = setup.test.slice(0, 32).unwrap();
     let attack = Ifgsm::new(0.02, 2).unwrap();
-    let outcome = attack_transfer(&mut src, &mut tgt, &attack, &x, &y).unwrap();
+    let outcome = attack_transfer(&mut src, &tgt, &attack, &x, &y).unwrap();
     // Clean accuracy must match a direct evaluation on the same slice.
     let logits = tgt.forward(&x, Mode::Eval).unwrap();
     let direct = advcomp::nn::accuracy(&logits, &y).unwrap();

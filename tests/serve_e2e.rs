@@ -160,8 +160,8 @@ fn serve_trained_ensemble_end_to_end() {
 #[test]
 fn full_queue_returns_overloaded_not_a_hang() {
     // Deliberately starved engine: one worker, batch size one, a single
-    // queue slot. A burst must shed load with explicit `overloaded`
-    // responses over the wire — and never deadlock.
+    // queue slot. A burst against the stalled worker must shed load with
+    // explicit `overloaded` responses over the wire — and never deadlock.
     let mut registry = ModelRegistry::new(&[1, 28, 28]).unwrap();
     registry.set_baseline("dense", mlp(64, 0)).unwrap();
     registry.add_variant("alt", mlp(64, 1)).unwrap();
@@ -180,6 +180,9 @@ fn full_queue_returns_overloaded_not_a_hang() {
     let server = Server::bind(engine.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
+    // Stall the only worker, so the burst finds its one queue slot taken
+    // and must shed load.
+    engine.inject_stall(0, Duration::from_millis(500)).unwrap();
     let mut handles = Vec::new();
     for t in 0..16 {
         handles.push(std::thread::spawn(move || {
@@ -205,7 +208,17 @@ fn full_queue_returns_overloaded_not_a_hang() {
         overloaded += v;
     }
     assert_eq!(ok + overloaded, 16 * 8, "every request got a response");
-    assert!(ok > 0, "some requests must succeed");
+    // The stall is over and the queue has drained: a lone request is
+    // served.
+    let resp = Client::connect(addr)
+        .unwrap()
+        .predict(vec![0.5; 28 * 28], false)
+        .unwrap();
+    assert_eq!(
+        resp.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{resp}"
+    );
     assert!(
         overloaded > 0,
         "a 1-deep queue under a 16-way burst must shed load"
