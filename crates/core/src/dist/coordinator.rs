@@ -15,7 +15,6 @@ use crate::{CoreError, Result};
 use advcomp_nn::faults;
 use advcomp_wire::{write_frame, FrameBuffer};
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -567,7 +566,6 @@ fn accept_result(
 fn handle_conn(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut fb = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
     let mut worker: Option<String> = None;
     let mut done_since: Option<Instant> = None;
     loop {
@@ -577,10 +575,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
                 Ok(None) => break,
                 Err(_) => return disconnect(shared, worker.as_deref()),
             };
-            let msg = std::str::from_utf8(&payload)
-                .map_err(|e| e.to_string())
-                .and_then(WorkerMsg::from_json);
-            let Ok(msg) = msg else {
+            let Ok(msg) = WorkerMsg::from_json(payload) else {
                 return disconnect(shared, worker.as_deref());
             };
             let (reply, close) = process(shared, &mut worker, msg);
@@ -605,9 +600,9 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
                 return;
             }
         }
-        match stream.read(&mut chunk) {
+        match fb.read_from(&mut stream, 4096) {
             Ok(0) => return disconnect(shared, worker.as_deref()),
-            Ok(nread) => fb.extend(&chunk[..nread]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}

@@ -1,12 +1,13 @@
 //! Coordinator/worker message types and their JSON encoding.
 //!
-//! Messages travel one per `advcomp-wire` frame. Encoding is the crate's
-//! hand-rolled minijson (the vendored `serde` stub cannot deserialize);
-//! point records travel as an **escaped JSON string field** rather than a
-//! nested object so the coordinator journals the worker's exact bytes —
-//! the bit-identity contract needs the record to cross the wire untouched.
+//! Messages travel one per `advcomp-wire` frame. They are written with
+//! `format!` and [`Escaped`] strings and parsed by the wire codec
+//! ([`advcomp_wire::json`]); point records travel as an **escaped JSON
+//! string field** rather than a nested object so the coordinator journals
+//! the worker's exact bytes — the bit-identity contract needs the record
+//! to cross the wire untouched.
 
-use crate::minijson::{self as mini, quote};
+use advcomp_wire::json::{Escaped, Json};
 
 /// Messages a worker sends to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,16 +71,16 @@ pub enum CoordMsg {
     },
 }
 
-fn field_str(doc: &mini::Value, key: &str) -> Result<String, String> {
+fn field_str(doc: &Json, key: &str) -> Result<String, String> {
     doc.get(key)
-        .and_then(mini::Value::as_str)
+        .and_then(Json::as_str)
         .map(String::from)
         .ok_or_else(|| format!("missing/malformed string field '{key}'"))
 }
 
-fn field_u64(doc: &mini::Value, key: &str) -> Result<u64, String> {
+fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(mini::Value::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing/malformed integer field '{key}'"))
 }
 
@@ -89,22 +90,22 @@ impl WorkerMsg {
         match self {
             WorkerMsg::Hello { worker, config } => format!(
                 "{{\"type\": \"hello\", \"worker\": {}, \"config\": {}}}",
-                quote(worker),
-                quote(config)
+                Escaped(worker),
+                Escaped(config)
             ),
             WorkerMsg::Request => "{\"type\": \"request\"}".into(),
             WorkerMsg::Heartbeat { key } => {
-                format!("{{\"type\": \"heartbeat\", \"key\": {}}}", quote(key))
+                format!("{{\"type\": \"heartbeat\", \"key\": {}}}", Escaped(key))
             }
             WorkerMsg::Result { key, record } => format!(
                 "{{\"type\": \"result\", \"key\": {}, \"record\": {}}}",
-                quote(key),
-                quote(record)
+                Escaped(key),
+                Escaped(record)
             ),
             WorkerMsg::Failed { key, error } => format!(
                 "{{\"type\": \"failed\", \"key\": {}, \"error\": {}}}",
-                quote(key),
-                quote(error)
+                Escaped(key),
+                Escaped(error)
             ),
         }
     }
@@ -115,8 +116,8 @@ impl WorkerMsg {
     ///
     /// A description of the malformation — the coordinator treats it as a
     /// protocol violation and drops the connection.
-    pub fn from_json(text: &str) -> Result<WorkerMsg, String> {
-        let doc = mini::parse(text)?;
+    pub fn from_json(payload: &[u8]) -> Result<WorkerMsg, String> {
+        let doc = Json::parse(payload)?;
         match field_str(&doc, "type")?.as_str() {
             "hello" => Ok(WorkerMsg::Hello {
                 worker: field_str(&doc, "worker")?,
@@ -149,12 +150,12 @@ impl CoordMsg {
                 deadline_ms,
             } => format!(
                 "{{\"type\": \"grant\", \"index\": {index}, \"key\": {}, \"deadline_ms\": {deadline_ms}}}",
-                quote(key)
+                Escaped(key)
             ),
             CoordMsg::Wait { ms } => format!("{{\"type\": \"wait\", \"ms\": {ms}}}"),
             CoordMsg::Done => "{\"type\": \"done\"}".into(),
             CoordMsg::Reject { reason } => {
-                format!("{{\"type\": \"reject\", \"reason\": {}}}", quote(reason))
+                format!("{{\"type\": \"reject\", \"reason\": {}}}", Escaped(reason))
             }
         }
     }
@@ -165,8 +166,8 @@ impl CoordMsg {
     ///
     /// A description of the malformation — the worker treats it as a fatal
     /// protocol error.
-    pub fn from_json(text: &str) -> Result<CoordMsg, String> {
-        let doc = mini::parse(text)?;
+    pub fn from_json(payload: &[u8]) -> Result<CoordMsg, String> {
+        let doc = Json::parse(payload)?;
         match field_str(&doc, "type")?.as_str() {
             "grant" => Ok(CoordMsg::Grant {
                 index: usize::try_from(field_u64(&doc, "index")?)
@@ -212,7 +213,11 @@ mod tests {
             },
         ];
         for m in msgs {
-            assert_eq!(WorkerMsg::from_json(&m.to_json()).unwrap(), m, "{m:?}");
+            assert_eq!(
+                WorkerMsg::from_json(m.to_json().as_bytes()).unwrap(),
+                m,
+                "{m:?}"
+            );
         }
     }
 
@@ -232,7 +237,11 @@ mod tests {
             },
         ];
         for m in msgs {
-            assert_eq!(CoordMsg::from_json(&m.to_json()).unwrap(), m, "{m:?}");
+            assert_eq!(
+                CoordMsg::from_json(m.to_json().as_bytes()).unwrap(),
+                m,
+                "{m:?}"
+            );
         }
     }
 
@@ -256,7 +265,7 @@ mod tests {
             key: rec.key.clone(),
             record: rec.to_json(),
         };
-        match WorkerMsg::from_json(&msg.to_json()).unwrap() {
+        match WorkerMsg::from_json(msg.to_json().as_bytes()).unwrap() {
             WorkerMsg::Result { record, .. } => {
                 assert_eq!(record, rec.to_json());
                 assert_eq!(PointRecord::from_json(&record).unwrap(), rec);
@@ -273,8 +282,8 @@ mod tests {
             "{\"type\": \"grant\", \"index\": \"x\"}",
             "{\"worker\": \"missing type\"}",
         ] {
-            assert!(CoordMsg::from_json(bad).is_err(), "{bad}");
-            assert!(WorkerMsg::from_json(bad).is_err(), "{bad}");
+            assert!(CoordMsg::from_json(bad.as_bytes()).is_err(), "{bad}");
+            assert!(WorkerMsg::from_json(bad.as_bytes()).is_err(), "{bad}");
         }
     }
 }

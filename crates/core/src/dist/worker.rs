@@ -66,9 +66,8 @@ fn exchange(stream: &mut TcpStream, msg: &WorkerMsg) -> Result<CoordMsg> {
     write_frame(stream, msg.to_json().as_bytes())?;
     let payload = read_frame(stream)?
         .ok_or_else(|| CoreError::Job("coordinator closed the connection mid-exchange".into()))?;
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| CoreError::Job(format!("coordinator sent non-UTF-8 frame: {e}")))?;
-    CoordMsg::from_json(text).map_err(|e| CoreError::Job(format!("bad coordinator message: {e}")))
+    CoordMsg::from_json(&payload)
+        .map_err(|e| CoreError::Job(format!("bad coordinator message: {e}")))
 }
 
 fn connect(addr: &str, opts: &WorkerOptions) -> Result<TcpStream> {

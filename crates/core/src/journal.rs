@@ -12,17 +12,15 @@
 //! Two properties carry the design:
 //!
 //! * **Bit-exact resume.** `f64` values are written with Rust's
-//!   shortest-round-trip `{:?}` formatting and re-parsed with
-//!   `str::parse::<f64>` directly from the raw token (the same policy as
-//!   the golden-vector format), so a resumed sweep's final report is
-//!   byte-identical to an uninterrupted one.
+//!   shortest-round-trip `{:?}` formatting and read back by the wire
+//!   codec ([`advcomp_wire::json`]), whose correctly rounded
+//!   `str::parse::<f64>` returns the same bits, so a resumed sweep's final
+//!   report is byte-identical to an uninterrupted one. The writers format
+//!   records themselves rather than through `Json`'s `Display`, which
+//!   prints integral floats as integers and `-0.0` as `0`.
 //! * **Crash-safe writes.** Entries are written to a `.tmp` sibling and
 //!   atomically renamed into place; a crash mid-write leaves at worst a
 //!   stale temp file, never a truncated entry that would poison resume.
-//!
-//! The workspace's `serde` is stubbed in offline containers (serialize
-//! only), so the reader is the crate's hand-rolled JSON parser
-//! ([`crate::minijson`]) specialised to keep numbers as raw tokens.
 //!
 //! Besides the per-point files, a run directory carries an append-only
 //! [`EventLog`] (`events.log`, one JSON object per line) used by the
@@ -32,9 +30,9 @@
 //! [`EventLog::open`] tolerates by design (skip + warn + truncate) rather
 //! than failing the whole resume.
 
-use crate::minijson::{self as mini, quote};
 use crate::scale::ExperimentScale;
 use crate::{CoreError, Result};
+use advcomp_wire::json::{Escaped, Json};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -109,14 +107,14 @@ impl PointRecord {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"version\": 1,");
-        let _ = writeln!(out, "  \"key\": {},", quote(&self.key));
+        let _ = writeln!(out, "  \"key\": {},", Escaped(&self.key));
         let _ = writeln!(out, "  \"x\": {:?},", self.x);
-        let _ = writeln!(out, "  \"compression\": {},", quote(&self.compression));
+        let _ = writeln!(out, "  \"compression\": {},", Escaped(&self.compression));
         let status = match self.status {
             PointStatus::Ok => "ok",
             PointStatus::Failed => "failed",
         };
-        let _ = writeln!(out, "  \"status\": {},", quote(status));
+        let _ = writeln!(out, "  \"status\": {},", Escaped(status));
         let _ = writeln!(out, "  \"attempts\": {},", self.attempts);
         let _ = writeln!(out, "  \"base_accuracy\": {:?},", self.base_accuracy);
         out.push_str("  \"scenarios\": [");
@@ -131,13 +129,13 @@ impl PointRecord {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&quote(h));
+            let _ = write!(out, "{}", Escaped(h));
         }
         out.push_str("],\n  \"error\": ");
-        match &self.error {
-            Some(e) => out.push_str(&quote(e)),
-            None => out.push_str("null"),
-        }
+        let _ = match &self.error {
+            Some(e) => write!(out, "{}", Escaped(e)),
+            None => write!(out, "null"),
+        };
         out.push_str("\n}\n");
         out
     }
@@ -150,7 +148,7 @@ impl PointRecord {
     /// writes this means real corruption, which should be surfaced (and the
     /// file deleted by hand) rather than silently recomputed.
     pub fn from_json(text: &str) -> Result<PointRecord> {
-        let doc = mini::parse(text).map_err(CoreError::Journal)?;
+        let doc = Json::parse(text.as_bytes()).map_err(CoreError::Journal)?;
         let field = |k: &str| {
             doc.get(k)
                 .ok_or_else(|| CoreError::Journal(format!("missing field '{k}'")))
@@ -170,11 +168,11 @@ impl PointRecord {
             }
         };
         let scenarios = field("scenarios")?
-            .as_arr()
+            .as_array()
             .ok_or_else(|| bad("scenarios"))?
             .iter()
             .map(|row| {
-                let t = row.as_arr()?;
+                let t = row.as_array()?;
                 match t {
                     [a, b, c] => Some((a.as_f64()?, b.as_f64()?, c.as_f64()?)),
                     _ => None,
@@ -183,14 +181,14 @@ impl PointRecord {
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| bad("scenarios"))?;
         let health = field("health")?
-            .as_arr()
+            .as_array()
             .ok_or_else(|| bad("health"))?
             .iter()
             .map(|h| h.as_str().map(String::from))
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| bad("health"))?;
         let error = match field("error")? {
-            mini::Value::Null => None,
+            Json::Null => None,
             v => Some(v.as_str().ok_or_else(|| bad("error"))?.to_string()),
         };
         Ok(PointRecord {
@@ -305,24 +303,24 @@ impl EventRecord {
         format!(
             "{{\"seq\": {}, \"kind\": {}, \"key\": {}, \"detail\": {}}}\n",
             self.seq,
-            quote(&self.kind),
-            quote(&self.key),
-            quote(&self.detail)
+            Escaped(&self.kind),
+            Escaped(&self.key),
+            Escaped(&self.detail)
         )
     }
 
-    fn from_line(line: &str) -> std::result::Result<EventRecord, String> {
-        let doc = mini::parse(line)?;
+    fn from_line(line: &[u8]) -> std::result::Result<EventRecord, String> {
+        let doc = Json::parse(line)?;
         let s = |k: &str| {
             doc.get(k)
-                .and_then(mini::Value::as_str)
+                .and_then(Json::as_str)
                 .map(String::from)
                 .ok_or_else(|| format!("missing/malformed field '{k}'"))
         };
         Ok(EventRecord {
             seq: doc
                 .get("seq")
-                .and_then(mini::Value::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or("missing/malformed field 'seq'")?,
             kind: s("kind")?,
             key: s("key")?,
@@ -378,10 +376,7 @@ impl EventLog {
                 None => (bytes.len(), false),
             };
             let raw = &bytes[offset..line_end];
-            let parsed = std::str::from_utf8(raw)
-                .map_err(|e| e.to_string())
-                .and_then(|text| EventRecord::from_line(text.trim_end_matches('\r')));
-            match parsed {
+            match EventRecord::from_line(raw) {
                 Ok(rec) if terminated => {
                     records.push(rec);
                     good_len = line_end + 1;
@@ -467,7 +462,11 @@ mod tests {
             status: PointStatus::Ok,
             attempts: 1,
             base_accuracy: 0.937_499_999_999_999_9,
-            scenarios: vec![(0.1, 0.2, 0.3), (1.0 / 3.0, 2.0 / 3.0, 0.0)],
+            scenarios: vec![
+                (0.1, 0.2, 0.3),
+                (1.0 / 3.0, 2.0 / 3.0, 0.0),
+                (-0.0, 5e-324, f64::MAX),
+            ],
             health: vec!["epoch 1: rolled back, lr scaled to 0.5".into()],
             error: None,
         }

@@ -27,7 +27,6 @@ mod compression;
 pub mod dist;
 mod error;
 pub mod journal;
-mod minijson;
 pub mod plot;
 pub mod report;
 pub mod resilience;

@@ -56,7 +56,6 @@
 mod admission;
 mod engine;
 mod error;
-pub mod json;
 pub mod loadgen;
 mod metrics;
 mod netpoll;
@@ -66,6 +65,8 @@ mod server;
 mod shard;
 mod wake;
 
+/// The JSON codec of request and response frames, from `advcomp-wire`.
+pub use advcomp_wire::json;
 pub use engine::{
     Completion, CompletionSender, CompletionWaker, Engine, GuardConfig, Prediction, ServeConfig,
 };

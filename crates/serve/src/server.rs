@@ -11,7 +11,7 @@
 //! One listener thread accepts connections and hands each to one of
 //! `io_threads` **event loops** (round-robin). Each loop readiness-polls
 //! its sockets ([`crate::netpoll`]), reads length-prefixed frames into a
-//! reusable per-connection buffer (parsed in place — no per-frame
+//! reusable per-connection [`FrameBuffer`] (parsed in place — no per-frame
 //! allocation), and dispatches predictions with
 //! [`Engine::submit_async`](crate::Engine::submit_async): the loop never
 //! blocks on inference. Worker completions come back on the loop's
@@ -48,8 +48,9 @@ use crate::protocol::{
 use crate::wake::Waker;
 use crate::{Engine, ServeError};
 use advcomp_nn::faults;
+use advcomp_wire::FrameBuffer;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -331,7 +332,7 @@ struct Conn {
     stream: TcpStream,
     peer: IpAddr,
     seq: u32,
-    read_buf: Vec<u8>,
+    frames: FrameBuffer,
     write_buf: Vec<u8>,
     write_pos: usize,
     pending: VecDeque<Pending>,
@@ -369,7 +370,7 @@ impl Conn {
             stream,
             peer,
             seq: 0,
-            read_buf: Vec::new(),
+            frames: FrameBuffer::new(),
             write_buf: Vec::new(),
             write_pos: 0,
             pending: VecDeque::new(),
@@ -407,34 +408,23 @@ impl Conn {
         }
         let mut eof = false;
         loop {
-            if self.read_buf.len() >= READ_BUDGET {
+            if self.frames.len() >= READ_BUDGET {
                 break; // keep per-connection memory bounded; poll re-arms
             }
-            let old = self.read_buf.len();
-            self.read_buf.resize(old + READ_CHUNK, 0);
-            match (&self.stream).read(&mut self.read_buf[old..]) {
+            match self.frames.read_from(&mut &self.stream, READ_CHUNK) {
                 Ok(0) => {
-                    self.read_buf.truncate(old);
                     eof = true;
                     break;
                 }
-                Ok(n) => self.read_buf.truncate(old + n),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.read_buf.truncate(old);
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.read_buf.truncate(old);
-                }
-                Err(_) => {
-                    self.read_buf.truncate(old);
-                    return Err(Close::Reset);
-                }
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(Close::Reset),
             }
         }
         self.parse_frames(slot, epoch, ctx);
         if eof {
-            if !self.read_buf.is_empty() {
+            if !self.frames.is_empty() {
                 // Short read mid-frame: the client died between a length
                 // header and its payload.
                 return Err(Close::Reset);
@@ -444,41 +434,26 @@ impl Conn {
         Ok(())
     }
 
-    /// Consumes every complete frame in `read_buf`, compacting the
-    /// remainder to the front (the buffer is reused across reads).
+    /// Consumes every complete buffered frame.
     fn parse_frames(&mut self, slot: usize, epoch: u16, ctx: &IoCtx) {
-        let mut consumed = 0usize;
         loop {
-            let avail = self.read_buf.len() - consumed;
-            if avail < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes(
-                self.read_buf[consumed..consumed + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
-            if len > MAX_FRAME {
-                // The stream is no longer frame-aligned: answer once,
-                // discard the garbage, and hang up after flushing.
-                ctx.engine
-                    .metrics()
-                    .bad_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                let err = ServeError::BadRequest(format!(
-                    "announced frame of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-                ));
-                self.push_ready(&error_response("", &err));
-                self.close_after_flush = true;
-                consumed = self.read_buf.len();
-                break;
-            }
-            let len = len as usize;
-            if avail < 4 + len {
-                break;
-            }
-            let req = Request::parse(&self.read_buf[consumed + 4..consumed + 4 + len]);
-            consumed += 4 + len;
+            let req = match self.frames.next_frame() {
+                Ok(Some(payload)) => Request::parse(payload),
+                Ok(None) => break,
+                Err(e) => {
+                    // The stream is no longer frame-aligned and the buffer
+                    // has dropped its bytes: answer once, hang up after
+                    // flushing.
+                    ctx.engine
+                        .metrics()
+                        .bad_frames
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.push_ready(&error_response("", &ServeError::BadRequest(e.to_string())));
+                    self.close_after_flush = true;
+                    break;
+                }
+            };
+            self.last_activity = Instant::now();
             match req {
                 Ok(r) => self.handle_request(r, slot, epoch, ctx),
                 Err(e) => {
@@ -491,12 +466,6 @@ impl Conn {
                     self.push_ready(&error_response("", &e));
                 }
             }
-        }
-        if consumed > 0 {
-            self.read_buf.copy_within(consumed.., 0);
-            let left = self.read_buf.len() - consumed;
-            self.read_buf.truncate(left);
-            self.last_activity = Instant::now();
         }
     }
 
@@ -632,7 +601,7 @@ fn io_loop(ctx: IoCtx) {
                 let want_read = !shutting
                     && !c.close_after_flush
                     && c.unflushed() < WRITE_HIGH_WATERMARK
-                    && c.read_buf.len() < READ_BUDGET;
+                    && c.frames.len() < READ_BUDGET;
                 let want_write = c.unflushed() > 0;
                 entries.push(PollEntry::new(raw_fd(&c.stream), want_read, want_write));
                 entry_slots.push(i);
@@ -702,7 +671,7 @@ fn io_loop(ctx: IoCtx) {
             }
             if !shutting
                 && conn.drained()
-                && conn.read_buf.is_empty()
+                && conn.frames.is_empty()
                 && now.duration_since(conn.last_activity) > ctx.read_timeout
             {
                 to_close.push((slot, Close::Clean)); // idle reap

@@ -1,17 +1,24 @@
-//! Minimal self-contained JSON reader/writer for golden files.
+//! JSON reader/writer for golden files.
 //!
-//! The workspace's `serde_json` is stubbed in offline containers, and the
-//! golden format needs one property serde does not promise anyway: **f32
-//! bit-exactness through a text round-trip**. Values are therefore written
-//! with Rust's shortest-round-trip `{:?}` formatting and kept as *raw
-//! number tokens* when parsed, so the consumer re-parses the exact token
-//! with `str::parse::<f32>` — no intermediate f64 double-rounding, no
-//! dependency on any external crate's float grammar.
+//! The runtime codec, `advcomp_wire::json`, cannot hold a golden, so this
+//! module keeps its own value model and parser and shares only the wire
+//! codec's string escaper ([`Escaped`]). Two properties rule the runtime
+//! model out:
 //!
-//! Objects preserve insertion order (backed by a `Vec`), which makes the
-//! writer deterministic: regenerating an unchanged golden produces a
-//! byte-identical file, so `git diff` is a drift detector.
+//! * **f32 bit-exactness through a text round-trip.** Values are written
+//!   with Rust's shortest-round-trip `{:?}` formatting and kept as *raw
+//!   number tokens* when parsed, so the consumer re-parses the exact token
+//!   with `str::parse::<f32>`, with no intermediate f64 rounding. An f64
+//!   value model holding the f32 `0.1` would print `0.10000000149011612`.
+//! * **Insertion-ordered keys.** Objects are backed by a `Vec`, which makes
+//!   the writer deterministic: regenerating an unchanged golden produces a
+//!   byte-identical file, so `git diff` is a drift detector, and
+//!   `golden::compare_json` checks the order. A `BTreeMap` would sort them.
+//!
+//! A parser generic over both value models would branch on its caller, so
+//! the two stay separate.
 
+use advcomp_wire::json::Escaped;
 use std::fmt::Write as _;
 
 /// A JSON value. Numbers are raw tokens (see module docs).
@@ -133,7 +140,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(tok) => out.push_str(tok),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => {
+                let _ = write!(out, "{}", Escaped(s));
+            }
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -175,8 +184,7 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     pad(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
+                    let _ = write!(out, "{}: ", Escaped(k));
                     v.write_pretty(out, indent + 1);
                     if i + 1 < pairs.len() {
                         out.push(',');
@@ -194,24 +202,6 @@ fn pad(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a JSON document.

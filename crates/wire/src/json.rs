@@ -1,11 +1,19 @@
-//! Minimal JSON value model, parser and writer for the wire protocol.
+//! The runtime JSON codec: value model, parser, writer and the one string
+//! escaper.
 //!
-//! The build container carries only a serialisation-side `serde_json` stub,
-//! so request *parsing* is implemented here: a strict recursive-descent
-//! parser over the small JSON subset the protocol uses (objects, arrays,
-//! strings, f64 numbers, booleans, null). Depth and size limits guard
-//! against adversarial frames — this parser sits directly on the network
-//! boundary.
+//! The vendored `serde_json` stub only serialises, so parsing lives here: a
+//! strict recursive-descent parser over objects, arrays, strings, f64
+//! numbers, booleans and null. It reads serve's request frames, the sweep
+//! coordinator's messages and the journal's point and event files. Depth
+//! and size limits guard against adversarial input, since the parser sits
+//! directly on the network boundary.
+//!
+//! Numbers are f64 and parse with `str::parse::<f64>`, which is correctly
+//! rounded. A writer that prints a float with `{:?}` (the shortest token
+//! that round-trips) therefore gets the same bits back, `-0.0` and
+//! subnormals included. Such writers format their records themselves and
+//! call [`Escaped`] for strings: [`Json`]'s `Display` prints integral floats
+//! as integers and `-0.0` as `0`, which is compact but not bit-exact.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -47,12 +55,13 @@ impl Json {
         }
     }
 
-    /// The value as u64, if a non-negative integral number.
+    /// The value as u64, if a non-negative integral number that f64 holds
+    /// exactly (at most 2^53 − 1). Above that, the parsed f64 may already
+    /// differ from the integer that was written, so it is refused.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = ((1u64 << 53) - 1) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -87,7 +96,7 @@ impl Json {
     ///
     /// Returns a human-readable description of the first syntax error.
     pub fn parse(bytes: &[u8]) -> Result<Json, String> {
-        let text = std::str::from_utf8(bytes).map_err(|_| "frame is not utf-8".to_string())?;
+        let text = std::str::from_utf8(bytes).map_err(|_| "input is not utf-8".to_string())?;
         let mut p = Parser {
             chars: text.char_indices().peekable(),
             text,
@@ -140,7 +149,7 @@ impl fmt::Display for Json {
                     write!(f, "null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => Escaped(s).fmt(f),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -157,7 +166,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write_escaped(f, k)?;
+                    Escaped(k).fmt(f)?;
                     write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
@@ -166,20 +175,31 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// `Display`s a string as a JSON string literal, quotes included.
+///
+/// This is the one escape table of the workspace: [`Json`]'s `Display`,
+/// the sweep journal and coordinator messages of `advcomp-core`, and the
+/// golden-file writer of `advcomp-testkit` all print strings through it,
+/// so every writer and this module's parser agree on the escape set.
+#[derive(Debug, Clone, Copy)]
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"")?;
+        for c in self.0.chars() {
+            match c {
+                '"' => write!(f, "\\\"")?,
+                '\\' => write!(f, "\\\\")?,
+                '\n' => write!(f, "\\n")?,
+                '\r' => write!(f, "\\r")?,
+                '\t' => write!(f, "\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => write!(f, "{c}")?,
+            }
         }
+        write!(f, "\"")
     }
-    write!(f, "\"")
 }
 
 struct Parser<'a> {
@@ -351,12 +371,13 @@ mod tests {
 
     #[test]
     fn roundtrip_request_shape() {
-        let text = br#"{"id": 3, "input": [0.5, -1.25e-2, 3], "probs": true}"#;
+        let text = br#"{"id": 3, "input": [0.5, -1.25e-2, 3, 0.30000000000000004], "probs": true}"#;
         let v = Json::parse(text).unwrap();
         assert_eq!(v.get("id").unwrap().as_u64(), Some(3));
         let input = v.get("input").unwrap().as_array().unwrap();
-        assert_eq!(input.len(), 3);
+        assert_eq!(input.len(), 4);
         assert_eq!(input[1].as_f64(), Some(-0.0125));
+        assert_eq!(input[3].as_f64().unwrap().to_bits(), 0.3f64.to_bits() + 1);
         assert_eq!(v.get("probs").unwrap().as_bool(), Some(true));
         // Serialise and reparse: stable.
         let text2 = v.to_string();
@@ -372,6 +393,16 @@ mod tests {
             Json::parse(br#""a\"b\nA""#).unwrap(),
             Json::Str("a\"b\nA".into())
         );
+        for s in [
+            "plain",
+            "with \"quotes\"",
+            "tab\tnl\nret\r",
+            "ctl\u{1}",
+            "π",
+        ] {
+            let text = Escaped(s).to_string();
+            assert_eq!(Json::parse(text.as_bytes()).unwrap(), Json::Str(s.into()));
+        }
     }
 
     #[test]
@@ -389,6 +420,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
         }
+        // Valid numbers that are not exact u64s: 2^64 (where `u64::MAX as
+        // f64` lands) and 2^53 + 1 (which parses to 2^53).
+        for big in [
+            &b"18446744073709551616"[..],
+            b"9007199254740993",
+            b"-1",
+            b"1.5",
+        ] {
+            assert_eq!(Json::parse(big).unwrap().as_u64(), None, "{big:?}");
+        }
+        assert_eq!(
+            Json::parse(b"9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
     }
 
     #[test]

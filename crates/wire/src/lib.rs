@@ -1,5 +1,6 @@
-//! Length-prefixed frame transport shared by `advcomp-serve` and the
-//! distributed-sweep layer in `advcomp-core`.
+//! The wire format shared by `advcomp-serve` and the distributed-sweep
+//! layer in `advcomp-core`: length-prefixed frames and the JSON codec
+//! ([`json`]) for their payloads and for the sweep journal.
 //!
 //! Every message — request or response, lease grant or heartbeat — is one
 //! *frame*:
@@ -17,6 +18,8 @@
 //! framing — one implementation, so the two protocols cannot drift apart.
 
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::io::{Read, Write};
 
@@ -77,13 +80,20 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 ///
 /// [`read_frame`] assumes a blocking stream: a read timeout mid-frame would
 /// discard the bytes `read_exact` already consumed and desynchronise the
-/// connection. A poller instead feeds whatever bytes arrive into
-/// [`FrameBuffer::extend`] and drains complete frames with
+/// connection. A poller instead reads whatever bytes arrive with
+/// [`FrameBuffer::read_from`] and drains complete frames with
 /// [`FrameBuffer::next_frame`]; partial frames simply wait in the buffer
 /// for more bytes.
+///
+/// Frames are returned as borrowed slices of one reusable buffer. Consumed
+/// frames are only marked by an offset; the next read compacts the
+/// remainder to the front once, so a burst of pipelined frames costs one
+/// copy rather than one per frame.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Bytes of `buf` already returned as frames.
+    consumed: usize,
 }
 
 impl FrameBuffer {
@@ -92,9 +102,31 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends bytes received from the stream.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// Buffered bytes not yet returned as frames.
+    pub fn len(&self) -> usize {
+        self.buf.len() - self.consumed
+    }
+
+    /// True when no unconsumed bytes are buffered (a frame boundary).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Makes one `read` call of at most `max` bytes straight into the
+    /// buffer and returns its count (`Ok(0)` is end of stream).
+    ///
+    /// # Errors
+    ///
+    /// The reader's error (including `WouldBlock` and `TimedOut`); the
+    /// buffered bytes are left unchanged.
+    pub fn read_from(&mut self, r: &mut impl Read, max: usize) -> std::io::Result<usize> {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
+        let old = self.buf.len();
+        self.buf.resize(old + max, 0);
+        let read = r.read(&mut self.buf[old..]);
+        self.buf.truncate(old + read.as_ref().map_or(0, |&n| n));
+        read
     }
 
     /// Pops the next complete frame, or `None` if more bytes are needed.
@@ -102,25 +134,29 @@ impl FrameBuffer {
     /// # Errors
     ///
     /// `InvalidData` when the buffered header announces a frame larger than
-    /// [`MAX_FRAME`] — the connection is unrecoverable at that point.
-    pub fn next_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
+    /// [`MAX_FRAME`]. The stream is no longer frame-aligned, so every
+    /// buffered byte is discarded.
+    pub fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let avail = &self.buf[self.consumed..];
+        let Some(header) = avail.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        };
+        let len = u32::from_le_bytes(*header);
         if len > MAX_FRAME {
+            self.buf.clear();
+            self.consumed = 0;
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("announced frame of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"),
             ));
         }
         let total = 4 + len as usize;
-        if self.buf.len() < total {
+        if avail.len() < total {
             return Ok(None);
         }
-        let payload = self.buf[4..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
+        let start = self.consumed + 4;
+        self.consumed += total;
+        Ok(Some(&self.buf[start..self.consumed]))
     }
 }
 
@@ -186,10 +222,10 @@ mod tests {
         write_frame(&mut stream, b"second").unwrap();
         let mut fb = FrameBuffer::new();
         let mut frames = Vec::new();
-        for &b in &stream {
-            fb.extend(&[b]);
+        let mut r = &stream[..];
+        while fb.read_from(&mut r, 1).unwrap() > 0 {
             while let Some(f) = fb.next_frame().unwrap() {
-                frames.push(f);
+                frames.push(f.to_vec());
             }
         }
         assert_eq!(
@@ -197,16 +233,43 @@ mod tests {
             vec![b"first".to_vec(), Vec::new(), b"second".to_vec()]
         );
         assert_eq!(fb.next_frame().unwrap(), None);
+        assert!(fb.is_empty());
+    }
+
+    #[test]
+    fn frame_buffer_read_error_keeps_partial_frame() {
+        struct Failing;
+        impl Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"done").unwrap();
+        write_frame(&mut stream, b"partial").unwrap();
+        let mut fb = FrameBuffer::new();
+        let cut = stream.len() - 3;
+        assert_eq!(fb.read_from(&mut &stream[..cut], 64).unwrap(), cut);
+        assert_eq!(fb.next_frame().unwrap(), Some(&b"done"[..]));
+        assert_eq!(fb.next_frame().unwrap(), None);
+        let held = fb.len();
+        assert!(fb.read_from(&mut Failing, 64).is_err());
+        assert_eq!(fb.len(), held);
+        fb.read_from(&mut &stream[cut..], 64).unwrap();
+        assert_eq!(fb.next_frame().unwrap(), Some(&b"partial"[..]));
+        assert!(fb.is_empty());
     }
 
     #[test]
     fn frame_buffer_rejects_oversized_header() {
         let mut fb = FrameBuffer::new();
-        fb.extend(&(MAX_FRAME + 1).to_le_bytes());
+        let header = (MAX_FRAME + 1).to_le_bytes();
+        fb.read_from(&mut &header[..], 4).unwrap();
         assert_eq!(
             fb.next_frame().unwrap_err().kind(),
             std::io::ErrorKind::InvalidData
         );
+        assert!(fb.is_empty(), "an unaligned stream is discarded");
     }
 
     #[test]

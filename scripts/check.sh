@@ -9,8 +9,9 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Full workspace suite — includes the advcomp-testkit pillars (goldens,
-# differential kernel fuzzing, determinism, gradcheck).
-cargo test --workspace -q
+# differential kernel fuzzing, determinism, gradcheck). --locked fails on a
+# stale Cargo.lock instead of silently rewriting it.
+cargo test --workspace -q --locked
 
 # Golden-drift gate: regenerate the checked-in golden vectors in place and
 # fail if they differ from HEAD. A stale golden already fails `cargo test`;
@@ -102,7 +103,7 @@ echo "graph gate: compiled q8 LeNet-5 >= 1.3x unfused, zero steady-state allocs"
 # does not run its tests. Its traced sweep smoke checks that run_point's
 # records equal a pipeline rebuilt from public calls, bit for bit — the
 # eval path must stay bit-identical to the layer path it replaced.
-cargo test -q --offline --manifest-path advbench/Cargo.toml >/dev/null
+cargo test -q --offline --locked --manifest-path advbench/Cargo.toml >/dev/null
 echo "advbench: smoke runs and traced sweep bit-identity OK"
 
 # Fault-injection smoke: a tiny sweep with a sticky panic injected at one

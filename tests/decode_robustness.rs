@@ -2,12 +2,56 @@
 //! reject arbitrary byte soup with a typed error — never panic, never hang,
 //! never return garbage silently accepted as valid.
 
+use advcomp::core::journal::{PointRecord, PointStatus};
 use advcomp::data::idx::{parse_cifar_batch, parse_idx_images, parse_idx_labels};
 use advcomp::models::Checkpoint;
 use advcomp::qformat::QFormat;
+use advcomp::serve::json::Json;
+use advcomp::serve::protocol::Request;
 use advcomp::sparse::huffman;
 use advcomp::sparse::QuantizedTensor;
 use proptest::prelude::*;
+
+/// The JSON codec reads network frames and journal files alike: a predict
+/// frame and a point record, truncated at every offset and with every byte
+/// bit-flipped, must parse to `Ok` or `Err`, never panic.
+#[test]
+fn json_codec_never_panics_on_damaged_documents() {
+    let frame = Request::Predict {
+        id: "r1".into(),
+        input: vec![0.0, -0.5, 1.25e-7, 3.0e38, 1.0],
+        probs: true,
+        attack: Some("ifgsm \"ε\"".into()),
+    }
+    .to_payload();
+    let record = PointRecord {
+        key: "00c0ffee00c0ffee".into(),
+        x: 0.30000000000000004,
+        compression: "dns_prune(0.3)".into(),
+        status: PointStatus::Ok,
+        attempts: 2,
+        base_accuracy: 0.9375,
+        scenarios: vec![(-0.0, 5e-324, f64::MAX)],
+        health: vec!["epoch 1: \"rolled back\"\n".into()],
+        error: None,
+    }
+    .to_json()
+    .into_bytes();
+    for doc in [frame, record] {
+        assert!(Json::parse(&doc).is_ok());
+        for cut in 0..doc.len() {
+            let _ = Json::parse(&doc[..cut]);
+        }
+        let mut damaged = doc.clone();
+        for i in 0..doc.len() {
+            for bit in 0..8 {
+                damaged[i] ^= 1 << bit;
+                let _ = Json::parse(&damaged);
+                damaged[i] = doc[i];
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
