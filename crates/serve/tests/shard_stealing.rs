@@ -13,6 +13,7 @@ use advcomp_serve::protocol::{read_frame, write_frame, Request};
 use advcomp_serve::{Engine, GuardConfig, ModelRegistry, ServeConfig, Server};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -50,16 +51,18 @@ fn input_for(client: usize, seq: usize) -> Vec<f32> {
 /// 64 concurrent clients pipeline ids through servers with 1, 2, and 8
 /// engine shards; every client must get exactly its own ids back, in
 /// send order, with `ok` status — no drops, no duplicates, no
-/// cross-client leaks, no reordering.
+/// cross-client leaks, no reordering. The queue holds the whole burst, so
+/// this checks ordering without overload (overload is answered by
+/// `serve_e2e`'s `full_queue_returns_overloaded_not_a_hang`).
 #[test]
 fn response_ids_echo_exactly_once_in_order_across_shard_counts() {
+    const CLIENTS: usize = 64;
+    const PER_CLIENT: usize = 8;
     for &workers in &[1usize, 2, 8] {
-        let engine = engine_with(workers, 64);
+        let engine = engine_with(workers, CLIENTS * PER_CLIENT);
         let server = Server::bind(engine.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
-        const CLIENTS: usize = 64;
-        const PER_CLIENT: usize = 8;
         let mut handles = Vec::new();
         for c in 0..CLIENTS {
             handles.push(std::thread::spawn(move || {
@@ -105,6 +108,11 @@ fn response_ids_echo_exactly_once_in_order_across_shard_counts() {
                 "shards={workers}: client {c} saw dropped/duplicated/reordered ids"
             );
         }
+        assert_eq!(
+            engine.metrics().overloaded.load(Ordering::Relaxed),
+            0,
+            "shards={workers}: a queue sized for the burst must never overload"
+        );
         server.request_shutdown();
         server.join();
     }

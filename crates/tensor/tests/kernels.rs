@@ -3,10 +3,12 @@
 //!
 //! The pool is sized once per process from `ADVCOMP_THREADS`, so a single
 //! test binary cannot vary the environment variable between cases. Instead
-//! these tests exercise the 1-, 2- and 8-way band splits through
-//! `pool::with_thread_cap`, which caps the parallelism a caller uses
-//! without touching the pool itself — the same code paths a process started
-//! with `ADVCOMP_THREADS=1|2|8` would take.
+//! these tests sweep caps 1, 2 and 8 through `pool::with_thread_cap`, which
+//! caps the parallelism a caller uses without touching the pool itself.
+//! A cap is clamped to the pool size, so a cap only splits work as it
+//! names when the pool has at least that many threads: on a 1-core host
+//! every cap runs serially. `scripts/check.sh` therefore also runs this
+//! binary with `ADVCOMP_THREADS=8`.
 
 use advcomp_tensor::{
     col2im, im2col, im2col_into, nchw_to_rows, pool, rows_to_nchw, Conv2dGeometry, Init,

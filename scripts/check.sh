@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # stale Cargo.lock instead of silently rewriting it.
 cargo test --workspace -q --locked
 
+# Pooled kernel paths: `with_thread_cap(n)` is clamped to the pool size,
+# so on a 1-core host every cap in the kernels suite runs serially. A
+# pool of 8 makes its 2- and 8-way caps split into real bands and run
+# chunks on helper threads.
+ADVCOMP_THREADS=8 cargo test -q --locked -p advcomp-tensor --test kernels >/dev/null
+echo "kernels: pooled bands agree at ADVCOMP_THREADS=8"
+
 # Golden-drift gate: regenerate the checked-in golden vectors in place and
 # fail if they differ from HEAD. A stale golden already fails `cargo test`;
 # this direction catches the opposite mistake — a regenerated golden that
