@@ -1,8 +1,8 @@
-//! Machine-readable detection-subsystem benchmark.
+//! Machine-readable detection-subsystem benchmark; writes
+//! `BENCH_detect.json`.
 //!
 //! Exercises the whole calibrated-detection pipeline on the deterministic
-//! stub-RNG task (seeded synthetic digits, LeNet-5 baseline) and writes
-//! `BENCH_detect.json`:
+//! stub-RNG task (seeded synthetic digits, LeNet-5 baseline):
 //!
 //! * the **attack × compression grid** from
 //!   [`advcomp_detect::run_detection_grid`] — detector AUC, detection rate
@@ -17,19 +17,16 @@
 //!   the difference between guard-on and guard-off single-request
 //!   latency through the engine.
 //!
-//! Run via `scripts/bench_detect.sh`, or directly:
+//! Gates (on every host): the fixture AUC is at least 0.9, and online the
+//! guard flags the UAP strictly more often than clean traffic
+//! (`online.uap_minus_clean_flagged` ≥ 1) and at a rate of at least 0.15.
 //!
 //! ```text
-//! cargo run --release -p advcomp-bench --bin detect_bench -- \
-//!     [--out FILE] [--iters N] [--check-detect]
+//! scripts/bench.sh detect [--out FILE] [--iters N]
 //! ```
-//!
-//! `--check-detect` exits non-zero when the gate fixture's AUC drops below
-//! 0.9 or when the offline-crafted UAP is no longer flagged online above
-//! the clean false-positive rate — the regression gate `scripts/check.sh`
-//! relies on, mirroring the other `--check-*` benches.
 
 use advcomp_attacks::{craft_uap, Attack, Ifgsm, NetKind, PlannedEval, UapConfig};
+use advcomp_bench::record::{median_ns, Flags, Report};
 use advcomp_compress::Quantizer;
 use advcomp_core::advtrain::{adversarial_finetune, AdvTrainConfig};
 use advcomp_core::{Compression, ExperimentScale, TaskSetup, TrainedModel};
@@ -40,99 +37,25 @@ use advcomp_detect::{
 use advcomp_nn::Sequential;
 use advcomp_serve::{Engine, GuardConfig, ModelRegistry, ServeConfig};
 use advcomp_tensor::Tensor;
-use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// The AUC floor `--check-detect` enforces on the gate fixture.
+/// The AUC floor gated on the fixture.
 const GATE_AUC: f64 = 0.9;
-/// The online UAP flag-rate floor `--check-detect` enforces.
+/// The online UAP flag-rate floor.
 const GATE_UAP_FLAG_RATE: f64 = 0.15;
 /// Seed of the benchmark task (training, compression, crafting).
 const SEED: u64 = 42;
 
-#[derive(Serialize)]
-struct FixtureReport {
-    detector: String,
-    attack: String,
-    epsilon: f32,
-    steps: usize,
-    /// Clean negatives: test samples the baseline classifies correctly.
-    clean_n: usize,
-    /// Adversarial positives: correctly-classified samples the attack
-    /// actually flips on the surrogate (unsuccessful perturbations carry
-    /// no boundary-crossing signal to detect).
-    adv_n: usize,
-    auc: f64,
-    gate_auc: f64,
-}
-
-#[derive(Serialize)]
-struct CalibrationReport {
-    detector: String,
-    threshold: f64,
-    target_fpr: f64,
-    observed_fpr: f64,
-    observed_tpr: f64,
-    auc: f64,
-}
-
-#[derive(Serialize)]
-struct GridCellReport {
-    surrogate: String,
-    attack: String,
-    auc: f64,
-    detection_rate: f64,
-    attack_success: f64,
-}
-
-#[derive(Serialize)]
-struct GridReport {
-    members: Vec<String>,
-    clean_accuracy: Vec<f64>,
-    calibration: CalibrationReport,
-    cells: Vec<GridCellReport>,
-    /// `uap_transfer[i][j]` = fool rate on member *j* of the UAP crafted
-    /// on member *i*.
-    uap_transfer: Vec<Vec<f64>>,
-}
-
-#[derive(Serialize)]
-struct OnlineReport {
-    uap_epsilon: f32,
-    uap_fool_rate: f64,
-    clean_flag_rate: f64,
-    uap_flag_rate: f64,
-    requests_per_side: usize,
-}
-
-#[derive(Serialize)]
-struct OverheadReport {
-    iters: usize,
-    guard_off_us: f64,
-    guard_on_us: f64,
-    overhead_us: f64,
-    ensemble_size: usize,
-}
-
-#[derive(Serialize)]
-struct DetectReport {
-    scale: String,
-    seed: u64,
-    fixture: FixtureReport,
-    calibration: CalibrationReport,
-    grid: GridReport,
-    online: OnlineReport,
-    guard_overhead: OverheadReport,
-}
-
-fn calibration_report(cal: &DetectorCalibration) -> CalibrationReport {
-    CalibrationReport {
-        detector: cal.detector.clone(),
-        threshold: cal.threshold,
-        target_fpr: cal.target_fpr,
-        observed_fpr: cal.observed_fpr,
-        observed_tpr: cal.observed_tpr,
-        auc: cal.auc,
+/// Appends a calibration's records under `<prefix>.<detector>.`.
+fn push_calibration(report: &mut Report, prefix: &str, cal: &DetectorCalibration) {
+    for (key, unit, value) in [
+        ("threshold", "score", cal.threshold),
+        ("target_fpr", "fraction", cal.target_fpr),
+        ("observed_fpr", "fraction", cal.observed_fpr),
+        ("observed_tpr", "fraction", cal.observed_tpr),
+        ("auc", "fraction", cal.auc),
+    ] {
+        report.push(format!("{prefix}.{}.{key}", cal.detector), unit, value);
     }
 }
 
@@ -196,16 +119,17 @@ fn ensemble_of(fixture: &Fixture) -> VariantEnsemble {
 /// detect). Clean negatives are the correctly-classified samples, so the
 /// baseline's own boundary-hugging mistakes don't pollute the negatives.
 fn gate_fixture(
+    report: &mut Report,
     fixture: &Fixture,
     ensemble: &mut VariantEnsemble,
-) -> (FixtureReport, DetectorCalibration) {
-    let (epsilon, steps) = (0.005f32, 8usize);
+) -> DetectorCalibration {
+    let (epsilon, steps) = (0.005f64, 8usize);
     let n = fixture.setup.test.len();
     let (x, y) = fixture.setup.test.slice(0, n).expect("test slice");
     let detector = detector_by_name("disagreement").expect("known detector");
 
     let mut surrogate = fixture.dense.clone();
-    let adv = Ifgsm::new(epsilon, steps)
+    let adv = Ifgsm::new(epsilon as f32, steps)
         .unwrap()
         .generate(&mut surrogate, &x, &y)
         .expect("ifgsm crafting");
@@ -219,6 +143,9 @@ fn gate_fixture(
         .filter(|&i| clean_pred[i] == y[i])
         .map(|i| clean_all[i])
         .collect();
+    // Adversarial positives: correctly-classified samples the attack
+    // actually flips on the surrogate (unsuccessful perturbations carry no
+    // boundary-crossing signal to detect).
     let adv: Vec<f64> = (0..n)
         .filter(|&i| clean_pred[i] == y[i] && adv_pred[i] != y[i])
         .map(|i| adv_all[i])
@@ -236,22 +163,20 @@ fn gate_fixture(
         cal.observed_fpr,
         cal.observed_tpr
     );
-    (
-        FixtureReport {
-            detector: "disagreement".into(),
-            attack: "ifgsm".into(),
-            epsilon,
-            steps,
-            clean_n: clean.len(),
-            adv_n: adv.len(),
-            auc,
-            gate_auc: GATE_AUC,
-        },
-        cal,
-    )
+    let row = "fixture.disagreement.ifgsm";
+    report.push(format!("{row}.epsilon"), "linf", epsilon);
+    report.push(format!("{row}.steps"), "count", steps as f64);
+    report.push(format!("{row}.clean_n"), "count", clean.len() as f64);
+    report.push(format!("{row}.adv_n"), "count", adv.len() as f64);
+    report
+        .push(format!("{row}.auc"), "fraction", auc)
+        .min(GATE_AUC);
+    report.push(format!("{row}.gate_auc"), "fraction", GATE_AUC);
+    push_calibration(report, "calibration", &cal);
+    cal
 }
 
-fn grid_report(scale: &ExperimentScale) -> GridReport {
+fn grid_report(report: &mut Report, scale: &ExperimentScale) {
     let cfg = DetectionGridConfig {
         net: NetKind::LeNet5,
         compressions: vec![
@@ -282,28 +207,33 @@ fn grid_report(scale: &ExperimentScale) -> GridReport {
         "grid cells failed: {:?}",
         grid.failed
     );
+    for (member, &accuracy) in grid.members.iter().zip(&grid.clean_accuracy) {
+        report.push(
+            format!("grid.clean_accuracy.{member}"),
+            "fraction",
+            accuracy,
+        );
+    }
+    push_calibration(report, "grid.calibration", &grid.calibration);
     for c in &grid.cells {
         println!(
             "grid {}/{}: auc {:.3}  detection {:.3}  attack success {:.3}",
             c.surrogate, c.attack, c.auc, c.detection_rate, c.attack_success
         );
+        let row = format!("grid.{}.{}", c.surrogate, c.attack);
+        for (key, value) in [
+            ("auc", c.auc),
+            ("detection_rate", c.detection_rate),
+            ("attack_success", c.attack_success),
+        ] {
+            report.push(format!("{row}.{key}"), "fraction", value);
+        }
     }
-    GridReport {
-        members: grid.members.clone(),
-        clean_accuracy: grid.clean_accuracy.clone(),
-        calibration: calibration_report(&grid.calibration),
-        cells: grid
-            .cells
-            .iter()
-            .map(|c| GridCellReport {
-                surrogate: c.surrogate.clone(),
-                attack: c.attack.into(),
-                auc: c.auc,
-                detection_rate: c.detection_rate,
-                attack_success: c.attack_success,
-            })
-            .collect(),
-        uap_transfer: grid.transfer,
+    // Fool rate on member `to` of the UAP crafted on member `from`.
+    for (from, rates) in grid.members.iter().zip(&grid.transfer) {
+        for (to, rate) in grid.members.iter().zip(rates) {
+            report.push(format!("grid.uap_transfer.{from}.{to}"), "fraction", *rate);
+        }
     }
 }
 
@@ -326,8 +256,8 @@ fn registry_of(fixture: &Fixture, cal: Option<&DetectorCalibration>) -> ModelReg
 
 /// Online check: clean and offline-crafted-UAP traffic through a live
 /// guarded engine, verdicts taken at the calibrated threshold.
-fn online_report(fixture: &Fixture, cal: &DetectorCalibration) -> OnlineReport {
-    let uap_epsilon = 0.2f32;
+fn online_report(report: &mut Report, fixture: &Fixture, cal: &DetectorCalibration) {
+    let uap_epsilon = 0.2f64;
     let (x_craft, y_craft) = fixture.setup.train.slice(0, 64).expect("craft slice");
     let mut surrogate = fixture.dense.clone();
     let uap = craft_uap(
@@ -335,8 +265,8 @@ fn online_report(fixture: &Fixture, cal: &DetectorCalibration) -> OnlineReport {
         &x_craft,
         &y_craft,
         &UapConfig {
-            epsilon: uap_epsilon,
-            step: uap_epsilon / 5.0,
+            epsilon: uap_epsilon as f32,
+            step: uap_epsilon as f32 / 5.0,
             epochs: 4,
             batch: 16,
             seed: 7,
@@ -365,7 +295,7 @@ fn online_report(fixture: &Fixture, cal: &DetectorCalibration) -> OnlineReport {
     assert!(deployment.calibrated, "calibration artifact must deploy");
 
     let sample_len: usize = fixture.setup.test.sample_shape().iter().product();
-    let flag_fraction = |images: &Tensor, tag: Option<&str>| -> f64 {
+    let flagged = |images: &Tensor, tag: Option<&str>| -> usize {
         let mut flagged = 0usize;
         for i in 0..n {
             let input = images.data()[i * sample_len..(i + 1) * sample_len].to_vec();
@@ -374,23 +304,32 @@ fn online_report(fixture: &Fixture, cal: &DetectorCalibration) -> OnlineReport {
                 .expect("submit");
             flagged += usize::from(pred.flagged.expect("guard verdict"));
         }
-        flagged as f64 / n as f64
+        flagged
     };
-    let clean_flag_rate = flag_fraction(&x_eval, None);
-    let uap_flag_rate = flag_fraction(&x_uap, Some("uap"));
+    let clean_flagged = flagged(&x_eval, None);
+    let uap_flagged = flagged(&x_uap, Some("uap"));
     engine.shutdown();
+    let clean_flag_rate = clean_flagged as f64 / n as f64;
+    let uap_flag_rate = uap_flagged as f64 / n as f64;
 
     println!(
         "online: uap eps {uap_epsilon} fool rate {uap_fool_rate:.3}  \
          flag rate clean {clean_flag_rate:.3} vs uap {uap_flag_rate:.3}"
     );
-    OnlineReport {
-        uap_epsilon,
-        uap_fool_rate,
-        clean_flag_rate,
-        uap_flag_rate,
-        requests_per_side: n,
-    }
+    report.push("online.uap_epsilon", "linf", uap_epsilon);
+    report.push("online.uap_fool_rate", "fraction", uap_fool_rate);
+    report.push("online.clean_flag_rate", "fraction", clean_flag_rate);
+    report
+        .push("online.uap_flag_rate", "fraction", uap_flag_rate)
+        .min(GATE_UAP_FLAG_RATE);
+    report.push("online.requests_per_side", "count", n as f64);
+    report
+        .push(
+            "online.uap_minus_clean_flagged",
+            "count",
+            uap_flagged as f64 - clean_flagged as f64,
+        )
+        .min(1.0);
 }
 
 /// Median single-request latency (µs) through the engine. `max_batch: 1`
@@ -418,114 +357,56 @@ fn median_submit_us(fixture: &Fixture, guard: Option<GuardConfig>, iters: usize)
     .expect("engine start");
     let sample_len: usize = fixture.setup.test.sample_shape().iter().product();
     let (x, _) = fixture.setup.test.slice(0, 8).expect("warm slice");
-    let inputs: Vec<Vec<f32>> = (0..8)
-        .map(|i| x.data()[i * sample_len..(i + 1) * sample_len].to_vec())
-        .collect();
-    for input in &inputs {
-        engine.submit(input.clone(), false).expect("warm submit");
-    }
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|i| {
-            let input = inputs[i % inputs.len()].clone();
-            let t0 = Instant::now();
-            engine.submit(input, false).expect("timed submit");
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
+    let mut inputs = x.data().chunks(sample_len).map(<[f32]>::to_vec).cycle();
+    let median = median_ns(iters, || {
+        let input = inputs.next().expect("cycle never ends");
+        engine.submit(input, false).expect("timed submit");
+    });
     engine.shutdown();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64 / 1000.0
+    median as f64 / 1000.0
 }
 
-fn overhead_report(fixture: &Fixture, iters: usize) -> OverheadReport {
+fn overhead_report(report: &mut Report, fixture: &Fixture, iters: usize) {
     let guard_off_us = median_submit_us(fixture, None, iters);
     let guard_on_us = median_submit_us(fixture, Some(GuardConfig::default()), iters);
+    let ensemble_size = fixture.variants.len() + 1;
     println!(
         "guard overhead: off {guard_off_us:.1} us  on {guard_on_us:.1} us  \
-         (+{:.1} us/request over {} ensemble members)",
-        guard_on_us - guard_off_us,
-        fixture.variants.len() + 1
+         (+{:.1} us/request over {ensemble_size} ensemble members)",
+        guard_on_us - guard_off_us
     );
-    OverheadReport {
-        iters,
-        guard_off_us,
-        guard_on_us,
-        overhead_us: guard_on_us - guard_off_us,
-        ensemble_size: fixture.variants.len() + 1,
-    }
+    report.push("guard_overhead.iters", "count", iters as f64);
+    report.push("guard_overhead.guard_off_us", "us", guard_off_us);
+    report.push("guard_overhead.guard_on_us", "us", guard_on_us);
+    report.push(
+        "guard_overhead.overhead_us",
+        "us",
+        guard_on_us - guard_off_us,
+    );
+    report.push(
+        "guard_overhead.ensemble_size",
+        "count",
+        ensemble_size as f64,
+    );
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut out_path = String::from("BENCH_detect.json");
-    let mut iters = 200usize;
-    let mut check_detect = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                if let Some(v) = args.next() {
-                    out_path = v;
-                }
-            }
-            "--iters" => {
-                if let Some(v) = args.next() {
-                    iters = v.parse()?;
-                }
-            }
-            "--check-detect" => check_detect = true,
-            other => return Err(format!("unknown flag '{other}'").into()),
-        }
-    }
+    let flags = Flags::parse(
+        std::env::args().skip(1),
+        &[("--out", "BENCH_detect.json"), ("--iters", "200")],
+    )?;
+    let iters: usize = flags.num("--iters")?;
+    let mut report = Report::new("detect");
+    report.note = Some("scale tiny".into());
+    report.push("seed", "id", SEED as f64);
 
     let scale = ExperimentScale::tiny();
     let fixture = build_fixture(&scale);
     let mut ensemble = ensemble_of(&fixture);
-    let (fixture_report, cal) = gate_fixture(&fixture, &mut ensemble);
-    let grid = grid_report(&scale);
-    let online = online_report(&fixture, &cal);
-    let guard_overhead = overhead_report(&fixture, iters);
-
-    let report = DetectReport {
-        scale: "tiny".into(),
-        seed: SEED,
-        fixture: fixture_report,
-        calibration: calibration_report(&cal),
-        grid,
-        online,
-        guard_overhead,
-    };
-    std::fs::write(&out_path, serde_json::to_string_pretty(&report)?)?;
-    println!("wrote {out_path}");
-
-    if check_detect {
-        if report.fixture.auc < GATE_AUC {
-            return Err(format!(
-                "--check-detect: gate-fixture AUC {:.3} below the {GATE_AUC} floor \
-                 (ifgsm eps {} x{}, {} clean vs {} successful-adversarial)",
-                report.fixture.auc,
-                report.fixture.epsilon,
-                report.fixture.steps,
-                report.fixture.clean_n,
-                report.fixture.adv_n
-            )
-            .into());
-        }
-        if report.online.uap_flag_rate <= report.online.clean_flag_rate {
-            return Err(format!(
-                "--check-detect: guard is blind to the offline-crafted UAP online: \
-                 clean flag rate {:.3} vs uap {:.3}",
-                report.online.clean_flag_rate, report.online.uap_flag_rate
-            )
-            .into());
-        }
-        if report.online.uap_flag_rate < GATE_UAP_FLAG_RATE {
-            return Err(format!(
-                "--check-detect: online UAP flag rate {:.3} below the {GATE_UAP_FLAG_RATE} \
-                 floor at the calibrated threshold {:.3}",
-                report.online.uap_flag_rate, report.calibration.threshold
-            )
-            .into());
-        }
-    }
+    let cal = gate_fixture(&mut report, &fixture, &mut ensemble);
+    grid_report(&mut report, &scale);
+    online_report(&mut report, &fixture, &cal);
+    overhead_report(&mut report, &fixture, iters);
+    report.finish(flags.get("--out"))?;
     Ok(())
 }

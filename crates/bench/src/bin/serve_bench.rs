@@ -1,5 +1,5 @@
 //! `serve_bench` — open-loop saturation sweep for the serving stack;
-//! writes `BENCH_serve.json` (schema `serve-open-loop-v2`).
+//! writes `BENCH_serve.json`.
 //!
 //! The old bench was closed-loop (clients sent request-after-response),
 //! which self-throttles: the offered load sinks to whatever the server
@@ -7,42 +7,42 @@
 //! is unobservable. This bench fixes the arrival schedule instead
 //! (`advcomp_serve::loadgen`): for each worker count it probes capacity,
 //! sweeps a ladder of offered rates around it against a **fresh** server
-//! per point, and reports the goodput-vs-offered curve, the saturation
+//! per point, and records the goodput-vs-offered curve, the saturation
 //! knee (highest offered rate still served at ≥92% goodput), and
 //! client + per-stage server percentiles (p50/p99/p999) at the knee.
 //!
 //! ```text
-//! serve_bench [--out BENCH_serve.json] [--workers 1,4,8]
-//!             [--duration-ms 1000] [--connections 8] [--quick]
-//!             [--check-serve [BASELINE.json]]
+//! scripts/bench.sh serve [--out FILE] [--workers 1,4,8]
+//!                        [--duration-ms 1000] [--connections 8]
 //! ```
 //!
-//! `--check-serve` is the regression gate used by `scripts/check.sh`: it
-//! re-measures the knee and fails if it regressed more than 40% below
-//! the committed baseline. The 8-vs-1-worker scaling assertion (≥3×) is
-//! hardware-gated: it only arms on hosts with ≥ 8 cores, mirroring how
-//! `--check-simd` no-ops without AVX2 — on a small host the workers
-//! time-slice one core and the ratio is physically unreachable. The
-//! host's core count is recorded in the report either way.
+//! Gates. Knee rps is host-specific, so before writing anything the
+//! bench reads the committed `BENCH_serve.json`: when that was measured
+//! on this host's core count, the top worker count's knee
+//! (`scaling.workers_<top>_knee_rps`) is gated at ≥ 0.6× the committed
+//! one. On a host with ≥ 8 cores, a sweep from 1 to ≥ 8 workers gates
+//! `scaling.knee_ratio` at ≥ 3; on a smaller host the workers time-slice
+//! the same cores and the ratio is physically unreachable. The host's
+//! core count is recorded as `cores` either way.
 //!
 //! Caveat: models here are stub-RNG initialised (`mlp(32, seed)` with
 //! the vendored deterministic RNG), so forward-pass cost is realistic
 //! but the weights are not trained; the bench measures the serving
 //! stack, not model quality.
 
+use advcomp_bench::record::{cores, Flags, Report};
 use advcomp_models::mlp;
-use advcomp_serve::json::{Json, JsonObj};
 use advcomp_serve::loadgen::{self, find_knee, LoadPlan, GOODPUT_RATIO};
 use advcomp_serve::{Engine, GuardConfig, ModelRegistry, ServeConfig, Server};
+use advcomp_wire::json::Json;
 use std::time::Duration;
 
 const SAMPLE: usize = 28 * 28;
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1)
-}
+const MAX_BATCH: usize = 16;
+const MAX_DELAY_MS: u64 = 2;
+const QUEUE_DEPTH: usize = 256;
+/// The committed baseline the knee gate compares against.
+const BASELINE: &str = "BENCH_serve.json";
 
 fn start_server(workers: usize) -> (Server, Engine) {
     let mut registry = ModelRegistry::new(&[1, 28, 28]).expect("registry");
@@ -54,9 +54,9 @@ fn start_server(workers: usize) -> (Server, Engine) {
         &registry,
         ServeConfig {
             workers,
-            max_batch: 16,
-            max_delay: Duration::from_millis(2),
-            queue_depth: 256,
+            max_batch: MAX_BATCH,
+            max_delay: Duration::from_millis(MAX_DELAY_MS),
+            queue_depth: QUEUE_DEPTH,
             guard: Some(GuardConfig { threshold: 0.5 }),
             ..ServeConfig::default()
         },
@@ -107,56 +107,60 @@ fn probe_capacity(workers: usize, duration: Duration, connections: usize) -> f64
     offered
 }
 
-fn point_json(p: &Point) -> Json {
-    let r = &p.report;
-    JsonObj::new()
-        .set("offered_rps", Json::Num(r.offered_rps))
-        .set("sent", Json::Num(r.sent as f64))
-        .set("ok", Json::Num(r.ok as f64))
-        .set("overloaded", Json::Num(r.overloaded as f64))
-        .set("rate_limited", Json::Num(r.rate_limited as f64))
-        .set("failed", Json::Num(r.failed as f64))
-        .set("lost", Json::Num(r.lost as f64))
-        .set("goodput_rps", Json::Num(r.goodput_rps()))
-        .set("sent_rps", Json::Num(r.sent_rps()))
-        .set(
-            "client_latency",
-            JsonObj::new()
-                .set("p50_us", Json::Num(r.latency.quantile_us(0.50) as f64))
-                .set("p99_us", Json::Num(r.latency.quantile_us(0.99) as f64))
-                .set("p999_us", Json::Num(r.latency.quantile_us(0.999) as f64))
-                .set("mean_us", Json::Num(r.latency.mean_us()))
-                .build(),
-        )
-        .build()
+/// Appends one ladder point's records under `prefix`.
+fn push_point(report: &mut Report, prefix: &str, r: &loadgen::LoadReport) {
+    let q = |quantile| r.latency.quantile_us(quantile) as f64;
+    for (key, unit, value) in [
+        ("offered_rps", "rps", r.offered_rps),
+        ("sent", "count", r.sent as f64),
+        ("ok", "count", r.ok as f64),
+        ("overloaded", "count", r.overloaded as f64),
+        ("rate_limited", "count", r.rate_limited as f64),
+        ("failed", "count", r.failed as f64),
+        ("lost", "count", r.lost as f64),
+        ("goodput_rps", "rps", r.goodput_rps()),
+        ("sent_rps", "rps", r.sent_rps()),
+        ("client_latency.p50_us", "us", q(0.50)),
+        ("client_latency.p99_us", "us", q(0.99)),
+        ("client_latency.p999_us", "us", q(0.999)),
+        ("client_latency.mean_us", "us", r.latency.mean_us()),
+    ] {
+        report.push(format!("{prefix}.{key}"), unit, value);
+    }
 }
 
-/// Server-side per-stage percentiles pulled out of a metrics snapshot.
-fn stage_json(metrics: &Json) -> Json {
-    let mut obj = JsonObj::new();
+/// Appends the knee point's records, server-side per-stage percentiles
+/// included, under `prefix`.
+fn push_knee(report: &mut Report, prefix: &str, p: &Point) {
+    let r = &p.report;
+    report.push(format!("{prefix}.offered_rps"), "rps", r.offered_rps);
+    report.push(format!("{prefix}.goodput_rps"), "rps", r.goodput_rps());
+    report.push(
+        format!("{prefix}.client_p99_us"),
+        "us",
+        r.latency.quantile_us(0.99) as f64,
+    );
     for stage in ["queue_wait", "batch_assembly", "forward", "total"] {
-        let mut s = JsonObj::new();
         for q in ["p50_us", "p99_us", "p999_us"] {
-            let v = metrics
+            let v = p
+                .server_metrics
                 .get("latency")
                 .and_then(|l| l.get(stage))
                 .and_then(|h| h.get(q))
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0);
-            s = s.set(q, Json::Num(v));
+            report.push(format!("{prefix}.server_stages.{stage}.{q}"), "us", v);
         }
-        obj = obj.set(stage, s.build());
     }
-    obj.build()
 }
 
-struct Sweep {
+/// One worker count's ladder of points and the index of its knee, if any.
+fn sweep_workers(
     workers: usize,
-    points: Vec<Point>,
-    knee: Option<usize>,
-}
-
-fn sweep_workers(workers: usize, duration: Duration, connections: usize, ladder: &[f64]) -> Sweep {
+    duration: Duration,
+    connections: usize,
+    ladder: &[f64],
+) -> (Vec<Point>, Option<usize>) {
     let capacity = probe_capacity(
         workers,
         duration.min(Duration::from_millis(300)),
@@ -184,235 +188,106 @@ fn sweep_workers(workers: usize, duration: Duration, connections: usize, ladder:
         .map(|p| (p.report.offered_rps, p.report.goodput_rps()))
         .collect();
     let knee = find_knee(&curve);
-    Sweep {
-        workers,
-        points,
-        knee,
-    }
+    (points, knee)
 }
 
-fn sweep_json(s: &Sweep) -> Json {
-    let mut obj = JsonObj::new()
-        .set("workers", Json::Num(s.workers as f64))
-        .set(
-            "points",
-            Json::Arr(s.points.iter().map(point_json).collect()),
-        );
-    if let Some(k) = s.knee {
-        let p = &s.points[k];
-        obj = obj.set(
-            "knee",
-            JsonObj::new()
-                .set("offered_rps", Json::Num(p.report.offered_rps))
-                .set("goodput_rps", Json::Num(p.report.goodput_rps()))
-                .set(
-                    "client_p99_us",
-                    Json::Num(p.report.latency.quantile_us(0.99) as f64),
-                )
-                .set("server_stages", stage_json(&p.server_metrics))
-                .build(),
-        );
-    }
-    obj.build()
-}
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let flags = Flags::parse(
+        std::env::args().skip(1),
+        &[
+            ("--out", BASELINE),
+            ("--workers", "1,4,8"),
+            ("--duration-ms", "1000"),
+            ("--connections", "8"),
+        ],
+    )?;
+    let duration = Duration::from_millis(flags.num("--duration-ms")?);
+    let connections: usize = flags.num("--connections")?;
+    let worker_counts = flags
+        .get("--workers")
+        .split(',')
+        .map(str::parse)
+        .collect::<Result<Vec<usize>, _>>()
+        .map_err(|_| format!("--workers {}: not a list of counts", flags.get("--workers")))?;
+    // Read before this run can overwrite it.
+    let baseline = Report::read(BASELINE);
 
-fn knee_goodput(s: &Sweep) -> f64 {
-    s.knee
-        .map(|k| s.points[k].report.goodput_rps())
-        .unwrap_or(0.0)
-}
-
-/// Regression gate: re-measure the top worker count's knee and compare
-/// with the committed baseline; scaling assertion only on >= 8 cores.
-fn check_serve(baseline_path: &str, duration: Duration, connections: usize) -> i32 {
-    let cores = host_cores();
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            println!("check-serve: SKIP (no baseline {baseline_path}: {e})");
-            return 0;
-        }
-    };
-    let baseline = Json::parse(baseline.as_bytes()).expect("baseline JSON");
-    if baseline.get("schema").and_then(Json::as_str) != Some("serve-open-loop-v2") {
-        println!("check-serve: SKIP (baseline is not schema serve-open-loop-v2; regenerate)");
-        return 0;
-    }
-    let base_cores = baseline
-        .get("host")
-        .and_then(|h| h.get("cores"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0) as usize;
-    if base_cores != cores {
-        println!(
-            "check-serve: SKIP (baseline measured on {base_cores} cores, host has {cores}; \
-             knee rps is not comparable across hosts)"
-        );
-        return 0;
-    }
-    let mut base_knees: Vec<(usize, f64)> = Vec::new();
-    if let Some(Json::Arr(sweeps)) = baseline.get("sweeps") {
-        for s in sweeps {
-            let w = s.get("workers").and_then(Json::as_u64).unwrap_or(0) as usize;
-            if let Some(g) = s
-                .get("knee")
-                .and_then(|k| k.get("goodput_rps"))
-                .and_then(Json::as_f64)
-            {
-                base_knees.push((w, g));
-            }
-        }
-    }
-    let Some(&(top_workers, base_goodput)) = base_knees.iter().max_by(|a, b| a.0.cmp(&b.0)) else {
-        println!("check-serve: SKIP (baseline has no knee data)");
-        return 0;
-    };
-
-    let ladder = [0.4, 0.7, 0.9, 1.2, 1.8];
-    let now = sweep_workers(top_workers, duration, connections, &ladder);
-    let goodput = knee_goodput(&now);
-    println!(
-        "check-serve: knee at {top_workers} workers: {goodput:.0} rps \
-         (baseline {base_goodput:.0} rps)"
-    );
-    let mut failed = false;
-    if goodput < 0.6 * base_goodput {
-        println!(
-            "check-serve: FAIL knee goodput {goodput:.0} rps regressed more than 40% \
-             below baseline {base_goodput:.0} rps"
-        );
-        failed = true;
-    }
-    if cores >= 8 && top_workers >= 8 {
-        let one = sweep_workers(1, duration, connections, &ladder);
-        let one_goodput = knee_goodput(&one);
-        if goodput < 3.0 * one_goodput {
-            println!(
-                "check-serve: FAIL {top_workers}-worker knee {goodput:.0} rps is not >= 3x \
-                 the 1-worker knee {one_goodput:.0} rps"
-            );
-            failed = true;
-        } else {
-            println!(
-                "check-serve: scaling OK ({goodput:.0} rps vs {one_goodput:.0} rps at 1 worker)"
-            );
-        }
-    } else {
-        println!(
-            "check-serve: scaling assertion skipped ({cores} cores < 8; \
-             workers time-slice, ratio not measurable)"
-        );
-    }
-    if failed {
-        1
-    } else {
-        println!("check-serve: OK");
-        0
-    }
-}
-
-fn main() {
-    let mut out_path = String::from("BENCH_serve.json");
-    let mut duration = Duration::from_millis(1000);
-    let mut connections: usize = 8;
-    let mut worker_counts: Vec<usize> = vec![1, 4, 8];
-    let mut check_baseline: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--out" => out_path = args.next().expect("--out value"),
-            "--duration-ms" => {
-                duration = Duration::from_millis(
-                    args.next().expect("--duration-ms value").parse().unwrap(),
-                )
-            }
-            "--connections" => {
-                connections = args.next().expect("--connections value").parse().unwrap()
-            }
-            "--workers" => {
-                worker_counts = args
-                    .next()
-                    .expect("--workers value")
-                    .split(',')
-                    .map(|w| w.parse().expect("--workers"))
-                    .collect()
-            }
-            "--quick" => {
-                duration = Duration::from_millis(300);
-                worker_counts = vec![1, 4];
-                connections = 4;
-            }
-            "--check-serve" => {
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with("--") => args.next().unwrap(),
-                    _ => "BENCH_serve.json".to_string(),
-                };
-                check_baseline = Some(path);
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    if let Some(baseline) = check_baseline {
-        std::process::exit(check_serve(&baseline, duration, connections));
-    }
-
-    let cores = host_cores();
+    let cores = cores();
     println!(
         "serve_bench: open-loop sweep, workers {worker_counts:?}, \
          {connections} connections, {duration:?}/point, {cores} cores"
     );
-    let ladder = [0.4, 0.7, 0.9, 1.2, 1.8];
-    let mut sweeps = Vec::new();
-    for &workers in &worker_counts {
-        sweeps.push(sweep_workers(workers, duration, connections, &ladder));
+    let mut report = Report::new("serve");
+    report.note = Some(
+        "model mlp:32 + 1 guard variant; open-loop fixed-arrival-rate generator; knee = \
+         highest offered rate with goodput >= 92% of offered; stub-RNG untrained weights \
+         (serving-stack cost only); knee rps is host-specific"
+            .into(),
+    );
+    report.push("cores", "count", cores as f64);
+    for (key, unit, value) in [
+        ("connections", "count", connections as f64),
+        ("duration_ms", "ms", duration.as_millis() as f64),
+        ("goodput_ratio", "fraction", GOODPUT_RATIO),
+        ("max_batch", "count", MAX_BATCH as f64),
+        ("max_delay_ms", "ms", MAX_DELAY_MS as f64),
+        ("queue_depth", "count", QUEUE_DEPTH as f64),
+    ] {
+        report.push(format!("config.{key}"), unit, value);
     }
 
-    let mut scaling = JsonObj::new();
-    for s in &sweeps {
-        scaling = scaling.set(
-            &format!("workers_{}_knee_rps", s.workers),
-            Json::Num(knee_goodput(s)),
-        );
+    let ladder = [0.4, 0.7, 0.9, 1.2, 1.8];
+    let mut knees = Vec::new();
+    for &workers in &worker_counts {
+        let (points, knee) = sweep_workers(workers, duration, connections, &ladder);
+        let prefix = format!("workers_{workers}");
+        report.push(format!("{prefix}.workers"), "count", workers as f64);
+        for (i, p) in points.iter().enumerate() {
+            push_point(&mut report, &format!("{prefix}.points.{i}"), &p.report);
+        }
+        if let Some(k) = knee {
+            push_knee(&mut report, &format!("{prefix}.knee"), &points[k]);
+        }
+        knees.push((
+            workers,
+            knee.map_or(0.0, |k| points[k].report.goodput_rps()),
+        ));
     }
-    if let (Some(first), Some(last)) = (sweeps.first(), sweeps.last()) {
-        let (a, b) = (knee_goodput(first), knee_goodput(last));
-        if a > 0.0 {
-            scaling = scaling.set("knee_ratio", Json::Num(b / a));
+
+    // The knee gate compares like with like: the same core count and the
+    // top worker count.
+    let top = worker_counts.iter().max().copied().unwrap_or(0);
+    let committed_knee = match &baseline {
+        Ok(base) if base.value("cores") == Some(cores as f64) => {
+            base.value(&format!("scaling.workers_{top}_knee_rps"))
+        }
+        Ok(_) => {
+            println!("serve_bench: no knee gate ({BASELINE} has another core count)");
+            None
+        }
+        Err(e) => {
+            println!("serve_bench: no knee gate ({e})");
+            None
+        }
+    };
+    for (workers, goodput) in knees.iter().copied() {
+        let record = report.push(
+            format!("scaling.workers_{workers}_knee_rps"),
+            "rps",
+            goodput,
+        );
+        if let Some(committed) = committed_knee.filter(|_| workers == top) {
+            record.min(0.6 * committed);
         }
     }
-
-    let report = JsonObj::new()
-        .set("bench", Json::Str("serve".into()))
-        .set("schema", Json::Str("serve-open-loop-v2".into()))
-        .set(
-            "host",
-            JsonObj::new().set("cores", Json::Num(cores as f64)).build(),
-        )
-        .set(
-            "note",
-            Json::Str(
-                "open-loop fixed-arrival-rate generator; knee = highest offered rate with \
-                 goodput >= 92% of offered; stub-RNG untrained weights (serving-stack cost \
-                 only); knee rps is host-specific"
-                    .into(),
-            ),
-        )
-        .set(
-            "config",
-            JsonObj::new()
-                .set("model", Json::Str("mlp:32 + 1 guard variant".into()))
-                .set("max_batch", Json::Num(16.0))
-                .set("max_delay_ms", Json::Num(2.0))
-                .set("queue_depth", Json::Num(256.0))
-                .set("connections", Json::Num(connections as f64))
-                .set("duration_ms", Json::Num(duration.as_millis() as f64))
-                .set("goodput_ratio", Json::Num(GOODPUT_RATIO))
-                .build(),
-        )
-        .set("sweeps", Json::Arr(sweeps.iter().map(sweep_json).collect()))
-        .set("scaling", scaling.build())
-        .build();
-    std::fs::write(&out_path, format!("{report}\n")).expect("write report");
-    println!("serve_bench: wrote {out_path}");
+    if let (Some(&(first, a)), Some(&(last, b))) = (knees.first(), knees.last()) {
+        if a > 0.0 {
+            let ratio = report.push("scaling.knee_ratio", "x", b / a);
+            if cores >= 8 && first == 1 && last >= 8 {
+                ratio.min(3.0);
+            }
+        }
+    }
+    report.finish(flags.get("--out"))?;
+    Ok(())
 }

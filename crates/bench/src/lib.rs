@@ -3,8 +3,10 @@
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it: `table1`, `fig2`, `fig3`, `fig4`, `fig5`, `fig6` and
 //! `crossseed`. Each prints the paper's rows/series as a Markdown table and
-//! writes a CSV under `results/`. Criterion micro-benchmarks for the
-//! underlying kernels live in `benches/`.
+//! writes a CSV under `results/`. The measurement binaries
+//! (`kernel_bench`, `quant_bench`, `graph_bench`, `detect_bench`,
+//! `serve_bench`) write `BENCH_*.json` files through [`record`], which
+//! also holds their one regression gate.
 //!
 //! Run e.g.:
 //!
@@ -12,6 +14,8 @@
 //! cargo run --release -p advcomp-bench --bin fig2 -- --scale quick
 //! ADVCOMP_SCALE=paper cargo run --release -p advcomp-bench --bin fig5
 //! ```
+
+pub mod record;
 
 use advcomp_core::resilience::RetryPolicy;
 use advcomp_core::sweep::{MatrixRun, PointFailure, RunConfig, TransferMatrix};
