@@ -7,52 +7,28 @@ use advcomp_core::report::Table;
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Minimal CSV reader for the files this workspace writes (no embedded
-/// newlines; quotes only around comma-bearing cells).
-fn read_csv(path: &Path) -> Option<(Vec<String>, Vec<Vec<String>>)> {
+/// Reads one exhibit CSV; `None` when the exhibit has not been generated
+/// (or, with a warning, when its file does not parse).
+fn read_table(path: &Path) -> Option<Table> {
     let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    let parse = |line: &str| -> Vec<String> {
-        let mut out = Vec::new();
-        let mut cell = String::new();
-        let mut quoted = false;
-        for ch in line.chars() {
-            match ch {
-                '"' => quoted = !quoted,
-                ',' if !quoted => out.push(std::mem::take(&mut cell)),
-                _ => cell.push(ch),
-            }
-        }
-        out.push(cell);
-        out
-    };
-    let headers = parse(lines.next()?);
-    let rows = lines.map(parse).collect();
-    Some((headers, rows))
+    Table::from_csv(&text)
+        .map_err(|e| eprintln!("warning: skipping {}: {e}", path.display()))
+        .ok()
 }
 
 /// Pulls one named numeric column as f64, keyed by a composite of the other
 /// selector columns.
-fn column_map(
-    headers: &[String],
-    rows: &[Vec<String>],
-    keys: &[&str],
-    value: &str,
-) -> HashMap<String, f64> {
-    let key_idx: Vec<usize> = keys
-        .iter()
-        .filter_map(|k| headers.iter().position(|h| h == k))
-        .collect();
-    let val_idx = headers.iter().position(|h| h == value);
+fn column_map(table: &Table, keys: &[&str], value: &str) -> HashMap<String, f64> {
+    let position = |name: &str| table.headers.iter().position(|h| h == name);
+    let key_idx: Vec<usize> = keys.iter().filter_map(|k| position(k)).collect();
     let mut out = HashMap::new();
     if key_idx.len() != keys.len() {
         return out;
     }
-    let Some(val_idx) = val_idx else { return out };
-    for row in rows {
-        if row.len() <= val_idx {
-            continue;
-        }
+    let Some(val_idx) = position(value) else {
+        return out;
+    };
+    for row in &table.rows {
         let key = key_idx
             .iter()
             .map(|&i| row[i].as_str())
@@ -83,8 +59,8 @@ fn main() {
 
     // Figure 2: attacks transfer at moderate density; sparse models stop
     // transferring to the baseline.
-    if let Some((h, rows)) = read_csv(&dir.join("fig2.csv")) {
-        let s3 = column_map(&h, &rows, &["net", "attack", "density"], "comp_to_full");
+    if let Some(t) = read_table(&dir.join("fig2.csv")) {
+        let s3 = column_map(&t, &["net", "attack", "density"], "comp_to_full");
         if let (Some(&dense), Some(&sparse)) =
             (s3.get("lenet5/ifgsm/1"), s3.get("lenet5/ifgsm/0.02"))
         {
@@ -102,8 +78,8 @@ fn main() {
     }
 
     // Figure 5: 4-bit clipping defence exists for weights+activations...
-    let wa4 = read_csv(&dir.join("fig5.csv"))
-        .map(|(h, rows)| column_map(&h, &rows, &["net", "attack", "bitwidth"], "comp_to_full"));
+    let wa4 = read_table(&dir.join("fig5.csv"))
+        .map(|t| column_map(&t, &["net", "attack", "bitwidth"], "comp_to_full"));
     if let Some(wa) = &wa4 {
         if let (Some(&b4), Some(&b32)) = (wa.get("lenet5/ifgsm/4"), wa.get("lenet5/ifgsm/32")) {
             table.push_row(vec![
@@ -119,8 +95,8 @@ fn main() {
         }
     }
     // ... and vanishes when only weights are quantised.
-    if let (Some(wa), Some((h, rows))) = (&wa4, read_csv(&dir.join("fig5_weights_only.csv"))) {
-        let wo = column_map(&h, &rows, &["net", "attack", "bitwidth"], "comp_to_full");
+    if let (Some(wa), Some(t)) = (&wa4, read_table(&dir.join("fig5_weights_only.csv"))) {
+        let wo = column_map(&t, &["net", "attack", "bitwidth"], "comp_to_full");
         if let (Some(&full), Some(&weights_only)) =
             (wa.get("lenet5/ifgsm/4"), wo.get("lenet5/ifgsm/4"))
         {
@@ -138,8 +114,8 @@ fn main() {
     }
 
     // Cross-seed: LeNet5 transfer << CifarNet transfer.
-    if let Some((h, rows)) = read_csv(&dir.join("crossseed.csv")) {
-        let tr = column_map(&h, &rows, &["net"], "transfer_rate");
+    if let Some(t) = read_table(&dir.join("crossseed.csv")) {
+        let tr = column_map(&t, &["net"], "transfer_rate");
         if let (Some(&l), Some(&c)) = (tr.get("lenet5"), tr.get("cifarnet")) {
             table.push_row(vec![
                 "crossseed".into(),
@@ -151,9 +127,8 @@ fn main() {
     }
 
     // Figure 6: 4-bit zero mass far above 16-bit.
-    if let Some((h, rows)) = read_csv(&dir.join("fig6.csv")) {
-        // fig6.csv is a raw CDF table; check the value-0 cumulative mass.
-        let _ = (h, rows); // covered qualitatively in EXPERIMENTS.md
+    // fig6.csv is a raw CDF table, covered qualitatively in EXPERIMENTS.md.
+    if read_table(&dir.join("fig6.csv")).is_some() {
         table.push_row(vec![
             "fig6".into(),
             "CDF series generated (weights + activations × 4 bitwidths)".into(),

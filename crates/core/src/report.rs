@@ -101,6 +101,73 @@ impl Table {
         out
     }
 
+    /// Parses CSV text back into a table with an empty title: the exact
+    /// inverse of [`Table::to_csv`] for any table with at least one column.
+    /// A quoted cell may hold commas and newlines, and `""` inside it is
+    /// one literal quote.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::CoreError::InvalidConfig`] on empty text, an unterminated
+    /// quoted cell, a quote inside an unquoted cell, text after a closing
+    /// quote, or a row whose width differs from the header row's.
+    pub fn from_csv(text: &str) -> Result<Table> {
+        let bad = |msg: &str| crate::CoreError::InvalidConfig(format!("malformed CSV: {msg}"));
+        if text.is_empty() {
+            return Err(bad("no header row"));
+        }
+        let mut records: Vec<Vec<String>> = Vec::new();
+        let mut record = Vec::new();
+        let mut chars = text.chars().peekable();
+        loop {
+            let mut cell = String::new();
+            if chars.next_if_eq(&'"').is_some() {
+                loop {
+                    match chars.next() {
+                        // A quote ends the cell unless a second one follows;
+                        // the pair falls through as one literal quote.
+                        Some('"') if chars.next_if_eq(&'"').is_none() => break,
+                        Some(c) => cell.push(c),
+                        None => return Err(bad("unterminated quoted cell")),
+                    }
+                }
+            } else {
+                while let Some(c) = chars.next_if(|&c| c != ',' && c != '\n') {
+                    if c == '"' {
+                        return Err(bad("quote inside an unquoted cell"));
+                    }
+                    cell.push(c);
+                }
+            }
+            record.push(cell);
+            match chars.next() {
+                Some(',') => {}
+                Some('\n') | None => {
+                    records.push(std::mem::take(&mut record));
+                    if chars.peek().is_none() {
+                        break;
+                    }
+                }
+                Some(_) => return Err(bad("text after a closing quote")),
+            }
+        }
+        let mut records = records.into_iter();
+        let headers = records.next().unwrap_or_default();
+        let rows: Vec<Vec<String>> = records.collect();
+        if let Some(row) = rows.iter().find(|r| r.len() != headers.len()) {
+            return Err(bad(&format!(
+                "row width {} != header width {}",
+                row.len(),
+                headers.len()
+            )));
+        }
+        Ok(Table {
+            title: String::new(),
+            headers,
+            rows,
+        })
+    }
+
     /// Writes the CSV rendering to `path`, creating parent directories.
     /// Crash-safe: see [`write_atomic`].
     ///
@@ -181,6 +248,28 @@ mod tests {
         let csv = table().to_csv();
         assert!(csv.starts_with("a,b\n"));
         assert!(csv.contains("\"wor,ld\""));
+    }
+
+    #[test]
+    fn from_csv_inverts_to_csv() {
+        // Commas, quotes, `""` escapes, newlines and empty cells, in headers
+        // and rows alike.
+        let mut t = Table::new("", &["plain", "com,ma", "quo\"te"]);
+        t.push_row(vec!["a".into(), "x,y".into(), "say \"hi\"".into()]);
+        t.push_row(vec!["".into(), "line\nbreak".into(), "\"\"".into()]);
+        t.push_row(vec!["".into(), "".into(), "".into()]);
+        t.push_row(vec!["\n".into(), ",".into(), "\"".into()]);
+        assert_eq!(Table::from_csv(&t.to_csv()).unwrap(), t);
+        let mut one = Table::new("", &["only"]);
+        one.push_row(vec!["".into()]);
+        assert_eq!(Table::from_csv(&one.to_csv()).unwrap(), one);
+    }
+
+    #[test]
+    fn from_csv_rejects_malformed_text() {
+        for bad in ["", "a,b\n1\n", "\"open\n", "a\"b\n", "\"x\"y\n"] {
+            assert!(Table::from_csv(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! assert_eq!(train.images().shape(), &[64, 1, 28, 28]);
 //! ```
 
-mod augment;
 mod batch;
 mod dataset;
 mod digits;
@@ -35,7 +34,6 @@ pub mod idx;
 mod objects;
 mod render;
 
-pub use augment::Augment;
 pub use batch::{BatchIter, Batches};
 pub use dataset::{Dataset, DatasetConfig, DatasetError};
 pub use digits::SynthDigits;

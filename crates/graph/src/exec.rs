@@ -1,8 +1,8 @@
 //! The compiled forward executor: [`ExecPlan`].
 //!
-//! `compile` lowers a [`Sequential`](advcomp_nn::Sequential) to the IR,
-//! runs the pass pipeline, then walks the fused ops once to produce a flat
-//! [`Step`] program plus a statically planned activation arena
+//! `compile` lowers a [`Sequential`] to the IR, runs the pass pipeline,
+//! then walks the fused ops once to produce a flat program of executor
+//! steps plus a statically planned activation arena
 //! ([`crate::plan`]). Everything a forward pass needs is materialised at
 //! compile time:
 //!
@@ -10,9 +10,10 @@
 //!   into the panel format the dense microkernel consumes (the
 //!   `Sequential` path re-packs per call);
 //! * Q4 packed weights are widened to Q8-layout codes once
-//!   ([`QTensor::widen_to_q8`]), hoisting the nibble unpack out of the
-//!   inner GEMM loop — integer sums are computed from the same code
-//!   values, so results stay bit-identical;
+//!   ([`QTensor::widen_to_q8`](advcomp_tensor::QTensor::widen_to_q8)),
+//!   hoisting the nibble unpack out of the inner GEMM loop — integer sums
+//!   are computed from the same code values, so results stay
+//!   bit-identical;
 //! * per-layer activation-quantisation buffers ([`QActivations`]) are
 //!   owned by the plan and rewritten in place;
 //! * every f32 intermediate lives at a fixed per-sample offset in one
@@ -39,8 +40,8 @@ use advcomp_tensor::{
     MatmulKernel, PackedGemmB, QActivations, QuantKind, Tensor, QK,
 };
 
-use crate::fuse::{fuse, BnFold, FusedOp, FusionStats, GemmUnit};
-use crate::ir::{lower, Act, GemmWeight};
+use crate::fuse::{fuse, FusedOp, FusionStats, GemmUnit};
+use crate::ir::{lower, GemmWeight};
 use crate::plan::{plan_arena, validate_no_alias, BufferLife, MemoryPlan};
 use crate::{GraphError, Result};
 
@@ -68,12 +69,12 @@ enum PlannedGemm {
     Packed { weights: QuantizedWeights },
 }
 
-/// Fused per-element epilogue of one GEMM: bias, optional activation,
-/// optional i8 code emission for the next layer.
+/// Fused per-element epilogue of one GEMM: bias, optional ReLU, optional
+/// i8 code emission for the next layer.
 #[derive(Debug, Clone)]
 struct EpilogueParams {
     bias: Vec<f32>,
-    act: Option<Act>,
+    relu: bool,
     /// `(qbuf index, format)` — emit codes of the final value.
     emit: Option<(usize, QFormat)>,
 }
@@ -102,7 +103,7 @@ enum Step {
         dst: usize,
         weight: usize,
     },
-    /// In-place bias/activation epilogue over GEMM rows.
+    /// In-place bias/ReLU epilogue over GEMM rows.
     Epilogue { buf: usize, cols: usize, epi: usize },
     /// Permute GEMM rows (`[m, oc]`) back to NCHW.
     RowsToNchw {
@@ -124,29 +125,10 @@ enum Step {
         kernel: usize,
         stride: usize,
     },
-    /// 2-D average pooling.
-    AvgPool {
-        src: Src,
-        dst: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        kernel: usize,
-        stride: usize,
-    },
-    /// In-place elementwise activation.
-    EltAct { buf: usize, act: Act },
+    /// In-place ReLU.
+    EltRelu { buf: usize },
     /// In-place simulated quantisation.
     EltQuantize { buf: usize, format: QFormat },
-    /// In-place standalone batch normalisation over `[n, c, hw]`.
-    EltBatchNorm {
-        buf: usize,
-        bn: usize,
-        c: usize,
-        hw: usize,
-    },
 }
 
 /// Compile-time builder state.
@@ -156,7 +138,6 @@ struct Builder {
     lives: Vec<BufferLife>,
     weights: Vec<PlannedGemm>,
     epilogues: Vec<EpilogueParams>,
-    bns: Vec<BnFold>,
     qbufs: Vec<QActivations>,
     /// Per-qbuf `(rows per sample, cols)` for pre-sizing.
     qbuf_dims: Vec<(usize, usize)>,
@@ -229,7 +210,7 @@ impl Builder {
     fn epilogue(&mut self, unit: &GemmUnit, emit: Option<(usize, QFormat)>) -> usize {
         self.epilogues.push(EpilogueParams {
             bias: unit.bias.clone(),
-            act: unit.act,
+            relu: unit.relu,
             emit,
         });
         self.epilogues.len() - 1
@@ -264,8 +245,9 @@ fn split_pair(
 /// [`Sequential`] — the plan has no parameter gradients, caches or
 /// stochastic layers, which is exactly what lets it pre-plan memory.
 ///
-/// Cloning copies the packed weights and the arena, so each clone runs
-/// forwards independently (serve workers clone one plan per model).
+/// Cloning copies the f32 weights and the arena and shares the immutable
+/// int8 blocks, so each clone runs forwards independently (serve workers
+/// clone one plan per model).
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     backend: KernelBackend,
@@ -274,7 +256,6 @@ pub struct ExecPlan {
     steps: Vec<Step>,
     weights: Vec<PlannedGemm>,
     epilogues: Vec<EpilogueParams>,
-    bns: Vec<BnFold>,
     qbufs: Vec<QActivations>,
     qbuf_dims: Vec<(usize, usize)>,
     /// High-water code length per qbuf, for allocation accounting.
@@ -449,10 +430,10 @@ impl ExecPlan {
                     cur_shape = out_shape.clone();
                     cur_codes = emit.map(|(q, _)| q);
                 }
-                FusedOp::Activation(act) => {
+                FusedOp::Relu => {
                     let buf = b.materialize(cur, cur_shape.iter().product());
                     b.touch(Src::Buf(buf));
-                    b.steps.push(Step::EltAct { buf, act: *act });
+                    b.steps.push(Step::EltRelu { buf });
                     cur = Src::Buf(buf);
                     cur_codes = None;
                 }
@@ -466,51 +447,22 @@ impl ExecPlan {
                     cur = Src::Buf(buf);
                     cur_codes = None;
                 }
-                FusedOp::BatchNorm(fold) => {
-                    let buf = b.materialize(cur, cur_shape.iter().product());
-                    let bn = b.bns.len();
-                    b.bns.push(fold.clone());
-                    b.touch(Src::Buf(buf));
-                    b.steps.push(Step::EltBatchNorm {
-                        buf,
-                        bn,
-                        c: cur_shape[0],
-                        hw: cur_shape[1] * cur_shape[2],
-                    });
-                    cur = Src::Buf(buf);
-                    cur_codes = None;
-                }
-                FusedOp::MaxPool2d { kernel, stride } | FusedOp::AvgPool2d { kernel, stride } => {
+                FusedOp::MaxPool2d { kernel, stride } => {
                     let (c, h, w) = (cur_shape[0], cur_shape[1], cur_shape[2]);
                     let (oh, ow) = (out_shape[1], out_shape[2]);
                     b.touch(cur);
                     let dst = b.buf(c * oh * ow);
-                    let step = if matches!(op, FusedOp::MaxPool2d { .. }) {
-                        Step::MaxPool {
-                            src: cur,
-                            dst,
-                            c,
-                            h,
-                            w,
-                            oh,
-                            ow,
-                            kernel: *kernel,
-                            stride: *stride,
-                        }
-                    } else {
-                        Step::AvgPool {
-                            src: cur,
-                            dst,
-                            c,
-                            h,
-                            w,
-                            oh,
-                            ow,
-                            kernel: *kernel,
-                            stride: *stride,
-                        }
-                    };
-                    b.steps.push(step);
+                    b.steps.push(Step::MaxPool {
+                        src: cur,
+                        dst,
+                        c,
+                        h,
+                        w,
+                        oh,
+                        ow,
+                        kernel: *kernel,
+                        stride: *stride,
+                    });
                     cur = Src::Buf(dst);
                     cur_shape = out_shape.clone();
                     cur_codes = None;
@@ -536,7 +488,6 @@ impl ExecPlan {
             steps: b.steps,
             weights: b.weights,
             epilogues: b.epilogues,
-            bns: b.bns,
             qbufs: b.qbufs,
             qbuf_dims: b.qbuf_dims,
             qbuf_hw,
@@ -585,7 +536,6 @@ impl ExecPlan {
             steps,
             weights,
             epilogues,
-            bns,
             qbufs,
             qbuf_hw,
             sizes,
@@ -671,8 +621,8 @@ impl ExecPlan {
                         let out_row = &mut dst[row * cols..(row + 1) * cols];
                         for (j, v) in out_row.iter_mut().enumerate() {
                             let mut y = *v + params.bias[j];
-                            if let Some(act) = params.act {
-                                y = act.apply(y);
+                            if params.relu {
+                                y = y.max(0.0);
                             }
                             *v = y;
                             if let Some((codes, format, row_stride)) = &mut emit {
@@ -728,63 +678,15 @@ impl ExecPlan {
                         }
                     }
                 }
-                Step::AvgPool {
-                    src,
-                    dst,
-                    c,
-                    h,
-                    w,
-                    oh,
-                    ow,
-                    kernel,
-                    stride,
-                } => {
-                    let (sl, dl): (&[f32], &mut [f32]) = match src {
-                        Src::Input => (input_data, &mut arena[rng(*dst)]),
-                        Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
-                    };
-                    let norm = 1.0 / (kernel * kernel) as f32;
-                    for b in 0..n {
-                        for ch in 0..*c {
-                            let plane = (b * c + ch) * h * w;
-                            for oy in 0..*oh {
-                                for ox in 0..*ow {
-                                    let mut acc = 0.0f32;
-                                    for ky in 0..*kernel {
-                                        let row = plane + (oy * stride + ky) * w + ox * stride;
-                                        for kx in 0..*kernel {
-                                            acc += sl[row + kx];
-                                        }
-                                    }
-                                    dl[((b * c + ch) * oh + oy) * ow + ox] = acc * norm;
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::EltAct { buf, act } => {
+                Step::EltRelu { buf } => {
+                    // `v.max(0.0)`, as the Relu layer computes it.
                     for v in &mut arena[rng(*buf)] {
-                        *v = act.apply(*v);
+                        *v = v.max(0.0);
                     }
                 }
                 Step::EltQuantize { buf, format } => {
                     for v in &mut arena[rng(*buf)] {
                         *v = format.quantize(*v);
-                    }
-                }
-                Step::EltBatchNorm { buf, bn, c, hw } => {
-                    let p = &bns[*bn];
-                    let dl = &mut arena[rng(*buf)];
-                    for b in 0..n {
-                        for ch in 0..*c {
-                            let base = (b * c + ch) * hw;
-                            let g = p.gamma[ch];
-                            let be = p.beta[ch];
-                            for v in &mut dl[base..base + hw] {
-                                let norm = (*v - p.mean[ch]) * p.inv_std[ch];
-                                *v = g * norm + be;
-                            }
-                        }
                     }
                 }
             }

@@ -12,13 +12,13 @@
 //!    monotone quantiser — the pooled *value* is the quantised max either
 //!    way) and `Flatten` (a permutation). Zero padding introduced by
 //!    im2col is covered because `encode(0) == 0`.
-//! 2. **Pattern fusion.** `Conv2d [+ Act]` and `Dense [+ Act]` collapse
-//!    into single GEMM units whose epilogue applies bias and activation
-//!    per element while the output rows are still hot. A `BatchNorm`
-//!    stays a standalone step. The epilogue runs in the GEMM's
-//!    rows layout (`[m, oc]`, channel = column), which commutes with the
-//!    later rows→NCHW permutation, so fused arithmetic is bit-identical
-//!    to the layer-at-a-time chain.
+//! 2. **Pattern fusion.** `Conv2d [+ Relu]` and `Dense [+ Relu]` collapse
+//!    into single GEMM units whose epilogue applies bias and ReLU per
+//!    element while the output rows are still hot. A ReLU that follows
+//!    any other op stays a standalone step. The epilogue runs in the
+//!    GEMM's rows layout (`[m, oc]`, channel = column), which commutes
+//!    with the later rows→NCHW permutation, so fused arithmetic is
+//!    bit-identical to the layer-at-a-time chain.
 //! 3. **Int8 chaining.** For adjacent `Dense → Dense(packed)` pairs the
 //!    producer's epilogue additionally emits the consumer's i8 activation
 //!    codes (`F.encode(y)` on the final f32 value — exactly what the
@@ -29,35 +29,22 @@
 use advcomp_qformat::QFormat;
 use advcomp_tensor::QuantKind;
 
-use crate::ir::{Act, GemmWeight, Graph, Node, Op};
+use crate::ir::{GemmWeight, Graph, Node, Op};
 
 /// What the pass pipeline did to a graph, for tests and bench reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
     /// `Quantize` nodes elided into a downstream packed GEMM.
     pub elided_quantize: usize,
-    /// Conv2d nodes that absorbed a following activation.
+    /// Conv2d nodes that absorbed a following ReLU.
     pub fused_conv_act: usize,
-    /// Dense nodes that absorbed a following activation.
+    /// Dense nodes that absorbed a following ReLU.
     pub fused_dense_act: usize,
     /// Dense→Dense links exchanging int8 activations directly.
     pub int8_chain_links: usize,
     /// Identity layers dropped at lowering (`Dropout`, disabled
     /// `FakeQuant`).
     pub dropped_identity: usize,
-}
-
-/// Inference batch-norm parameters of a standalone batch-norm step.
-#[derive(Debug, Clone)]
-pub struct BnFold {
-    /// Per-channel scale.
-    pub gamma: Vec<f32>,
-    /// Per-channel shift.
-    pub beta: Vec<f32>,
-    /// Running mean.
-    pub mean: Vec<f32>,
-    /// `1 / sqrt(running_var + eps)`, precomputed at lowering.
-    pub inv_std: Vec<f32>,
 }
 
 /// A GEMM with its fused epilogue.
@@ -67,8 +54,8 @@ pub struct GemmUnit {
     pub weight: GemmWeight,
     /// Bias added per output column.
     pub bias: Vec<f32>,
-    /// Fused elementwise activation.
-    pub act: Option<Act>,
+    /// Whether the epilogue applies a fused ReLU after the bias.
+    pub relu: bool,
     /// When set, the epilogue also emits i8 codes of the final value in
     /// this format for the next (packed) layer.
     pub emit_codes: Option<QFormat>,
@@ -82,7 +69,7 @@ impl GemmUnit {
         GemmUnit {
             weight,
             bias,
-            act: None,
+            relu: false,
             emit_codes: None,
             consume_codes: false,
         }
@@ -108,19 +95,10 @@ pub enum FusedOp {
         /// The GEMM and its epilogue.
         unit: GemmUnit,
     },
-    /// Standalone elementwise activation (nothing to fuse into).
-    Activation(Act),
-    /// Standalone batch normalisation.
-    BatchNorm(BnFold),
+    /// Standalone ReLU (it follows no GEMM to fuse into).
+    Relu,
     /// 2-D max pooling.
     MaxPool2d {
-        /// Window edge.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// 2-D average pooling.
-    AvgPool2d {
         /// Window edge.
         kernel: usize,
         /// Stride.
@@ -139,10 +117,8 @@ impl FusedOp {
         match self {
             FusedOp::Conv2d { .. } => "conv2d",
             FusedOp::Dense { .. } => "dense",
-            FusedOp::Activation(_) => "activation",
-            FusedOp::BatchNorm(_) => "batchnorm",
+            FusedOp::Relu => "relu",
             FusedOp::MaxPool2d { .. } => "maxpool2d",
-            FusedOp::AvgPool2d { .. } => "avgpool2d",
             FusedOp::Flatten => "flatten",
             FusedOp::Quantize(_) => "quantize",
         }
@@ -215,12 +191,12 @@ fn fuse_patterns(nodes: Vec<Node>, stats: &mut FusionStats) -> Vec<(FusedOp, Vec
             } => {
                 let mut unit = GemmUnit::new(weight, bias);
                 if let Some(Node {
-                    op: Op::Activation(act),
+                    op: Op::Relu,
                     out_shape,
-                }) = nodes.get(i + 1).cloned()
+                }) = nodes.get(i + 1)
                 {
-                    unit.act = Some(act);
-                    shape = out_shape;
+                    unit.relu = true;
+                    shape = out_shape.clone();
                     stats.fused_conv_act += 1;
                     i += 1;
                 }
@@ -237,37 +213,20 @@ fn fuse_patterns(nodes: Vec<Node>, stats: &mut FusionStats) -> Vec<(FusedOp, Vec
             Op::Dense { weight, bias } => {
                 let mut unit = GemmUnit::new(weight, bias);
                 if let Some(Node {
-                    op: Op::Activation(act),
+                    op: Op::Relu,
                     out_shape,
-                }) = nodes.get(i + 1).cloned()
+                }) = nodes.get(i + 1)
                 {
-                    unit.act = Some(act);
-                    shape = out_shape;
+                    unit.relu = true;
+                    shape = out_shape.clone();
                     stats.fused_dense_act += 1;
                     i += 1;
                 }
                 ops.push((FusedOp::Dense { unit }, shape));
             }
-            Op::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                inv_std,
-            } => ops.push((
-                FusedOp::BatchNorm(BnFold {
-                    gamma,
-                    beta,
-                    mean,
-                    inv_std,
-                }),
-                shape,
-            )),
-            Op::Activation(act) => ops.push((FusedOp::Activation(act), shape)),
+            Op::Relu => ops.push((FusedOp::Relu, shape)),
             Op::MaxPool2d { kernel, stride } => {
                 ops.push((FusedOp::MaxPool2d { kernel, stride }, shape))
-            }
-            Op::AvgPool2d { kernel, stride } => {
-                ops.push((FusedOp::AvgPool2d { kernel, stride }, shape))
             }
             Op::Flatten => ops.push((FusedOp::Flatten, shape)),
             Op::Quantize(format) => ops.push((FusedOp::Quantize(format), shape)),

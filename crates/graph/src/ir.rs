@@ -18,46 +18,6 @@ use advcomp_tensor::Tensor;
 
 use crate::{GraphError, Result};
 
-/// Elementwise activation functions the compiler understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Act {
-    /// `max(0, x)`.
-    Relu,
-    /// `tanh(x)`.
-    Tanh,
-    /// Numerically-stable logistic sigmoid.
-    Sigmoid,
-}
-
-impl Act {
-    /// Applies the activation to one value, with arithmetic identical to
-    /// the corresponding `advcomp-nn` layer (`Relu` matches the slice
-    /// kernel's `v.max(0.0)`, `Sigmoid` uses the same stable split).
-    pub fn apply(self, v: f32) -> f32 {
-        match self {
-            Act::Relu => v.max(0.0),
-            Act::Tanh => v.tanh(),
-            Act::Sigmoid => {
-                if v >= 0.0 {
-                    1.0 / (1.0 + (-v).exp())
-                } else {
-                    let e = v.exp();
-                    e / (1.0 + e)
-                }
-            }
-        }
-    }
-
-    /// Short lowercase name for diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Act::Relu => "relu",
-            Act::Tanh => "tanh",
-            Act::Sigmoid => "sigmoid",
-        }
-    }
-}
-
 /// Weights of a GEMM node in either representation.
 #[derive(Debug, Clone)]
 pub enum GemmWeight {
@@ -120,30 +80,10 @@ pub enum Op {
         /// Bias, `[out]`.
         bias: Vec<f32>,
     },
-    /// Inference batch normalisation over running statistics.
-    /// `inv_std[c] = 1 / sqrt(running_var[c] + eps)` is precomputed with
-    /// the exact arithmetic of the eval-mode layer.
-    BatchNorm {
-        /// Per-channel scale.
-        gamma: Vec<f32>,
-        /// Per-channel shift.
-        beta: Vec<f32>,
-        /// Running mean.
-        mean: Vec<f32>,
-        /// Precomputed reciprocal standard deviation.
-        inv_std: Vec<f32>,
-    },
-    /// Elementwise activation.
-    Activation(Act),
+    /// Elementwise `max(0, x)`.
+    Relu,
     /// 2-D max pooling (square window, no padding).
     MaxPool2d {
-        /// Window edge.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// 2-D average pooling (square window, no padding).
-    AvgPool2d {
         /// Window edge.
         kernel: usize,
         /// Stride.
@@ -162,10 +102,8 @@ impl Op {
         match self {
             Op::Conv2d { .. } => "conv2d",
             Op::Dense { .. } => "dense",
-            Op::BatchNorm { .. } => "batchnorm",
-            Op::Activation(_) => "activation",
+            Op::Relu => "relu",
             Op::MaxPool2d { .. } => "maxpool2d",
-            Op::AvgPool2d { .. } => "avgpool2d",
             Op::Flatten => "flatten",
             Op::Quantize(_) => "quantize",
         }
@@ -202,27 +140,6 @@ fn check_shape(shape: &[usize], what: &str) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-/// Pool output edge, mirroring the layers' `output_hw` checks.
-fn pool_out(
-    h: usize,
-    w: usize,
-    kernel: usize,
-    stride: usize,
-    what: &str,
-) -> Result<(usize, usize)> {
-    if stride == 0 || kernel == 0 {
-        return Err(GraphError::Shape(format!(
-            "{what}: kernel and stride must be >= 1"
-        )));
-    }
-    if h < kernel || w < kernel {
-        return Err(GraphError::Shape(format!(
-            "{what}: window {kernel} larger than input {h}x{w}"
-        )));
-    }
-    Ok(((h - kernel) / stride + 1, (w - kernel) / stride + 1))
 }
 
 /// Infers the per-sample output shape of `op` applied to `in_shape`.
@@ -294,33 +211,30 @@ pub fn infer_shape(op: &Op, in_shape: &[usize]) -> Result<Vec<usize>> {
             }
             Ok(vec![out])
         }
-        Op::BatchNorm { gamma, .. } => {
-            if in_shape.len() != 3 || in_shape[0] != gamma.len() {
-                return Err(GraphError::Shape(format!(
-                    "batchnorm over {} channels fed {in_shape:?}",
-                    gamma.len()
-                )));
-            }
-            Ok(in_shape.to_vec())
-        }
-        Op::Activation(_) | Op::Quantize(_) => Ok(in_shape.to_vec()),
+        Op::Relu | Op::Quantize(_) => Ok(in_shape.to_vec()),
         Op::MaxPool2d { kernel, stride } => {
             if in_shape.len() != 3 {
                 return Err(GraphError::Shape(format!(
                     "maxpool2d expects [c, h, w], got {in_shape:?}"
                 )));
             }
-            let (oh, ow) = pool_out(in_shape[1], in_shape[2], *kernel, *stride, "maxpool2d")?;
-            Ok(vec![in_shape[0], oh, ow])
-        }
-        Op::AvgPool2d { kernel, stride } => {
-            if in_shape.len() != 3 {
+            // Mirrors the layer's `output_hw` checks.
+            let (c, h, w) = (in_shape[0], in_shape[1], in_shape[2]);
+            if *stride == 0 || *kernel == 0 {
+                return Err(GraphError::Shape(
+                    "maxpool2d: kernel and stride must be >= 1".into(),
+                ));
+            }
+            if h < *kernel || w < *kernel {
                 return Err(GraphError::Shape(format!(
-                    "avgpool2d expects [c, h, w], got {in_shape:?}"
+                    "maxpool2d: window {kernel} larger than input {h}x{w}"
                 )));
             }
-            let (oh, ow) = pool_out(in_shape[1], in_shape[2], *kernel, *stride, "avgpool2d")?;
-            Ok(vec![in_shape[0], oh, ow])
+            Ok(vec![
+                c,
+                (h - kernel) / stride + 1,
+                (w - kernel) / stride + 1,
+            ])
         }
         Op::Flatten => Ok(vec![in_shape.iter().product()]),
     }
@@ -396,26 +310,8 @@ pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
                 weight: lower_weight(&weight, None)?,
                 bias: bias.data().to_vec(),
             },
-            LayerSpec::BatchNorm2d {
-                gamma,
-                beta,
-                running_mean,
-                running_var,
-                eps,
-            } => Op::BatchNorm {
-                gamma: gamma.to_vec(),
-                beta: beta.to_vec(),
-                mean: running_mean.to_vec(),
-                inv_std: running_var
-                    .iter()
-                    .map(|&v| 1.0 / (v + eps).sqrt())
-                    .collect(),
-            },
-            LayerSpec::Relu => Op::Activation(Act::Relu),
-            LayerSpec::Tanh => Op::Activation(Act::Tanh),
-            LayerSpec::Sigmoid => Op::Activation(Act::Sigmoid),
+            LayerSpec::Relu => Op::Relu,
             LayerSpec::MaxPool2d { kernel, stride } => Op::MaxPool2d { kernel, stride },
-            LayerSpec::AvgPool2d { kernel, stride } => Op::AvgPool2d { kernel, stride },
             LayerSpec::Flatten => Op::Flatten,
             LayerSpec::Dropout => {
                 dropped += 1;

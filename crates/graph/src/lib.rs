@@ -12,8 +12,8 @@
 //!   [`Sequential`](advcomp_nn::Sequential) via
 //!   [`LayerSpec`](advcomp_nn::LayerSpec), with per-sample shape
 //!   inference;
-//! * [`fuse`] — pattern fusion (`Conv2d+bias+activation`,
-//!   `Dense+bias+activation`), quant→dequant elision, and int8 chaining
+//! * [`fuse`](mod@fuse) — pattern fusion (`Conv2d+bias+ReLU`,
+//!   `Dense+bias+ReLU`), quant→dequant elision, and int8 chaining
 //!   so adjacent packed layers exchange i8 codes without an f32 round
 //!   trip;
 //! * [`plan`] — liveness analysis and greedy first-fit arena planning
@@ -59,8 +59,8 @@ pub mod ir;
 pub mod plan;
 
 pub use exec::ExecPlan;
-pub use fuse::{fuse, BnFold, FusedGraph, FusedOp, FusionStats, GemmUnit};
-pub use ir::{infer_shape, lower, Act, GemmWeight, Graph, Node, Op};
+pub use fuse::{fuse, FusedGraph, FusedOp, FusionStats, GemmUnit};
+pub use ir::{infer_shape, lower, GemmWeight, Graph, Node, Op};
 pub use plan::{plan_arena, validate_no_alias, BufferLife, MemoryPlan};
 
 use advcomp_tensor::TensorError;

@@ -1,6 +1,6 @@
 //! Network topology builders.
 
-use advcomp_nn::{AvgPool2d, Conv2d, Dense, FakeQuant, Flatten, MaxPool2d, Relu, Sequential, Tanh};
+use advcomp_nn::{Conv2d, Dense, FakeQuant, Flatten, MaxPool2d, Relu, Sequential};
 use rand::SeedableRng;
 
 /// Which reference model a [`Sequential`] was built as.
@@ -109,41 +109,6 @@ pub fn cifarnet(width: f32, seed: u64) -> Sequential {
     ])
 }
 
-/// Builds the *historical* LeNet-5 (LeCun 1998): tanh activations and
-/// average (sub-sampling) pooling instead of ReLU + max pooling. Provided
-/// for architecture ablations; the paper's experiments use [`lenet5`].
-///
-/// # Panics
-///
-/// Panics if `width <= 0`.
-pub fn lenet5_classic(width: f32, seed: u64) -> Sequential {
-    assert!(width > 0.0, "width must be positive, got {width}");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let c1 = scaled(6, width);
-    let c2 = scaled(16, width);
-    let f1 = scaled(120, width);
-    let f2 = scaled(84, width);
-    Sequential::new(vec![
-        Box::new(FakeQuant::new()),
-        Box::new(Conv2d::with_name("conv1", 1, c1, 5, 1, 2, &mut rng)),
-        Box::new(Tanh::new()),
-        Box::new(FakeQuant::new()),
-        Box::new(AvgPool2d::new(2, 2)),
-        Box::new(Conv2d::with_name("conv2", c1, c2, 5, 1, 0, &mut rng)),
-        Box::new(Tanh::new()),
-        Box::new(FakeQuant::new()),
-        Box::new(AvgPool2d::new(2, 2)),
-        Box::new(Flatten::new()),
-        Box::new(Dense::with_name("fc1", c2 * 5 * 5, f1, &mut rng)),
-        Box::new(Tanh::new()),
-        Box::new(FakeQuant::new()),
-        Box::new(Dense::with_name("fc2", f1, f2, &mut rng)),
-        Box::new(Tanh::new()),
-        Box::new(FakeQuant::new()),
-        Box::new(Dense::with_name("fc3", f2, 10, &mut rng)),
-    ])
-}
-
 /// Builds a small MLP on 28×28 input — a fast stand-in for unit and
 /// integration tests that don't need convolutions.
 pub fn mlp(hidden: usize, seed: u64) -> Sequential {
@@ -227,17 +192,6 @@ mod tests {
             a.param("conv1.weight").unwrap().value.data(),
             c.param("conv1.weight").unwrap().value.data()
         );
-    }
-
-    #[test]
-    fn classic_lenet5_forward_and_size() {
-        let mut m = lenet5_classic(1.0, 0);
-        let y = m
-            .forward(&Tensor::zeros(&[2, 1, 28, 28]), Mode::Eval)
-            .unwrap();
-        assert_eq!(y.shape(), &[2, 10]);
-        // Identical parameter count to the modern variant: same topology.
-        assert_eq!(m.num_params(), lenet5(1.0, 0).num_params());
     }
 
     #[test]

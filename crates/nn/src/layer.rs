@@ -57,34 +57,10 @@ pub enum LayerSpec<'a> {
         /// Bias, `[out]`.
         bias: &'a Tensor,
     },
-    /// Batch normalisation (inference uses the running statistics).
-    BatchNorm2d {
-        /// Per-channel scale.
-        gamma: &'a [f32],
-        /// Per-channel shift.
-        beta: &'a [f32],
-        /// Running mean (the eval-mode mean).
-        running_mean: &'a [f32],
-        /// Running variance (the eval-mode variance).
-        running_var: &'a [f32],
-        /// Variance epsilon.
-        eps: f32,
-    },
     /// `max(0, x)` elementwise.
     Relu,
-    /// `tanh(x)` elementwise.
-    Tanh,
-    /// Logistic sigmoid elementwise.
-    Sigmoid,
     /// 2-D max pooling (square window, no padding).
     MaxPool2d {
-        /// Window edge.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// 2-D average pooling (square window, no padding).
-    AvgPool2d {
         /// Window edge.
         kernel: usize,
         /// Stride.
@@ -115,10 +91,10 @@ pub enum LayerSpec<'a> {
 /// * `backward` must not destroy the cache: callers such as DeepFool
 ///   backpropagate several different seed gradients through one forward.
 /// * An [`Mode::Eval`] `forward` must not mutate *persistent* state —
-///   parameters, batch-norm running statistics, dropout RNG position.
-///   The transient backward cache is the only thing it may touch, which is
-///   why concurrent serving replicates models per worker
-///   ([`Layer::clone_layer`]) instead of sharing one behind a lock.
+///   parameters, dropout RNG position, installed quantisation formats.
+///   The transient backward cache is the only thing it may touch, so a
+///   clone ([`Layer::clone_layer`]) computes exactly what its original
+///   would.
 pub trait Layer: Send + Sync {
     /// Computes the layer output for `input`.
     ///
@@ -155,14 +131,16 @@ pub trait Layer: Send + Sync {
 
     /// Clones this layer into an independent replica with **fresh (empty)
     /// backward caches** but identical persistent state: parameter values,
-    /// batch-norm running statistics, dropout RNG position, installed
-    /// quantisation formats.
+    /// dropout RNG position, installed quantisation formats.
     ///
-    /// Replicas are how the serving engine scales across workers: the model
-    /// is loaded once, then cloned per worker so concurrent eval-mode
-    /// forward passes never contend on the shared original. Because the
-    /// clone starts cache-free, `backward` before a `forward` on it fails
-    /// with [`crate::NnError::BackwardBeforeForward`] as on a new layer.
+    /// `Sequential::clone` is built on this. Its callers need a copy they
+    /// may mutate while the original stays intact: `core::advtrain`
+    /// fine-tunes a hardened copy, and `detect::grid` crafts through
+    /// surrogate copies and compresses member copies of one baseline.
+    /// Serving workers do not clone models; each clones a compiled
+    /// `ExecPlan`. Because the clone starts cache-free, `backward` before a
+    /// `forward` on it fails with [`crate::NnError::BackwardBeforeForward`]
+    /// as on a new layer.
     fn clone_layer(&self) -> Box<dyn Layer>;
 
     /// The activation tensor this layer produced in its last forward pass,

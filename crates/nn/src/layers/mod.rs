@@ -1,8 +1,5 @@
 //! Concrete layer implementations.
 
-mod activation;
-mod avgpool;
-mod batchnorm;
 mod conv;
 mod dense;
 mod dropout;
@@ -11,9 +8,6 @@ mod flatten;
 mod pool;
 mod relu;
 
-pub use activation::{Sigmoid, Tanh};
-pub use avgpool::AvgPool2d;
-pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;

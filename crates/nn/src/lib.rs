@@ -8,11 +8,11 @@
 //! paper — FGM, FGSM, their iterative variants and DeepFool — differentiates
 //! the network with respect to its *input*, not its weights.
 //!
-//! Provided layers: [`Dense`], [`Conv2d`], [`Relu`], [`Tanh`], [`Sigmoid`],
-//! [`MaxPool2d`], [`AvgPool2d`], [`Flatten`], [`Dropout`], and [`FakeQuant`]
-//! (fixed-point activation quantisation with a straight-through estimator,
-//! the mechanism behind the paper's "quantising both weights and
-//! activations").
+//! Provided layers — the paper's layer vocabulary and nothing more:
+//! [`Dense`], [`Conv2d`], [`Relu`], [`MaxPool2d`], [`Flatten`], [`Dropout`],
+//! and [`FakeQuant`] (fixed-point activation quantisation with a
+//! straight-through estimator, the mechanism behind the paper's "quantising
+//! both weights and activations").
 //!
 //! Training utilities: [`softmax_cross_entropy`] loss, [`Sgd`] with momentum
 //! and weight decay, and [`StepDecay`] mirroring the paper's learning-rate
@@ -39,7 +39,6 @@
 //! # }
 //! ```
 
-mod adam;
 mod error;
 pub mod faults;
 mod gradcheck;
@@ -47,25 +46,16 @@ pub mod health;
 mod layer;
 mod layers;
 mod loss;
-mod metrics;
 mod optim;
 mod param;
 mod qweights;
 mod sequential;
 
-pub use adam::Adam;
 pub use error::NnError;
-pub use gradcheck::{
-    finite_diff_input_grad, finite_diff_input_grad_with_mode, finite_diff_param_grad,
-    finite_diff_param_grad_with_mode,
-};
+pub use gradcheck::{finite_diff_input_grad, finite_diff_param_grad};
 pub use layer::{Layer, LayerSpec, Mode, WeightRepr};
-pub use layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, Dense, Dropout, FakeQuant, Flatten, MaxPool2d, Relu, Sigmoid,
-    Tanh,
-};
+pub use layers::{Conv2d, Dense, Dropout, FakeQuant, Flatten, MaxPool2d, Relu};
 pub use loss::{accuracy, softmax, softmax_cross_entropy, LossOutput};
-pub use metrics::ConfusionMatrix;
 pub use optim::{LrSchedule, Sgd, StepDecay};
 pub use param::{Param, ParamKind};
 pub use qweights::QuantizedWeights;

@@ -7,10 +7,11 @@ use std::sync::Arc;
 /// A layer's weights in packed block-quantised form, plus the activation
 /// format its integer GEMM quantises inputs with.
 ///
-/// The packed tensor sits behind an [`Arc`]: serving replicas created via
-/// [`crate::Layer::clone_layer`] share one copy of the blocks instead of
-/// duplicating full f32 weights per worker — packed weights are immutable
-/// (frozen layers reject `backward`), so sharing is safe.
+/// The packed tensor sits behind an [`Arc`]: layer copies made via
+/// [`crate::Layer::clone_layer`], and the compiled plans that serving
+/// workers clone, share one copy of the blocks instead of duplicating them
+/// — packed weights are immutable (frozen layers reject `backward`), so
+/// sharing is safe.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
     tensor: Arc<QTensor>,

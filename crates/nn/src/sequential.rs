@@ -241,9 +241,8 @@ impl Sequential {
 impl Clone for Sequential {
     /// Clones the network into an independent replica via
     /// [`Layer::clone_layer`]: identical persistent state (parameter
-    /// values, running statistics, quantisation formats), fresh backward
-    /// caches. Serving workers each own one replica so concurrent forward
-    /// passes never contend.
+    /// values, dropout RNG position, quantisation formats), fresh backward
+    /// caches.
     fn clone(&self) -> Self {
         Sequential {
             layers: self.layers.iter().map(|l| l.clone_layer()).collect(),

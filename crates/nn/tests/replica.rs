@@ -1,42 +1,32 @@
-//! Replica-safety contract for eval-mode inference (the serving engine's
-//! correctness precondition).
+//! Replica-safety contract for eval-mode forwards.
 //!
-//! Serving workers each own a [`Sequential`] replica produced by `clone()`.
-//! That is only sound if an eval-mode forward pass mutates nothing but the
-//! layer's transient backward cache: parameters, batch-norm running
-//! statistics and the dropout RNG position must be bit-identical afterwards,
-//! and two replicas evaluating the same input on different threads must
-//! produce bit-identical outputs.
+//! `Sequential::clone` gives a caller a copy it may mutate while the
+//! original stays intact: `core::advtrain` fine-tunes a hardened copy and
+//! `detect::grid` crafts through surrogate copies and compresses member
+//! copies of one baseline. (Serving workers clone compiled `ExecPlan`s, not
+//! models.) A copy computes what its original would only if an eval-mode
+//! forward pass mutates nothing but the layer's transient backward cache:
+//! parameters, installed quantisation formats and the dropout RNG
+//! position must be bit-identical afterwards, and two replicas evaluating
+//! the same input on different threads must produce bit-identical outputs.
 
-use advcomp_nn::{
-    BatchNorm2d, Conv2d, Dense, Dropout, FakeQuant, Flatten, MaxPool2d, Mode, Relu, Sequential,
-};
+use advcomp_nn::{Conv2d, Dense, Dropout, FakeQuant, Flatten, MaxPool2d, Mode, Relu, Sequential};
 use advcomp_tensor::{Init, Tensor};
 use rand::SeedableRng;
 
 /// A network touching every layer with interior state: conv (im2col
-/// scratch), batch-norm (running stats), dropout (RNG), fakequant (mask).
+/// scratch), dropout (RNG), fakequant (mask).
 fn stateful_net(seed: u64) -> Sequential {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut net = Sequential::new(vec![
+    Sequential::new(vec![
         Box::new(FakeQuant::new()),
         Box::new(Conv2d::with_name("conv1", 1, 4, 3, 1, 1, &mut rng)),
-        Box::new(BatchNorm2d::with_name("bn1", 4)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(2, 2)),
         Box::new(Flatten::new()),
         Box::new(Dropout::new(0.5, 11)),
         Box::new(Dense::with_name("fc1", 4 * 4 * 4, 10, &mut rng)),
-    ]);
-    // Warm the BN running statistics so eval mode has non-trivial state.
-    let mut rng2 = rand::rngs::StdRng::seed_from_u64(seed + 1);
-    let warm = Init::Normal {
-        mean: 0.3,
-        std: 1.0,
-    }
-    .tensor(&[4, 1, 8, 8], &mut rng2);
-    net.forward(&warm, Mode::Train).unwrap();
-    net
+    ])
 }
 
 fn input(seed: u64, n: usize) -> Tensor {
@@ -71,7 +61,7 @@ fn eval_forward_preserves_persistent_state() {
     let mut net = stateful_net(7);
     let x = input(9, 2);
     let params_before = net.export_params();
-    let bn_mean_before: Vec<f32> = bn_running_mean(&net);
+    let probe_before = probe_output(&net);
     let y1 = net.forward(&x, Mode::Eval).unwrap();
     let y2 = net.forward(&x, Mode::Eval).unwrap();
     // Eval is a pure function of (state, input): repeated calls agree ...
@@ -82,7 +72,7 @@ fn eval_forward_preserves_persistent_state() {
         assert_eq!(n1, n2);
         assert_eq!(t1.data(), t2.data(), "parameter {n1} mutated by eval");
     }
-    assert_eq!(bn_mean_before, bn_running_mean(&net), "BN stats mutated");
+    assert_eq!(probe_before, probe_output(&net), "eval state mutated");
 }
 
 #[test]
@@ -105,12 +95,9 @@ fn eval_forward_does_not_advance_dropout_rng() {
     );
 }
 
-fn bn_running_mean(net: &Sequential) -> Vec<f32> {
-    // BatchNorm running stats are not exported as params; reach the layer
-    // through its concrete type via a fresh forward comparison instead:
-    // clone the net and read eval outputs on a probe. Bit-identical eval
-    // outputs before/after imply unchanged running stats, but we also keep
-    // an explicit probe for a sharper failure message.
+fn probe_output(net: &Sequential) -> Vec<f32> {
+    // State that is not exported as params is checked through its effect:
+    // a clone's eval output on a fixed probe.
     let mut probe_net = net.clone();
     let probe = Tensor::ones(&[1, 1, 8, 8]);
     probe_net

@@ -262,9 +262,8 @@ pub struct Engine {
 
 impl Engine {
     /// Spawns the worker pool over `registry`'s models. The engine keeps
-    /// a live handle to the registry: a later
-    /// [`ModelRegistry::swap_variant`] is picked up by every worker at
-    /// its next batch boundary.
+    /// a live handle to the registry: a later [`ModelRegistry::swap`] is
+    /// picked up by every worker at its next batch boundary.
     ///
     /// # Errors
     ///

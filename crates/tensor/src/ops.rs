@@ -211,8 +211,28 @@ fn matmul_sparse_rows(
     }
 }
 
+/// Runs `kernel(row_start, band)` over `out` (`m × n`, zero-initialised):
+/// across disjoint row bands on the pool when the product crosses
+/// [`PARALLEL_THRESHOLD`] and at least two threads and rows are available,
+/// as one band on the calling thread otherwise. The one banding decision
+/// every f32 GEMM entry point shares.
+fn run_banded<F>(out: &mut [f32], m: usize, k: usize, n: usize, kernel: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if m == 0 || n == 0 {
+        return;
+    }
+    let threads = pool::global().effective_threads();
+    if m * k * n >= PARALLEL_THRESHOLD && threads >= 2 && m >= 2 {
+        pool::for_each_row_band(out, n, threads, kernel);
+    } else {
+        kernel(0, out);
+    }
+}
+
 /// A weight matrix pre-packed into the dense microkernel's column-panel
-/// layout (see [`pack_b_panels`]'s internal docs).
+/// layout (each panel stored as `k` contiguous rows).
 ///
 /// The graph compiler packs each f32 weight matrix once at plan-compile
 /// time and reuses the panels for every forward pass, where
@@ -297,17 +317,9 @@ pub fn gemm_prepacked(
         });
     }
     out.fill(0.0);
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let threads = pool::global().effective_threads();
-    if m * k * n >= PARALLEL_THRESHOLD && threads >= 2 && m >= 2 {
-        pool::for_each_row_band(out, n, threads, |row_start, band| {
-            matmul_dense_rows(backend, a, &b.packed, band, row_start, k, n);
-        });
-    } else {
-        matmul_dense_rows(backend, a, &b.packed, out, 0, k, n);
-    }
+    run_banded(out, m, k, n, |row_start, band| {
+        matmul_dense_rows(backend, a, &b.packed, band, row_start, k, n);
+    });
     Ok(())
 }
 
@@ -348,17 +360,9 @@ pub fn gemm_sparse(
         });
     }
     out.fill(0.0);
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let threads = pool::global().effective_threads();
-    if m * k * n >= PARALLEL_THRESHOLD && threads >= 2 && m >= 2 {
-        pool::for_each_row_band(out, n, threads, |row_start, band| {
-            matmul_sparse_rows(backend, a, b, band, row_start, k, n);
-        });
-    } else {
-        matmul_sparse_rows(backend, a, b, out, 0, k, n);
-    }
+    run_banded(out, m, k, n, |row_start, band| {
+        matmul_sparse_rows(backend, a, b, band, row_start, k, n);
+    });
     Ok(())
 }
 
@@ -367,9 +371,9 @@ impl Tensor {
     ///
     /// Probes the density of `self` to choose between the dense packed
     /// microkernel and the sparse zero-skip kernel (see
-    /// [`Tensor::matmul_kernel_probe`]), then runs the kernel over disjoint
-    /// output row bands on the persistent worker pool when the product is
-    /// large enough to amortise the dispatch.
+    /// [`probe_matmul_kernel`]), then runs the kernel over disjoint output
+    /// row bands on the persistent worker pool when the product is large
+    /// enough to amortise the dispatch.
     ///
     /// # Errors
     ///
@@ -388,18 +392,7 @@ impl Tensor {
     /// # }
     /// ```
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let kernel = self.matmul_kernel_probe();
-        self.matmul_with_kernel(other, kernel)
-    }
-
-    /// Kernel [`Tensor::matmul`] would select for `self` as the left
-    /// operand, from a strided sample of its density.
-    pub fn matmul_kernel_probe(&self) -> MatmulKernel {
-        if probe_nonzero_fraction(self.data()) <= SPARSE_NONZERO_CUTOFF {
-            MatmulKernel::Sparse
-        } else {
-            MatmulKernel::Dense
-        }
+        self.matmul_with_kernel(other, probe_matmul_kernel(self.data()))
     }
 
     /// Matrix product with an explicitly chosen kernel (used by tests and
@@ -430,32 +423,19 @@ impl Tensor {
     ) -> Result<Tensor> {
         let (m, k, n) = matmul_dims(self, other)?;
         let mut out = Tensor::zeros(&[m, n]);
-        if m == 0 || n == 0 {
-            return Ok(out);
-        }
-        let threads = pool::global().effective_threads();
-        let parallel = m * k * n >= PARALLEL_THRESHOLD && threads >= 2 && m >= 2;
         let a = self.data();
         let b = other.data();
         match kernel {
             MatmulKernel::Dense => {
                 let packed = pack_b_panels(b, k, n);
-                if parallel {
-                    pool::for_each_row_band(out.data_mut(), n, threads, |row_start, band| {
-                        matmul_dense_rows(backend, a, &packed, band, row_start, k, n);
-                    });
-                } else {
-                    matmul_dense_rows(backend, a, &packed, out.data_mut(), 0, k, n);
-                }
+                run_banded(out.data_mut(), m, k, n, |row_start, band| {
+                    matmul_dense_rows(backend, a, &packed, band, row_start, k, n);
+                });
             }
             MatmulKernel::Sparse => {
-                if parallel {
-                    pool::for_each_row_band(out.data_mut(), n, threads, |row_start, band| {
-                        matmul_sparse_rows(backend, a, b, band, row_start, k, n);
-                    });
-                } else {
-                    matmul_sparse_rows(backend, a, b, out.data_mut(), 0, k, n);
-                }
+                run_banded(out.data_mut(), m, k, n, |row_start, band| {
+                    matmul_sparse_rows(backend, a, b, band, row_start, k, n);
+                });
             }
         }
         Ok(out)
@@ -651,7 +631,7 @@ mod tests {
     fn probe_selects_sparse_for_pruned_and_dense_for_dense() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let dense = Init::Uniform { lo: 0.5, hi: 1.0 }.tensor(&[64, 64], &mut rng);
-        assert_eq!(dense.matmul_kernel_probe(), MatmulKernel::Dense);
+        assert_eq!(probe_matmul_kernel(dense.data()), MatmulKernel::Dense);
 
         // ≥90 % zeros — the regime produced by magnitude pruning.
         let mut pruned = Init::Uniform { lo: 0.5, hi: 1.0 }.tensor(&[64, 64], &mut rng);
@@ -660,7 +640,7 @@ mod tests {
                 *v = 0.0;
             }
         }
-        assert_eq!(pruned.matmul_kernel_probe(), MatmulKernel::Sparse);
+        assert_eq!(probe_matmul_kernel(pruned.data()), MatmulKernel::Sparse);
     }
 
     #[test]
@@ -723,26 +703,6 @@ mod tests {
         let mut out = vec![f32::NAN; m * n];
         gemm_sparse(simd::backend(), a.data(), m, b.data(), k, n, &mut out).unwrap();
         assert_eq!(reference.data(), &out[..]);
-    }
-
-    #[test]
-    fn slice_probe_matches_tensor_probe() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
-        let dense = Init::Uniform { lo: 0.5, hi: 1.0 }.tensor(&[64, 64], &mut rng);
-        assert_eq!(
-            probe_matmul_kernel(dense.data()),
-            dense.matmul_kernel_probe()
-        );
-        let mut pruned = dense.clone();
-        for (i, v) in pruned.data_mut().iter_mut().enumerate() {
-            if i % 10 != 0 {
-                *v = 0.0;
-            }
-        }
-        assert_eq!(
-            probe_matmul_kernel(pruned.data()),
-            pruned.matmul_kernel_probe()
-        );
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!    makes `ADVCOMP_THREADS` a pure performance knob.
 //! 4. **Gradcheck expansion**: tolerance machinery ([`tolerance`]) for the
 //!    finite-difference drivers in `advcomp_nn::gradcheck`, applied over
-//!    every layer (including FakeQuant's STE and BatchNorm in both modes)
-//!    by this crate's integration tests.
+//!    every layer (including FakeQuant's STE) by this crate's integration
+//!    tests.
 //!
 //! The integration tests under `crates/testkit/tests/` are the contract
 //! every future perf or refactor PR must pass; `TESTING.md` at the repo

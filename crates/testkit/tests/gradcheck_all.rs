@@ -1,6 +1,6 @@
 //! Gradcheck expansion: finite-difference validation of every layer's
 //! analytic backward pass, including FakeQuant's straight-through
-//! estimator and BatchNorm in both forward modes.
+//! estimator.
 //!
 //! Comparison uses the aggregate relative-L2 statistic
 //! (`advcomp_testkit::tolerance::rel_l2_error`): central differences of a
@@ -10,9 +10,8 @@
 //! `TESTING.md` for the full tolerance policy.
 
 use advcomp_nn::{
-    finite_diff_input_grad_with_mode, finite_diff_param_grad_with_mode, softmax_cross_entropy,
-    AvgPool2d, BatchNorm2d, Conv2d, Dense, Dropout, FakeQuant, Flatten, Layer, MaxPool2d, Mode,
-    Relu, Sequential, Sigmoid, Tanh,
+    finite_diff_input_grad, finite_diff_param_grad, softmax_cross_entropy, Conv2d, Dense, Dropout,
+    FakeQuant, Flatten, Layer, MaxPool2d, Mode, Relu, Sequential,
 };
 use advcomp_qformat::QFormat;
 use advcomp_tensor::Tensor;
@@ -41,17 +40,16 @@ fn det_net(seed: u64, layers: Vec<Box<dyn Layer>>) -> Sequential {
 }
 
 /// Checks the analytic input gradient and the gradients of every named
-/// parameter against central differences under `mode`.
+/// parameter against central differences in [`Mode::Eval`].
 fn check_net(
     label: &str,
     net: &mut Sequential,
     x: &Tensor,
     labels: &[usize],
-    mode: Mode,
     eps: f32,
     threshold: f32,
 ) {
-    let logits = net.forward(x, mode).expect("forward");
+    let logits = net.forward(x, Mode::Eval).expect("forward");
     let loss = softmax_cross_entropy(&logits, labels).expect("loss");
     net.zero_grad();
     let analytic_input = net.backward(&loss.grad).expect("backward");
@@ -61,7 +59,7 @@ fn check_net(
         .map(|p| (p.name.clone(), p.grad.clone()))
         .collect();
 
-    let fd_input = finite_diff_input_grad_with_mode(net, x, labels, eps, mode).expect("fd input");
+    let fd_input = finite_diff_input_grad(net, x, labels, eps).expect("fd input");
     let err = rel_l2_error(analytic_input.data(), fd_input.data());
     assert!(
         err < threshold,
@@ -69,8 +67,7 @@ fn check_net(
     );
 
     for (name, analytic) in &analytic_params {
-        let fd =
-            finite_diff_param_grad_with_mode(net, x, labels, name, eps, mode).expect("fd param");
+        let fd = finite_diff_param_grad(net, x, labels, name, eps).expect("fd param");
         let err = rel_l2_error(analytic.data(), fd.data());
         assert!(
             err < threshold,
@@ -81,52 +78,6 @@ fn check_net(
 
 fn init_rng() -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(0)
-}
-
-#[test]
-fn dense_tanh_gradients() {
-    let mut r = init_rng();
-    let mut net = det_net(
-        10,
-        vec![
-            Box::new(Dense::with_name("a", 6, 8, &mut r)),
-            Box::new(Tanh::new()),
-            Box::new(Dense::with_name("b", 8, 4, &mut r)),
-        ],
-    );
-    let x = det_input(11, &[3, 6], -1.0, 1.0);
-    check_net(
-        "dense+tanh",
-        &mut net,
-        &x,
-        &[0, 3, 2],
-        Mode::Eval,
-        1e-3,
-        SMOOTH,
-    );
-}
-
-#[test]
-fn dense_sigmoid_gradients() {
-    let mut r = init_rng();
-    let mut net = det_net(
-        12,
-        vec![
-            Box::new(Dense::with_name("a", 5, 7, &mut r)),
-            Box::new(Sigmoid::new()),
-            Box::new(Dense::with_name("b", 7, 3, &mut r)),
-        ],
-    );
-    let x = det_input(13, &[3, 5], -1.0, 1.0);
-    check_net(
-        "dense+sigmoid",
-        &mut net,
-        &x,
-        &[2, 0, 1],
-        Mode::Eval,
-        1e-3,
-        SMOOTH,
-    );
 }
 
 #[test]
@@ -143,88 +94,7 @@ fn conv_relu_maxpool_gradients() {
         ],
     );
     let x = det_input(15, &[2, 1, 4, 4], 0.0, 1.0);
-    check_net(
-        "conv+relu+maxpool",
-        &mut net,
-        &x,
-        &[1, 3],
-        Mode::Eval,
-        1e-2,
-        KINKY,
-    );
-}
-
-#[test]
-fn conv_avgpool_gradients() {
-    let mut r = init_rng();
-    let mut net = det_net(
-        16,
-        vec![
-            Box::new(Conv2d::with_name("c", 2, 2, 3, 1, 0, &mut r)),
-            Box::new(AvgPool2d::new(2, 2)),
-            Box::new(Flatten::new()),
-            Box::new(Dense::with_name("fc", 2, 3, &mut r)),
-        ],
-    );
-    let x = det_input(17, &[2, 2, 5, 5], -1.0, 1.0);
-    check_net(
-        "conv+avgpool",
-        &mut net,
-        &x,
-        &[0, 2],
-        Mode::Eval,
-        1e-2,
-        KINKY,
-    );
-}
-
-#[test]
-fn batchnorm_eval_mode_gradients() {
-    let mut r = init_rng();
-    let mut net = det_net(
-        18,
-        vec![
-            Box::new(BatchNorm2d::with_name("bn", 2)),
-            Box::new(Flatten::new()),
-            Box::new(Dense::with_name("fc", 18, 3, &mut r)),
-        ],
-    );
-    let x = det_input(19, &[3, 2, 3, 3], -1.0, 1.0);
-    check_net(
-        "batchnorm eval",
-        &mut net,
-        &x,
-        &[0, 1, 2],
-        Mode::Eval,
-        1e-3,
-        SMOOTH,
-    );
-}
-
-#[test]
-fn batchnorm_train_mode_gradients() {
-    // Train mode is a *different function* (batch statistics instead of
-    // running statistics); its backward treats mean/var as functions of
-    // the input, which only mode-aware finite differences can confirm.
-    let mut r = init_rng();
-    let mut net = det_net(
-        20,
-        vec![
-            Box::new(BatchNorm2d::with_name("bn", 2)),
-            Box::new(Flatten::new()),
-            Box::new(Dense::with_name("fc", 18, 3, &mut r)),
-        ],
-    );
-    let x = det_input(21, &[3, 2, 3, 3], -1.0, 1.0);
-    check_net(
-        "batchnorm train",
-        &mut net,
-        &x,
-        &[2, 1, 0],
-        Mode::Train,
-        1e-2,
-        KINKY,
-    );
+    check_net("conv+relu+maxpool", &mut net, &x, &[1, 3], 1e-2, KINKY);
 }
 
 #[test]
@@ -243,15 +113,7 @@ fn dropout_eval_is_transparent_to_gradients() {
         ],
     );
     let x = det_input(23, &[3, 5], -1.0, 1.0);
-    check_net(
-        "dropout eval",
-        &mut net,
-        &x,
-        &[0, 2, 1],
-        Mode::Eval,
-        1e-3,
-        SMOOTH,
-    );
+    check_net("dropout eval", &mut net, &x, &[0, 2, 1], 1e-3, SMOOTH);
 }
 
 #[test]
@@ -271,15 +133,7 @@ fn fakequant_ste_matches_fine_quantised_loss() {
         ],
     );
     let x = det_input(25, &[3, 4], -1.0, 1.0);
-    check_net(
-        "fakequant fine STE",
-        &mut net,
-        &x,
-        &[1, 2, 0],
-        Mode::Eval,
-        1e-3,
-        KINKY,
-    );
+    check_net("fakequant fine STE", &mut net, &x, &[1, 2, 0], 1e-3, KINKY);
 }
 
 #[test]
@@ -315,15 +169,7 @@ fn softmax_cross_entropy_gradient() {
     // gradient (softmax − one-hot) against finite differences.
     let mut net = Sequential::new(vec![Box::new(Flatten::new())]);
     let x = det_input(26, &[3, 5], -2.0, 2.0);
-    check_net(
-        "softmax-CE",
-        &mut net,
-        &x,
-        &[4, 0, 2],
-        Mode::Eval,
-        1e-3,
-        0.01,
-    );
+    check_net("softmax-CE", &mut net, &x, &[4, 0, 2], 1e-3, 0.01);
 }
 
 #[test]
@@ -341,7 +187,7 @@ fn full_lenet_stack_input_gradient() {
     // eps 1e-3: coarser probes flip max-pool argmaxes on this fixture and
     // the finite-difference estimate stops converging (checked empirically:
     // rel-L2 0.33 at 1e-2, 0.004 at 1e-3).
-    let fd = finite_diff_input_grad_with_mode(&mut net, &x, &labels, 1e-3, Mode::Eval).unwrap();
+    let fd = finite_diff_input_grad(&mut net, &x, &labels, 1e-3).unwrap();
     let err = rel_l2_error(analytic.data(), fd.data());
     assert!(err < KINKY, "lenet stack input rel-L2 error {err}");
 }

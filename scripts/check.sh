@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: a deleted or renamed item must not leave a dangling
+# intra-doc link behind, and public docs must not link private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
+
 # Full workspace suite — includes the advcomp-testkit pillars (goldens,
 # differential kernel fuzzing, determinism, gradcheck). --locked fails on a
 # stale Cargo.lock instead of silently rewriting it.
@@ -60,10 +64,10 @@ echo "quant parity: packed storage and int8 kernels agree"
 # forward — must be per-logit bit-identical to Sequential::forward for
 # both paper nets at f32, q8-frozen, q4-frozen and DNS-pruned
 # (scalar-vs-SIMD plans additionally compared under the 1e-5 relative-L2
-# gate), the Dense+activation fusion must fire on its pattern, BatchNorm
-# must stay bit-exact as a standalone step, and the static memory plan
-# must never alias simultaneously live buffers under any topological
-# order. Run under both dispatch values like kernel_parity.
+# gate), the Dense+ReLU fusion must fire on its pattern, a ReLU after a
+# non-GEMM layer must stay bit-exact as a standalone step, and the static
+# memory plan must never alias simultaneously live buffers under any
+# topological order. Run under both dispatch values like kernel_parity.
 for kernel in scalar simd; do
     ADVCOMP_KERNEL="$kernel" \
         cargo test -q -p advcomp-testkit --test graph_parity >/dev/null
