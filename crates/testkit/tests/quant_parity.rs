@@ -12,10 +12,12 @@
 //!    randomized shape sweeps, gated on relative L2 error.
 //! 3. **Bit-exact simulated parity + golden**: on the scalar backend a
 //!    frozen (packed) model forward is *bit-identical* to the simulated
-//!    FakeQuant/rounded-weight forward, and the packed LeNet forward is
-//!    pinned by a checked-in golden under `tests/goldens/`.
+//!    FakeQuant/rounded-weight forward, and the packed LeNet forward and
+//!    its v3 checkpoint bytes are pinned by checked-in goldens under
+//!    `tests/goldens/`.
 
 use advcomp_compress::Quantizer;
+use advcomp_models::{crc32, Checkpoint};
 use advcomp_nn::{Conv2d, Dense, FakeQuant, Flatten, Layer, MaxPool2d, Mode, Relu, Sequential};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{quantize_activations, KernelBackend, QTensor, Tensor, QK};
@@ -279,38 +281,76 @@ fn packed_forward_is_bit_exact_with_simulated_quantisation() {
     }
 }
 
-/// Checked-in golden for the packed 8-bit LeNet forward (scalar backend):
-/// any drift in the block format, the activation encode, or the fused
-/// GEMM/conv kernels shows up as a bit-level diff here.
+/// Checked-in goldens for the packed LeNet forward at both paper
+/// bitwidths (scalar backend): any drift in the block format, the
+/// activation encode, or the fused GEMM/conv kernels shows up as a
+/// bit-level diff in `lenet_packed_q8_forward` or `lenet_packed_q4_forward`.
 #[test]
 fn packed_lenet_forward_conforms() {
     advcomp_testkit::pin_kernel("scalar");
-    let mut model = fq_lenet(42);
-    Quantizer::for_bitwidth(8)
-        .unwrap()
-        .quantize_frozen(&mut model)
-        .unwrap();
-    let x = fixtures::image_batch(7, 4);
-    let logits = model.forward(&x, Mode::Eval).unwrap();
-    let packed: Vec<(String, Json)> = model
-        .export_quantized()
+    for bits in [8u32, 4] {
+        let mut model = fq_lenet(42);
+        Quantizer::for_bitwidth(bits)
+            .unwrap()
+            .quantize_frozen(&mut model)
+            .unwrap();
+        let x = fixtures::image_batch(7, 4);
+        let logits = model.forward(&x, Mode::Eval).unwrap();
+        let packed: Vec<(String, Json)> = model
+            .export_quantized()
+            .iter()
+            .map(|(name, qw)| {
+                (
+                    name.clone(),
+                    Json::Obj(vec![
+                        ("kind".into(), Json::Str(qw.tensor().kind().name().into())),
+                        ("packed_bytes".into(), Json::from_usize(qw.packed_bytes())),
+                    ]),
+                )
+            })
+            .collect();
+        let doc = Json::Obj(vec![
+            ("model_seed".into(), Json::from_usize(42)),
+            ("bitwidth".into(), Json::from_usize(bits as usize)),
+            ("packed".into(), Json::Obj(packed)),
+            ("input".into(), tensor_json(&x)),
+            ("logits".into(), tensor_json(&logits)),
+        ]);
+        golden::check_or_regen(&format!("lenet_packed_q{bits}_forward"), &doc).unwrap();
+    }
+}
+
+/// Checked-in golden for the packed (v3) checkpoint bytes of the frozen
+/// fixture at both bitwidths: the file length and the CRC-32 of every
+/// byte before the footer (the CRC of a whole file that ends in its own
+/// CRC-32 is a constant). The CRC is stored as a hex string because
+/// golden numbers compare as f32, which cannot hold every 32-bit value.
+#[test]
+fn packed_lenet_checkpoint_conforms() {
+    let entries: Vec<(String, Json)> = [4u32, 8]
         .iter()
-        .map(|(name, qw)| {
+        .map(|&bits| {
+            let mut model = fq_lenet(42);
+            Quantizer::for_bitwidth(bits)
+                .unwrap()
+                .quantize_frozen(&mut model)
+                .unwrap();
+            let bytes = Checkpoint::capture(&model).to_bytes();
             (
-                name.clone(),
+                format!("q{bits}"),
                 Json::Obj(vec![
-                    ("kind".into(), Json::Str(qw.tensor().kind().name().into())),
-                    ("packed_bytes".into(), Json::from_usize(qw.packed_bytes())),
+                    ("bytes".into(), Json::from_usize(bytes.len())),
+                    (
+                        "body_crc32".into(),
+                        Json::Str(format!("{:08x}", crc32(&bytes[..bytes.len() - 4]))),
+                    ),
                 ]),
             )
         })
         .collect();
     let doc = Json::Obj(vec![
         ("model_seed".into(), Json::from_usize(42)),
-        ("bitwidth".into(), Json::from_usize(8)),
-        ("packed".into(), Json::Obj(packed)),
-        ("input".into(), tensor_json(&x)),
-        ("logits".into(), tensor_json(&logits)),
+        ("checkpoints".into(), Json::Obj(entries)),
     ]);
-    golden::check_or_regen("lenet_packed_q8_forward", &doc).unwrap();
+    golden::check_or_regen("lenet_packed_checkpoint", &doc).unwrap();
 }
