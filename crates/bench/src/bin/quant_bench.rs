@@ -3,13 +3,13 @@
 //! Times the packed block-quantised paths against their dense f32
 //! equivalents and writes `BENCH_quant.json`:
 //!
-//! * the fused int8 GEMM (`qmatmul_f32`, Q8_0 and Q4_0 weights with
+//! * the fused int8 GEMM (`qmatmul_f32`, 8- and 4-bit weights with
 //!   on-the-fly activation quantisation) vs the production dense f32 SIMD
 //!   GEMM at the 128×128 hot-path shape;
 //! * a full LeNet5 forward, dense vs frozen-packed at 8 and 4 bits, plus
 //!   the same frozen forwards through a compiled `advcomp-graph`
-//!   `ExecPlan` (the Q4 row also documents the before/after of routing
-//!   Q4 through the plan's widened-code kernel — see the file's `note`);
+//!   `ExecPlan` — the layer path and the plan run the same byte-code
+//!   int8 kernels at both bitwidths (see the file's `note`);
 //! * the compression-ensemble guard's per-batch cost: baseline + two dense
 //!   variants vs baseline + two packed variants (the serving engine's
 //!   `run_batch` shape);
@@ -108,10 +108,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q4_fwd_ns = median_ns(fwd_iters, || {
         black_box(frozen4.forward(&x, Mode::Eval).unwrap());
     });
-    // The compiled plans: the q4 plan is the before/after story — the
-    // layer path re-unpacks weight nibbles inside the GEMM inner loop
-    // (q4_frozen_ns barely beats dense), while the plan widens the codes
-    // to Q8 byte layout once at compile and runs the maddubs kernel.
+    // The compiled plans share the layers' packed codes, so at 4 bits as
+    // at 8 the layer path and the plan run the same byte-code kernels;
+    // the gap between them is the plan's fusion and arena.
     let mut plan8 = ExecPlan::compile(&frozen8, &[1, 28, 28]).expect("q8 lenet5 compiles");
     let mut plan4 = ExecPlan::compile(&frozen4, &[1, 28, 28]).expect("q4 lenet5 compiles");
     plan8.reserve_batch(BATCH);
@@ -137,9 +136,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.push(format!("forward.lenet5.{key}"), unit, value);
     }
     report.note = Some(format!(
-        "before: layer path unpacked Q4 nibbles per GEMM inner loop, {q4_fwd_ns} ns \
-         ({:.2}x vs dense); after: ExecPlan widens Q4 codes to Q8 bytes at compile \
-         (bit-identical sums), {q4_plan_ns} ns ({:.2}x vs dense)",
+        "layer path and ExecPlan run the same byte-code int8 kernels at 4 and 8 bits: \
+         q4 layer path {q4_fwd_ns} ns ({:.2}x vs dense), q4 plan {q4_plan_ns} ns \
+         ({:.2}x vs dense)",
         speedup(dense_ns, q4_fwd_ns),
         speedup(dense_ns, q4_plan_ns),
     ));

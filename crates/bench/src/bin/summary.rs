@@ -1,9 +1,11 @@
 //! Digest of all generated exhibits: reads `results/*.csv` and prints one
 //! compact paper-vs-reproduction verdict table (the machine-checkable
-//! backbone of EXPERIMENTS.md).
+//! backbone of EXPERIMENTS.md). Exits 1, after printing the table, when
+//! any verdict is ✗.
 
 use advcomp_bench::ExhibitOptions;
 use advcomp_core::report::Table;
+use advcomp_qformat::QFormat;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -47,6 +49,42 @@ fn verdict(ok: bool) -> String {
     } else {
         "✗ (check data)".into()
     }
+}
+
+/// Figure 6's verdict row: 4-bit weights sit on the 4-bit fixed-point
+/// grid, and more of them are exactly zero than at 16 bits. The CSV holds
+/// rank-spaced CDF points per kind and bitwidth.
+fn fig6_row(t: &Table) -> Vec<String> {
+    let column = |name: &str| t.headers.iter().position(|h| h == name);
+    let series = |bits: &str| -> Vec<f64> {
+        let (Some(k), Some(b), Some(v)) = (column("kind"), column("bitwidth"), column("value"))
+        else {
+            return Vec::new();
+        };
+        let rows = t.rows.iter().filter(|r| r[k] == "weights" && r[b] == bits);
+        rows.filter_map(|r| r[v].parse().ok()).collect()
+    };
+    let (w4, w16) = (series("4"), series("16"));
+    let q4 = QFormat::for_bitwidth(4).expect("4 bits is a paper bitwidth");
+    let (lo, hi) = (f64::from(q4.min_value()), f64::from(q4.max_value()));
+    let step = f64::from(q4.resolution());
+    let on_grid = w4
+        .iter()
+        .all(|&v| (lo..=hi).contains(&v) && (v / step).fract() == 0.0);
+    let min = w4.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = w4.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let zero_share = |s: &[f64]| s.iter().filter(|&&v| v == 0.0).count() as f64 / s.len() as f64;
+    let (z4, z16) = (zero_share(&w4), zero_share(&w16));
+    vec![
+        "fig6".into(),
+        format!("4-bit weights on the {q4} grid, zero mass far above 16-bit"),
+        format!(
+            "4-bit in [{min}, {max}] step {step}; zeros {:.0}% (4-bit) vs {:.0}% (16-bit)",
+            100.0 * z4,
+            100.0 * z16
+        ),
+        verdict(!w4.is_empty() && !w16.is_empty() && on_grid && z4 > z16),
+    ]
 }
 
 fn main() {
@@ -126,15 +164,8 @@ fn main() {
         }
     }
 
-    // Figure 6: 4-bit zero mass far above 16-bit.
-    // fig6.csv is a raw CDF table, covered qualitatively in EXPERIMENTS.md.
-    if read_table(&dir.join("fig6.csv")).is_some() {
-        table.push_row(vec![
-            "fig6".into(),
-            "CDF series generated (weights + activations × 4 bitwidths)".into(),
-            "results/fig6.csv".into(),
-            "✓".into(),
-        ]);
+    if let Some(t) = read_table(&dir.join("fig6.csv")) {
+        table.push_row(fig6_row(&t));
     }
 
     if table.rows.is_empty() {
@@ -145,4 +176,37 @@ fn main() {
         return;
     }
     print!("{}", table.to_markdown());
+    let failed = table.rows.iter().filter(|row| row[3] != "✓").count();
+    if failed > 0 {
+        eprintln!("error: {failed} paper claim(s) failed their verdict");
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The Figure 6 verdict for 4-bit and 16-bit weight series.
+    fn fig6(w4: &[&str], w16: &[&str]) -> String {
+        let rows = [("4", w4), ("16", w16)].map(|(bits, values)| {
+            values
+                .iter()
+                .map(|v| format!("weights,{bits},{v},0.5\n"))
+                .collect::<String>()
+        });
+        let csv = format!("kind,bitwidth,value,cumulative_fraction\n{}", rows.concat());
+        fig6_row(&Table::from_csv(&csv).unwrap()).swap_remove(3)
+    }
+
+    #[test]
+    fn fig6_verdict_checks_the_grid_and_the_zero_mass() {
+        let w16 = ["-0.3", "0", "0.01"];
+        assert_eq!(fig6(&["-0.875", "0", "0", "0.75"], &w16), "✓");
+        assert_ne!(fig6(&["-0.875", "0", "0", "0.3"], &w16), "✓", "off grid");
+        assert_ne!(fig6(&["-1.125", "0", "0", "0.5"], &w16), "✓", "below min");
+        assert_ne!(fig6(&["-0.875", "0", "0", "1"], &w16), "✓", "above max");
+        assert_ne!(fig6(&["-0.875", "0", "0.5"], &w16), "✓", "zero shares tie");
+        assert_ne!(fig6(&[], &w16), "✓", "empty 4-bit series");
+    }
 }

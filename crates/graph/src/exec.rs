@@ -9,11 +9,10 @@
 //! * dense f32 weights are transposed into GEMM layout **and** pre-packed
 //!   into the panel format the dense microkernel consumes (the
 //!   `Sequential` path re-packs per call);
-//! * Q4 packed weights are widened to Q8-layout codes once
-//!   ([`QTensor::widen_to_q8`](advcomp_tensor::QTensor::widen_to_q8)),
-//!   hoisting the nibble unpack out of the inner GEMM loop — integer sums
-//!   are computed from the same code values, so results stay
-//!   bit-identical;
+//! * packed int8 weights are shared with the layer that owns them (one
+//!   `Arc`, one byte per code at 4 and 8 bits alike, scaled by the weight
+//!   format's resolution — checkpoint loading refuses any other stored
+//!   scale);
 //! * per-layer activation-quantisation buffers ([`QActivations`]) are
 //!   owned by the plan and rewritten in place;
 //! * every f32 intermediate lives at a fixed per-sample offset in one
@@ -37,7 +36,7 @@ use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     gemm_prepacked, gemm_sparse, im2col_slice, probe_matmul_kernel, qmatmul,
     quantize_activations_into, rows_to_nchw_slice, simd, Conv2dGeometry, KernelBackend,
-    MatmulKernel, PackedGemmB, QActivations, QuantKind, Tensor, QK,
+    MatmulKernel, PackedGemmB, QActivations, Tensor, QK,
 };
 
 use crate::fuse::{fuse, FusedOp, FusionStats, GemmUnit};
@@ -65,7 +64,7 @@ enum PlannedGemm {
         k: usize,
         n: usize,
     },
-    /// Packed int8 weights (Q4 already widened to Q8 layout).
+    /// Packed int8 weights, shared with the owning layer.
     Packed { weights: QuantizedWeights },
 }
 
@@ -187,15 +186,10 @@ impl Builder {
         Ok(self.weights.len() - 1)
     }
 
-    /// Installs packed weights, widening Q4 codes to Q8 layout once so the
-    /// GEMM inner loop never unpacks nibbles.
+    /// Installs packed weights, sharing the layer's blocks.
     fn push_packed_weight(&mut self, q: &QuantizedWeights) -> usize {
-        let weights = if q.tensor().kind() == QuantKind::Q4 {
-            QuantizedWeights::new(q.tensor().widen_to_q8(), q.act_format())
-        } else {
-            q.clone()
-        };
-        self.weights.push(PlannedGemm::Packed { weights });
+        self.weights
+            .push(PlannedGemm::Packed { weights: q.clone() });
         self.weights.len() - 1
     }
 
@@ -857,6 +851,24 @@ mod tests {
         let model = tiny_net(5);
         let plan = ExecPlan::compile(&model, &[1, 8, 8]).unwrap();
         assert!(plan.arena_elems_per_sample() < plan.unplanned_elems_per_sample());
+    }
+
+    #[test]
+    fn packed_plans_share_the_layer_blocks_at_both_bitwidths() {
+        for bits in [4, 8] {
+            let mut model = tiny_net(5);
+            let fmt = QFormat::for_bitwidth(bits).unwrap();
+            assert_eq!(model.freeze_quantized(fmt, fmt).unwrap(), 3);
+            let handles = |m: &Sequential| -> Vec<usize> {
+                m.export_quantized()
+                    .iter()
+                    .map(|(_, q)| q.shared_count())
+                    .collect()
+            };
+            let shared: Vec<usize> = handles(&model).iter().map(|c| c + 1).collect();
+            let _plan = ExecPlan::compile(&model, &[1, 8, 8]).unwrap();
+            assert_eq!(handles(&model), shared, "{bits}-bit plan copied its blocks");
+        }
     }
 
     #[test]

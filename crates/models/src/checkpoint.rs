@@ -18,10 +18,18 @@
 //!     wf        u8×2   weight QFormat (int bits, frac bits)
 //!     af        u8×2   activation QFormat (int bits, frac bits)
 //!     ndim      u8,  dims u32 × ndim    logical (unpacked) shape
-//!     n_scales  u32, scales f32 × n_scales   per-block scales
-//!     n_codes   u32, codes  u8 × n_codes     packed block codes
+//!     n_scales  u32, scales f32 × n_scales   one per 32-value block
+//!     n_codes   u32, codes  u8 × n_codes     block payloads
 //! crc     u32          (v2+) CRC-32 of every preceding byte
 //! ```
+//!
+//! This codec is the only owner of ggml's block layouts. In memory a
+//! [`QTensor`] holds one `i8` per code and one scale, its weight format's
+//! resolution, which the writer repeats as every block's scale. A `Q4_0`
+//! payload byte *l* holds code *l* in its low nibble and code *l + 16* in
+//! its high nibble. The reader unpacks the nibbles and rejects as
+//! [`CheckpointError::Corrupt`] any stored scale that is not bit-equal to
+//! the weight format's resolution.
 //!
 //! The CRC footer lets loaders — in particular the serving model registry —
 //! reject torn or bit-flipped checkpoint files with
@@ -34,7 +42,7 @@
 
 use advcomp_nn::{QuantizedWeights, Sequential};
 use advcomp_qformat::QFormat;
-use advcomp_tensor::{QTensor, QuantKind, Tensor};
+use advcomp_tensor::{QTensor, QuantKind, Tensor, QK};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::path::Path;
@@ -195,12 +203,23 @@ impl Checkpoint {
             for &d in qt.shape() {
                 buf.put_u32_le(d as u32);
             }
-            buf.put_u32_le(qt.scales().len() as u32);
-            for &s in qt.scales() {
-                buf.put_f32_le(s);
+            let blocks = qt.rows() * qt.blocks_per_row();
+            buf.put_u32_le(blocks as u32);
+            for _ in 0..blocks {
+                buf.put_f32_le(qt.format().resolution());
             }
-            buf.put_u32_le(qt.codes().len() as u32);
-            buf.put_slice(qt.codes());
+            buf.put_u32_le((blocks * qt.kind().payload_bytes()) as u32);
+            match qt.kind() {
+                QuantKind::Q8 => qt.codes().iter().for_each(|&c| buf.put_u8(c as u8)),
+                QuantKind::Q4 => {
+                    for block in qt.codes().chunks(QK) {
+                        let (lo, hi) = block.split_at(QK / 2);
+                        for (&l, &h) in lo.iter().zip(hi) {
+                            buf.put_u8((l as u8 & 0x0F) | ((h as u8) << 4));
+                        }
+                    }
+                }
+            }
         }
         let body = buf.freeze();
         let crc = crate::crc32::crc32(&body);
@@ -243,7 +262,9 @@ impl Checkpoint {
         };
         bytes.advance(8); // magic + version
         let count = bytes.get_u32_le() as usize;
-        let mut params = Vec::with_capacity(count);
+        // Every entry takes at least 4 bytes, so a claimed count past that
+        // is refused by truncation below; never preallocate for it.
+        let mut params = Vec::with_capacity(count.min(bytes.remaining() / 4));
         let mut packed = Vec::new();
         for _ in 0..count {
             need(bytes, 2, "name length")?;
@@ -310,16 +331,13 @@ fn decode_f32_entry(bytes: &mut &[u8]) -> Result<Tensor, CheckpointError> {
     need(bytes, 1, "ndim")?;
     let ndim = bytes.get_u8() as usize;
     need(bytes, 4 * ndim, "dims")?;
-    let mut dims = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        dims.push(bytes.get_u32_le() as usize);
-    }
-    let numel: usize = dims.iter().product();
-    need(bytes, 4 * numel, "tensor data")?;
-    let mut data = Vec::with_capacity(numel);
-    for _ in 0..numel {
-        data.push(bytes.get_f32_le());
-    }
+    let dims: Vec<usize> = (0..ndim).map(|_| bytes.get_u32_le() as usize).collect();
+    let data_bytes = dims
+        .iter()
+        .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| CheckpointError::Corrupt(format!("tensor dims {dims:?} overflow")))?;
+    need(bytes, data_bytes, "tensor data")?;
+    let data = (0..data_bytes / 4).map(|_| bytes.get_f32_le()).collect();
     Tensor::new(&dims, data).map_err(|e| CheckpointError::Corrupt(format!("bad tensor: {e}")))
 }
 
@@ -343,23 +361,53 @@ fn decode_packed_entry(bytes: &mut &[u8]) -> Result<QuantizedWeights, Checkpoint
         .map_err(|e| CheckpointError::Corrupt(format!("bad activation format: {e}")))?;
     let ndim = bytes.get_u8() as usize;
     need(bytes, 4 * ndim + 4, "packed dims")?;
-    let mut dims = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        dims.push(bytes.get_u32_le() as usize);
-    }
+    let dims: Vec<usize> = (0..ndim).map(|_| bytes.get_u32_le() as usize).collect();
     let n_scales = bytes.get_u32_le() as usize;
     need(bytes, 4 * n_scales + 4, "block scales")?;
-    let mut scales = Vec::with_capacity(n_scales);
+    let resolution = weight_format.resolution();
     for _ in 0..n_scales {
-        scales.push(bytes.get_f32_le());
+        let scale = bytes.get_f32_le();
+        if scale.to_bits() != resolution.to_bits() {
+            return Err(CheckpointError::Corrupt(format!(
+                "block scale {scale} is not the {weight_format} resolution {resolution}"
+            )));
+        }
     }
     let n_codes = bytes.get_u32_le() as usize;
     need(bytes, n_codes, "block codes")?;
-    let codes = bytes[..n_codes].to_vec();
-    bytes.advance(n_codes);
-    let qt = QTensor::from_parts(kind, dims, weight_format, scales, codes)
+    let (payload, rest) = bytes.split_at(n_codes);
+    *bytes = rest;
+    let codes = match kind {
+        QuantKind::Q8 => payload.iter().map(|&b| b as i8).collect(),
+        QuantKind::Q4 => nibble_codes(payload)?,
+    };
+    let qt = QTensor::from_parts(kind, dims, weight_format, codes)
         .map_err(|e| CheckpointError::Corrupt(format!("bad packed tensor: {e}")))?;
+    let blocks = qt.rows() * qt.blocks_per_row();
+    if n_scales != blocks {
+        return Err(CheckpointError::Corrupt(format!(
+            "{n_scales} block scales for {blocks} blocks"
+        )));
+    }
     Ok(QuantizedWeights::new(qt, act_format))
+}
+
+/// Unpacks `Q4_0` block payloads to one code per value: byte *l* of a
+/// block holds code *l* in its low nibble and code *l + 16* in its high
+/// nibble, both 4-bit two's complement.
+fn nibble_codes(payload: &[u8]) -> Result<Vec<i8>, CheckpointError> {
+    if !payload.len().is_multiple_of(QK / 2) {
+        return Err(CheckpointError::Corrupt(format!(
+            "{} q4_0 payload bytes are not whole blocks",
+            payload.len()
+        )));
+    }
+    let mut codes = Vec::with_capacity(payload.len() * 2);
+    for block in payload.chunks(QK / 2) {
+        codes.extend(block.iter().map(|&b| ((b << 4) as i8) >> 4));
+        codes.extend(block.iter().map(|&b| (b as i8) >> 4));
+    }
+    Ok(codes)
 }
 
 #[cfg(test)]
@@ -501,24 +549,67 @@ mod tests {
 
     #[test]
     fn packed_roundtrip_is_v3_with_crc() {
-        let model = frozen_lenet(8);
-        let ckpt = Checkpoint::capture(&model);
-        assert!(!ckpt.packed().is_empty());
-        let bytes = ckpt.to_bytes();
-        assert_eq!(
-            u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            3
-        );
-        let decoded = Checkpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, ckpt);
-        // The CRC footer still guards v3 files.
-        let mut torn = bytes.to_vec();
-        torn.truncate(torn.len() / 2);
-        assert!(Checkpoint::from_bytes(&torn).is_err());
-        let mut flipped = bytes.to_vec();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert!(Checkpoint::from_bytes(&flipped).is_err());
+        for bits in [4, 8] {
+            let model = frozen_lenet(bits);
+            let ckpt = Checkpoint::capture(&model);
+            assert!(!ckpt.packed().is_empty());
+            let bytes = ckpt.to_bytes();
+            assert_eq!(
+                u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
+                3
+            );
+            let decoded = Checkpoint::from_bytes(&bytes).unwrap();
+            assert_eq!(decoded, ckpt, "{bits}-bit");
+            // The CRC footer still guards v3 files.
+            let mut torn = bytes.to_vec();
+            torn.truncate(torn.len() / 2);
+            assert!(Checkpoint::from_bytes(&torn).is_err());
+            let mut flipped = bytes.to_vec();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x10;
+            assert!(Checkpoint::from_bytes(&flipped).is_err());
+        }
+    }
+
+    #[test]
+    fn stored_block_scales_must_be_the_resolution() {
+        let resealed = |mut bytes: Vec<u8>| {
+            let body = bytes.len() - 4;
+            let crc = crate::crc32::crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            Checkpoint::from_bytes(&bytes)
+        };
+        for bits in [4, 8] {
+            let fmt = QFormat::for_bitwidth(bits).unwrap();
+            let qt = QTensor::quantize(&[0.25; 80], &[2, 40], fmt).unwrap();
+            let packed = vec![("w".into(), QuantizedWeights::new(qt, fmt))];
+            let good = Checkpoint {
+                params: Vec::new(),
+                packed,
+            }
+            .to_bytes()
+            .to_vec();
+            // header 12, name 3, tag 1, kind 1, formats 4, ndim 1, dims 8,
+            // n_scales 4: then the 4 block scales.
+            let first = 34;
+            assert_eq!(good[first..first + 4], fmt.resolution().to_le_bytes());
+            let res = fmt.resolution();
+            for (block, scale) in [(0, res * 2.0), (3, -res), (1, f32::NAN)] {
+                let mut bad = good.clone();
+                let at = first + 4 * block;
+                bad[at..at + 4].copy_from_slice(&scale.to_le_bytes());
+                let decoded = resealed(bad);
+                assert!(
+                    matches!(decoded, Err(CheckpointError::Corrupt(_))),
+                    "{bits}-bit block {block} scale {scale}"
+                );
+            }
+            // Three scales listed for four blocks.
+            let mut short = good[..first + 12].to_vec();
+            short[first - 4..first].copy_from_slice(&3u32.to_le_bytes());
+            short.extend_from_slice(&good[first + 16..]);
+            assert!(matches!(resealed(short), Err(CheckpointError::Corrupt(_))));
+        }
     }
 
     #[test]

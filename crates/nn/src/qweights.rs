@@ -38,7 +38,8 @@ impl QuantizedWeights {
         self.act_format
     }
 
-    /// Real packed size in bytes (codes + block scales).
+    /// Stored size in bytes: the checkpoint's block layout, codes plus
+    /// one f32 scale per block ([`QTensor::packed_bytes`]).
     pub fn packed_bytes(&self) -> usize {
         self.tensor.packed_bytes()
     }

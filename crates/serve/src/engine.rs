@@ -637,7 +637,7 @@ fn worker_loop(idx: usize, mut planned: PlannedSet, mut generation: u64, shared:
     let max_batch = shared.config.max_batch;
     let max_delay = shared.config.max_delay;
     let steal_poll = shared.config.steal_poll;
-    while let Some(jobs) = shared
+    while let Some((jobs, assembly)) = shared
         .queue
         .pop_batch(idx, max_batch, max_delay, steal_poll)
     {
@@ -667,6 +667,7 @@ fn worker_loop(idx: usize, mut planned: PlannedSet, mut generation: u64, shared:
                 .queue_wait
                 .record(picked.duration_since(job.enqueued));
         }
+        shared.metrics.batch_assembly.record(assembly);
         shared.metrics.batch_sizes.record(batch.len());
         // A panicking forward (bug or injected fault) must cost one batch,
         // not the worker: the jobs' completion guards report WorkerLost
@@ -907,6 +908,8 @@ mod tests {
         // With 24 near-simultaneous submits and max_batch 4 across 2
         // workers, at least one batch must have coalesced.
         assert!(m.batch_sizes.max() > 1, "max batch {}", m.batch_sizes.max());
+        // Every executed batch records its assembly time once.
+        assert_eq!(m.batch_assembly.count(), m.batch_sizes.batches());
     }
 
     #[test]

@@ -203,9 +203,11 @@ pub struct ServeMetrics {
     pub rate_limited: AtomicU64,
     /// Requests that failed (bad input, forward error, worker lost).
     pub failed: AtomicU64,
-    /// Time from enqueue until a worker picked the job up.
+    /// Time from enqueue until the worker closed the batch holding the
+    /// job, so it includes that batch's assembly time.
     pub queue_wait: LatencyHistogram,
-    /// Time a worker spent coalescing the batch after the first job.
+    /// Per batch, the time a worker spent coalescing it: from its first
+    /// pop to batch close.
     pub batch_assembly: LatencyHistogram,
     /// Forward-pass time (baseline + guard variants) per batch.
     pub forward: LatencyHistogram,

@@ -120,22 +120,24 @@ impl<T> ShardedQueue<T> {
     /// Blocks until at least one item is available (waiting on the own
     /// shard's condvar in `steal_poll` slices, scanning other shards for
     /// steals on each timeout), then coalesces from the own shard until
-    /// `max` items or `max_delay` after the first item. Returns `None`
-    /// only when the queue is closed and every shard is empty — workers
-    /// drain all queued work before exiting.
+    /// `max` items or `max_delay` after the first item. Returns the batch
+    /// with its assembly time, from the first pop to batch close, or
+    /// `None` only when the queue is closed and every shard is empty —
+    /// workers drain all queued work before exiting.
     pub(crate) fn pop_batch(
         &self,
         w: usize,
         max: usize,
         max_delay: Duration,
         steal_poll: Duration,
-    ) -> Option<Vec<T>> {
+    ) -> Option<(Vec<T>, Duration)> {
         let mut batch = self.first_items(w, max, steal_poll)?;
+        let first = Instant::now();
         if batch.len() >= max {
-            return Some(batch);
+            return Some((batch, first.elapsed()));
         }
         // Coalesce: drain the own shard until the deadline or `max`.
-        let deadline = Instant::now() + max_delay;
+        let deadline = first + max_delay;
         loop {
             let mut q = self.lock(w);
             while batch.len() < max {
@@ -145,11 +147,11 @@ impl<T> ShardedQueue<T> {
                 }
             }
             if batch.len() >= max {
-                return Some(batch);
+                return Some((batch, first.elapsed()));
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() || !self.open.load(Ordering::Acquire) {
-                return Some(batch);
+                return Some((batch, first.elapsed()));
             }
             let (qq, _timeout) = self.shards[w]
                 .cv
@@ -286,7 +288,7 @@ mod tests {
         assert!(matches!(q.push(3), Err(PushError::Closed(3))));
         // Both queued items are still handed out, then None.
         let mut seen = Vec::new();
-        while let Some(batch) =
+        while let Some((batch, _)) =
             q.pop_batch(0, 8, Duration::from_millis(1), Duration::from_millis(1))
         {
             seen.extend(batch);
@@ -296,13 +298,25 @@ mod tests {
     }
 
     #[test]
+    fn assembly_time_runs_from_first_pop_to_batch_close() {
+        let q = ShardedQueue::new(1, 8);
+        let delay = Duration::from_millis(5);
+        q.push(1).map_err(|_| ()).unwrap();
+        q.push(2).map_err(|_| ()).unwrap();
+        // A batch full on its first pop closes at once; a lone item waits
+        // out the coalescing deadline.
+        assert!(q.pop_batch(0, 1, delay, delay).unwrap().1 < delay);
+        assert!(q.pop_batch(0, 8, delay, delay).unwrap().1 >= delay);
+    }
+
+    #[test]
     fn idle_worker_steals_from_loaded_shard() {
         let q = Arc::new(ShardedQueue::new(2, 64));
         for i in 0..10 {
             q.push_to(0, i).map_err(|_| ()).unwrap();
         }
         // Worker 1's own shard is empty; it must steal from shard 0.
-        let batch = q
+        let (batch, _) = q
             .pop_batch(1, 4, Duration::from_millis(1), Duration::from_millis(1))
             .expect("steal yields a batch");
         assert!(!batch.is_empty());
@@ -339,7 +353,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(batch) =
+                    while let Some((batch, _)) =
                         q.pop_batch(w, 16, Duration::from_micros(200), Duration::from_millis(1))
                     {
                         got.extend(batch);

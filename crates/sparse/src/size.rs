@@ -94,10 +94,10 @@ impl ModelSize {
                 quant_bits += qt.storage_bits();
                 all_codes.extend_from_slice(qt.codes());
                 if let Some(kind) = block_kind {
-                    // Real packed layout: rows padded to whole 32-value
-                    // blocks, each block carrying its f32 scale — exactly
-                    // what `tensor::quant::QTensor` (and checkpoint v3)
-                    // stores for this weight.
+                    // Stored block layout: rows padded to whole 32-value
+                    // blocks, each block carrying a copy of the f32 scale —
+                    // exactly what checkpoint v3 writes for this weight
+                    // (`QTensor::packed_bytes`).
                     block_bytes += rows * cols.div_ceil(QK) * kind.block_bytes();
                 }
             }

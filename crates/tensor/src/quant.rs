@@ -3,28 +3,21 @@
 //! This module is the storage + execution half of the paper's fixed-point
 //! story. The simulation half (`FakeQuant`, `qformat`) rounds values in
 //! f32 and still pays full dense-float inference; here the rounded codes
-//! are *stored* as integers and *executed* with int8×int8→i32 arithmetic:
+//! are *stored* as integers and *executed* with int8×int8→i32 arithmetic.
 //!
-//! ```text
-//! block layout (one row of a packed weight matrix, QK = 32):
-//!
-//!   Q8: ┌ scale f32 ┐┌ 32 × i8 codes ───────────────┐  = 36 B / 32 values
-//!   Q4: ┌ scale f32 ┐┌ 16 B: lo nibble v[0..16],    │  = 20 B / 32 values
-//!       │           ││       hi nibble v[16..32]    │
-//!       └───────────┘└──────────────────────────────┘
-//! ```
-//!
-//! Codes are the raw two's-complement [`QFormat`] codes (`encode`), and
-//! every block scale is the format's resolution `2^-f`, so
-//! `code × scale` reproduces [`QFormat::decode`] **bit-exactly** — a
-//! packed tensor dequantises to precisely the values the simulated
-//! (`quantize_slice`) path produces. The per-block scale field keeps the
-//! layout compatible with data-dependent block scales (ggml's Q8_0/Q4_0)
-//! should a future format need them.
+//! In memory a packed tensor holds one `i8` per code, each row zero-padded
+//! to whole [`QK`]-value blocks, and one scale: the format's resolution
+//! `2^-f`. Codes are the raw two's-complement [`QFormat`] codes
+//! (`encode`), so `code × resolution` reproduces [`QFormat::decode`]
+//! **bit-exactly** — a packed tensor dequantises to precisely the values
+//! the simulated (`quantize_slice`) path produces. The ggml-style block
+//! layouts (`Q8_0`: 32 code bytes + f32 scale; `Q4_0`: 16 nibble-packed
+//! bytes + f32 scale) exist only on disk, in the checkpoint codec;
+//! [`QuantKind`] names which one a tensor is stored as.
 //!
 //! The GEMM ([`qmatmul`]) quantises f32 activations per row on entry,
-//! accumulates each 32-value block in i32, and fuses dequantisation into
-//! the f32 output accumulator (`acc += block_sum × scale_w × scale_a`).
+//! accumulates integer dot products in i32, and applies the one combined
+//! dequant multiply (`resolution_w × scale_a`) per output.
 //! Dispatch follows the [`crate::simd`] contract: explicit
 //! [`KernelBackend`], AVX2 bodies behind a runtime feature check, scalar
 //! fallback everywhere, `ADVCOMP_KERNEL` honoured by callers passing
@@ -51,12 +44,19 @@ pub const QK: usize = 32;
 /// serial wins until roughly this size.
 const PARALLEL_THRESHOLD: usize = 160 * 160 * 160;
 
-/// Storage class of a packed tensor.
+/// Longest row (flattened `cols`) a packed tensor may have. Every code
+/// product is at most `2^7 · 2^7 = 2^14` in magnitude, so rows of at most
+/// this many values keep the GEMM's whole-row total strictly inside `i32`.
+const MAX_COLS: usize = 131_071;
+
+/// Storage class of a packed tensor: the code width, and the ggml block
+/// layout the checkpoint codec writes it in. In memory both hold one `i8`
+/// per code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantKind {
-    /// 4-bit codes, two per byte (`Q4_0` layout): 20 bytes per block.
+    /// 4-bit codes, stored two per byte (`Q4_0`): 20 bytes per block.
     Q4,
-    /// 8-bit codes, one per byte (`Q8_0` layout): 36 bytes per block.
+    /// 8-bit codes, stored one per byte (`Q8_0`): 36 bytes per block.
     Q8,
 }
 
@@ -80,7 +80,7 @@ impl QuantKind {
         }
     }
 
-    /// Packed code bytes per 32-value block (scale excluded).
+    /// Stored code bytes per 32-value block (scale excluded).
     pub fn payload_bytes(self) -> usize {
         match self {
             QuantKind::Q4 => QK / 2,
@@ -88,7 +88,7 @@ impl QuantKind {
         }
     }
 
-    /// Total bytes per block: payload plus the f32 scale.
+    /// Stored bytes per block: payload plus the f32 scale.
     pub fn block_bytes(self) -> usize {
         4 + self.payload_bytes()
     }
@@ -102,41 +102,43 @@ impl QuantKind {
     }
 }
 
-/// A weight tensor stored as quantised blocks.
+/// A weight tensor stored as fixed-point codes.
 ///
 /// The logical shape is preserved (`[out, in]` for dense weights,
 /// `[oc, ic, kh, kw]` for convolutions); rows are `shape[0]` and every
 /// row's trailing axes are flattened to `cols` — exactly the 2-D view the
 /// GEMM-lowered forward passes consume. Each row is padded independently
-/// to a whole number of blocks with zero codes, so `cols` need not be a
-/// multiple of [`QK`].
+/// to a whole number of [`QK`]-value blocks with zero codes, so `cols`
+/// need not be a multiple of [`QK`]. The tensor's one scale is
+/// `format().resolution()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTensor {
     kind: QuantKind,
     shape: Vec<usize>,
     format: QFormat,
-    /// One scale per block, `rows × blocks_per_row`, row-major.
-    scales: Vec<f32>,
-    /// Packed codes, `rows × blocks_per_row × payload_bytes`, row-major.
-    codes: Vec<u8>,
+    /// One code per value, `rows × blocks_per_row × QK`, row-major.
+    codes: Vec<i8>,
     /// Whether the `maddubs` dot-product kernel is exact for these codes:
-    /// always for Q4 (nibbles decode to [-8, 7]), and for Q8 iff no code
-    /// is -128 — `sign(w, a)` negates `w` for negative activations, and
-    /// `-(-128)` wraps. Cached at construction; see `qgemm_rows`.
+    /// iff no code is -128 — `sign(w, a)` negates `w` for negative
+    /// activations, and `-(-128)` wraps. With `|w| ≤ 127` the i16 pair
+    /// sums stay within `2·128·127 = 32512`, so the saturating add is
+    /// exact for every activation code. Cached at construction; see
+    /// `qgemm_rows`.
     maddubs_safe: bool,
 }
 
 impl QTensor {
-    /// Packs `data` (row-major, logical shape `shape`) into quantised
-    /// blocks using `format`'s round-to-nearest semantics.
+    /// Packs `data` (row-major, logical shape `shape`) into fixed-point
+    /// codes using `format`'s round-to-nearest semantics.
     ///
-    /// Every stored code is exactly `format.encode(value)` and every block
-    /// scale is `format.resolution()`, so [`QTensor::dequantize`] equals
-    /// `format.quantize` applied elementwise, bit for bit.
+    /// Every stored code is exactly `format.encode(value)`, so
+    /// [`QTensor::dequantize`] equals `format.quantize` applied
+    /// elementwise, bit for bit.
     ///
     /// # Errors
     ///
-    /// [`TensorError::Unsupported`] when `format` is wider than 8 bits;
+    /// [`TensorError::Unsupported`] when `format` is wider than 8 bits or
+    /// a row is longer than 131,071 values (the i32 row-total bound);
     /// [`TensorError::LengthMismatch`] when `data` does not fill `shape`;
     /// [`TensorError::Empty`] for an empty shape.
     pub fn quantize(data: &[f32], shape: &[usize], format: QFormat) -> Result<QTensor> {
@@ -147,71 +149,44 @@ impl QTensor {
             ))
         })?;
         let (rows, cols) = split_rows_cols(shape)?;
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::LengthMismatch {
-                expected: rows * cols,
+                expected: rows.saturating_mul(cols),
                 actual: data.len(),
             });
         }
-        let bpr = cols.div_ceil(QK);
-        let scale = format.resolution();
-        let scales = vec![scale; rows * bpr];
-        let mut codes = vec![0u8; rows * bpr * kind.payload_bytes()];
+        let stride = cols.div_ceil(QK) * QK;
         // Padding codes stay zero: they contribute exactly 0 to any dot
-        // product and dequantise to 0.0 (never read back, since dequantize
-        // stops at `cols`).
-        let mut block = [0i8; QK];
-        for r in 0..rows {
-            for b in 0..bpr {
-                let start = b * QK;
-                let len = QK.min(cols - start);
-                block.fill(0);
-                for (l, q) in block.iter_mut().enumerate().take(len) {
-                    *q = format.encode(data[r * cols + start + l]) as i8;
-                }
-                let out = &mut codes[(r * bpr + b) * kind.payload_bytes()..];
-                match kind {
-                    QuantKind::Q8 => {
-                        for (l, &q) in block.iter().enumerate() {
-                            out[l] = q as u8;
-                        }
-                    }
-                    QuantKind::Q4 => {
-                        // ggml Q4_0 layout: byte l = lo nibble value l,
-                        // hi nibble value l + 16.
-                        for l in 0..QK / 2 {
-                            out[l] =
-                                (block[l] as u8 & 0x0F) | ((block[l + QK / 2] as u8 & 0x0F) << 4);
-                        }
-                    }
-                }
+        // product and are never read back (dequantize stops at `cols`).
+        let mut codes = vec![0i8; rows * stride];
+        for (dst, src) in codes.chunks_mut(stride).zip(data.chunks(cols)) {
+            for (q, &v) in dst.iter_mut().zip(src) {
+                *q = format.encode(v) as i8;
             }
         }
-        let maddubs_safe = maddubs_safe(kind, &codes);
         Ok(QTensor {
             kind,
             shape: shape.to_vec(),
             format,
-            scales,
+            maddubs_safe: !codes.contains(&i8::MIN),
             codes,
-            maddubs_safe,
         })
     }
 
-    /// Reassembles a packed tensor from its serialised parts (the
-    /// checkpoint-v3 decode path).
+    /// Reassembles a packed tensor from its parts (the checkpoint-v3
+    /// decode path): one code per value, rows padded to whole blocks.
     ///
     /// # Errors
     ///
-    /// [`TensorError::Unsupported`] when `kind` cannot hold `format`, and
-    /// [`TensorError::LengthMismatch`] when `scales`/`codes` lengths do
-    /// not match the shape's block count.
+    /// [`TensorError::Unsupported`] when `kind` cannot hold `format`, a
+    /// code lies outside `kind`'s range, or a row is longer than 131,071
+    /// values; [`TensorError::LengthMismatch`] when `codes` does not
+    /// match the shape's padded length.
     pub fn from_parts(
         kind: QuantKind,
         shape: Vec<usize>,
         format: QFormat,
-        scales: Vec<f32>,
-        codes: Vec<u8>,
+        codes: Vec<i8>,
     ) -> Result<QTensor> {
         match QuantKind::for_format(format) {
             Some(k) if k.bits() <= kind.bits() => {}
@@ -223,27 +198,29 @@ impl QTensor {
             }
         }
         let (rows, cols) = split_rows_cols(&shape)?;
-        let bpr = cols.div_ceil(QK);
-        if scales.len() != rows * bpr {
+        let expected = rows
+            .checked_mul(cols.div_ceil(QK) * QK)
+            .ok_or_else(|| TensorError::Unsupported(format!("{rows} packed rows overflow")))?;
+        if codes.len() != expected {
             return Err(TensorError::LengthMismatch {
-                expected: rows * bpr,
-                actual: scales.len(),
-            });
-        }
-        if codes.len() != rows * bpr * kind.payload_bytes() {
-            return Err(TensorError::LengthMismatch {
-                expected: rows * bpr * kind.payload_bytes(),
+                expected,
                 actual: codes.len(),
             });
         }
-        let maddubs_safe = maddubs_safe(kind, &codes);
+        // A code wider than `kind` could not be stored in its block layout.
+        let max = i8::MAX >> (8 - kind.bits());
+        if let Some(c) = codes.iter().find(|&&c| c > max || c < -max - 1) {
+            return Err(TensorError::Unsupported(format!(
+                "code {c} does not fit {} blocks",
+                kind.name()
+            )));
+        }
         Ok(QTensor {
             kind,
             shape,
             format,
-            scales,
+            maddubs_safe: !codes.contains(&i8::MIN),
             codes,
-            maddubs_safe,
         })
     }
 
@@ -257,7 +234,8 @@ impl QTensor {
         &self.shape
     }
 
-    /// The fixed-point format the codes were encoded with.
+    /// The fixed-point format the codes were encoded with; its
+    /// `resolution()` is the tensor's scale.
     pub fn format(&self) -> QFormat {
         self.format
     }
@@ -287,129 +265,51 @@ impl QTensor {
         self.len() == 0
     }
 
-    /// Per-block scales, row-major.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// Packed code bytes, row-major.
-    pub fn codes(&self) -> &[u8] {
+    /// The codes, `rows × blocks_per_row × QK`, row-major, each row
+    /// zero-padded to whole blocks.
+    pub fn codes(&self) -> &[i8] {
         &self.codes
     }
 
-    /// Real packed size in bytes: code payload plus block scales. This is
-    /// the number the size-accounting report and the ≤ ⅓-of-f32 checkpoint
-    /// acceptance bound are measured against.
+    /// Stored size in bytes: `rows × blocks_per_row` blocks of
+    /// [`QuantKind::block_bytes`] each, the block layout checkpoint v3
+    /// writes. This is the number the size-accounting report and the
+    /// ≤ ⅓-of-f32 checkpoint acceptance bound are measured against.
     pub fn packed_bytes(&self) -> usize {
-        self.codes.len() + self.scales.len() * 4
-    }
-
-    /// The single scale shared by every block, when uniform (bit-compared).
-    ///
-    /// Tensors packed by [`QTensor::quantize`] always qualify — every block
-    /// stores `format.resolution()`. The GEMM kernels use this to hoist the
-    /// dequant multiply out of the block loop and accumulate raw i32 sums
-    /// across the whole row instead (see `qgemm_rows`).
-    pub fn uniform_scale(&self) -> Option<f32> {
-        let first = *self.scales.first()?;
-        self.scales[1..]
-            .iter()
-            .all(|s| s.to_bits() == first.to_bits())
-            .then_some(first)
+        self.rows() * self.blocks_per_row() * self.kind.block_bytes()
     }
 
     /// The raw code of logical element `(row, col)`.
     pub fn code(&self, row: usize, col: usize) -> i8 {
-        let bpr = self.blocks_per_row();
-        let (b, l) = (col / QK, col % QK);
-        match self.kind {
-            QuantKind::Q8 => self.codes[(row * bpr + b) * QK + l] as i8,
-            QuantKind::Q4 => {
-                let byte = self.codes[(row * bpr + b) * (QK / 2) + (l % (QK / 2))];
-                if l < QK / 2 {
-                    ((byte << 4) as i8) >> 4
-                } else {
-                    (byte as i8) >> 4
-                }
-            }
-        }
-    }
-
-    /// Re-packs a [`QuantKind::Q4`] tensor into [`QuantKind::Q8`] block
-    /// layout: every 4-bit nibble is sign-extended into its own byte. The
-    /// codes, scales and logical shape are untouched, so every dot product
-    /// computed against the widened tensor is integer-identical to one
-    /// against the original — but the per-block nibble unpack leaves the
-    /// GEMM inner loop entirely.
-    ///
-    /// This is the graph compiler's fix for the q4 forward regression: q4
-    /// weights are widened once at plan-compile time (2× the q4 bytes,
-    /// still ~half the q8 checkpoint), and the forward runs the Q8 kernels
-    /// — including `maddubs`, which is always exact for codes in [-8, 7].
-    /// Q8 tensors are returned as a cheap clone.
-    pub fn widen_to_q8(&self) -> QTensor {
-        if self.kind == QuantKind::Q8 {
-            return self.clone();
-        }
-        let half = QK / 2;
-        let blocks = self.scales.len();
-        let mut codes = vec![0u8; blocks * QK];
-        for b in 0..blocks {
-            let src = &self.codes[b * half..(b + 1) * half];
-            let dst = &mut codes[b * QK..(b + 1) * QK];
-            for (l, &byte) in src.iter().enumerate() {
-                dst[l] = (((byte << 4) as i8) >> 4) as u8;
-                dst[l + half] = ((byte as i8) >> 4) as u8;
-            }
-        }
-        QTensor {
-            kind: QuantKind::Q8,
-            shape: self.shape.clone(),
-            format: self.format,
-            scales: self.scales.clone(),
-            // Q4 codes decode to [-8, 7]: never 0x80, so maddubs is exact.
-            maddubs_safe: maddubs_safe(QuantKind::Q8, &codes),
-            codes,
-        }
+        self.codes[row * self.blocks_per_row() * QK + col]
     }
 
     /// Unpacks to row-major f32 values in the logical shape. Bit-exact
     /// with `format.quantize` applied to the original data.
     pub fn dequantize(&self) -> Vec<f32> {
-        let (rows, cols, bpr) = (self.rows(), self.cols(), self.blocks_per_row());
-        let mut out = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let scale = self.scales[r * bpr + c / QK];
-                out.push(self.code(r, c) as f32 * scale);
-            }
-        }
-        out
+        let (cols, scale) = (self.cols(), self.format.resolution());
+        self.codes
+            .chunks(self.blocks_per_row() * QK)
+            .flat_map(|row| row[..cols].iter().map(move |&c| f32::from(c) * scale))
+            .collect()
     }
 }
 
-/// Whether the `maddubs`-based dot kernels are exact for these codes.
-///
-/// `maddubs(|a|, sign(w, a))` computes `a·w` per lane as long as `-w`
-/// never wraps, i.e. no Q8 weight code is -128 (byte `0x80`). With
-/// `|w| ≤ 127` the i16 pair sums are bounded by `2·128·127 = 32512`, so
-/// the saturating add is exact too — for every activation code including
-/// -128 (`|−128|` is 128, valid as the unsigned operand). Q4 codes decode
-/// to [-8, 7] and always qualify.
-fn maddubs_safe(kind: QuantKind, codes: &[u8]) -> bool {
-    match kind {
-        QuantKind::Q4 => true,
-        QuantKind::Q8 => !codes.contains(&0x80),
-    }
-}
-
-/// Splits a logical shape into `(rows, flattened cols)`.
+/// Splits a logical shape into `(rows, flattened cols)`, rejecting empty
+/// shapes and rows longer than [`MAX_COLS`].
 fn split_rows_cols(shape: &[usize]) -> Result<(usize, usize)> {
-    if shape.is_empty() {
+    let Some((&rows, rest)) = shape.split_first() else {
         return Err(TensorError::Empty("quantize"));
-    }
-    let rows = shape[0];
-    let cols: usize = shape[1..].iter().product();
+    };
+    let cols = rest
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .filter(|&c| c <= MAX_COLS)
+        .ok_or_else(|| {
+            TensorError::Unsupported(format!(
+                "packed rows hold at most {MAX_COLS} values, shape {shape:?}"
+            ))
+        })?;
     if rows == 0 || cols == 0 {
         return Err(TensorError::Empty("quantize"));
     }
@@ -428,9 +328,7 @@ pub struct QActivations {
     cols: usize,
     /// i8 codes, `rows × blocks_per_row × QK`, zero-padded per row.
     codes: Vec<i8>,
-    /// The single activation scale `2^-f` (uniform across rows under a
-    /// fixed-point format).
-    scale: f32,
+    /// The activation format; its resolution `2^-f` is the one scale.
     format: QFormat,
 }
 
@@ -454,7 +352,6 @@ impl QActivations {
             rows: 0,
             cols: 0,
             codes: Vec::new(),
-            scale: format.resolution(),
             format,
         })
     }
@@ -498,7 +395,7 @@ impl QActivations {
 
     /// The activation scale (`format.resolution()`).
     pub fn scale(&self) -> f32 {
-        self.scale
+        self.format.resolution()
     }
 
     /// The i8 codes (padded rows).
@@ -525,32 +422,9 @@ pub fn quantize_activations(
     cols: usize,
     format: QFormat,
 ) -> Result<QActivations> {
-    if QuantKind::for_format(format).is_none() {
-        return Err(TensorError::Unsupported(format!(
-            "activation codes for {}-bit {format} do not fit i8",
-            format.total_bits()
-        )));
-    }
-    if data.len() != rows * cols {
-        return Err(TensorError::LengthMismatch {
-            expected: rows * cols,
-            actual: data.len(),
-        });
-    }
-    let bpr = cols.div_ceil(QK);
-    let mut codes = vec![0i8; rows * bpr * QK];
-    for r in 0..rows {
-        let src = &data[r * cols..(r + 1) * cols];
-        let dst = &mut codes[r * bpr * QK..r * bpr * QK + cols];
-        encode_row(backend, src, format, dst);
-    }
-    Ok(QActivations {
-        rows,
-        cols,
-        codes,
-        scale: format.resolution(),
-        format,
-    })
+    let mut out = QActivations::with_format(format)?;
+    quantize_activations_into(backend, data, rows, cols, format, &mut out)?;
+    Ok(out)
 }
 
 /// [`quantize_activations`] into a caller-owned buffer created with
@@ -606,9 +480,11 @@ fn encode_row(backend: KernelBackend, src: &[f32], format: QFormat, dst: &mut [i
     }
 }
 
-/// Int8 GEMM with fused per-block dequantisation:
-/// `out[i, j] = Σ_b (Σ_l a[i, b·32+l] · w[j, b·32+l]) · scale_w[j, b] · scale_a`,
-/// the inner sum in i32 and the outer accumulation in f32.
+/// Int8 GEMM with fused dequantisation:
+/// `out[i, j] = (Σ_l a[i, l] · w[j, l]) · scale_w · scale_a`, where both
+/// scales are their formats' resolutions. The scalar backend sums each
+/// 32-value block in i32 and accumulates blocks in f32; AVX2 sums the
+/// whole row in i32.
 ///
 /// `out` is `[act.rows, w.rows]` row-major; callers add bias and reshape.
 /// Parallelises over output row bands on the global worker pool above the
@@ -669,6 +545,11 @@ pub fn qmatmul_f32(
 }
 
 /// Computes the output rows `row_start..` of the GEMM into `band`.
+///
+/// The weights carry one scale, so the dequant multiply hoists out of the
+/// block loop: the AVX2 kernels accumulate raw i32 sums across the whole
+/// row (inside `i32` by the [`MAX_COLS`] bound) and multiply once per
+/// output.
 fn qgemm_rows(
     backend: KernelBackend,
     act: &QActivations,
@@ -677,87 +558,52 @@ fn qgemm_rows(
     band: &mut [f32],
 ) {
     let n = w.rows();
-    let bpr = w.blocks_per_row();
-    // Uniform-scale fast path: when every block shares one scale (always
-    // true for `QTensor::quantize` output — the scale is the format's
-    // power-of-two resolution), the per-block dequant multiply hoists out
-    // of the kernel entirely and raw i32 sums accumulate across the whole
-    // row. The per-block i32 sum is bounded by 32·2^7·2^7 = 2^19, so the
-    // row total stays inside i32 up to 4096 blocks (k = 131072).
-    let uniform = if bpr <= 4096 {
-        w.uniform_scale().map(|s| s * act.scale)
-    } else {
-        None
-    };
+    let row_len = w.blocks_per_row() * QK;
+    let combined = w.format.resolution() * act.scale();
     for (local, out_row) in band.chunks_mut(n).enumerate() {
         let i = row_start + local;
-        let a_row = &act.codes[i * bpr * QK..(i + 1) * bpr * QK];
+        let a_row = &act.codes[i * row_len..(i + 1) * row_len];
         #[cfg(target_arch = "x86_64")]
         if crate::simd::use_avx2(backend) {
             // SAFETY: use_avx2 verified AVX2 support at runtime.
             unsafe {
-                match (w.kind, uniform) {
-                    (QuantKind::Q8, Some(s)) if w.maddubs_safe => {
-                        avx2::qgemm_row_q8_uniform_maddubs(a_row, s, w, out_row);
-                    }
-                    (QuantKind::Q8, Some(s)) => avx2::qgemm_row_q8_uniform(a_row, s, w, out_row),
-                    (QuantKind::Q4, Some(s)) => avx2::qgemm_row_q4_uniform(a_row, s, w, out_row),
-                    (QuantKind::Q8, None) => avx2::qgemm_row_q8(a_row, act.scale, w, out_row),
-                    (QuantKind::Q4, None) => avx2::qgemm_row_q4(a_row, act.scale, w, out_row),
+                if w.maddubs_safe {
+                    avx2::qgemm_row_q8_uniform_maddubs(a_row, combined, w, out_row);
+                } else {
+                    avx2::qgemm_row_q8_uniform(a_row, combined, w, out_row);
                 }
             }
             continue;
         }
         let _ = backend;
-        scalar_qgemm_row(a_row, act.scale, w, 0, out_row);
+        scalar_qgemm_row(a_row, combined, w, out_row);
     }
 }
 
 /// Scalar reference row kernel (the bit-exact class: per-block i32 sums,
 /// f32 accumulation across blocks — in the exact regime this matches the
-/// simulated dense-f32 forward on quantised values). `out_row[l]`
-/// corresponds to weight row `j0 + l` (the SIMD kernels hand their
-/// sub-4-row tails here).
-fn scalar_qgemm_row(a_row: &[i8], a_scale: f32, w: &QTensor, j0: usize, out_row: &mut [f32]) {
-    let bpr = w.blocks_per_row();
-    for (local, o) in out_row.iter_mut().enumerate() {
-        let j = j0 + local;
-        let scales = &w.scales[j * bpr..(j + 1) * bpr];
+/// simulated dense-f32 forward on quantised values). `out_row[j]` is
+/// weight row `j`.
+fn scalar_qgemm_row(a_row: &[i8], combined_scale: f32, w: &QTensor, out_row: &mut [f32]) {
+    for (o, wrow) in out_row.iter_mut().zip(w.codes.chunks(a_row.len())) {
         let mut acc = 0.0f32;
-        match w.kind {
-            QuantKind::Q8 => {
-                let wrow = &w.codes[j * bpr * QK..(j + 1) * bpr * QK];
-                for b in 0..bpr {
-                    let mut sum = 0i32;
-                    for l in 0..QK {
-                        sum += a_row[b * QK + l] as i32 * (wrow[b * QK + l] as i8) as i32;
-                    }
-                    acc += sum as f32 * (scales[b] * a_scale);
-                }
-            }
-            QuantKind::Q4 => {
-                let half = QK / 2;
-                let wrow = &w.codes[j * bpr * half..(j + 1) * bpr * half];
-                for b in 0..bpr {
-                    let mut sum = 0i32;
-                    for l in 0..half {
-                        let byte = wrow[b * half + l];
-                        let lo = ((byte << 4) as i8 >> 4) as i32;
-                        let hi = (byte as i8 >> 4) as i32;
-                        sum += a_row[b * QK + l] as i32 * lo;
-                        sum += a_row[b * QK + half + l] as i32 * hi;
-                    }
-                    acc += sum as f32 * (scales[b] * a_scale);
-                }
-            }
+        for (a_blk, w_blk) in a_row.chunks(QK).zip(wrow.chunks(QK)) {
+            acc += dot_i8(a_blk, w_blk) as f32 * combined_scale;
         }
         *o = acc;
     }
 }
 
-/// Scalar tail of the uniform-scale Q8 row kernels: whole-row i32 totals
-/// with the single hoisted dequant multiply. `out_row[l]` is weight row
-/// `j0 + l`.
+/// Integer dot product of two code slices.
+fn dot_i8(a: &[i8], w: &[i8]) -> i32 {
+    a.iter()
+        .zip(w)
+        .map(|(&a, &w)| i32::from(a) * i32::from(w))
+        .sum()
+}
+
+/// Scalar tail of the AVX2 row kernels: whole-row i32 totals with the
+/// single hoisted dequant multiply. `out_row[l]` is weight row `j0 + l`.
 #[cfg(target_arch = "x86_64")]
 fn scalar_uniform_tail_q8(
     a_row: &[i8],
@@ -766,44 +612,9 @@ fn scalar_uniform_tail_q8(
     j0: usize,
     out_row: &mut [f32],
 ) {
-    let bpr = w.blocks_per_row();
-    for (local, o) in out_row.iter_mut().enumerate() {
-        let jj = j0 + local;
-        let wrow = &w.codes[jj * bpr * QK..(jj + 1) * bpr * QK];
-        let mut total = 0i32;
-        for (l, &a) in a_row.iter().enumerate() {
-            total += a as i32 * (wrow[l] as i8) as i32;
-        }
-        *o = total as f32 * combined_scale;
-    }
-}
-
-/// Scalar tail of the uniform-scale Q4 row kernel — the nibble-decoding
-/// analogue of [`scalar_uniform_tail_q8`].
-#[cfg(target_arch = "x86_64")]
-fn scalar_uniform_tail_q4(
-    a_row: &[i8],
-    combined_scale: f32,
-    w: &QTensor,
-    j0: usize,
-    out_row: &mut [f32],
-) {
-    let bpr = w.blocks_per_row();
-    let half = QK / 2;
-    for (local, o) in out_row.iter_mut().enumerate() {
-        let jj = j0 + local;
-        let wrow = &w.codes[jj * bpr * half..(jj + 1) * bpr * half];
-        let mut total = 0i32;
-        for b in 0..bpr {
-            for l in 0..half {
-                let byte = wrow[b * half + l];
-                let lo = ((byte << 4) as i8 >> 4) as i32;
-                let hi = (byte as i8 >> 4) as i32;
-                total += a_row[b * QK + l] as i32 * lo;
-                total += a_row[b * QK + half + l] as i32 * hi;
-            }
-        }
-        *o = total as f32 * combined_scale;
+    let rows = w.codes[j0 * a_row.len()..].chunks(a_row.len());
+    for (o, wrow) in out_row.iter_mut().zip(rows) {
+        *o = dot_i8(a_row, wrow) as f32 * combined_scale;
     }
 }
 
@@ -811,9 +622,9 @@ fn scalar_uniform_tail_q4(
 mod avx2 {
     //! AVX2 bodies. Same contracts as `simd::avx2`: callers must have
     //! verified `avx2` support; slices may have any length (tails are
-    //! handled inside). int8×int8 products go through sign-extension to
-    //! i16 and `madd` (16 MACs per instruction) rather than `maddubs`,
-    //! which would need an unsigned operand.
+    //! handled inside). int8×int8 products go through `maddubs` when the
+    //! weights hold no -128 code, otherwise through sign-extension to i16
+    //! and `madd` (16 MACs per instruction).
 
     use super::{QTensor, QK};
     use advcomp_qformat::QFormat;
@@ -872,48 +683,6 @@ mod avx2 {
         _mm256_add_epi32(_mm256_madd_epi16(a0, w0), _mm256_madd_epi16(a1, w1))
     }
 
-    /// Horizontal sum of 8 f32 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_ps(v: __m256) -> f32 {
-        let hi = _mm256_extractf128_ps::<1>(v);
-        let s = _mm_add_ps(_mm256_castps256_ps128(v), hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
-        _mm_cvtss_f32(s)
-    }
-
-    /// One output row of the Q8 GEMM, 4 weight rows per inner pass so the
-    /// widened activation block is reused across rows.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn qgemm_row_q8(a_row: &[i8], a_scale: f32, w: &QTensor, out_row: &mut [f32]) {
-        let bpr = w.blocks_per_row();
-        let n = out_row.len();
-        let codes = w.codes.as_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            for b in 0..bpr {
-                let ap = a_row.as_ptr().add(b * QK).cast::<u8>();
-                let a0 = widen(ap);
-                let a1 = widen(ap.add(16));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let wp = codes.add(((j + r) * bpr + b) * QK);
-                    let sums = block_madd(a0, a1, widen(wp), widen(wp.add(16)));
-                    let s = _mm256_set1_ps(*w.scales.get_unchecked((j + r) * bpr + b) * a_scale);
-                    *accr = _mm256_fmadd_ps(_mm256_cvtepi32_ps(sums), s, *accr);
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out_row[j + r] = hsum_ps(*accr);
-            }
-            j += 4;
-        }
-        if j < n {
-            super::scalar_qgemm_row(a_row, a_scale, w, j, &mut out_row[j..]);
-        }
-    }
-
     /// i32 horizontal sum of 8 lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -924,12 +693,10 @@ mod avx2 {
         _mm_cvtsi128_si32(s)
     }
 
-    /// One output row of the Q8 GEMM under a uniform block scale: raw i32
-    /// sums accumulate across every block and the single dequant multiply
-    /// happens once per output. This removes the per-block scale
-    /// broadcast, int→float conversion and FMA of the general kernel —
-    /// the hot path for `QTensor::quantize`-packed weights, whose blocks
-    /// all carry the format's power-of-two resolution.
+    /// One output row of the int8 GEMM, 4 weight rows per inner pass so
+    /// the widened activation block is reused across rows: raw i32 sums
+    /// accumulate across every block and the single dequant multiply
+    /// happens once per output.
     #[target_feature(enable = "avx2")]
     pub unsafe fn qgemm_row_q8_uniform(
         a_row: &[i8],
@@ -939,7 +706,7 @@ mod avx2 {
     ) {
         let bpr = w.blocks_per_row();
         let n = out_row.len();
-        let codes = w.codes.as_ptr();
+        let codes = w.codes.as_ptr().cast::<u8>();
         let mut j = 0;
         while j + 4 <= n {
             let mut acc = [_mm256_setzero_si256(); 4];
@@ -977,8 +744,8 @@ mod avx2 {
     /// multiply instruction and no port-5 `vpmovsxbw` pressure, the
     /// difference between matching the dense f32 FMA rate and doubling
     /// it. Per lane `maddubs(|a|, sign(w, a)) = |a|·(±w) = a·w`; exact
-    /// only when [`maddubs_safe`](super::maddubs_safe) holds for `w`
-    /// (`qgemm_rows` gates on the cached flag). Eight weight rows per
+    /// only when no weight code is -128 (`qgemm_rows` gates on the
+    /// cached `maddubs_safe` flag). Eight weight rows per
     /// pass share one activation load/abs, and the eight row totals
     /// reduce together through [`hsum4_epi32`].
     #[target_feature(enable = "avx2")]
@@ -1034,130 +801,6 @@ mod avx2 {
             j += 4;
         }
         super::scalar_uniform_tail_q8(a_row, combined_scale, w, j, &mut out_row[j..]);
-    }
-
-    /// Unpacks one 16-byte Q4 payload into two sign-extended i16 vectors
-    /// (values 0..16 and 16..32 of the block).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn unpack_q4(ptr: *const u8) -> (__m256i, __m256i) {
-        let bytes = _mm_loadu_si128(ptr.cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let eight = _mm_set1_epi8(8);
-        // 4-bit two's complement → i8: (nibble ^ 8) - 8.
-        let lo = _mm_sub_epi8(_mm_xor_si128(_mm_and_si128(bytes, mask), eight), eight);
-        let hi = _mm_sub_epi8(
-            _mm_xor_si128(_mm_and_si128(_mm_srli_epi16::<4>(bytes), mask), eight),
-            eight,
-        );
-        (_mm256_cvtepi8_epi16(lo), _mm256_cvtepi8_epi16(hi))
-    }
-
-    /// One output row of the Q4 GEMM under a uniform block scale, via
-    /// `maddubs`. The two's-complement nibble `nib` maps to its code as
-    /// `(nib ^ 8) - 8`, so `m = nib ^ 8` is an *unsigned* value in
-    /// `[0, 15]` with `w = m - 8`: `Σ w·a = Σ m·a - 8·Σa`. `maddubs(m, a)`
-    /// takes `m` as its unsigned operand and the activations signed — no
-    /// negation anywhere, so unlike Q8 this is exact for every code
-    /// (pair sums are bounded by `2·15·128`, far inside i16). The `8·Σa`
-    /// correction costs one scalar pass per activation row, amortised
-    /// over all `n` outputs.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn qgemm_row_q4_uniform(
-        a_row: &[i8],
-        combined_scale: f32,
-        w: &QTensor,
-        out_row: &mut [f32],
-    ) {
-        let bpr = w.blocks_per_row();
-        let half = QK / 2;
-        let n = out_row.len();
-        let codes = w.codes.as_ptr();
-        let ones = _mm256_set1_epi16(1);
-        let mask = _mm_set1_epi8(0x0F);
-        let flip = _mm256_set1_epi8(8);
-        let scale = _mm256_set1_ps(combined_scale);
-        let a_sum8 = _mm256_set1_epi32(8 * a_row.iter().map(|&v| i32::from(v)).sum::<i32>());
-        let row_stride = bpr * half;
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = [_mm256_setzero_si256(); 8];
-            let tile = codes.add(j * row_stride);
-            for b in 0..bpr {
-                let av = _mm256_loadu_si256(a_row.as_ptr().add(b * QK).cast());
-                let wb = tile.add(b * half);
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let bytes = _mm_loadu_si128(wb.add(r * row_stride).cast());
-                    let lo = _mm_and_si128(bytes, mask);
-                    let hi = _mm_and_si128(_mm_srli_epi16::<4>(bytes), mask);
-                    let m = _mm256_xor_si256(_mm256_set_m128i(hi, lo), flip);
-                    let prods = _mm256_maddubs_epi16(m, av);
-                    *accr = _mm256_add_epi32(*accr, _mm256_madd_epi16(prods, ones));
-                }
-            }
-            let lo4 = hsum4_epi32(acc[0], acc[1], acc[2], acc[3]);
-            let hi4 = hsum4_epi32(acc[4], acc[5], acc[6], acc[7]);
-            let sums = _mm256_sub_epi32(_mm256_set_m128i(hi4, lo4), a_sum8);
-            let vals = _mm256_mul_ps(_mm256_cvtepi32_ps(sums), scale);
-            _mm256_storeu_ps(out_row.as_mut_ptr().add(j), vals);
-            j += 8;
-        }
-        while j + 4 <= n {
-            let mut acc = [_mm256_setzero_si256(); 4];
-            let tile = codes.add(j * row_stride);
-            for b in 0..bpr {
-                let av = _mm256_loadu_si256(a_row.as_ptr().add(b * QK).cast());
-                let wb = tile.add(b * half);
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let bytes = _mm_loadu_si128(wb.add(r * row_stride).cast());
-                    let lo = _mm_and_si128(bytes, mask);
-                    let hi = _mm_and_si128(_mm_srli_epi16::<4>(bytes), mask);
-                    let m = _mm256_xor_si256(_mm256_set_m128i(hi, lo), flip);
-                    let prods = _mm256_maddubs_epi16(m, av);
-                    *accr = _mm256_add_epi32(*accr, _mm256_madd_epi16(prods, ones));
-                }
-            }
-            let sums = _mm_sub_epi32(
-                hsum4_epi32(acc[0], acc[1], acc[2], acc[3]),
-                _mm256_castsi256_si128(a_sum8),
-            );
-            let vals = _mm_mul_ps(_mm_cvtepi32_ps(sums), _mm256_castps256_ps128(scale));
-            _mm_storeu_ps(out_row.as_mut_ptr().add(j), vals);
-            j += 4;
-        }
-        super::scalar_uniform_tail_q4(a_row, combined_scale, w, j, &mut out_row[j..]);
-    }
-
-    /// One output row of the Q4 GEMM (weights unpacked from nibbles on the
-    /// fly, fused with the same per-block dequant as Q8).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn qgemm_row_q4(a_row: &[i8], a_scale: f32, w: &QTensor, out_row: &mut [f32]) {
-        let bpr = w.blocks_per_row();
-        let half = QK / 2;
-        let n = out_row.len();
-        let codes = w.codes.as_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            for b in 0..bpr {
-                let ap = a_row.as_ptr().add(b * QK).cast::<u8>();
-                let a0 = widen(ap);
-                let a1 = widen(ap.add(16));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let (w0, w1) = unpack_q4(codes.add(((j + r) * bpr + b) * half));
-                    let sums = block_madd(a0, a1, w0, w1);
-                    let s = _mm256_set1_ps(*w.scales.get_unchecked((j + r) * bpr + b) * a_scale);
-                    *accr = _mm256_fmadd_ps(_mm256_cvtepi32_ps(sums), s, *accr);
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out_row[j + r] = hsum_ps(*accr);
-            }
-            j += 4;
-        }
-        if j < n {
-            super::scalar_qgemm_row(a_row, a_scale, w, j, &mut out_row[j..]);
-        }
     }
 }
 
@@ -1319,60 +962,67 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates_lengths() {
+    fn from_parts_validates_lengths_and_code_range() {
         let qt = QTensor::quantize(&[0.5; 4 * 40], &[4, 40], q8()).unwrap();
-        let rt = QTensor::from_parts(
-            qt.kind(),
-            qt.shape().to_vec(),
-            qt.format(),
-            qt.scales().to_vec(),
-            qt.codes().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rt, qt);
-        assert!(QTensor::from_parts(
-            QuantKind::Q4, // q8 codes do not fit q4 blocks
-            qt.shape().to_vec(),
-            qt.format(),
-            qt.scales().to_vec(),
-            qt.codes().to_vec(),
-        )
-        .is_err());
-        assert!(QTensor::from_parts(
-            qt.kind(),
-            vec![4, 70], // 3 blocks/row: scale + code lengths no longer match
-            qt.format(),
-            qt.scales().to_vec(),
-            qt.codes().to_vec(),
-        )
-        .is_err());
+        let parts = |kind, shape: &[usize]| {
+            QTensor::from_parts(kind, shape.to_vec(), qt.format(), qt.codes().to_vec())
+        };
+        assert_eq!(parts(QuantKind::Q8, &[4, 40]).unwrap(), qt);
+        // q8 codes do not fit q4 blocks.
+        assert!(parts(QuantKind::Q4, &[4, 40]).is_err());
+        // 3 blocks/row: the code length no longer matches.
+        let wrong_len = parts(QuantKind::Q8, &[4, 70]);
+        assert!(matches!(wrong_len, Err(TensorError::LengthMismatch { .. })));
+        // A Q4 tensor's codes must fit a nibble, or the checkpoint codec
+        // could not store them.
+        let mut codes = vec![0i8; 2 * QK];
+        codes[3] = 8;
+        let wide = QTensor::from_parts(QuantKind::Q4, vec![2, 20], q4(), codes);
+        assert!(matches!(wide, Err(TensorError::Unsupported(_))));
     }
 
     #[test]
-    fn widened_q4_is_code_identical_and_maddubs_safe() {
-        let data = values(41, 6 * 77, 2.0); // cols 77: exercises padding
-        let qt = QTensor::quantize(&data, &[6, 77], q4()).unwrap();
-        let wide = qt.widen_to_q8();
-        assert_eq!(wide.kind(), QuantKind::Q8);
-        assert_eq!(wide.shape(), qt.shape());
-        assert_eq!(wide.format(), qt.format());
-        assert_eq!(wide.scales(), qt.scales());
-        assert!(wide.uniform_scale().is_some());
-        for r in 0..6 {
-            for c in 0..77 {
-                assert_eq!(wide.code(r, c), qt.code(r, c), "code ({r},{c})");
-            }
-        }
-        // Same GEMM result, bitwise, on both backends.
-        let a = values(43, 3 * 77, 2.0);
-        for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-            let act = quantize_activations(backend, &a, 3, 77, q4()).unwrap();
-            let mut narrow = vec![0.0f32; 3 * 6];
-            let mut widened = vec![0.0f32; 3 * 6];
-            qmatmul(backend, &act, &qt, &mut narrow).unwrap();
-            qmatmul(backend, &act, &wide, &mut widened).unwrap();
-            for (i, (x, y)) in narrow.iter().zip(&widened).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{backend:?} out[{i}]");
+    fn rows_past_the_i32_row_total_bound_are_unsupported() {
+        let unsupported = |r: Result<QTensor>| matches!(r, Err(TensorError::Unsupported(_)));
+        let cols = 131_073;
+        let data = vec![0.25; 2 * cols];
+        assert!(unsupported(QTensor::quantize(
+            &data[..cols],
+            &[1, cols],
+            q8()
+        )));
+        assert!(unsupported(QTensor::quantize(
+            &data,
+            &[2, 3, cols / 3],
+            q4()
+        )));
+        let padded = vec![0; cols.div_ceil(QK) * QK];
+        assert!(unsupported(QTensor::from_parts(
+            QuantKind::Q8,
+            vec![1, cols],
+            q8(),
+            padded
+        )));
+        // Overflowing shape products are refused, not wrapped.
+        let overflow = vec![1, usize::MAX, 2];
+        assert!(unsupported(QTensor::from_parts(
+            QuantKind::Q8,
+            overflow,
+            q8(),
+            vec![]
+        )));
+        // The longest accepted row at the extreme codes (-128 × -128, and
+        // -128 × -127 for the maddubs kernel): the whole-row i32 total
+        // stays exact on both backends, SIMD tiles and scalar tail alike.
+        let n = 9;
+        for (w_value, product) in [(-2.0f32, 16384.0f64), (-127.0 / 64.0, 16256.0)] {
+            let w = QTensor::quantize(&vec![w_value; n * MAX_COLS], &[n, MAX_COLS], q8()).unwrap();
+            assert_eq!(w.maddubs_safe, w_value > -2.0);
+            let expected = (MAX_COLS as f64 * product / 4096.0) as f32;
+            for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+                let mut out = vec![0.0f32; n];
+                qmatmul_f32(backend, &vec![-2.0; MAX_COLS], 1, q8(), &w, &mut out).unwrap();
+                assert!(out.iter().all(|&o| o == expected), "{backend:?} {out:?}");
             }
         }
     }

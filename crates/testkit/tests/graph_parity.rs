@@ -110,9 +110,8 @@ fn compiled_forward_is_bit_exact_q8_frozen() {
 
 #[test]
 fn compiled_forward_is_bit_exact_q4_frozen() {
-    // Q4 weights are widened to Q8-layout codes at compile time; the
-    // integer sums are computed from identical code values, so parity
-    // stays bit-exact even though the plan runs the Q8 kernel.
+    // Q4 weights hold one byte per code like Q8, and the plan shares the
+    // layer's blocks, so both paths run the same int8 kernel.
     for (name, kind, mut model) in paper_nets(23) {
         let frozen = Quantizer::for_bitwidth(4)
             .unwrap()

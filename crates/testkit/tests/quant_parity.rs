@@ -126,7 +126,7 @@ fn qgemm_f64(act_data: &[f32], m: usize, fmt: QFormat, w: &QTensor) -> Vec<f32> 
                     }
                     block += i64::from(a_row[col]) * i64::from(w.code(j, col));
                 }
-                acc += block as f64 * f64::from(w.scales()[j * bpr + b]) * f64::from(act.scale());
+                acc += block as f64 * f64::from(w.format().resolution()) * f64::from(act.scale());
             }
             out[i * n + j] = acc as f32;
         }
@@ -244,9 +244,18 @@ fn fq_lenet(seed: u64) -> Sequential {
     model
 }
 
+/// `fq_lenet(42)` with its weighted layers frozen (packed) at `bits`.
+fn frozen_fq_lenet(bits: u32) -> Sequential {
+    let mut model = fq_lenet(42);
+    let q = Quantizer::for_bitwidth(bits).unwrap();
+    let frozen = q.quantize_frozen(&mut model).unwrap();
+    assert_eq!(frozen, 3, "conv1, conv2 and fc must freeze");
+    model
+}
+
 /// The acceptance pin: on the scalar backend, the packed integer forward
 /// is **bit-identical** to the simulated FakeQuant/rounded-weight float
-/// forward. Per-block i32 sums scaled by power-of-two block scales stay
+/// forward. Per-block i32 sums scaled by the power-of-two resolutions stay
 /// exactly representable in f32 at these layer sizes, so the two paths
 /// compute the same bits despite different accumulation orders.
 #[test]
@@ -260,10 +269,7 @@ fn packed_forward_is_bit_exact_with_simulated_quantisation() {
         q.quantize(&mut simulated);
         let sim_logits = simulated.forward(&x, Mode::Eval).unwrap();
 
-        let mut packed = fq_lenet(42);
-        let frozen = q.quantize_frozen(&mut packed).unwrap();
-        assert_eq!(frozen, 3, "conv1, conv2 and fc must freeze");
-        let packed_logits = packed.forward(&x, Mode::Eval).unwrap();
+        let packed_logits = frozen_fq_lenet(bits).forward(&x, Mode::Eval).unwrap();
 
         assert_eq!(sim_logits.shape(), packed_logits.shape());
         for (i, (s, p)) in sim_logits
@@ -289,11 +295,7 @@ fn packed_forward_is_bit_exact_with_simulated_quantisation() {
 fn packed_lenet_forward_conforms() {
     advcomp_testkit::pin_kernel("scalar");
     for bits in [8u32, 4] {
-        let mut model = fq_lenet(42);
-        Quantizer::for_bitwidth(bits)
-            .unwrap()
-            .quantize_frozen(&mut model)
-            .unwrap();
+        let mut model = frozen_fq_lenet(bits);
         let x = fixtures::image_batch(7, 4);
         let logits = model.forward(&x, Mode::Eval).unwrap();
         let packed: Vec<(String, Json)> = model
@@ -327,30 +329,20 @@ fn packed_lenet_forward_conforms() {
 /// golden numbers compare as f32, which cannot hold every 32-bit value.
 #[test]
 fn packed_lenet_checkpoint_conforms() {
-    let entries: Vec<(String, Json)> = [4u32, 8]
-        .iter()
-        .map(|&bits| {
-            let mut model = fq_lenet(42);
-            Quantizer::for_bitwidth(bits)
-                .unwrap()
-                .quantize_frozen(&mut model)
-                .unwrap();
-            let bytes = Checkpoint::capture(&model).to_bytes();
-            (
-                format!("q{bits}"),
-                Json::Obj(vec![
-                    ("bytes".into(), Json::from_usize(bytes.len())),
-                    (
-                        "body_crc32".into(),
-                        Json::Str(format!("{:08x}", crc32(&bytes[..bytes.len() - 4]))),
-                    ),
-                ]),
-            )
-        })
-        .collect();
+    let entry = |bits: u32| {
+        let bytes = Checkpoint::capture(&frozen_fq_lenet(bits)).to_bytes();
+        let body_crc = crc32(&bytes[..bytes.len() - 4]);
+        Json::Obj(vec![
+            ("bytes".into(), Json::from_usize(bytes.len())),
+            ("body_crc32".into(), Json::Str(format!("{body_crc:08x}"))),
+        ])
+    };
     let doc = Json::Obj(vec![
         ("model_seed".into(), Json::from_usize(42)),
-        ("checkpoints".into(), Json::Obj(entries)),
+        (
+            "checkpoints".into(),
+            Json::Obj(vec![("q4".into(), entry(4)), ("q8".into(), entry(8))]),
+        ),
     ]);
     golden::check_or_regen("lenet_packed_checkpoint", &doc).unwrap();
 }

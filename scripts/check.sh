@@ -49,11 +49,12 @@ for kernel in scalar simd; do
 done
 echo "kernel parity: scalar and simd agree"
 
-# Quantised-execution parity: packed Q8/Q4 storage must round-trip the
-# QFormat grid bit-exactly, the fused int8 GEMM and frozen conv must sit
-# within 1e-5 relative L2 of an f64 reference, and the packed LeNet
-# forward must be bit-identical to the simulated FakeQuant forward on the
-# scalar backend. Run under both dispatch values like kernel_parity.
+# Quantised-execution parity: packed 4- and 8-bit codes (one byte each,
+# one scale per tensor) must round-trip the QFormat grid bit-exactly, the
+# fused int8 GEMM and frozen conv must sit within 1e-5 relative L2 of an
+# f64 reference, and the packed LeNet forward must be bit-identical to
+# the simulated FakeQuant forward on the scalar backend. Run under both
+# dispatch values like kernel_parity.
 for kernel in scalar simd; do
     ADVCOMP_KERNEL="$kernel" \
         cargo test -q -p advcomp-testkit --test quant_parity >/dev/null
@@ -62,17 +63,25 @@ echo "quant parity: packed storage and int8 kernels agree"
 
 # Graph-compiler parity: the compiled ExecPlan forward — the only eval
 # forward — must be per-logit bit-identical to Sequential::forward for
-# both paper nets at f32, q8-frozen, q4-frozen and DNS-pruned
-# (scalar-vs-SIMD plans additionally compared under the 1e-5 relative-L2
-# gate), the Dense+ReLU fusion must fire on its pattern, a ReLU after a
-# non-GEMM layer must stay bit-exact as a standalone step, and the static
-# memory plan must never alias simultaneously live buffers under any
+# both paper nets at f32, q8-frozen, q4-frozen (plan and layer share the
+# same packed codes and int8 kernels) and DNS-pruned (scalar-vs-SIMD
+# plans additionally compared under the 1e-5 relative-L2 gate), the
+# Dense+ReLU fusion must fire on its pattern, a ReLU after a non-GEMM
+# layer must stay bit-exact as a standalone step, and the static memory
+# plan must never alias simultaneously live buffers under any
 # topological order. Run under both dispatch values like kernel_parity.
 for kernel in scalar simd; do
     ADVCOMP_KERNEL="$kernel" \
         cargo test -q -p advcomp-testkit --test graph_parity >/dev/null
 done
 echo "graph parity: compiled plans bit-identical to Sequential"
+
+# Paper-claim verdicts: `summary` reads the committed results/ CSVs (no
+# retraining, seconds) and exits 1 when any claim's verdict is ✗ — Figure
+# 6's included, which checks that 4-bit weights lie on the Q1.3 grid and
+# carry more zero mass than 16-bit weights.
+cargo run -q --locked -p advcomp-bench --bin summary
+echo "summary: every paper-claim verdict holds over results/"
 
 # Benchmark smoke: advbench is a separate package, so the workspace suite
 # does not run its tests. Its traced sweep smoke checks that run_point's
