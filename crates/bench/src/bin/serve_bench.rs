@@ -58,7 +58,6 @@ fn start_server(workers: usize) -> (Server, Engine) {
             max_delay: Duration::from_millis(MAX_DELAY_MS),
             queue_depth: QUEUE_DEPTH,
             guard: Some(GuardConfig { threshold: 0.5 }),
-            ..ServeConfig::default()
         },
     )
     .expect("engine");

@@ -21,7 +21,12 @@ use advcomp_core::resilience::RetryPolicy;
 use advcomp_core::sweep::{MatrixRun, PointFailure, RunConfig, TransferMatrix};
 use advcomp_core::ExperimentScale;
 use serde::Serialize;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
+
+/// Command-line synopsis shared by the exhibit binaries.
+const USAGE: &str = "usage: <exhibit> [--scale tiny|quick|paper] [--results <dir>] \
+                     [--run-dir <dir>] [--dist <workers>] [exhibit flags]";
 
 /// Parsed command-line options shared by all exhibit binaries.
 #[derive(Debug, Clone)]
@@ -35,39 +40,52 @@ pub struct ExhibitOptions {
     /// Checkpoint/resume journal directory (`--run-dir`); sweep exhibits
     /// persist each completed point here and skip it on re-runs.
     pub run_dir: Option<PathBuf>,
+    /// Worker count from `--dist N`; `None` runs single-process.
+    pub dist_workers: Option<usize>,
     /// Extra flags (exhibit-specific, e.g. `--weights-only`).
     pub flags: Vec<String>,
 }
 
 impl ExhibitOptions {
-    /// Parses `--scale tiny|quick|paper` (default: env `ADVCOMP_SCALE`,
-    /// then `quick`), `--results <dir>`, `--run-dir <dir>` and collects
-    /// remaining flags.
+    /// Parses the process arguments with [`ExhibitOptions::parse`]. On a
+    /// bad argument it prints the error and the usage and exits with
+    /// status 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `--scale tiny|quick|paper` (default: env `ADVCOMP_SCALE`,
+    /// then `quick`), `--results <dir>`, `--run-dir <dir>` and
+    /// `--dist <workers>`, and collects the remaining flags. An unknown
+    /// scale name warns on stderr and falls back to `quick`.
+    ///
+    /// # Errors
+    ///
+    /// A value flag at the end of `args`, a value that starts with `--`,
+    /// or a `--dist` that is not a positive integer.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut scale_name = std::env::var("ADVCOMP_SCALE").unwrap_or_else(|_| "quick".into());
         let mut results_dir = PathBuf::from("results");
         let mut run_dir = None;
+        let mut dist_workers = None;
         let mut flags = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--scale" => {
-                    if let Some(v) = it.next() {
-                        scale_name = v;
-                    }
+                "--scale" => scale_name = flag_value(&arg, &mut it)?,
+                "--results" => results_dir = PathBuf::from(flag_value(&arg, &mut it)?),
+                "--run-dir" => run_dir = Some(PathBuf::from(flag_value(&arg, &mut it)?)),
+                "--dist" => {
+                    let v = flag_value(&arg, &mut it)?;
+                    let n: NonZeroUsize = v.parse().map_err(|_| {
+                        format!("--dist expects a positive worker count, got {v:?}")
+                    })?;
+                    dist_workers = Some(n.get());
                 }
-                "--results" => {
-                    if let Some(v) = it.next() {
-                        results_dir = PathBuf::from(v);
-                    }
-                }
-                "--run-dir" => {
-                    if let Some(v) = it.next() {
-                        run_dir = Some(PathBuf::from(v));
-                    }
-                }
-                other => flags.push(other.to_string()),
+                _ => flags.push(arg),
             }
         }
         let scale = match scale_name.as_str() {
@@ -83,13 +101,14 @@ impl ExhibitOptions {
                 ExperimentScale::quick()
             }
         };
-        ExhibitOptions {
+        Ok(ExhibitOptions {
             scale,
             scale_name,
             results_dir,
             run_dir,
+            dist_workers,
             flags,
-        }
+        })
     }
 
     /// `true` when `flag` was passed on the command line.
@@ -97,26 +116,18 @@ impl ExhibitOptions {
         self.flags.iter().any(|f| f == flag)
     }
 
-    /// The value following `flag` (e.g. `--dist 3`), if both are present.
-    pub fn flag_value(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .position(|f| f == flag)
-            .and_then(|i| self.flags.get(i + 1))
-            .map(String::as_str)
-    }
-
-    /// Worker count from `--dist N`; `None` when absent or unparseable
-    /// (single-process execution).
-    pub fn dist_workers(&self) -> Option<usize> {
-        self.flag_value("--dist")
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-    }
-
     /// Path for an exhibit's CSV output.
     pub fn csv_path(&self, name: &str) -> PathBuf {
         self.results_dir.join(format!("{name}.csv"))
+    }
+}
+
+/// The value that must follow `flag`: present, and not itself a flag.
+fn flag_value(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    match it.next() {
+        Some(v) if !v.starts_with("--") => Ok(v),
+        Some(v) => Err(format!("{flag} expects a value, got the flag {v}")),
+        None => Err(format!("{flag} expects a value")),
     }
 }
 
@@ -136,7 +147,7 @@ pub fn run_matrix(
     matrix: &TransferMatrix,
     opts: &ExhibitOptions,
 ) -> advcomp_core::Result<MatrixRun> {
-    let run = if let Some(workers) = opts.dist_workers() {
+    let run = if let Some(workers) = opts.dist_workers {
         // `--dist N`: run the same matrix through the lease-based
         // coordinator with N local worker threads. The journal is the
         // idempotency story, so a run directory is mandatory here.
@@ -286,10 +297,60 @@ mod tests {
             scale_name: "tiny".into(),
             results_dir: PathBuf::from("/tmp/r"),
             run_dir: None,
+            dist_workers: None,
             flags: vec!["--weights-only".into()],
         };
         assert_eq!(opts.csv_path("fig2"), PathBuf::from("/tmp/r/fig2.csv"));
         assert!(opts.has_flag("--weights-only"));
         assert!(!opts.has_flag("--nope"));
+    }
+
+    fn parse(args: &[&str]) -> Result<ExhibitOptions, String> {
+        ExhibitOptions::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parses_every_option() {
+        let opts = parse(&[
+            "--scale",
+            "tiny",
+            "--results",
+            "/tmp/r",
+            "--run-dir",
+            "/tmp/j",
+            "--dist",
+            "3",
+            "--one-shot",
+        ])
+        .unwrap();
+        assert_eq!(opts.scale_name, "tiny");
+        assert_eq!(opts.results_dir, PathBuf::from("/tmp/r"));
+        assert_eq!(opts.run_dir, Some(PathBuf::from("/tmp/j")));
+        assert_eq!(opts.dist_workers, Some(3));
+        assert_eq!(opts.flags, vec!["--one-shot".to_string()]);
+    }
+
+    #[test]
+    fn value_flag_without_a_value_is_an_error() {
+        for flag in ["--scale", "--results", "--run-dir", "--dist"] {
+            let err = parse(&["--scale", "tiny", flag]).unwrap_err();
+            assert!(err.contains("expects a value"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn value_flag_does_not_swallow_the_next_flag() {
+        for flag in ["--scale", "--results", "--run-dir", "--dist"] {
+            let err = parse(&[flag, "--results", "/tmp/x"]).unwrap_err();
+            assert!(err.contains("got the flag --results"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn dist_must_be_a_positive_integer() {
+        for bad in ["0", "x", "-1", "2.5"] {
+            let err = parse(&["--dist", bad]).unwrap_err();
+            assert!(err.contains("positive worker count"), "{bad}: {err}");
+        }
     }
 }

@@ -39,7 +39,7 @@ mod trainer;
 pub use compression::Compression;
 pub use error::CoreError;
 pub use resilience::{HealthPolicy, RetryPolicy, TrainHealth};
-pub use runner::{run_parallel, run_supervised, JobFailure};
+pub use runner::{run_supervised, JobFailure};
 pub use scale::ExperimentScale;
 pub use trainer::{evaluate_model, TaskSetup, TrainedModel};
 

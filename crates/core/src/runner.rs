@@ -1,63 +1,17 @@
 //! Bounded parallel execution of independent experiment jobs.
 //!
-//! Two execution modes share the same worker-pool shape:
-//!
-//! * [`run_parallel`] — fail fast. A panicking job propagates out of the
-//!   scope and aborts everything; right for tests and short diagnostics
-//!   where an experiment bug should never be silently dropped.
-//! * [`run_supervised`] — degrade gracefully. Each job runs under
-//!   `catch_unwind` with a retry budget; a job that keeps failing becomes a
-//!   [`JobFailure`] in its slot while every other slot still completes.
-//!   This is what sweeps use: one bad point on a Figure 2 curve must not
-//!   discard the hours of work behind the other points.
+//! [`run_supervised`] is the one job runner: it degrades gracefully. Each
+//! job runs under `catch_unwind` with a retry budget; a job that keeps
+//! failing becomes a [`JobFailure`] in its slot while every other slot
+//! still completes. One bad point on a Figure 2 curve must not discard
+//! the hours of work behind the other points. A caller that wants fail
+//! fast passes [`RetryPolicy::none`] and turns the first failed slot into
+//! an error.
 
 use crate::resilience::RetryPolicy;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Runs `jobs` across at most `max_workers` threads, preserving result
-/// order. Each sweep point in Figures 2 and 5 is an independent
-/// train-compress-attack pipeline, so this is embarrassingly parallel; the
-/// worker cap keeps the matmul threads from oversubscribing the machine.
-///
-/// A job that panics poisons nothing: its slot is reported via the panic
-/// propagating out of the scope (fail fast — an experiment bug should never
-/// be silently dropped).
-pub fn run_parallel<T, F>(jobs: Vec<F>, max_workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = max_workers.max(1).min(n);
-    if workers == 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queue: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = queue[i].lock().take().expect("each job taken once");
-                *slots[i].lock() = Some(job());
-            });
-        }
-    })
-    .expect("experiment worker panicked");
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every slot filled"))
-        .collect()
-}
 
 /// Terminal failure of one supervised job: what went wrong on the last
 /// attempt, and how many attempts were spent.
@@ -123,13 +77,15 @@ where
 /// success, the recorded [`JobFailure`] otherwise.
 pub type SupervisedSlot<T> = Result<(T, u32), JobFailure>;
 
-/// Supervised variant of [`run_parallel`]: runs `jobs` across at most
-/// `max_workers` threads, preserving slot order, catching per-job panics
-/// and retrying failures up to `retry.max_attempts` with exponential
-/// backoff. A successful slot carries `(value, attempts_used)`; a job that
-/// exhausts its budget yields `Err(JobFailure)` in its slot while every
-/// other job still runs to completion — a sweep degrades to partial
-/// results instead of dying.
+/// Runs `jobs` across at most `max_workers` threads, preserving slot
+/// order, catching per-job panics and retrying failures up to
+/// `retry.max_attempts` with exponential backoff. Each sweep point in
+/// Figures 2 and 5 is an independent train-compress-attack pipeline, so
+/// this is embarrassingly parallel; the worker cap keeps the matmul
+/// threads from oversubscribing the machine. A successful slot carries
+/// `(value, attempts_used)`; a job that exhausts its budget yields
+/// `Err(JobFailure)` in its slot while every other job still runs to
+/// completion — a sweep degrades to partial results instead of dying.
 ///
 /// Jobs are `Fn` (not `FnOnce`) because a retry re-invokes the same
 /// closure; sweep jobs are pure functions of their captured configuration,
@@ -177,40 +133,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_order() {
-        let jobs: Vec<_> = (0..20).map(|i| move || i * 2).collect();
-        let out = run_parallel(jobs, 4);
-        assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let out: Vec<i32> = run_parallel(Vec::<fn() -> i32>::new(), 4);
-        assert!(out.is_empty());
-        let out = run_parallel(vec![|| 7], 4);
-        assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn serial_path_when_one_worker() {
-        let jobs: Vec<_> = (0..5).map(|i| move || i).collect();
-        assert_eq!(run_parallel(jobs, 1), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn actually_parallel() {
         use std::time::{Duration, Instant};
         let jobs: Vec<_> = (0..4)
             .map(|_| {
                 || {
                     std::thread::sleep(Duration::from_millis(50));
-                    1
+                    Ok(1)
                 }
             })
             .collect();
         let start = Instant::now();
-        let out = run_parallel(jobs, 4);
-        assert_eq!(out.iter().sum::<i32>(), 4);
+        let out = run_supervised(jobs, 4, &RetryPolicy::none());
+        assert_eq!(out.iter().map(|r| r.as_ref().unwrap().0).sum::<i32>(), 4);
         assert!(
             start.elapsed() < Duration::from_millis(180),
             "jobs appear to have run serially"

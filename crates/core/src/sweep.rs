@@ -3,7 +3,7 @@
 use crate::compression::Compression;
 use crate::journal::{point_key, Journal, PointRecord, PointStatus};
 use crate::resilience::RetryPolicy;
-use crate::runner::{run_parallel, run_supervised};
+use crate::runner::run_supervised;
 use crate::scale::ExperimentScale;
 use crate::trainer::{evaluate_planned, TaskSetup, TrainedModel};
 use crate::{CoreError, Result};
@@ -759,11 +759,13 @@ pub struct EpsilonPoint {
 }
 
 /// Runs the Figure 3 grid: the white-box attack on `trained` for every
-/// (ε, iterations) combination.
+/// (ε, iterations) combination. The points run as [`run_supervised`] jobs
+/// without retries.
 ///
 /// # Errors
 ///
-/// Propagates attack errors; rejects empty grids and non-FGM attacks.
+/// Rejects empty grids and non-FGM attacks; the first point that fails
+/// or panics is returned as [`CoreError::Job`].
 pub fn epsilon_grid(
     trained: &TrainedModel,
     setup: &TaskSetup,
@@ -784,12 +786,14 @@ pub fn epsilon_grid(
     }
     let eval_n = scale.attack_eval.min(setup.test.len()).max(1);
     let (x, y) = setup.test.slice(0, eval_n)?;
-    let jobs: Vec<_> = epsilons
+    let grid: Vec<(f32, usize)> = epsilons
         .iter()
         .flat_map(|&eps| iterations.iter().map(move |&it| (eps, it)))
-        .map(|(eps, it)| {
-            let x = x.clone();
-            let y = y.clone();
+        .collect();
+    let (x, y) = (&x, &y);
+    let jobs: Vec<_> = grid
+        .iter()
+        .map(|&(eps, it)| {
             move || -> Result<EpsilonPoint> {
                 let attack_obj: Box<dyn advcomp_attacks::Attack> = match attack {
                     AttackKind::Ifgsm => {
@@ -801,8 +805,8 @@ pub fn epsilon_grid(
                     AttackKind::DeepFool => unreachable!("rejected above"),
                 };
                 let mut model = trained.instantiate()?;
-                let adv = attack_obj.generate(&mut model, &x, &y)?;
-                let acc = PlannedEval::compile(&model, &x.shape()[1..])?.accuracy(&adv, &y)?;
+                let adv = attack_obj.generate(&mut model, x, y)?;
+                let acc = PlannedEval::compile(&model, &x.shape()[1..])?.accuracy(&adv, y)?;
                 Ok(EpsilonPoint {
                     epsilon: eps,
                     iterations: it,
@@ -811,12 +815,15 @@ pub fn epsilon_grid(
             }
         })
         .collect();
-    let outcomes = run_parallel(jobs, scale.workers());
-    let mut points = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        points.push(o?);
-    }
-    Ok(points)
+    run_supervised(jobs, scale.workers(), &RetryPolicy::none())
+        .into_iter()
+        .zip(&grid)
+        .map(|(slot, (eps, it))| {
+            slot.map(|(point, _)| point).map_err(|f| {
+                CoreError::Job(format!("epsilon point eps={eps} iterations={it}: {f}"))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -70,7 +70,6 @@ fn run() -> Result<(), String> {
             max_delay: Duration::from_millis(2),
             queue_depth: 64,
             guard: Some(GuardConfig { threshold: 0.5 }),
-            ..ServeConfig::default()
         },
     )
     .map_err(err("engine"))?;

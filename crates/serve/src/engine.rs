@@ -1,33 +1,34 @@
-//! The serving engine: sharded batch queues, work-stealing worker pool,
-//! hot-swappable models, and the compression-ensemble adversarial guard.
+//! The serving engine: one bounded batch queue, a worker pool that pops
+//! from it, hot-swappable models, and the compression-ensemble
+//! adversarial guard.
 //!
 //! # Dataflow
 //!
 //! ```text
-//! submit()/submit_async() --push--> [shard 0] --pop--> worker 0
-//!    | round-robin, spill on full   [shard 1] --pop--> worker 1   steal on
-//!    | (all full => Overloaded)        ...                ...     imbalance
-//!    |                              [shard N] --pop--> worker N
-//!    |                                                    |
-//!    |<--------------- completion channel ----------------| coalesce to
-//!         (token routes the reply; a drop-guard             max_batch or
-//!          turns a lost job into WorkerLost, never           max_delay, then
-//!          a hang)                                           batched forward
+//! submit()/submit_async()
+//!    |
+//!    |--push--> [ one bounded FIFO:    ] --pop_batch--> worker 0 .. worker N-1
+//!    |          [ workers * queue_depth ]               | coalesce to max_batch
+//!    | (full => Overloaded)                             | or max_delay, then one
+//!    |                                                  | batched forward
+//!    |<----------------- completion channel ------------|
+//!         (token routes the reply; a drop-guard turns a lost
+//!          job into WorkerLost, never a hang)
 //! ```
 //!
-//! Each worker owns one shard and private clones of the registry's
-//! compiled [`ExecPlan`]s, so forwards never share an activation arena.
-//! Every forward runs a plan: the registry compiles each model when it is
-//! registered or swapped and rejects one that does not lower, so there is
-//! no other path to fall back to. An idle worker steals a chunk of queued
-//! jobs from the most loaded shard, so a stalled worker never strands
-//! requests. Before each batch the worker compares the registry's swap
+//! Every worker pops from the same queue and owns private clones of the
+//! registry's compiled [`ExecPlan`]s, so forwards never share an
+//! activation arena. Every forward runs a plan: the registry compiles each
+//! model when it is registered or swapped and rejects one that does not
+//! lower, so there is no other path to fall back to. A stalled worker
+//! holds only the batch it popped; queued requests go to whichever worker
+//! pops next. Before each batch the worker compares the registry's swap
 //! generation with its cached one and re-clones the plans on change: a
 //! hot model swap lands between batches, without draining in-flight work.
 //!
 //! # Completion contract
 //!
-//! Every job accepted into a shard produces **exactly one** completion:
+//! Every job accepted into the queue produces **exactly one** completion:
 //! the worker answers it, or — if a worker panics and the job is dropped —
 //! the job's completion guard reports [`ServeError::WorkerLost`] on drop.
 //! Callers (the blocking [`Engine::submit`] and the event-loop server)
@@ -53,8 +54,8 @@
 //! metrics snapshot reports the verdicts as calibrated.
 
 use crate::metrics::GuardDeployment;
+use crate::queue::{BatchQueue, PushError};
 use crate::registry::{ModelRegistry, ModelSet, RegistryHandle};
-use crate::shard::{PushError, ShardedQueue};
 use crate::{ServeError, ServeMetrics};
 use advcomp_detect::{detector_by_name, Detector, DisagreementDetector};
 use advcomp_graph::ExecPlan;
@@ -84,22 +85,17 @@ impl Default for GuardConfig {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of worker threads; also the number of queue shards (each
-    /// worker drains its own shard and steals from the others).
+    /// Number of worker threads; every one pops from the same queue.
     pub workers: usize,
     /// Maximum requests coalesced into one forward pass.
     pub max_batch: usize,
     /// Maximum time a worker waits for the batch to fill after the first
     /// request arrives.
     pub max_delay: Duration,
-    /// Bounded depth of **each** shard; when every shard is full a submit
-    /// is rejected with [`ServeError::Overloaded`]. Total queue capacity
-    /// is therefore `workers * queue_depth`.
+    /// Per-worker share of the queue; the one queue holds
+    /// `workers * queue_depth` requests, and a submit to a full queue is
+    /// rejected with [`ServeError::Overloaded`].
     pub queue_depth: usize,
-    /// How long an idle worker parks before scanning other shards for
-    /// work to steal. Lower values drain a stalled shard faster at the
-    /// cost of more wakeups.
-    pub steal_poll: Duration,
     /// Enables the compression-ensemble adversarial guard.
     pub guard: Option<GuardConfig>,
 }
@@ -111,7 +107,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             max_delay: Duration::from_millis(2),
             queue_depth: 64,
-            steal_poll: Duration::from_millis(1),
             guard: Some(GuardConfig::default()),
         }
     }
@@ -128,8 +123,11 @@ impl ServeConfig {
         if self.queue_depth == 0 {
             return Err(ServeError::Config("queue_depth must be >= 1".into()));
         }
-        if self.steal_poll.is_zero() {
-            return Err(ServeError::Config("steal_poll must be > 0".into()));
+        if self.workers.checked_mul(self.queue_depth).is_none() {
+            return Err(ServeError::Config(format!(
+                "workers * queue_depth ({} * {}) overflows the queue capacity",
+                self.workers, self.queue_depth
+            )));
         }
         if let Some(g) = &self.guard {
             if !(g.threshold > 0.0 && g.threshold <= 1.0) {
@@ -227,8 +225,8 @@ struct WorkJob {
 
 enum Job {
     Work(WorkJob),
-    /// Test hook: puts the receiving worker to sleep, simulating a stall
-    /// so the steal path can be exercised deterministically.
+    /// Test hook: puts the worker that pops it to sleep, simulating a
+    /// stalled worker.
     Stall(Duration),
 }
 
@@ -247,7 +245,7 @@ struct Shared {
     input_shape: Vec<usize>,
     config: ServeConfig,
     guard: Option<GuardRuntime>,
-    queue: ShardedQueue<Job>,
+    queue: BatchQueue<Job>,
     registry: RegistryHandle,
 }
 
@@ -297,7 +295,7 @@ impl Engine {
             metrics: ServeMetrics::with_model_names(registry.names()),
             sample_len: registry.sample_len(),
             input_shape: registry.input_shape().to_vec(),
-            queue: ShardedQueue::new(config.workers, config.queue_depth),
+            queue: BatchQueue::new(config.workers * config.queue_depth),
             registry: handle,
             guard,
             config,
@@ -317,7 +315,7 @@ impl Engine {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{idx}"))
-                    .spawn(move || worker_loop(idx, planned, generation, shared))
+                    .spawn(move || worker_loop(planned, generation, shared))
                     .map_err(ServeError::Io)?,
             );
         }
@@ -347,14 +345,10 @@ impl Engine {
         Ok(())
     }
 
-    fn enqueue(&self, job: WorkJob, shard: Option<usize>) -> Result<(), ServeError> {
+    fn enqueue(&self, job: WorkJob) -> Result<(), ServeError> {
         let m = &self.shared.metrics;
-        let pushed = match shard {
-            Some(s) => self.shared.queue.push_to(s, Job::Work(job)).map(|()| s),
-            None => self.shared.queue.push(Job::Work(job)),
-        };
-        match pushed {
-            Ok(_) => {
+        match self.shared.queue.push(Job::Work(job)) {
+            Ok(()) => {
                 m.accepted.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
@@ -381,12 +375,12 @@ impl Engine {
     /// # Errors
     ///
     /// * [`ServeError::BadRequest`] — wrong input length.
-    /// * [`ServeError::Overloaded`] — every shard full; retry later.
+    /// * [`ServeError::Overloaded`] — the queue is full; retry later.
     /// * [`ServeError::ShuttingDown`] — engine stopped.
     /// * [`ServeError::WorkerLost`] / [`ServeError::Nn`] — worker-side
     ///   failures.
     pub fn submit(&self, input: Vec<f32>, want_probs: bool) -> Result<Prediction, ServeError> {
-        self.submit_keyed(input, want_probs, None, None)
+        self.submit_tagged(input, want_probs, None)
     }
 
     /// Like [`Engine::submit`] but tags the request as evaluation traffic
@@ -404,30 +398,6 @@ impl Engine {
         want_probs: bool,
         attack: Option<String>,
     ) -> Result<Prediction, ServeError> {
-        self.submit_keyed(input, want_probs, None, attack)
-    }
-
-    /// Like [`Engine::submit`] but pins the request to shard
-    /// `key % workers` instead of round-robin placement, with no spill to
-    /// other shards. Gives tests a deterministic target and callers an
-    /// affinity knob; a pinned request on a stalled shard is still served
-    /// via work stealing.
-    pub fn submit_with_key(
-        &self,
-        input: Vec<f32>,
-        want_probs: bool,
-        key: usize,
-    ) -> Result<Prediction, ServeError> {
-        self.submit_keyed(input, want_probs, Some(key), None)
-    }
-
-    fn submit_keyed(
-        &self,
-        input: Vec<f32>,
-        want_probs: bool,
-        key: Option<usize>,
-        attack: Option<String>,
-    ) -> Result<Prediction, ServeError> {
         self.validate_input(&input)?;
         let (tx, rx) = mpsc::channel();
         let job = WorkJob {
@@ -442,7 +412,7 @@ impl Engine {
                 sent: false,
             },
         };
-        self.enqueue(job, key)?;
+        self.enqueue(job)?;
         match rx.recv() {
             // Failure accounting happens on the worker side (run_batch /
             // the panic path), so errors are not double-counted here.
@@ -503,20 +473,20 @@ impl Engine {
                 sent: false,
             },
         };
-        self.enqueue(job, None)
+        self.enqueue(job)
     }
 
-    /// Test hook: makes worker `shard % workers` sleep for `d` the next
-    /// time it picks up work, simulating a stalled worker so steal-path
-    /// tests are deterministic. Not part of the serving API.
+    /// Test hook: queues a job that makes whichever worker pops it next
+    /// sleep for `d`, simulating a stalled worker. Not part of the serving
+    /// API.
     ///
     /// # Errors
     ///
     /// [`ServeError::Overloaded`] / [`ServeError::ShuttingDown`] as a
-    /// normal pinned submit.
+    /// normal submit.
     #[doc(hidden)]
-    pub fn inject_stall(&self, shard: usize, d: Duration) -> Result<(), ServeError> {
-        match self.shared.queue.push_to(shard, Job::Stall(d)) {
+    pub fn inject_stall(&self, d: Duration) -> Result<(), ServeError> {
+        match self.shared.queue.push(Job::Stall(d)) {
             Ok(()) => Ok(()),
             Err(PushError::Full(_)) => Err(ServeError::Overloaded),
             Err(PushError::Closed(_)) => Err(ServeError::ShuttingDown),
@@ -530,21 +500,13 @@ impl Engine {
 
     /// JSON metrics snapshot since engine start.
     pub fn metrics_snapshot(&self) -> crate::json::Json {
-        self.shared
-            .metrics
-            .set_steals(self.shared.queue.stolen.load(Ordering::Relaxed));
         self.shared.metrics.set_swaps(self.shared.registry.swaps());
         self.shared.metrics.snapshot(self.started.elapsed())
     }
 
-    /// Jobs stolen across shards so far.
-    pub fn steals(&self) -> u64 {
-        self.shared.queue.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Current queued-job count per shard (diagnostics).
-    pub fn shard_depths(&self) -> Vec<usize> {
-        self.shared.queue.depths()
+    /// Jobs queued and not yet popped by a worker (diagnostics).
+    pub fn queued(&self) -> usize {
+        self.shared.queue.len()
     }
 
     /// Shape of one input sample.
@@ -633,14 +595,10 @@ impl PlannedSet {
     }
 }
 
-fn worker_loop(idx: usize, mut planned: PlannedSet, mut generation: u64, shared: Arc<Shared>) {
+fn worker_loop(mut planned: PlannedSet, mut generation: u64, shared: Arc<Shared>) {
     let max_batch = shared.config.max_batch;
     let max_delay = shared.config.max_delay;
-    let steal_poll = shared.config.steal_poll;
-    while let Some((jobs, assembly)) = shared
-        .queue
-        .pop_batch(idx, max_batch, max_delay, steal_poll)
-    {
+    while let Some((jobs, assembly)) = shared.queue.pop_batch(max_batch, max_delay) {
         // Hot swap: between batches, re-clone the plans when the registry
         // generation moved. In-flight work finished on the old weights;
         // this batch runs on the new ones.
@@ -813,7 +771,6 @@ mod tests {
             max_batch: 4,
             max_delay: Duration::from_millis(1),
             queue_depth: 32,
-            steal_poll: Duration::from_millis(1),
             guard: Some(GuardConfig { threshold: 0.5 }),
         }
     }
@@ -835,10 +792,6 @@ mod tests {
                 ..cfg()
             },
             ServeConfig {
-                steal_poll: Duration::ZERO,
-                ..cfg()
-            },
-            ServeConfig {
                 guard: Some(GuardConfig { threshold: 0.0 }),
                 ..cfg()
             },
@@ -846,9 +799,55 @@ mod tests {
                 guard: Some(GuardConfig { threshold: 1.5 }),
                 ..cfg()
             },
+            // The queue holds `workers * queue_depth`: an overflowing
+            // product is rejected, not wrapped.
+            ServeConfig {
+                workers: 2,
+                queue_depth: usize::MAX / 2 + 1,
+                ..cfg()
+            },
         ] {
-            assert!(Engine::start(&reg, bad).is_err());
+            assert!(matches!(
+                Engine::start(&reg, bad),
+                Err(ServeError::Config(_))
+            ));
         }
+    }
+
+    /// With every worker stalled, the one queue takes exactly
+    /// `workers * queue_depth` submits and sheds the next.
+    #[test]
+    fn queue_holds_workers_times_queue_depth() {
+        let config = ServeConfig {
+            workers: 2,
+            max_batch: 1,
+            queue_depth: 3,
+            ..cfg()
+        };
+        let engine = Engine::start(&registry(0), config).unwrap();
+        for _ in 0..2 {
+            engine.inject_stall(Duration::from_secs(1)).unwrap();
+        }
+        // `max_batch` 1: each worker claims one stall job.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while engine.queued() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(engine.queued(), 0, "stall jobs were never claimed");
+        let (tx, rx) = mpsc::channel();
+        for token in 0..6 {
+            engine
+                .submit_async(vec![0.5; 28 * 28], false, token, &tx, None)
+                .unwrap();
+        }
+        assert_eq!(engine.queued(), 6);
+        assert!(matches!(
+            engine.submit_async(vec![0.5; 28 * 28], false, 6, &tx, None),
+            Err(ServeError::Overloaded)
+        ));
+        engine.shutdown();
+        assert_eq!(rx.try_iter().filter(|c| c.result.is_ok()).count(), 6);
+        assert_eq!(engine.metrics().overloaded.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   or swapped in, and one that does not lower is rejected. Workers
 //!   forward on their own clones of the plans, so concurrent forwards
 //!   never share an arena.
-//! * [`Engine`] — a sharded dynamic batcher: each worker owns a bounded
-//!   queue shard and steals from loaded shards when idle, coalescing
-//!   requests until `max_batch` or `max_delay` before one batched eval
-//!   forward. Submission is either blocking ([`Engine::submit`]) or
+//! * [`Engine`] — a dynamic batcher: every worker pops from one bounded
+//!   FIFO, coalescing requests until `max_batch` or `max_delay` before one
+//!   batched eval forward. Submission is either blocking ([`Engine::submit`]) or
 //!   non-blocking ([`Engine::submit_async`], completions over a channel
 //!   with exactly-once delivery even across worker panics). A full queue
 //!   rejects with [`ServeError::Overloaded`] — explicit backpressure,
@@ -37,7 +36,7 @@
 //!   graceful shutdown.
 //! * [`ServeMetrics`] — lock-free per-stage latency histograms
 //!   (p50/p99/p999), batch-size distribution, guard rates, and
-//!   connection/steal/swap counters, snapshotted to JSON.
+//!   connection/swap counters, snapshotted to JSON.
 //!
 //! ```no_run
 //! use advcomp_serve::{Engine, ModelRegistry, ServeConfig, Server};
@@ -60,9 +59,9 @@ pub mod loadgen;
 mod metrics;
 mod netpoll;
 pub mod protocol;
+mod queue;
 mod registry;
 mod server;
-mod shard;
 mod wake;
 
 /// The JSON codec of request and response frames, from `advcomp-wire`.

@@ -246,9 +246,6 @@ pub struct ServeMetrics {
     attack_outcomes: Mutex<BTreeMap<String, (u64, u64)>>,
     /// Guard deployment info for the snapshot (set at engine start).
     guard_deployment: Mutex<Option<GuardDeployment>>,
-    /// Jobs moved across shards by work stealing (mirrored from the
-    /// queue's counter at snapshot time via [`ServeMetrics::set_steals`]).
-    pub steals: AtomicU64,
     /// Successful model hot swaps (mirrored from the registry at snapshot
     /// time via [`ServeMetrics::set_swaps`]).
     pub swaps: AtomicU64,
@@ -359,12 +356,6 @@ impl ServeMetrics {
         if let Some((_, h)) = self.per_model_forward.get(index) {
             h.record(d);
         }
-    }
-
-    /// Mirrors the work-stealing counter into the snapshot (store, not
-    /// add — the queue owns the running total).
-    pub fn set_steals(&self, v: u64) {
-        self.steals.store(v, Ordering::Relaxed);
     }
 
     /// Mirrors the registry's swap counter into the snapshot.
@@ -516,10 +507,6 @@ impl ServeMetrics {
             .set(
                 "engine",
                 JsonObj::new()
-                    .set(
-                        "steals",
-                        Json::Num(self.steals.load(Ordering::Relaxed) as f64),
-                    )
                     .set(
                         "swaps",
                         Json::Num(self.swaps.load(Ordering::Relaxed) as f64),

@@ -3,7 +3,7 @@
 //! # Architecture
 //!
 //! ```text
-//! accept thread ──round-robin──> io loop 0 ──submit_async──> engine shards
+//! accept thread ──round-robin──> io loop 0 ──submit_async──> engine queue
 //!   (conn limit,                 io loop 1 <──completions──  (workers)
 //!    admission cfg)                 ...
 //! ```
@@ -853,7 +853,6 @@ mod tests {
                 max_delay: Duration::from_millis(1),
                 queue_depth: 32,
                 guard: Some(GuardConfig { threshold: 0.5 }),
-                ..ServeConfig::default()
             },
         )
         .unwrap()

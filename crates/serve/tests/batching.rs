@@ -1,11 +1,11 @@
-//! Property tests for the sharded batcher: work stealing must never
-//! drop, duplicate, or reorder a request's response, and a stalled
-//! shard's queue must drain through its peers.
+//! Property tests for the batcher: its one queue must never drop,
+//! duplicate, or reorder a request's response, and a stalled worker must
+//! not strand queued requests.
 //!
 //! Everything here is message-passing only — the tests observe the
 //! system exclusively through submitted requests and their responses
 //! (wire frames or completion channels), never by poking at internal
-//! locks — and worker/shard counts are pinned so runs are reproducible.
+//! locks — and worker counts are pinned so runs are reproducible.
 
 use advcomp_models::mlp;
 use advcomp_serve::json::Json;
@@ -31,7 +31,6 @@ fn engine_with(workers: usize, queue_depth: usize) -> Engine {
             max_delay: Duration::from_millis(1),
             queue_depth,
             guard: Some(GuardConfig { threshold: 0.5 }),
-            ..ServeConfig::default()
         },
     )
     .unwrap()
@@ -49,13 +48,13 @@ fn input_for(client: usize, seq: usize) -> Vec<f32> {
 }
 
 /// 64 concurrent clients pipeline ids through servers with 1, 2, and 8
-/// engine shards; every client must get exactly its own ids back, in
+/// engine workers; every client must get exactly its own ids back, in
 /// send order, with `ok` status — no drops, no duplicates, no
 /// cross-client leaks, no reordering. The queue holds the whole burst, so
 /// this checks ordering without overload (overload is answered by
 /// `serve_e2e`'s `full_queue_returns_overloaded_not_a_hang`).
 #[test]
-fn response_ids_echo_exactly_once_in_order_across_shard_counts() {
+fn response_ids_echo_exactly_once_in_order_across_worker_counts() {
     const CLIENTS: usize = 64;
     const PER_CLIENT: usize = 8;
     for &workers in &[1usize, 2, 8] {
@@ -88,7 +87,7 @@ fn response_ids_echo_exactly_once_in_order_across_shard_counts() {
                     assert_eq!(
                         resp.get("status").and_then(Json::as_str),
                         Some("ok"),
-                        "shards={workers} client={c}: {resp}"
+                        "workers={workers} client={c}: {resp}"
                     );
                     got.push(
                         resp.get("id")
@@ -105,24 +104,27 @@ fn response_ids_echo_exactly_once_in_order_across_shard_counts() {
             let want: Vec<String> = (0..PER_CLIENT).map(|s| format!("c{c}s{s}")).collect();
             assert_eq!(
                 got, want,
-                "shards={workers}: client {c} saw dropped/duplicated/reordered ids"
+                "workers={workers}: client {c} saw dropped/duplicated/reordered ids"
             );
         }
         assert_eq!(
             engine.metrics().overloaded.load(Ordering::Relaxed),
             0,
-            "shards={workers}: a queue sized for the burst must never overload"
+            "workers={workers}: a queue sized for the burst must never overload"
         );
         server.request_shutdown();
         server.join();
     }
 }
 
-/// Responses computed under heavy cross-shard concurrency are
-/// bit-identical to the same inputs evaluated alone afterwards: batching
-/// and stealing may change *where* a request runs, never *what* it
-/// computes. (Rows of the batched GEMM are independent, so batch
-/// composition cannot leak between requests.)
+/// Responses computed under heavy concurrency are bit-identical to the
+/// same inputs evaluated alone afterwards: batching may change *where* a
+/// request runs, never *what* it computes. This holds here only because
+/// every baseline GEMM, solo or batched, takes the dense kernel, whose
+/// rows do not depend on each other: at least 5 of the 16 hidden units
+/// of `mlp(16, 7)` are active for every input this test sends, above the
+/// density probe's 25% cutoff. Where a batch's density picks the kernel, a sample's
+/// logits depend on its batchmates (ROADMAP item 2).
 #[test]
 fn concurrent_responses_are_bit_identical_to_solo_forwards() {
     let engine = engine_with(4, 128);
@@ -155,23 +157,22 @@ fn concurrent_responses_are_bit_identical_to_solo_forwards() {
     engine.shutdown();
 }
 
-/// A stalled shard's queue drains via stealing: requests pinned to the
-/// shard whose worker is asleep are finished by the other workers long
-/// before the stall ends, and the steal counter proves the path taken.
+/// A stalled worker does not strand queued requests: with one of two
+/// workers asleep, requests queued behind its stall are finished by the
+/// other worker long before the stall ends.
 #[test]
-fn stalled_shard_drains_through_work_stealing() {
+fn stalled_worker_does_not_strand_queued_requests() {
     let engine = engine_with(2, 64);
     let stall = Duration::from_secs(3);
-    engine.inject_stall(0, stall).unwrap();
+    engine.inject_stall(stall).unwrap();
     // Wait for a worker to claim the stall job, then let its batch's
     // coalesce window (`max_delay`) close: requests pushed into that
-    // window would join the stall's own batch, and in-flight work is
-    // (correctly) not stealable — only queued work is.
+    // window would join the stall's own batch and wait it out.
     let deadline = Instant::now() + Duration::from_secs(1);
-    while engine.shard_depths()[0] > 0 && Instant::now() < deadline {
+    while engine.queued() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(engine.shard_depths()[0], 0, "stall job was never picked up");
+    assert_eq!(engine.queued(), 0, "stall job was never picked up");
     std::thread::sleep(Duration::from_millis(50));
 
     let (tx, rx) = mpsc::channel();
@@ -181,7 +182,7 @@ fn stalled_shard_drains_through_work_stealing() {
         let engine = engine.clone();
         let tx = tx.clone();
         std::thread::spawn(move || {
-            let r = engine.submit_with_key(input_for(9, k), false, 0);
+            let r = engine.submit(input_for(9, k), false);
             tx.send(r).ok();
         });
     }
@@ -189,18 +190,14 @@ fn stalled_shard_drains_through_work_stealing() {
     let mut done = 0;
     while done < N {
         rx.recv_timeout(Duration::from_secs(5))
-            .expect("stalled shard never drained")
-            .expect("pinned submit failed");
+            .expect("queued requests were stranded")
+            .expect("submit failed");
         done += 1;
     }
     let drained_in = t0.elapsed();
     assert!(
         drained_in < stall / 2,
-        "requests waited out the stall ({drained_in:?}) instead of being stolen"
-    );
-    assert!(
-        engine.steals() > 0,
-        "queue drained but not via the stealing path"
+        "requests waited out the stall ({drained_in:?})"
     );
     engine.shutdown();
 }

@@ -31,7 +31,6 @@ fn serve_config() -> ServeConfig {
         max_delay: Duration::from_millis(1),
         queue_depth: 64,
         guard: None, // bit-exactness is about the baseline forward
-        ..ServeConfig::default()
     }
 }
 

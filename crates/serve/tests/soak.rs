@@ -37,7 +37,6 @@ fn start_server(workers: usize, queue_depth: usize) -> Server {
             max_delay: Duration::from_millis(1),
             queue_depth,
             guard: Some(GuardConfig { threshold: 0.5 }),
-            ..ServeConfig::default()
         },
     )
     .unwrap();

@@ -22,7 +22,6 @@ fn injected_worker_panic_reports_worker_lost_not_a_hang() {
             max_batch: 4,
             max_delay: Duration::from_millis(1),
             queue_depth: 32,
-            steal_poll: Duration::from_millis(1),
             guard: Some(GuardConfig { threshold: 0.5 }),
         },
     )

@@ -34,9 +34,9 @@
 //!
 //! # Composition with experiment-level parallelism
 //!
-//! `advcomp_core::runner::run_parallel` runs whole experiment pipelines on
-//! its own scoped threads, and the serving engine runs one thread per
-//! shard. Each such caller computes its own scopes and the shared workers
+//! `advcomp_core::runner::run_supervised` runs whole experiment pipelines
+//! on its own scoped threads, and the serving engine runs one thread per
+//! worker. Each such caller computes its own scopes and the shared workers
 //! only help, so concurrent callers make progress side by side instead of
 //! queueing behind the workers: `w` callers on an `ADVCOMP_THREADS=p` pool
 //! run at most `w + p − 1` compute threads. A scope opened from inside a

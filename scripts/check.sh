@@ -133,9 +133,9 @@ echo "serve smoke: batching, backpressure, framing and open-loop curve OK"
 # `cargo test`; this stage pins them as an explicit gate (and `--ignored`
 # runs the long soak).
 cargo test -q -p advcomp-serve --test soak >/dev/null
-cargo test -q -p advcomp-serve --test shard_stealing >/dev/null
+cargo test -q -p advcomp-serve --test batching >/dev/null
 cargo test -q -p advcomp-serve --test hot_swap >/dev/null
-echo "serve soak: chaos, stealing and hot-swap suites OK"
+echo "serve soak: chaos, batching and hot-swap suites OK"
 
 # Bench gates: every measurement bench writes one record schema and
 # checks its own gates after writing, exiting 1 with every failed record

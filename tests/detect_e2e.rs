@@ -128,7 +128,6 @@ fn offline_crafted_uap_is_flagged_at_the_calibrated_threshold() {
             // Deliberately nonsensical ad-hoc threshold: the calibration
             // artifact must override it.
             guard: Some(GuardConfig { threshold: 0.999 }),
-            ..ServeConfig::default()
         },
     )
     .unwrap();

@@ -66,7 +66,6 @@ fn serve_trained_ensemble_end_to_end() {
             max_delay: Duration::from_millis(3),
             queue_depth: 128,
             guard: Some(GuardConfig { threshold: 0.5 }),
-            ..ServeConfig::default()
         },
     )
     .unwrap();
@@ -173,7 +172,6 @@ fn full_queue_returns_overloaded_not_a_hang() {
             max_delay: Duration::ZERO,
             queue_depth: 1,
             guard: Some(GuardConfig { threshold: 0.5 }),
-            ..ServeConfig::default()
         },
     )
     .unwrap();
@@ -182,7 +180,7 @@ fn full_queue_returns_overloaded_not_a_hang() {
 
     // Stall the only worker, so the burst finds its one queue slot taken
     // and must shed load.
-    engine.inject_stall(0, Duration::from_millis(500)).unwrap();
+    engine.inject_stall(Duration::from_millis(500)).unwrap();
     let mut handles = Vec::new();
     for t in 0..16 {
         handles.push(std::thread::spawn(move || {
