@@ -1,6 +1,7 @@
 //! DeepFool (Moosavi-Dezfooli et al. 2016), L2 multi-class variant.
 
 use crate::grad::logit_input_grads;
+use crate::iterative::gradient_unusable;
 use crate::{Attack, AttackError, Result};
 use advcomp_nn::Sequential;
 use advcomp_tensor::Tensor;
@@ -13,6 +14,10 @@ use advcomp_tensor::Tensor;
 /// (scaled by `1 + overshoot`). Produces much smaller perturbations than
 /// the FGSM family, which is also why the paper finds it struggles against
 /// coarsely-quantised models: its sub-resolution nudges get rounded away.
+///
+/// A non-finite step (from a NaN or ±∞ logit or gradient) stops the sample
+/// at its last good iterate and records a `deepfool` health event, as in
+/// the iterative FGSM family.
 #[derive(Debug, Clone, Copy)]
 pub struct DeepFool {
     overshoot: f32,
@@ -56,21 +61,18 @@ impl DeepFool {
     }
 
     fn attack_one(&self, model: &mut Sequential, x0: &Tensor) -> Result<Tensor> {
-        let (logits0, _) = {
-            // Cheap forward to find the source class without grads.
-            let l = model.forward(x0, advcomp_nn::Mode::Eval)?;
-            (l.into_data(), ())
-        };
-        let k0 = argmax(&logits0);
         let mut x = x0.clone();
-
-        for _ in 0..self.max_iterations {
+        // The source class, from the first iteration's logits (the
+        // forward at x0).
+        let mut source = None;
+        for i in 0..self.max_iterations {
             let (logits, grads) = logit_input_grads(model, &x)?;
+            let k0 = *source.get_or_insert_with(|| argmax(&logits));
             if argmax(&logits) != k0 {
                 break; // already across the boundary
             }
-            // Closest linearised boundary.
-            let mut best: Option<(f32, usize)> = None;
+            // Closest linearised boundary: (distance, class, w, ‖w‖).
+            let mut best: Option<(f32, usize, Tensor, f32)> = None;
             for k in 0..logits.len() {
                 if k == k0 {
                     continue;
@@ -81,22 +83,24 @@ impl DeepFool {
                     continue;
                 }
                 let dist = (logits[k] - logits[k0]).abs() / wnorm;
-                if best.is_none_or(|(d, _)| dist < d) {
-                    best = Some((dist, k));
+                if best.as_ref().is_none_or(|&(d, ..)| dist < d) {
+                    best = Some((dist, k, w, wnorm));
                 }
             }
-            let Some((_, l)) = best else {
+            let Some((_, l, w, wnorm)) = best else {
                 break; // degenerate gradients everywhere; give up
             };
-            let w = grads[l].sub(&grads[k0])?;
             let f = logits[l] - logits[k0];
-            let wnorm2 = w.l2_norm().powi(2).max(1e-12);
+            let wnorm2 = wnorm.powi(2).max(1e-12);
             // Minimal step onto the boundary, plus a hair (1e-4) so the
             // linearised projection actually crosses it. Applied
             // incrementally from the current (clamped) iterate — the
             // standard formulation — so projection back into the valid
             // pixel box never stalls progress.
-            let r = w.scale((f.abs() + 1e-4) * (1.0 + self.overshoot) / wnorm2);
+            let mut r = w.scale((f.abs() + 1e-4) * (1.0 + self.overshoot) / wnorm2);
+            if gradient_unusable("deepfool", i, &mut r) {
+                break;
+            }
             x = x.add(&r)?.clamp(0.0, 1.0);
         }
         Ok(x)

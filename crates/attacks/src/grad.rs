@@ -14,8 +14,9 @@ use advcomp_tensor::Tensor;
 /// silently divided by the batch size, while sign-based attacks would hide
 /// the bug entirely.
 ///
-/// Parameter gradients accumulated as a side effect are zeroed before
-/// returning, leaving the model clean for subsequent training.
+/// The backward is input-gradient-only ([`Sequential::backward_input`]), so
+/// the call has no parameter-gradient side effect: every parameter gradient
+/// is left exactly as it was.
 ///
 /// # Errors
 ///
@@ -34,9 +35,7 @@ pub fn loss_input_grad(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> 
     // Rescale the seed in place rather than allocating a copy.
     let mut seed = loss.grad;
     seed.scale_inplace(labels.len().max(1) as f32);
-    let gx = model.backward(&seed)?;
-    model.zero_grad();
-    Ok(gx)
+    Ok(model.backward_input(&seed)?)
 }
 
 /// Computes per-class logit gradients `∇X f_k(X)` for a **single** sample
@@ -44,6 +43,7 @@ pub fn loss_input_grad(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> 
 /// `gradients[k]` is the input gradient of logit `k`.
 ///
 /// DeepFool linearises the classifier around the current iterate with these.
+/// Like [`loss_input_grad`], it leaves every parameter gradient untouched.
 ///
 /// # Errors
 ///
@@ -61,9 +61,8 @@ pub fn logit_input_grads(model: &mut Sequential, x: &Tensor) -> Result<(Vec<f32>
     for k in 0..classes {
         let mut seed = Tensor::zeros(&[1, classes]);
         seed.data_mut()[k] = 1.0;
-        grads.push(model.backward(&seed)?);
+        grads.push(model.backward_input(&seed)?);
     }
-    model.zero_grad();
     Ok((logits.into_data(), grads))
 }
 
@@ -82,14 +81,36 @@ mod tests {
         ])
     }
 
+    /// Seeds every parameter gradient with a distinct nonzero value.
+    fn seed_param_grads(model: &mut Sequential) -> Vec<Tensor> {
+        for (i, p) in model.params_mut().into_iter().enumerate() {
+            p.grad = Tensor::full(p.value.shape(), 0.25 + i as f32);
+        }
+        model.params().iter().map(|p| p.grad.clone()).collect()
+    }
+
+    fn assert_grads_untouched(model: &Sequential, before: &[Tensor]) {
+        for (p, want) in model.params().iter().zip(before) {
+            assert_eq!(p.grad.data(), want.data(), "{} gradient moved", p.name);
+        }
+    }
+
     #[test]
-    fn loss_grad_shape_and_cleanliness() {
+    fn loss_grad_shape_and_parameter_gradients_untouched() {
         let mut model = net();
+        let before = seed_param_grads(&mut model);
         let x = Tensor::ones(&[2, 4]);
         let g = loss_input_grad(&mut model, &x, &[0, 1]).unwrap();
         assert_eq!(g.shape(), &[2, 4]);
-        // Model param grads were zeroed.
-        assert!(model.params().iter().all(|p| p.grad.l0_norm() == 0));
+        assert_grads_untouched(&model, &before);
+    }
+
+    #[test]
+    fn logit_grads_leave_parameter_gradients_untouched() {
+        let mut model = net();
+        let before = seed_param_grads(&mut model);
+        logit_input_grads(&mut model, &Tensor::ones(&[1, 4])).unwrap();
+        assert_grads_untouched(&model, &before);
     }
 
     #[test]

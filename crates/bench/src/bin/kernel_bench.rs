@@ -15,6 +15,12 @@
 //! `simd.gemm_speedup_simd_vs_scalar` is gated at ≥ 1: the dispatched GEMM
 //! must not be slower than the scalar one.
 //!
+//! The `simd.gemm_conv_*` records time both f32 GEMM kernels on both
+//! backends at conv-forward shapes, where the output width is a layer's
+//! channel count: LeNet-5 conv1 at batch 48 (37632 × 25 × 3) and CifarNet
+//! conv2 at batch 48 (49152 × 99 × 11). On an AVX2+FMA host each shape's
+//! `dense.speedup` is gated at ≥ 1 as well.
+//!
 //! ```text
 //! scripts/bench.sh kernel [--out FILE] [--iters N]
 //! ```
@@ -22,7 +28,8 @@
 use advcomp_attacks::step;
 use advcomp_bench::record::{median_ns, speedup, Flags, Report};
 use advcomp_tensor::{
-    im2col, pool, simd, Conv2dGeometry, Init, KernelBackend, MatmulKernel, Tensor,
+    gemm_prepacked, gemm_sparse, im2col, pool, simd, Conv2dGeometry, Init, KernelBackend,
+    MatmulKernel, PackedGemmB, Tensor,
 };
 use std::hint::black_box;
 
@@ -145,6 +152,58 @@ fn simd_ablation(iters: usize, report: &mut Report) {
         report.push(format!("simd.{name}.scalar_ns"), "ns", scalar as f64);
         report.push(format!("simd.{name}.simd_ns"), "ns", simd as f64);
         report.push(format!("simd.{name}.speedup"), "x", speedup(scalar, simd));
+    }
+    conv_width_gemms(iters.min(50), report);
+}
+
+/// Times the dense and zero-skip GEMMs on both backends at two conv-forward
+/// shapes (`cols · Wᵀ`: m = batch × output pixels, k = patch length,
+/// n = output channels) into the `simd.gemm_conv_*` records.
+fn conv_width_gemms(iters: usize, report: &mut Report) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+    let init = Init::Uniform { lo: -1.0, hi: 1.0 };
+    for (name, m, k, n) in [
+        ("gemm_conv_lenet_conv1", 48 * 28 * 28, 25, 3),
+        ("gemm_conv_cifar_conv2", 48 * 32 * 32, 99, 11),
+    ] {
+        let a = init.tensor(&[m, k], &mut rng);
+        let b = init.tensor(&[k, n], &mut rng);
+        let packed = PackedGemmB::pack(b.data(), k, n).expect("pack");
+        let mut out = vec![0.0f32; m * n];
+        for (kernel, label) in [
+            (MatmulKernel::Dense, "dense"),
+            (MatmulKernel::Sparse, "zero_skip"),
+        ] {
+            let mut time = |be: KernelBackend| {
+                median_ns(iters, || {
+                    match kernel {
+                        MatmulKernel::Dense => gemm_prepacked(be, a.data(), m, &packed, &mut out),
+                        MatmulKernel::Sparse => {
+                            gemm_sparse(be, a.data(), m, b.data(), k, n, &mut out)
+                        }
+                    }
+                    .expect("gemm");
+                    black_box(&out);
+                })
+            };
+            let scalar_ns = time(KernelBackend::Scalar);
+            let simd_ns = time(KernelBackend::Simd);
+            let x = speedup(scalar_ns, simd_ns);
+            println!(
+                "{:>28}: scalar {scalar_ns:>10} ns  simd {simd_ns:>10} ns  ({x:.2}x)",
+                format!("{name}.{label}")
+            );
+            report.push(
+                format!("simd.{name}.{label}.scalar_ns"),
+                "ns",
+                scalar_ns as f64,
+            );
+            report.push(format!("simd.{name}.{label}.simd_ns"), "ns", simd_ns as f64);
+            let record = report.push(format!("simd.{name}.{label}.speedup"), "x", x);
+            if kernel == MatmulKernel::Dense && simd::simd_available() {
+                record.min(1.0);
+            }
+        }
     }
 }
 

@@ -90,6 +90,10 @@ pub enum LayerSpec<'a> {
 ///   input, *accumulating* (not overwriting) parameter gradients.
 /// * `backward` must not destroy the cache: callers such as DeepFool
 ///   backpropagate several different seed gradients through one forward.
+/// * `backward_input` returns the bits `backward` returns for the same
+///   cache and seed, and leaves every parameter gradient as it was.
+///   Attacks differentiate with it, so they never pay for weight
+///   gradients they would throw away.
 /// * An [`Mode::Eval`] `forward` must not mutate *persistent* state —
 ///   parameters, dropout RNG position, installed quantisation formats.
 ///   The transient backward cache is the only thing it may touch, so a
@@ -110,6 +114,20 @@ pub trait Layer: Send + Sync {
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
     /// cache exists, or shape errors when `grad_output` is malformed.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Backpropagates `grad_output` to the input gradient only: the result
+    /// of [`Layer::backward`], with no parameter gradient touched. The
+    /// default calls `backward`, which is exact for layers without
+    /// parameters; a layer with parameters overrides it and builds
+    /// `backward` as "accumulate parameter gradients, then the input
+    /// gradient".
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`Layer::backward`].
+    fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward(grad_output)
+    }
 
     /// Immutable views of this layer's parameters (empty for stateless
     /// layers).

@@ -112,6 +112,42 @@ impl Conv2d {
         self.packed.is_some()
     }
 
+    /// Checks `grad_output` against the last forward and reorders it into
+    /// GEMM rows, `[n*oh*ow, oc]`.
+    fn grad_rows(&self, grad_output: &Tensor) -> Result<Tensor> {
+        if self.packed.is_some() {
+            return Err(NnError::InvalidConfig(
+                "conv2d: backward through frozen quantised weights (inference-only)".into(),
+            ));
+        }
+        let cache = self
+            .cache
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
+        let (oh, ow) = cache.out_hw;
+        let (n, oc) = (cache.batch, self.out_channels());
+        if grad_output.shape() != [n, oc, oh, ow] {
+            return Err(NnError::Tensor(
+                advcomp_tensor::TensorError::ShapeMismatch {
+                    lhs: grad_output.shape().to_vec(),
+                    rhs: vec![n, oc, oh, ow],
+                    op: "conv2d backward",
+                },
+            ));
+        }
+        Ok(nchw_to_rows(grad_output, n, oc, oh, ow)?)
+    }
+
+    /// dL/dx = col2im(g2d · W2d) for gradient rows from [`Self::grad_rows`].
+    fn input_grad(&self, g2d: &Tensor) -> Result<Tensor> {
+        let cache = self
+            .cache
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
+        let gcols = g2d.matmul(&self.weight_2d()?)?;
+        Ok(col2im(&gcols, &cache.geom, cache.batch)?)
+    }
+
     fn weight_2d(&self) -> Result<Tensor> {
         let s = self.weight.value.shape();
         Ok(self.weight.value.reshape(&[s[0], s[1] * s[2] * s[3]])?)
@@ -176,38 +212,19 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.packed.is_some() {
-            return Err(NnError::InvalidConfig(
-                "conv2d: backward through frozen quantised weights (inference-only)".into(),
-            ));
-        }
-        let cache = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        let (oh, ow) = cache.out_hw;
-        let (n, oc) = (cache.batch, self.out_channels());
-        if grad_output.shape() != [n, oc, oh, ow] {
-            return Err(NnError::Tensor(
-                advcomp_tensor::TensorError::ShapeMismatch {
-                    lhs: grad_output.shape().to_vec(),
-                    rhs: vec![n, oc, oh, ow],
-                    op: "conv2d backward",
-                },
-            ));
-        }
-        let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?; // [n*oh*ow, oc]
-                                                             // dL/dW = g2dᵀ · cols (the scratch still holds this batch's patches).
+        let g2d = self.grad_rows(grad_output)?;
+        // dL/dW = g2dᵀ · cols (the scratch still holds this batch's patches).
         let gw2d = g2d.t()?.matmul(&self.cols)?;
         let gw = gw2d.reshape(self.weight.value.shape())?;
         self.weight.grad.add_assign(&gw)?;
         let gb = g2d.sum_axis0()?;
         self.bias.grad.add_assign(&gb)?;
-        // dL/dx = col2im(g2d · W2d).
-        let w2d = self.weight_2d()?;
-        let gcols = g2d.matmul(&w2d)?;
-        let gx = col2im(&gcols, &cache.geom, n)?;
-        Ok(gx)
+        self.input_grad(&g2d)
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let g2d = self.grad_rows(grad_output)?;
+        self.input_grad(&g2d)
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -74,6 +74,18 @@ impl Dense {
     pub fn is_frozen(&self) -> bool {
         self.packed.is_some()
     }
+
+    /// The last forward's input, which every backward needs.
+    fn cached_input(&self) -> Result<&Tensor> {
+        if self.packed.is_some() {
+            return Err(NnError::InvalidConfig(
+                "dense: backward through frozen quantised weights (inference-only)".into(),
+            ));
+        }
+        self.cached_input
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "dense" })
+    }
 }
 
 impl Layer for Dense {
@@ -101,20 +113,17 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.packed.is_some() {
-            return Err(NnError::InvalidConfig(
-                "dense: backward through frozen quantised weights (inference-only)".into(),
-            ));
-        }
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
-        // dL/dW = gᵀ x, dL/db = Σ_batch g, dL/dx = g W.
-        let gw = grad_output.t()?.matmul(input)?;
+        // dL/dW = gᵀ x, dL/db = Σ_batch g, then dL/dx from backward_input.
+        let gw = grad_output.t()?.matmul(self.cached_input()?)?;
         self.weight.grad.add_assign(&gw)?;
         let gb = grad_output.sum_axis0()?;
         self.bias.grad.add_assign(&gb)?;
+        self.backward_input(grad_output)
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        // dL/dx = g W.
+        self.cached_input()?;
         Ok(grad_output.matmul(&self.weight.value)?)
     }
 

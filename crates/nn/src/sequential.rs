@@ -69,12 +69,34 @@ impl Sequential {
     /// Returns layer errors; in particular
     /// [`NnError::BackwardBeforeForward`] when `forward` has not run.
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_chain(grad_output, |layer, g| layer.backward(g))
+    }
+
+    /// Backpropagates a gradient seeded at the network output to the input
+    /// gradient only ([`Layer::backward_input`]): the bits of
+    /// [`Sequential::backward`], with every parameter gradient left as it
+    /// was. The attacks' gradient helpers use it, so crafting computes no
+    /// weight gradients.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`Sequential::backward`].
+    pub fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_chain(grad_output, |layer, g| layer.backward_input(g))
+    }
+
+    /// Runs `step` through the layers last to first, from `grad_output`.
+    fn backward_chain(
+        &mut self,
+        grad_output: &Tensor,
+        step: impl Fn(&mut dyn Layer, &Tensor) -> Result<Tensor>,
+    ) -> Result<Tensor> {
         if self.layers.is_empty() {
             return Err(NnError::InvalidConfig("empty network".into()));
         }
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = step(layer.as_mut(), &g)?;
         }
         Ok(g)
     }

@@ -89,6 +89,16 @@ impl Conv2dGeometry {
     }
 }
 
+/// The kernel columns `kx_lo..kx_hi` of a patch whose left edge sits at
+/// image column `ix0` (negative inside the left padding) that land inside
+/// an image `w` columns wide; an empty range when none does. When it is
+/// not empty, `ix0 + kx_lo >= 0` and `ix0 + kx_hi <= w`.
+fn inside_columns(ix0: isize, kernel_w: usize, w: usize) -> (usize, usize) {
+    let lo = (-ix0).clamp(0, kernel_w as isize);
+    let hi = (w as isize - ix0).clamp(lo, kernel_w as isize);
+    (lo as usize, hi as usize)
+}
+
 /// Fills the patch rows of one batch sample. `chunk` is that sample's
 /// contiguous `oh·ow·patch` slice of the column matrix, already zeroed.
 fn im2col_sample(
@@ -106,23 +116,23 @@ fn im2col_sample(
         let iy0 = (oy * geom.stride) as isize - pad;
         for ox in 0..ow {
             let ix0 = (ox * geom.stride) as isize - pad;
+            let (kx_lo, kx_hi) = inside_columns(ix0, geom.kernel_w, w);
+            if kx_lo == kx_hi {
+                continue; // the whole patch lies in the padding: stays zero
+            }
             let row = (oy * ow + ox) * patch;
             for ch in 0..c {
                 let ch_base = (b * c + ch) * h * w;
                 for ky in 0..geom.kernel_h {
                     let iy = iy0 + ky as isize;
-                    let dst = row + (ch * geom.kernel_h + ky) * geom.kernel_w;
                     if iy < 0 || iy >= h as isize {
                         continue; // padding row: stays zero
                     }
-                    let src_row = ch_base + iy as usize * w;
-                    for kx in 0..geom.kernel_w {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        chunk[dst + kx] = input[src_row + ix as usize];
-                    }
+                    let dst = row + (ch * geom.kernel_h + ky) * geom.kernel_w;
+                    let src = (ch_base + iy as usize * w) as isize + ix0;
+                    let src =
+                        &input[(src + kx_lo as isize) as usize..(src + kx_hi as isize) as usize];
+                    chunk[dst + kx_lo..dst + kx_hi].copy_from_slice(src);
                 }
             }
         }
@@ -239,6 +249,10 @@ fn col2im_sample(
         let iy0 = (oy * geom.stride) as isize - pad;
         for ox in 0..ow {
             let ix0 = (ox * geom.stride) as isize - pad;
+            let (kx_lo, kx_hi) = inside_columns(ix0, geom.kernel_w, w);
+            if kx_lo == kx_hi {
+                continue; // the whole patch lies in the padding
+            }
             let row = ((b * oh + oy) * ow + ox) * patch;
             for ch in 0..c {
                 let ch_base = ch * h * w;
@@ -247,14 +261,14 @@ fn col2im_sample(
                     if iy < 0 || iy >= h as isize {
                         continue;
                     }
-                    let dst_row = ch_base + iy as usize * w;
+                    let dst = (ch_base + iy as usize * w) as isize + ix0;
                     let src = row + (ch * geom.kernel_h + ky) * geom.kernel_w;
-                    for kx in 0..geom.kernel_w {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        chunk[dst_row + ix as usize] += cols[src + kx];
+                    // Each kernel column adds into its own pixel, so every
+                    // pixel still takes its terms in patch order.
+                    let dst = &mut chunk
+                        [(dst + kx_lo as isize) as usize..(dst + kx_hi as isize) as usize];
+                    for (d, &v) in dst.iter_mut().zip(&cols[src + kx_lo..src + kx_hi]) {
+                        *d += v;
                     }
                 }
             }

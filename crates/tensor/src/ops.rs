@@ -17,6 +17,19 @@
 //! selected at runtime (scalar fallback below), and the sparse kernel's
 //! row-axpy vectorises without changing its bit-exact scalar semantics.
 //!
+//! Per output element, each kernel keeps one arithmetic whatever body runs
+//! it: on the AVX2 path the dense kernel is an in-order `mul_add` chain
+//! from +0, and on both backends the zero-skip kernel is an in-order
+//! `acc + a·b` chain from +0 over the nonzero `a`. A row's bits never
+//! depend on the other rows. On AVX2, products with fewer than 32 output
+//! columns and a depth of at least 8 — every conv forward at the widths
+//! the sweeps run, whose `n` is the layer's output-channel count — run
+//! each band's full 8-row groups through the 8-row tile instead of the
+//! one-row bodies, whose 32-wide stripes would leave most of such a
+//! product to a scalar tail. The tile keeps both arithmetics, so it
+//! changes speed, not bits. `crates/tensor/tests/kernels.rs` pins all of
+//! this.
+//!
 //! Reference implementations kept for tests and ablation benchmarks
 //! (compiled only under `cfg(test)` or the `bench-ablation` feature so
 //! exhibit binaries don't carry dead code):
@@ -25,7 +38,7 @@
 //! threading), and [`Tensor::matmul_spawn_per_call`] (the pre-pool
 //! behaviour: same banding, but fresh OS threads spawned on every call).
 
-use crate::simd::{self, KernelBackend};
+use crate::simd::{self, KernelBackend, TILE_MAX_N};
 use crate::{pool, Result, Tensor, TensorError};
 
 /// Edge length of the cache blocks used by the sparse-aware kernel. 64 f32
@@ -43,6 +56,37 @@ const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Upper bound on elements inspected by the density probe.
 const DENSITY_PROBE_SAMPLES: usize = 1024;
+
+/// Depth below which the tile is not used: it moves every output through
+/// a transpose, and at a depth of 3 (the input gradient of a 3-channel
+/// conv) that costs more than the products. In a profile of the sweep's
+/// GEMMs, LeNet-5's zero-skip `25088 × 3 × 25` took 0.58 ms through the
+/// tile and 0.36 ms through the row axpy, while depths of 11 to 99 ran
+/// 1.6–3.8× faster through the tile.
+const TILE_MIN_K: usize = 8;
+
+/// Runs the AVX2 8-row tile over the full 8-row groups of `out_band` when
+/// the product is narrow and deep enough for it, and returns the rows it
+/// left to the caller's one-row kernel with their first row index: the
+/// leftover rows, or the whole band when the tile does not apply.
+#[allow(clippy::too_many_arguments)]
+fn tile_rows<'o>(
+    backend: KernelBackend,
+    a: &[f32],
+    b: &[f32],
+    out_band: &'o mut [f32],
+    row_start: usize,
+    k: usize,
+    n: usize,
+    skip_zeros: bool,
+) -> (&'o mut [f32], usize) {
+    let tiled = if n < TILE_MAX_N && k >= TILE_MIN_K {
+        simd::gemm_tile_rows(backend, a, b, out_band, row_start, k, n, skip_zeros)
+    } else {
+        0
+    };
+    (&mut out_band[tiled * n..], row_start + tiled)
+}
 
 /// Nonzero fraction at or below which the sparse-aware kernel is chosen.
 /// The crossover sits well above the ≥90 %-zero regime produced by pruning,
@@ -122,8 +166,11 @@ fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 ///
 /// `out_band` holds rows `[row_start, row_start + out_band.len()/n)` of the
 /// result and must be zero-initialised. On an AVX2+FMA machine with the
-/// `Simd` backend selected, the whole band runs through the 8-wide FMA
-/// microkernel in [`crate::simd`]; otherwise, for each panel of
+/// `Simd` backend selected, the band runs through [`crate::simd`]: its
+/// full 8-row groups through the 8-row FMA tile when `n` < [`TILE_MAX_N`]
+/// and `k` ≥ [`TILE_MIN_K`] (one panel, laid out as `b` itself), the other
+/// rows through the 32-wide FMA stripe body. Both evaluate each element as
+/// an in-order `mul_add` chain from +0. Otherwise, for each panel of
 /// `packed_b`, the scalar inner loop accumulates 4 `k`-steps at a time
 /// into a `w`-wide output stripe with no branches, which the compiler
 /// autovectorises to whatever the baseline target offers.
@@ -136,7 +183,10 @@ fn matmul_dense_rows(
     k: usize,
     n: usize,
 ) {
-    if simd::gemm_dense_rows(backend, a, packed_b, out_band, row_start, k, n, PANEL) {
+    let (out_band, row_start) = tile_rows(backend, a, packed_b, out_band, row_start, k, n, false);
+    if out_band.is_empty()
+        || simd::gemm_dense_rows(backend, a, packed_b, out_band, row_start, k, n, PANEL)
+    {
         return;
     }
     let rows = out_band.len() / n;
@@ -180,7 +230,10 @@ fn matmul_dense_rows(
 /// row axpy that runs contiguously over `b` and `out` (vectorised through
 /// [`crate::simd::axpy_slices`], which is bit-exact across backends), and
 /// zero multipliers from `a` are skipped entirely — the win pruned weight
-/// matrices are after.
+/// matrices are after. Each element is `acc + a·b` over the nonzero `a` in
+/// `k` order, from +0. On the AVX2 path, when `n` < [`TILE_MAX_N`] and `k`
+/// ≥ [`TILE_MIN_K`], the 8-row tile computes the same bits for the band's
+/// full 8-row groups, with the zero terms masked to +0.
 fn matmul_sparse_rows(
     backend: KernelBackend,
     a: &[f32],
@@ -190,6 +243,7 @@ fn matmul_sparse_rows(
     k: usize,
     n: usize,
 ) {
+    let (out_band, row_start) = tile_rows(backend, a, b, out_band, row_start, k, n, true);
     let row_end = row_start + out_band.len() / n;
     for i0 in (row_start..row_end).step_by(BLOCK) {
         let i1 = (i0 + BLOCK).min(row_end);

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD slice kernels (AVX2+FMA) with scalar fallbacks.
 //!
-//! Every hot elementwise loop, reduction and the dense GEMM microkernel in
-//! this crate funnels through the free functions here, each of which takes
+//! Every hot elementwise loop, reduction and GEMM body in this crate
+//! funnels through the free functions here, each of which takes
 //! an explicit [`KernelBackend`]. Production tensor ops pass the cached
 //! process-wide default from [`backend`] (selected once from the
 //! `ADVCOMP_KERNEL` environment variable, mirroring `ADVCOMP_THREADS`);
@@ -19,12 +19,29 @@
 //!   deliberately uses multiply-then-add rather than FMA). For finite
 //!   inputs the results are bitwise identical across backends, so the
 //!   golden-vector suite passes under either backend for these ops.
-//! * **Tolerance-class** — the GEMM microkernel uses FMA contraction and
-//!   the reductions (`sum`, `sumsq`, `sum_abs`) use lane-parallel
+//! * **Tolerance-class** — the dense GEMM uses FMA contraction and the
+//!   reductions (`sum`, `sumsq`, `sum_abs`) use lane-parallel
 //!   accumulators, so results differ from scalar by reassociation /
 //!   double-rounding at the level of a few ULPs (≤ 1e-5 relative L2 in the
 //!   testkit parity suite). Golden vectors therefore pin
 //!   `ADVCOMP_KERNEL=scalar`.
+//!
+//! # GEMM bodies
+//!
+//! The dense GEMM has two AVX2 bodies with one per-element arithmetic, an
+//! in-order FMA chain from +0: the one-row stripe body (four ymm
+//! accumulators across a 32-wide output stripe, then narrower remainders
+//! and a scalar `mul_add` tail) and, for fewer than 32 output columns at a
+//! depth of at least 8, the 8-row tile (`gemm_tile_rows`), which puts 8
+//! rows in the lanes and one output column in each of up to 8
+//! accumulators. Conv layers lower to `cols · Wᵀ` with as many output
+//! columns as channels (3–22 at the widths the sweeps run), where the
+//! stripe body ran mostly its scalar tail. The
+//! zero-skip GEMM runs the same tile with mul-then-add and the zero
+//! multipliers' products masked to +0, which is bit-exact with its scalar
+//! kernel (bit-exact class). The tile takes a band's full 8-row groups
+//! and leaves the rest to the one-row bodies. It makes no heap
+//! allocation: it transposes A into a stack buffer, `k` in blocks of 128.
 //!
 //! NaN edge cases differ where the hardware min/max semantics differ from
 //! `f32::clamp`/`f32::max`: `_mm256_max_ps(a, b)` returns `b` when `a` is
@@ -421,7 +438,8 @@ pub fn max_abs_slice(backend: KernelBackend, a: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Dense GEMM microkernel (tolerance class: FMA contraction)
+// GEMM bodies (dense: tolerance class, FMA contraction; zero-skip tile:
+// bit-exact class)
 // ---------------------------------------------------------------------------
 
 /// AVX2 dense microkernel over one output row band of packed-panel GEMM.
@@ -451,6 +469,64 @@ pub(crate) fn gemm_dense_rows(
     false
 }
 
+/// Output-column count below which the f32 GEMMs run [`gemm_tile_rows`]
+/// instead of their one-row bodies (the tile keeps one accumulator row
+/// per column on the stack). A conv layer lowers to `cols · Wᵀ`, so `n` is
+/// its output-channel count: 3–22 at the widths the sweeps run, where a
+/// 32-wide row stripe leaves most of the work to its scalar tail.
+pub(crate) const TILE_MAX_N: usize = 32;
+
+/// AVX2 8-row tile over the full 8-row groups of one output row band of a
+/// narrow GEMM (`n <` [`TILE_MAX_N`], `k ≥ ops::TILE_MIN_K`).
+///
+/// `b` is `k × n` row-major (a packed panel of width `n < PANEL` has the
+/// same layout), and `out_band` covers rows `[row_start, ...)` of the
+/// result, zero-initialised. Each group of 8 rows sits in the lanes of up
+/// to 8 accumulators, one per output column, and walks `k` once per column
+/// group, so the row count fills the vector lanes instead of the narrow
+/// `n`. Per element the arithmetic is that of the kernel it stands in for,
+/// starting from +0:
+///
+/// * `skip_zeros == false` (dense): `acc = fma(a[r][kk], b[kk][j], acc)`
+///   for `kk` in order — the per-element chain of the stripe body and its
+///   `mul_add` tail in [`gemm_dense_rows`].
+/// * `skip_zeros == true` (zero-skip): `acc = acc + (a[r][kk] * b[kk][j])`
+///   with the product masked to +0 where `a[r][kk] == 0`. An accumulator
+///   that starts at +0 never becomes −0, so adding a masked +0 gives the
+///   bits of skipping the term, and the mask keeps a ±∞ or NaN in `b` out
+///   where its multiplier is zero — the scalar zero-skip kernel's result.
+///
+/// Returns how many leading rows of the band it computed: a multiple of 8,
+/// or 0 when the AVX2 path is unavailable (or the backend is `Scalar`). The
+/// caller computes the remaining rows with its one-row kernel, so a row's
+/// bits never depend on its neighbours.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tile_rows(
+    backend: KernelBackend,
+    a: &[f32],
+    b: &[f32],
+    out_band: &mut [f32],
+    row_start: usize,
+    k: usize,
+    n: usize,
+    skip_zeros: bool,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        // SAFETY: `use_avx2` checked that the CPU has AVX2 and FMA; the
+        // tile bounds-checks every slice it reads or writes.
+        return unsafe {
+            if skip_zeros {
+                avx2::gemm_tile_rows::<true>(a, b, out_band, row_start, k, n)
+            } else {
+                avx2::gemm_tile_rows::<false>(a, b, out_band, row_start, k, n)
+            }
+        };
+    }
+    let _ = (backend, a, b, out_band, row_start, k, n, skip_zeros);
+    0
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 implementations
 // ---------------------------------------------------------------------------
@@ -461,6 +537,7 @@ mod avx2 {
     //! run on a CPU with AVX2 (+FMA where used); the dispatchers above
     //! guarantee that via [`super::simd_available`].
 
+    use super::TILE_MAX_N;
     use core::arch::x86_64::*;
 
     const LANES: usize = 8;
@@ -981,6 +1058,175 @@ mod avx2 {
                 let out_row = &mut out_band[r * n + j0..r * n + j0 + w];
                 gemm_row_panel(a_row, p, out_row, w);
             }
+        }
+    }
+
+    /// Depth of the A tile transposed onto the stack at a time: 8 rows ×
+    /// 128 f32 is 4 KiB, and no heap allocation is made.
+    const TILE_K: usize = 128;
+
+    /// The 8-row tile over the band's full 8-row groups; returns the rows
+    /// it computed. See [`super::gemm_tile_rows`] for the per-element
+    /// arithmetic of each flavour.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_tile_rows<const SKIP_ZEROS: bool>(
+        a: &[f32],
+        b: &[f32],
+        out_band: &mut [f32],
+        row_start: usize,
+        k: usize,
+        n: usize,
+    ) -> usize {
+        assert!(
+            n > 0 && n < TILE_MAX_N,
+            "tile output width {n} out of 1..{TILE_MAX_N}"
+        );
+        let tiled = out_band.len() / n / LANES * LANES;
+        // `at[kk * LANES + r]` = a[r][k0 + kk]; `acc[j]` holds column j of
+        // the 8 rows, lane r = row r.
+        let mut at = [0.0f32; TILE_K * LANES];
+        let mut acc = [[0.0f32; LANES]; TILE_MAX_N];
+        for r0 in (0..tiled).step_by(LANES) {
+            for col in &mut acc[..n] {
+                *col = [0.0; LANES];
+            }
+            for k0 in (0..k).step_by(TILE_K) {
+                let kb = TILE_K.min(k - k0);
+                let a_tile = &a[(row_start + r0) * k + k0..];
+                let mut kk0 = 0;
+                while kk0 + LANES <= kb {
+                    transpose_8x8(&a_tile[kk0..], k, &mut at[kk0 * LANES..]);
+                    kk0 += LANES;
+                }
+                for r in 0..LANES {
+                    for kk in kk0..kb {
+                        at[kk * LANES + r] = a_tile[r * k + kk];
+                    }
+                }
+                let b_block = &b[k0 * n..(k0 + kb) * n];
+                let mut j0 = 0;
+                while j0 < n {
+                    let w = LANES.min(n - j0);
+                    let cols = &mut acc[j0..j0 + w];
+                    match w {
+                        1 => tile_cols::<1, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        2 => tile_cols::<2, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        3 => tile_cols::<3, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        4 => tile_cols::<4, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        5 => tile_cols::<5, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        6 => tile_cols::<6, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        7 => tile_cols::<7, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        _ => tile_cols::<8, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                    }
+                    j0 += w;
+                }
+            }
+            for r in 0..LANES {
+                let out_row = &mut out_band[(r0 + r) * n..(r0 + r + 1) * n];
+                for (o, col) in out_row.iter_mut().zip(&acc[..n]) {
+                    *o = col[r];
+                }
+            }
+        }
+        tiled
+    }
+
+    /// Copies the 8 × 8 block at the start of `src` (rows `stride` apart)
+    /// to the start of `dst` transposed: `dst[c * 8 + r] = src[r * stride
+    /// + c]`. Pure data movement, so every bit pattern survives.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose_8x8(src: &[f32], stride: usize, dst: &mut [f32]) {
+        // Bounds-checked once here, so the vector loads and stores below
+        // stay inside both slices.
+        let src = &src[..(LANES - 1) * stride + LANES];
+        let dst = &mut dst[..LANES * LANES];
+        let r: [__m256; LANES] =
+            core::array::from_fn(|i| _mm256_loadu_ps(src.as_ptr().add(i * stride)));
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        let cols = [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ];
+        for (c, v) in cols.into_iter().enumerate() {
+            _mm256_storeu_ps(dst.as_mut_ptr().add(c * LANES), v);
+        }
+    }
+
+    /// Columns `j0..j0 + W` of one tile over one `k` block of `kb` steps:
+    /// `W` live accumulators, loaded from and stored back to `cols`, and
+    /// per `k` step one load of the transposed `a` column and `W`
+    /// broadcasts from `b_block` (`kb` rows of `n`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile_cols<const W: usize, const SKIP_ZEROS: bool>(
+        at: &[f32; TILE_K * LANES],
+        kb: usize,
+        b_block: &[f32],
+        n: usize,
+        j0: usize,
+        cols: &mut [[f32; LANES]],
+    ) {
+        // Every pointer read below stays inside `at` and `b_block`.
+        assert!(cols.len() == W && j0 + W <= n && kb <= TILE_K && b_block.len() >= kb * n);
+        let mut v = [_mm256_setzero_ps(); W];
+        for (vj, col) in v.iter_mut().zip(cols.iter()) {
+            *vj = _mm256_loadu_ps(col.as_ptr());
+        }
+        let zero = _mm256_setzero_ps();
+        for kk in 0..kb {
+            let av = _mm256_loadu_ps(at.as_ptr().add(kk * LANES));
+            let brow = b_block.as_ptr().add(kk * n + j0);
+            if SKIP_ZEROS {
+                let nonzero = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+                if _mm256_movemask_ps(nonzero) == 0 {
+                    continue;
+                }
+                for (j, vj) in v.iter_mut().enumerate() {
+                    let prod = _mm256_mul_ps(av, _mm256_broadcast_ss(&*brow.add(j)));
+                    *vj = _mm256_add_ps(*vj, _mm256_and_ps(prod, nonzero));
+                }
+            } else {
+                for (j, vj) in v.iter_mut().enumerate() {
+                    *vj = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*brow.add(j)), *vj);
+                }
+            }
+        }
+        for (vj, col) in v.iter().zip(cols.iter_mut()) {
+            _mm256_storeu_ps(col.as_mut_ptr(), *vj);
         }
     }
 }

@@ -11,8 +11,8 @@
 //! binary with `ADVCOMP_THREADS=8`.
 
 use advcomp_tensor::{
-    col2im, im2col, im2col_into, nchw_to_rows, pool, rows_to_nchw, Conv2dGeometry, Init,
-    KernelBackend, MatmulKernel, Tensor,
+    col2im, gemm_prepacked, gemm_sparse, im2col, im2col_into, nchw_to_rows, pool, rows_to_nchw,
+    simd, Conv2dGeometry, Init, KernelBackend, MatmulKernel, PackedGemmB, Tensor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -93,7 +93,7 @@ proptest! {
         hw in 3usize..8,
         kern in 1usize..4,
         stride in 1usize..3,
-        pad in 0usize..2,
+        pad in 0usize..3,
         seed in 0u64..1000,
     ) {
         prop_assume!(hw + 2 * pad >= kern);
@@ -156,5 +156,197 @@ fn acceptance_size_agrees_across_kernels() {
             .matmul_with(&b, MatmulKernel::Dense, be)
             .unwrap()
             .allclose(&reference, 1e-4));
+    }
+}
+
+/// Row counts around the 8-row tile of the AVX2 kernels (a partial tile, one
+/// tile, one plus a row, several), depths around its `k` blocks, and every
+/// output width below the tile cutoff (32) and a few above it.
+const PIN_M: [usize; 6] = [1, 7, 8, 9, 17, 100];
+const PIN_K: [usize; 5] = [1, 3, 25, 99, 300];
+const PIN_N: std::ops::RangeInclusive<usize> = 1..=40;
+
+/// Reference: every element as an in-order `f32::mul_add` chain from +0.
+fn fma_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// Reference: every element as an in-order `acc + a * b` chain from +0
+/// that skips each `a == 0` (either sign).
+fn zero_skip_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                let av = a[i * k + kk];
+                if av != 0.0 {
+                    acc += av * b[kk * n + j];
+                }
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// `m × k` left operand: uniform values with about a third of the entries
+/// replaced by +0 or −0, and every fifth column (from column 1) all zero so
+/// the right operand can hold non-finite rows there.
+fn pin_lhs(m: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+    use rand::Rng;
+    let mut a = uniform(&[m, k], rng).into_data();
+    for (idx, v) in a.iter_mut().enumerate() {
+        let kk = idx % k;
+        let roll = rng.gen_range(0u32..6);
+        if kk % 5 == 1 || roll == 0 {
+            *v = 0.0;
+        } else if roll == 1 {
+            *v = -0.0;
+        }
+    }
+    a
+}
+
+fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{label}: element {idx} is {g:e} ({:#010x}), want {w:e} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// Runs `gemm(a, m)` on the whole `m`-row operand and on each row alone,
+/// checks the full product against `want`, and checks that row `i` of it
+/// equals the 1-row product of row `i`.
+fn check_product(
+    label: &str,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    want: Option<&[f32]>,
+    gemm: &dyn Fn(&[f32], usize) -> Vec<f32>,
+) {
+    let full = gemm(a, m);
+    if let Some(want) = want {
+        assert_bits(label, &full, want);
+    }
+    for i in 0..m {
+        let row = gemm(&a[i * k..(i + 1) * k], 1);
+        assert_bits(
+            &format!("{label}: row {i} vs its 1-row product"),
+            &full[i * n..(i + 1) * n],
+            &row,
+        );
+    }
+}
+
+/// Pins the per-element arithmetic of both f32 GEMM kernels through all
+/// three entry points (`Tensor::matmul_with`, `gemm_prepacked`,
+/// `gemm_sparse`), so no kernel body — the AVX2 8-row tile for narrow
+/// outputs included — can drift from it:
+///
+/// * on an AVX2+FMA host, the SIMD dense GEMM is an in-order `mul_add`
+///   chain from +0, bit for bit;
+/// * on both backends, the zero-skip GEMM is an in-order `acc + a·b` chain
+///   that skips `a == 0`, bit for bit, even where `b` holds ±∞ or NaN
+///   facing only zero multipliers;
+/// * on both backends and both kernels, row `i` of an `m`-row product is
+///   the 1-row product of row `i`.
+#[test]
+fn gemm_kernels_keep_per_element_arithmetic() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    for &m in &PIN_M {
+        for &k in &PIN_K {
+            for n in PIN_N {
+                let a = pin_lhs(m, k, &mut rng);
+                let b_finite = uniform(&[k, n], &mut rng).into_data();
+                // Non-finite rows of b sit where every multiplier is zero.
+                let mut b_poisoned = b_finite.clone();
+                for kk in (1..k).step_by(5) {
+                    let row = &mut b_poisoned[kk * n..(kk + 1) * n];
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3];
+                    }
+                }
+                let fma_want = fma_chain(&a, &b_finite, m, k, n);
+                let skip_want = zero_skip_chain(&a, &b_poisoned, m, k, n);
+                let packed = PackedGemmB::pack(&b_finite, k, n).unwrap();
+                let bt_finite = Tensor::new(&[k, n], b_finite.clone()).unwrap();
+                let bt_poisoned = Tensor::new(&[k, n], b_poisoned.clone()).unwrap();
+                for be in [KernelBackend::Scalar, KernelBackend::Simd] {
+                    let shape = format!("{m}x{k}x{n} {}", be.name());
+                    // The dense chain is pinned where the FMA body runs; the
+                    // scalar dense body sums 4 products per step.
+                    let dense_want = (be == KernelBackend::Simd && simd::simd_available())
+                        .then_some(&fma_want[..]);
+                    let matmul = |bt: &Tensor, kernel: MatmulKernel, a: &[f32], rows: usize| {
+                        let at = Tensor::new(&[rows, k], a.to_vec()).unwrap();
+                        at.matmul_with(bt, kernel, be).unwrap().into_data()
+                    };
+                    check_product(
+                        &format!("matmul dense {shape}"),
+                        &a,
+                        m,
+                        k,
+                        n,
+                        dense_want,
+                        &|a: &[f32], rows: usize| matmul(&bt_finite, MatmulKernel::Dense, a, rows),
+                    );
+                    check_product(
+                        &format!("gemm_prepacked {shape}"),
+                        &a,
+                        m,
+                        k,
+                        n,
+                        dense_want,
+                        &|a: &[f32], rows: usize| {
+                            let mut out = vec![f32::NAN; rows * n];
+                            gemm_prepacked(be, a, rows, &packed, &mut out).unwrap();
+                            out
+                        },
+                    );
+                    check_product(
+                        &format!("matmul zero-skip {shape}"),
+                        &a,
+                        m,
+                        k,
+                        n,
+                        Some(&skip_want),
+                        &|a: &[f32], rows: usize| {
+                            matmul(&bt_poisoned, MatmulKernel::Sparse, a, rows)
+                        },
+                    );
+                    check_product(
+                        &format!("gemm_sparse {shape}"),
+                        &a,
+                        m,
+                        k,
+                        n,
+                        Some(&skip_want),
+                        &|a: &[f32], rows: usize| {
+                            let mut out = vec![f32::NAN; rows * n];
+                            gemm_sparse(be, a, rows, &b_poisoned, k, n, &mut out).unwrap();
+                            out
+                        },
+                    );
+                }
+            }
+        }
     }
 }

@@ -139,8 +139,11 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 
 # Bench gates: every measurement bench writes one record schema and
 # checks its own gates after writing, exiting 1 with every failed record
-# listed. The nine gates: on AVX2+FMA the SIMD GEMM is not slower than
-# scalar and the packed Q8 GEMM not slower than dense f32; every graph
+# listed. The ten gates: on AVX2+FMA the SIMD GEMM is not slower than
+# scalar at 128³, the SIMD dense GEMM is not slower than scalar at the
+# conv-width shapes (LeNet-5 conv1 and CifarNet conv2 forwards, whose
+# output widths are channel counts), and the packed Q8 GEMM is not slower
+# than dense f32; every graph
 # row has zero steady-state allocations, and on AVX2 compiled q8 LeNet-5
 # is >= 1.3x unfused; the detect fixture AUC is >= 0.9, and a live
 # guarded engine flags an offline-crafted UAP more often than clean
