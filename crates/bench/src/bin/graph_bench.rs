@@ -8,13 +8,15 @@
 //!
 //! Gates: every row's `alloc_events_steady` is 0 (on every host), and on
 //! an AVX2 host compiled q8-frozen LeNet-5 is at least 1.3× the unfused
-//! layer path (`lenet5.q8.speedup`).
+//! layer path (`lenet5.q8.speedup`). The two forwards of a row are timed
+//! in alternating iterations, one median each, so a burst of host noise
+//! cannot land on one side only.
 //!
 //! ```text
 //! scripts/bench.sh graph [--out FILE] [--iters N]
 //! ```
 
-use advcomp_bench::record::{median_ns, speedup, Flags, Report};
+use advcomp_bench::record::{median_ns_pair, speedup, Flags, Report};
 use advcomp_compress::Quantizer;
 use advcomp_graph::ExecPlan;
 use advcomp_models::{cifarnet, lenet5};
@@ -47,10 +49,6 @@ fn bench_model(
     shape.extend_from_slice(sample_shape);
     let x = Init::Uniform { lo: 0.0, hi: 1.0 }.tensor(&shape, rng);
 
-    let unfused_ns = median_ns(iters, || {
-        black_box(model.forward(&x, Mode::Eval).unwrap());
-    });
-
     let mut plan = ExecPlan::compile(&model, sample_shape).expect("paper nets compile");
     plan.reserve_batch(BATCH);
     // Warm once so the timed region is pure steady state, then count any
@@ -58,10 +56,16 @@ fn bench_model(
     let mut out = Tensor::zeros(&[0]);
     plan.forward_into(&x, &mut out).unwrap();
     let allocs_before = plan.alloc_events();
-    let compiled_ns = median_ns(iters, || {
-        plan.forward_into(&x, &mut out).unwrap();
-        black_box(out.data());
-    });
+    let (unfused_ns, compiled_ns) = median_ns_pair(
+        iters,
+        || {
+            black_box(model.forward(&x, Mode::Eval).unwrap());
+        },
+        || {
+            plan.forward_into(&x, &mut out).unwrap();
+            black_box(out.data());
+        },
+    );
     let allocs = plan.alloc_events() - allocs_before;
 
     let stats = plan.stats();

@@ -21,15 +21,23 @@
 //! conv2 at batch 48 (49152 × 99 × 11). On an AVX2+FMA host each shape's
 //! `dense.speedup` is gated at ≥ 1 as well.
 //!
+//! The `simd.conv_direct.*` records time each convolution pass of the six
+//! sweep convs (LeNet-5 at width 0.5: conv1, conv2; CifarNet at width
+//! 0.35: conv1–conv4) at batch 1 and 48, through the SIMD lowering and
+//! through the direct kernels, the two sides timed in alternating
+//! iterations. On an AVX2+FMA host every shape that
+//! [`advcomp_tensor::conv_impl`] sends to the direct kernels has the
+//! `speedup` of both passes gated at ≥ 1: the rule must not pick a loser.
+//!
 //! ```text
 //! scripts/bench.sh kernel [--out FILE] [--iters N]
 //! ```
 
 use advcomp_attacks::step;
-use advcomp_bench::record::{median_ns, speedup, Flags, Report};
+use advcomp_bench::record::{median_ns, median_ns_pair, speedup, Flags, Report};
 use advcomp_tensor::{
-    gemm_prepacked, gemm_sparse, im2col, pool, simd, Conv2dGeometry, Init, KernelBackend,
-    MatmulKernel, PackedGemmB, Tensor,
+    conv2d_forward, conv2d_input_grad, conv_impl, gemm_prepacked, gemm_sparse, im2col, pool, simd,
+    Conv2dGeometry, ConvImpl, Init, KernelBackend, MatmulKernel, PackedGemmB, Tensor,
 };
 use std::hint::black_box;
 
@@ -154,6 +162,78 @@ fn simd_ablation(iters: usize, report: &mut Report) {
         report.push(format!("simd.{name}.speedup"), "x", speedup(scalar, simd));
     }
     conv_width_gemms(iters.min(50), report);
+    conv_direct(iters.min(50), report);
+}
+
+/// Times both passes of the six sweep convolutions through the SIMD
+/// lowering and the direct kernels into the `simd.conv_direct.*` records,
+/// and gates the speedup of every pass `conv_impl` routes to the direct
+/// kernels. The direct kernels need AVX2+FMA, so other hosts write no
+/// such record.
+fn conv_direct(iters: usize, report: &mut Report) {
+    if !simd::simd_available() {
+        println!("  (no AVX2+FMA: simd.conv_direct.* not measured)");
+        return;
+    }
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
+    let init = Init::Uniform { lo: -1.0, hi: 1.0 };
+    let be = KernelBackend::Simd;
+    // (name, c, oc, kernel, padding, input size) at the sweep widths.
+    for (name, c, oc, k, pad, hw) in [
+        ("lenet5_conv1", 1, 3, 5, 2, 28),
+        ("lenet5_conv2", 3, 8, 5, 0, 14),
+        ("cifarnet_conv1", 3, 11, 3, 1, 32),
+        ("cifarnet_conv2", 11, 11, 3, 1, 32),
+        ("cifarnet_conv3", 11, 22, 3, 1, 16),
+        ("cifarnet_conv4", 22, 22, 3, 1, 8),
+    ] {
+        let geom = Conv2dGeometry::square(c, hw, k, 1, pad);
+        let (oh, ow) = geom.output_hw().expect("sweep geometry");
+        let weight = init.tensor(&[oc, c, k, k], &mut rng);
+        let bias = init.tensor(&[oc], &mut rng);
+        for batch in [1usize, 48] {
+            let x = init.tensor(&[batch, c, hw, hw], &mut rng);
+            let dy = init.tensor(&[batch, oc, oh, ow], &mut rng);
+            // The direct forward leaves its `cols` argument alone.
+            let (mut cols, mut untouched) = (Tensor::default(), Tensor::default());
+            let forward = |imp, cols: &mut Tensor| {
+                let y = conv2d_forward(be, &x, &weight, &bias, &geom, imp, None, cols);
+                black_box(y.expect("conv forward"));
+            };
+            let (fwd_lowering, fwd_direct) = median_ns_pair(
+                iters,
+                || forward(ConvImpl::Lowering, &mut cols),
+                || forward(ConvImpl::Direct, &mut untouched),
+            );
+            let input_grad = |imp| {
+                let g = conv2d_input_grad(be, &dy, &weight, &geom, imp, None);
+                black_box(g.expect("conv input gradient"));
+            };
+            let (dx_lowering, dx_direct) = median_ns_pair(
+                iters,
+                || input_grad(ConvImpl::Lowering),
+                || input_grad(ConvImpl::Direct),
+            );
+            let gated = conv_impl(be, &geom) == ConvImpl::Direct;
+            for (label, lowering_ns, direct_ns) in [
+                ("fwd", fwd_lowering, fwd_direct),
+                ("dx", dx_lowering, dx_direct),
+            ] {
+                let row = format!("simd.conv_direct.{name}.b{batch}.{label}");
+                let x = speedup(lowering_ns, direct_ns);
+                println!(
+                    "{:>28}: lowering {lowering_ns:>10} ns  direct {direct_ns:>10} ns  ({x:.2}x)",
+                    format!("{name}.b{batch}.{label}")
+                );
+                report.push(format!("{row}.lowering_ns"), "ns", lowering_ns as f64);
+                report.push(format!("{row}.direct_ns"), "ns", direct_ns as f64);
+                let record = report.push(format!("{row}.speedup"), "x", x);
+                if gated {
+                    record.min(1.0);
+                }
+            }
+        }
+    }
 }
 
 /// Times the dense and zero-skip GEMMs on both backends at two conv-forward

@@ -306,19 +306,30 @@ pub fn speedup(before: u64, after: u64) -> f64 {
 /// kernel pool's workers. `iters` must be at least 1 ([`Flags`] refuses
 /// `--iters 0`).
 pub fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
+    median_ns_pair(iters, &mut f, || {}).0
+}
+
+/// Median wall times in ns of `iters` timed calls to each of `a` and `b`,
+/// timed in alternating iterations (`a` first), after the warm-up of
+/// [`median_ns`] for each. A burst of host noise then lands on both sides
+/// instead of on one block of calls, so a ratio of the two medians does
+/// not swing with it.
+pub fn median_ns_pair(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
     assert!(iters > 0, "median_ns needs at least one timed call");
     for _ in 0..iters.div_ceil(10).max(3) {
-        f();
+        a();
+        b();
     }
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as u64
+    };
+    let (mut sa, mut sb): (Vec<u64>, Vec<u64>) =
+        (0..iters).map(|_| (time(&mut a), time(&mut b))).unzip();
+    sa.sort_unstable();
+    sb.sort_unstable();
+    (sa[iters / 2], sb[iters / 2])
 }
 
 /// A bench bin's command line: `--flag value` pairs from a fixed set.

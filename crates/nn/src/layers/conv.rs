@@ -1,4 +1,5 @@
-//! 2-D convolution layer (GEMM formulation via `im2col`).
+//! 2-D convolution layer (`advcomp_tensor::conv`: the GEMM lowering, or
+//! the direct stride-1 kernels where they can run).
 
 use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
@@ -6,20 +7,24 @@ use crate::qweights::QuantizedWeights;
 use crate::{NnError, Result};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    col2im, im2col_into, nchw_to_rows, qmatmul_f32, rows_to_nchw, simd, Conv2dGeometry, Init,
-    QTensor, Tensor,
+    conv2d_forward, conv2d_input_grad, conv_impl, im2col_into, nchw_to_rows, qmatmul_f32,
+    rows_to_nchw, simd, Conv2dGeometry, ConvImpl, Init, QTensor, Tensor,
 };
 use rand::Rng;
 
 /// A 2-D convolution over NCHW input.
 ///
-/// Weights are stored as `[out_channels, in_channels, kh, kw]`; the forward
-/// pass lowers to `im2col` + matmul (see `advcomp_tensor::conv`), which is
-/// also the ablation subject of the `conv` benchmark. The unrolled patch
-/// matrix — the largest intermediate in the network — lives in a persistent
-/// scratch tensor (`cols`) that is rewritten in place each forward pass
-/// instead of reallocated, which matters in the iterative-attack loop where
-/// every PGD step runs a fresh forward/backward pair.
+/// Weights are stored as `[out_channels, in_channels, kh, kw]`. The forward
+/// and input gradient run the implementation [`advcomp_tensor::conv_impl`]
+/// picks for the layer's geometry: on the AVX2 backend a stride-1 conv
+/// with padding below its kernel runs the direct kernels, which build no
+/// patch matrix; every other conv lowers to `im2col` + matmul. Both give
+/// the same bits. The forward caches its input, so `backward` after a
+/// forward in either mode can rebuild the patch matrix for the weight
+/// gradient `g2dᵀ · cols`, and `backward_input` needs none. The patch
+/// matrix lives in a scratch tensor (`cols`) that the lowered passes
+/// rewrite in place instead of reallocating, which matters in training
+/// loops that run a forward/backward pair per step.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -32,11 +37,14 @@ pub struct Conv2d {
     cols: Tensor,
 }
 
+/// What `backward` needs of the last forward.
 #[derive(Debug)]
 struct ConvCache {
     geom: Conv2dGeometry,
-    batch: usize,
+    input: Tensor,
     out_hw: (usize, usize),
+    /// `cols` still holds `input`'s patch matrix: the forward lowered.
+    cols_ready: bool,
 }
 
 impl Conv2d {
@@ -112,9 +120,9 @@ impl Conv2d {
         self.packed.is_some()
     }
 
-    /// Checks `grad_output` against the last forward and reorders it into
-    /// GEMM rows, `[n*oh*ow, oc]`.
-    fn grad_rows(&self, grad_output: &Tensor) -> Result<Tensor> {
+    /// Checks `grad_output` against the last forward and returns that
+    /// forward's cache.
+    fn checked_cache(&self, grad_output: &Tensor) -> Result<&ConvCache> {
         if self.packed.is_some() {
             return Err(NnError::InvalidConfig(
                 "conv2d: backward through frozen quantised weights (inference-only)".into(),
@@ -125,7 +133,7 @@ impl Conv2d {
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
         let (oh, ow) = cache.out_hw;
-        let (n, oc) = (cache.batch, self.out_channels());
+        let (n, oc) = (cache.input.shape()[0], self.out_channels());
         if grad_output.shape() != [n, oc, oh, ow] {
             return Err(NnError::Tensor(
                 advcomp_tensor::TensorError::ShapeMismatch {
@@ -135,22 +143,21 @@ impl Conv2d {
                 },
             ));
         }
-        Ok(nchw_to_rows(grad_output, n, oc, oh, ow)?)
+        Ok(cache)
     }
 
-    /// dL/dx = col2im(g2d · W2d) for gradient rows from [`Self::grad_rows`].
-    fn input_grad(&self, g2d: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        let gcols = g2d.matmul(&self.weight_2d()?)?;
-        Ok(col2im(&gcols, &cache.geom, cache.batch)?)
-    }
-
-    fn weight_2d(&self) -> Result<Tensor> {
-        let s = self.weight.value.shape();
-        Ok(self.weight.value.reshape(&[s[0], s[1] * s[2] * s[3]])?)
+    /// dL/dx for a `grad_output` that [`Self::checked_cache`] accepted.
+    fn input_grad(&self, geom: &Conv2dGeometry, grad_output: &Tensor) -> Result<Tensor> {
+        let backend = simd::backend();
+        let imp = conv_impl(backend, geom);
+        Ok(conv2d_input_grad(
+            backend,
+            grad_output,
+            &self.weight.value,
+            geom,
+            imp,
+            None,
+        )?)
     }
 }
 
@@ -179,11 +186,11 @@ impl Layer for Conv2d {
             padding: self.padding,
         };
         let (oh, ow) = geom.output_hw()?;
-        im2col_into(input, &geom, &mut self.cols)?;
         if let Some(q) = &self.packed {
             // Dequant-fused conv path: the unrolled patch matrix feeds the
             // int8 GEMM directly; only the codes of the weight blocks and
             // the quantised patches touch memory in the hot loop.
+            im2col_into(input, &geom, &mut self.cols)?;
             let (rows, oc) = (self.cols.shape()[0], q.tensor().rows());
             let mut out = vec![0.0f32; rows * oc];
             qmatmul_f32(
@@ -199,32 +206,48 @@ impl Layer for Conv2d {
             self.cache = None; // frozen layers are inference-only
             return Ok(out);
         }
-        let w2d = self.weight_2d()?; // [oc, patch]
-        let out2d = self.cols.matmul(&w2d.t()?)?; // [n*oh*ow, oc]
-        let out2d = out2d.add_row_broadcast(&self.bias.value)?;
-        let out = rows_to_nchw(&out2d, n, self.out_channels(), oh, ow)?;
+        let backend = simd::backend();
+        let imp = conv_impl(backend, &geom);
+        let out = conv2d_forward(
+            backend,
+            input,
+            &self.weight.value,
+            &self.bias.value,
+            &geom,
+            imp,
+            None,
+            &mut self.cols,
+        )?;
         self.cache = Some(ConvCache {
             geom,
-            batch: n,
+            input: input.clone(),
             out_hw: (oh, ow),
+            cols_ready: imp == ConvImpl::Lowering,
         });
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g2d = self.grad_rows(grad_output)?;
-        // dL/dW = g2dᵀ · cols (the scratch still holds this batch's patches).
+        let cache = self.checked_cache(grad_output)?;
+        let (geom, (oh, ow)) = (cache.geom, cache.out_hw);
+        let (n, oc) = (cache.input.shape()[0], self.out_channels());
+        if let Some(cache) = self.cache.as_mut().filter(|c| !c.cols_ready) {
+            im2col_into(&cache.input, &geom, &mut self.cols)?;
+            cache.cols_ready = true;
+        }
+        let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
+        // dL/dW = g2dᵀ · cols.
         let gw2d = g2d.t()?.matmul(&self.cols)?;
         let gw = gw2d.reshape(self.weight.value.shape())?;
         self.weight.grad.add_assign(&gw)?;
         let gb = g2d.sum_axis0()?;
         self.bias.grad.add_assign(&gb)?;
-        self.input_grad(&g2d)
+        self.input_grad(&geom, grad_output)
     }
 
     fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g2d = self.grad_rows(grad_output)?;
-        self.input_grad(&g2d)
+        let geom = self.checked_cache(grad_output)?.geom;
+        self.input_grad(&geom, grad_output)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -261,9 +284,9 @@ impl Layer for Conv2d {
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
-        // The im2col scratch is per-replica state and starts empty; it is
-        // regrown lazily on the replica's first forward pass. Packed
-        // weights are shared across replicas via Arc.
+        // The cache and the im2col scratch are per-replica state and start
+        // empty; the scratch is regrown lazily by the replica's first
+        // lowered pass. Packed weights are shared across replicas via Arc.
         Box::new(Conv2d {
             weight: self.weight.clone(),
             bias: self.bias.clone(),
@@ -423,8 +446,8 @@ mod tests {
 
     #[test]
     fn repeated_forward_backward_reuses_scratch() {
-        // Two full steps with different inputs: the persistent cols scratch
-        // must be rewritten, not blended, between steps.
+        // Two full steps with different inputs: the weight gradient must
+        // come from the last forward's input, not a blend of the two.
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng());
         conv.params_mut()[0].value = Tensor::ones(&[1, 1, 3, 3]);
         let x1 = Tensor::new(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();

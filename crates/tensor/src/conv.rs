@@ -1,19 +1,39 @@
-//! `im2col`/`col2im` lowering for 2-D convolution.
+//! 2-D convolution: the `im2col`/`col2im` lowering and the direct
+//! stride-1 kernels.
 //!
-//! Convolution layers in `advcomp-nn` lower to matrix multiplication:
-//! an NCHW input batch is unrolled into a `[n·oh·ow, c·kh·kw]` patch matrix
-//! ([`im2col`]), multiplied against the `[c·kh·kw, oc]` reshaped kernel, and
-//! the backward pass folds patch gradients back with [`col2im`]. This is the
-//! standard GEMM formulation used by most CPU deep-learning runtimes.
+//! **The lowering** turns a convolution into matrix multiplication: an
+//! NCHW input batch is unrolled into a `[n·oh·ow, c·kh·kw]` patch matrix
+//! ([`im2col`]), multiplied against the `[c·kh·kw, oc]` reshaped kernel,
+//! and the backward pass folds patch gradients back with [`col2im`]. This
+//! is the standard GEMM formulation used by most CPU deep-learning
+//! runtimes; it runs every geometry on both backends, and the graph
+//! executor's conv steps use it.
+//!
+//! **The direct kernels** ([`ConvImpl::Direct`], AVX2 backend, stride 1,
+//! padding below the kernel) compute the same numbers without building the
+//! patch matrix: the forward chains each output over its taps and writes
+//! NCHW, and the input gradient gathers each input pixel's terms from the
+//! output gradient, so neither `im2col`, `col2im` nor the row ↔ NCHW
+//! transposes run. They are bit-identical to the SIMD lowering: each
+//! element keeps its GEMM kernel's arithmetic (dense FMA chain or zero-skip
+//! mul-then-add) in the same order, and the batch's kernel is chosen by
+//! sampling the never-built GEMM operand at exactly the positions
+//! [`crate::probe_matmul_kernel`] would. [`conv_impl`] is the one rule
+//! that sends a layer's pass to them; [`conv2d_forward`] and
+//! [`conv2d_input_grad`] run either implementation.
 //!
 //! Every transform here touches each batch sample independently, and each
 //! sample occupies a contiguous region of the output buffer, so all of them
 //! parallelise over the batch on the persistent worker pool
-//! ([`crate::pool`]). The layer-facing [`im2col_into`] variant additionally
-//! reuses a caller-owned scratch tensor, so the (large) patch matrix is
-//! allocated once per layer rather than once per training/attack step.
+//! ([`crate::pool`]); the direct kernels keep their zero-bordered planes in
+//! per-thread scratch. [`im2col_into`] reuses a caller-owned scratch
+//! tensor, so a layer that lowers allocates its patch matrix once rather
+//! than once per step.
 
-use crate::{pool, Result, Tensor, TensorError};
+use crate::ops::{probe_kernel_by, probe_step};
+use crate::simd::{self, DirectConv};
+use crate::{pool, KernelBackend, MatmulKernel, Result, Tensor, TensorError};
+use std::cell::RefCell;
 
 /// Static geometry of a 2-D convolution or pooling window over NCHW input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +119,26 @@ fn inside_columns(ix0: isize, kernel_w: usize, w: usize) -> (usize, usize) {
     (lo as usize, hi as usize)
 }
 
+/// Checks that `input` is an NCHW batch matching `geom`; returns its size.
+fn check_input(input: &Tensor, geom: &Conv2dGeometry, op: &'static str) -> Result<usize> {
+    if input.ndim() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: input.ndim(),
+            op,
+        });
+    }
+    let s = input.shape();
+    if s[1] != geom.in_channels || s[2] != geom.in_h || s[3] != geom.in_w {
+        return Err(TensorError::ShapeMismatch {
+            lhs: s.to_vec(),
+            rhs: vec![s[0], geom.in_channels, geom.in_h, geom.in_w],
+            op,
+        });
+    }
+    Ok(s[0])
+}
+
 /// Fills the patch rows of one batch sample. `chunk` is that sample's
 /// contiguous `oh·ow·patch` slice of the column matrix, already zeroed.
 fn im2col_sample(
@@ -168,26 +208,7 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 ///
 /// Same conditions as [`im2col`]; on error `out` is left untouched.
 pub fn im2col_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Result<()> {
-    if input.ndim() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input.ndim(),
-            op: "im2col",
-        });
-    }
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    if c != geom.in_channels || h != geom.in_h || w != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            lhs: input.shape().to_vec(),
-            rhs: vec![n, geom.in_channels, geom.in_h, geom.in_w],
-            op: "im2col",
-        });
-    }
+    let n = check_input(input, geom, "im2col")?;
     let (oh, ow) = geom.output_hw()?;
     let patch = geom.patch_len();
     out.reset_scratch(&[n * oh * ow, patch]);
@@ -405,6 +426,347 @@ pub fn nchw_to_rows(t: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Re
     Ok(out)
 }
 
+/// Which implementation runs a convolution pass. See [`conv_impl`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConvImpl {
+    /// `im2col` → GEMM → bias → NCHW forward, and NCHW → rows → GEMM →
+    /// `col2im` input gradient.
+    Lowering,
+    /// The direct stride-1 AVX2 kernels, bit-identical to the SIMD
+    /// lowering, with no patch matrix.
+    Direct,
+}
+
+/// The one rule that routes both passes of a convolution, forward and
+/// input gradient: [`ConvImpl::Direct`] wherever the direct kernels can run
+/// the geometry — the `Simd` backend on an AVX2+FMA CPU, stride 1, padding
+/// below the kernel — and [`ConvImpl::Lowering`] everywhere else: the
+/// scalar backend (the goldens' reference) and strided convolutions.
+/// (Frozen int8 convolutions and the graph executor's conv steps lower
+/// without asking.)
+///
+/// The passes share the rule because `kernel_bench`'s `simd.conv_direct.*`
+/// rows measure the direct kernels winning every pass of the six sweep
+/// convolutions at batch 1 and 48, narrow outputs included: each saves the
+/// patch matrix's round trip (`im2col` or `col2im`, the row ↔ NCHW
+/// transposes, the separate bias pass), and its register blocks fill the
+/// vector lanes along output rows. A pass where the lowering wins would
+/// take a condition on the geometry here, and its `kernel_bench` gate
+/// would fail until it did.
+pub fn conv_impl(backend: KernelBackend, geom: &Conv2dGeometry) -> ConvImpl {
+    let direct = simd::use_avx2(backend)
+        && geom.stride == 1
+        && geom.padding < geom.kernel_h
+        && geom.padding < geom.kernel_w
+        && geom.output_hw().is_ok();
+    if direct {
+        ConvImpl::Direct
+    } else {
+        ConvImpl::Lowering
+    }
+}
+
+/// The direct kernels' view of `geom` with `oc` output channels.
+///
+/// # Errors
+///
+/// [`TensorError::InvalidGeometry`] where [`conv_impl`] would not choose
+/// [`ConvImpl::Direct`].
+fn direct_shape(backend: KernelBackend, geom: &Conv2dGeometry, oc: usize) -> Result<DirectConv> {
+    if conv_impl(backend, geom) != ConvImpl::Direct {
+        return Err(TensorError::InvalidGeometry(format!(
+            "direct convolution needs the AVX2 backend, stride 1 and padding below the \
+             kernel; got stride {}, padding {}, kernel {}x{}",
+            geom.stride, geom.padding, geom.kernel_h, geom.kernel_w
+        )));
+    }
+    let (oh, ow) = geom.output_hw()?;
+    Ok(DirectConv {
+        c: geom.in_channels,
+        h: geom.in_h,
+        w: geom.in_w,
+        oc,
+        kh: geom.kernel_h,
+        kw: geom.kernel_w,
+        pad: geom.padding,
+        oh,
+        ow,
+    })
+}
+
+/// Checks a conv weight `[oc, c, kh, kw]` against `geom`; returns `oc`.
+fn weight_channels(weight: &Tensor, geom: &Conv2dGeometry, op: &'static str) -> Result<usize> {
+    let s = weight.shape();
+    if s.len() != 4 || s[1] != geom.in_channels || s[2] != geom.kernel_h || s[3] != geom.kernel_w {
+        return Err(TensorError::ShapeMismatch {
+            lhs: s.to_vec(),
+            rhs: vec![
+                s.first().copied().unwrap_or(0),
+                geom.in_channels,
+                geom.kernel_h,
+                geom.kernel_w,
+            ],
+            op,
+        });
+    }
+    Ok(s[0])
+}
+
+thread_local! {
+    /// Zero-bordered planes of the sample a direct kernel is working on,
+    /// kept per thread so pool workers never share or reallocate them.
+    static DIRECT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f(sample, chunk)` over the `chunk_len`-element samples of `out`:
+/// on the pool when the pass does at least as many multiply-adds (`macs`)
+/// as a GEMM the pool would split, on the calling thread otherwise. (A
+/// lone sample stays on one thread: on a 2-core host, splitting one
+/// sample's channels across the pool measured no faster, its hand-off
+/// costing what the second core saved.)
+fn for_each_sample<F>(out: &mut [f32], chunk_len: usize, macs: usize, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if macs >= crate::ops::PARALLEL_THRESHOLD {
+        pool::for_each_chunk(out, chunk_len, f);
+    } else {
+        for (b, chunk) in out.chunks_mut(chunk_len).enumerate() {
+            f(b, chunk);
+        }
+    }
+}
+
+/// Coordinates of the flat indices the density probe samples (see
+/// [`probe_step`]) in a row-major array of shape `dims`, in increasing
+/// order, found by mixed-radix addition of the step's digits rather than
+/// by division.
+struct ProbeWalk<const N: usize> {
+    dims: [usize; N],
+    step: [usize; N],
+    coord: [usize; N],
+}
+
+impl<const N: usize> ProbeWalk<N> {
+    fn new(dims: [usize; N]) -> Self {
+        let mut rest = probe_step(dims.iter().product());
+        let mut step = [0; N];
+        for j in (1..N).rev() {
+            step[j] = rest % dims[j];
+            rest /= dims[j];
+        }
+        step[0] = rest;
+        ProbeWalk {
+            dims,
+            step,
+            coord: [0; N],
+        }
+    }
+
+    /// The next sampled coordinate (the first call returns the origin).
+    fn next(&mut self) -> [usize; N] {
+        let at = self.coord;
+        let mut carry = 0;
+        for j in (1..N).rev() {
+            let v = self.coord[j] + self.step[j] + carry;
+            carry = usize::from(v >= self.dims[j]);
+            self.coord[j] = v - carry * self.dims[j];
+        }
+        self.coord[0] += self.step[0] + carry;
+        at
+    }
+}
+
+/// The GEMM kernel the lowering's forward would pick: the density probe
+/// over the `[n·oh·ow, c·kh·kw]` patch matrix of `input`, read at the
+/// sampled positions without building it. `(oh, ow)` is the geometry's
+/// output size.
+fn probe_patches(
+    input: &[f32],
+    n: usize,
+    geom: &Conv2dGeometry,
+    (oh, ow): (usize, usize),
+) -> MatmulKernel {
+    let (h, w, kw) = (geom.in_h, geom.in_w, geom.kernel_w);
+    let taps = geom.kernel_h * kw;
+    // Patch column `kk` reads channel plane `kk / taps` at kernel offset
+    // `(ky, kx)`, both counted from the padded origin of its patch.
+    let columns: Vec<(usize, usize, usize)> = (0..geom.patch_len())
+        .map(|kk| ((kk / taps) * h * w, kk % taps / kw, kk % kw))
+        .collect();
+    let sample = geom.in_channels * h * w;
+    let dims = [n, oh, ow, columns.len()];
+    let mut walk = ProbeWalk::new(dims);
+    probe_kernel_by(dims.iter().product(), || {
+        let [b, oy, ox, kk] = walk.next();
+        let (plane, ky, kx) = columns[kk];
+        let iy = (oy * geom.stride + ky).wrapping_sub(geom.padding);
+        let ix = (ox * geom.stride + kx).wrapping_sub(geom.padding);
+        iy < h && ix < w && input[b * sample + plane + iy * w + ix] != 0.0
+    })
+}
+
+/// The GEMM kernel the lowering's input gradient would pick: the density
+/// probe over the `[n·oh·ow, oc]` gradient rows of the NCHW `grad` (shape
+/// `[n, oc, oh, ow]`), read without transposing it. A row's output
+/// position is one coordinate here, which keeps the walk's carry chain
+/// short.
+fn probe_grad_rows(grad: &[f32], [n, oc, oh, ow]: [usize; 4]) -> MatmulKernel {
+    let plane = oh * ow;
+    let mut walk = ProbeWalk::new([n, plane, oc]);
+    probe_kernel_by(n * plane * oc, || {
+        let [b, pos, o] = walk.next();
+        grad[(b * oc + o) * plane + pos] != 0.0
+    })
+}
+
+/// Convolution forward `y = conv(x, W) + b` of an NCHW batch, `[n, oc, oh,
+/// ow]` out, by `imp`.
+///
+/// `weight` is `[oc, c, kh, kw]` and `bias` `[oc]`. `kernel` forces the GEMM
+/// kernel flavour; `None` picks it as [`crate::Tensor::matmul`] would, by
+/// the density probe over the patch matrix. [`ConvImpl::Lowering`] runs
+/// `im2col` into `cols` (reused across calls), the GEMM against `Wᵀ`, the
+/// bias add and the NCHW transpose; [`ConvImpl::Direct`] leaves `cols`
+/// alone and returns the same bits.
+///
+/// # Errors
+///
+/// Shape errors when `input`, `weight` or `bias` disagree with `geom`,
+/// geometry errors from [`Conv2dGeometry::output_hw`], and
+/// [`TensorError::InvalidGeometry`] for [`ConvImpl::Direct`] where
+/// [`conv_impl`] would never choose it for lack of AVX2, stride 1 or
+/// padding below the kernel.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_forward(
+    backend: KernelBackend,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    geom: &Conv2dGeometry,
+    imp: ConvImpl,
+    kernel: Option<MatmulKernel>,
+    cols: &mut Tensor,
+) -> Result<Tensor> {
+    let oc = weight_channels(weight, geom, "conv2d forward")?;
+    if bias.shape() != [oc] {
+        return Err(TensorError::ShapeMismatch {
+            lhs: bias.shape().to_vec(),
+            rhs: vec![oc],
+            op: "conv2d forward",
+        });
+    }
+    let (oh, ow) = geom.output_hw()?;
+    let patch = geom.patch_len();
+    let wt = weight.reshape(&[oc, patch])?.t()?;
+    if imp == ConvImpl::Lowering {
+        im2col_into(input, geom, cols)?;
+        let n = input.shape()[0];
+        let kernel = kernel.unwrap_or_else(|| crate::probe_matmul_kernel(cols.data()));
+        let out2d = cols
+            .matmul_with(&wt, kernel, backend)?
+            .add_row_broadcast(bias)?;
+        return rows_to_nchw(&out2d, n, oc, oh, ow);
+    }
+    let d = direct_shape(backend, geom, oc)?;
+    let n = check_input(input, geom, "conv2d forward")?;
+    let x = input.data();
+    let kernel = kernel.unwrap_or_else(|| probe_patches(x, n, geom, (oh, ow)));
+    let finite = wt.data().iter().all(|v| v.is_finite());
+    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    let sample = d.c * d.h * d.w;
+    for_each_sample(
+        out.data_mut(),
+        oc * oh * ow,
+        n * oh * ow * oc * patch,
+        |b, chunk| {
+            DIRECT_SCRATCH.with(|scratch| {
+                let ran = simd::conv_direct_forward(
+                    backend,
+                    &d,
+                    &x[b * sample..(b + 1) * sample],
+                    wt.data(),
+                    bias.data(),
+                    chunk,
+                    kernel == MatmulKernel::Sparse,
+                    finite,
+                    &mut scratch.borrow_mut(),
+                );
+                debug_assert!(ran, "direct_shape checked the AVX2 path");
+            });
+        },
+    );
+    Ok(out)
+}
+
+/// Convolution input gradient `dL/dx` (`[n, c, h, w]`) from the NCHW
+/// output gradient `grad_output` (`[n, oc, oh, ow]`), by `imp`.
+///
+/// `kernel` forces the GEMM kernel flavour; `None` picks it as
+/// [`crate::Tensor::matmul`] would, by the density probe over the
+/// gradient rows. [`ConvImpl::Lowering`] runs `nchw_to_rows`, the GEMM
+/// against `W` and `col2im`; [`ConvImpl::Direct`] returns the same bits
+/// without any of them.
+///
+/// # Errors
+///
+/// As [`conv2d_forward`], for `grad_output` and `weight`.
+pub fn conv2d_input_grad(
+    backend: KernelBackend,
+    grad_output: &Tensor,
+    weight: &Tensor,
+    geom: &Conv2dGeometry,
+    imp: ConvImpl,
+    kernel: Option<MatmulKernel>,
+) -> Result<Tensor> {
+    let oc = weight_channels(weight, geom, "conv2d input gradient")?;
+    let (oh, ow) = geom.output_hw()?;
+    let n = grad_output.shape().first().copied().unwrap_or(0);
+    if grad_output.shape() != [n, oc, oh, ow] {
+        return Err(TensorError::ShapeMismatch {
+            lhs: grad_output.shape().to_vec(),
+            rhs: vec![n, oc, oh, ow],
+            op: "conv2d input gradient",
+        });
+    }
+    let patch = geom.patch_len();
+    let w2d = weight.reshape(&[oc, patch])?;
+    if imp == ConvImpl::Lowering {
+        let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
+        let kernel = kernel.unwrap_or_else(|| crate::probe_matmul_kernel(g2d.data()));
+        let gcols = g2d.matmul_with(&w2d, kernel, backend)?;
+        return col2im(&gcols, geom, n);
+    }
+    let d = direct_shape(backend, geom, oc)?;
+    let dy = grad_output.data();
+    let kernel = kernel.unwrap_or_else(|| probe_grad_rows(dy, [n, oc, oh, ow]));
+    let wt = w2d.t()?;
+    let finite = wt.data().iter().all(|v| v.is_finite());
+    let mut out = Tensor::zeros(&[n, d.c, d.h, d.w]);
+    let sample = oc * oh * ow;
+    for_each_sample(
+        out.data_mut(),
+        d.c * d.h * d.w,
+        n * oh * ow * oc * patch,
+        |b, chunk| {
+            DIRECT_SCRATCH.with(|scratch| {
+                let ran = simd::conv_direct_input_grad(
+                    backend,
+                    &d,
+                    &dy[b * sample..(b + 1) * sample],
+                    wt.data(),
+                    chunk,
+                    kernel == MatmulKernel::Sparse,
+                    finite,
+                    &mut scratch.borrow_mut(),
+                );
+                debug_assert!(ran, "direct_shape checked the AVX2 path");
+            });
+        },
+    );
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +910,70 @@ mod tests {
     fn col2im_validates_shape() {
         let g = Conv2dGeometry::square(1, 2, 1, 1, 0);
         assert!(col2im(&Tensor::zeros(&[3, 1]), &g, 1).is_err());
+    }
+
+    #[test]
+    fn probe_walk_visits_the_sampled_indices() {
+        for dims in [
+            [1usize, 7, 5, 3],
+            [2, 28, 28, 25],
+            [48, 10, 10, 75],
+            [3, 1, 1, 1],
+        ] {
+            let len: usize = dims.iter().product();
+            let step = probe_step(len);
+            let mut walk = ProbeWalk::new(dims);
+            for i in (0..len).step_by(step) {
+                let [a, b, c, d] = walk.next();
+                assert_eq!(
+                    ((a * dims[1] + b) * dims[2] + c) * dims[3] + d,
+                    i,
+                    "{dims:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn virtual_probes_equal_the_probe_over_the_built_operands() {
+        use crate::{probe_matmul_kernel, Init};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut picked = [0usize; 2];
+        // (batch, channels, size, kernel, stride, padding, out channels):
+        // small operands sampled whole, large ones strided.
+        for (n, c, hw, k, stride, pad, oc) in [
+            (1, 1, 5, 3, 1, 1, 2),
+            (1, 1, 28, 5, 1, 2, 3),
+            (3, 3, 14, 5, 1, 0, 8),
+            (48, 3, 32, 3, 1, 1, 11),
+            (2, 11, 16, 3, 2, 1, 22),
+            (4, 2, 9, 5, 1, 4, 1),
+        ] {
+            let geom = Conv2dGeometry::square(c, hw, k, stride, pad);
+            let (oh, ow) = geom.output_hw().unwrap();
+            for density in [0.05f32, 0.2, 0.25, 0.3, 0.4, 1.0] {
+                let mut sparse = |shape: &[usize]| {
+                    let mut t = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(shape, &mut rng);
+                    for v in t.data_mut() {
+                        if rng.gen::<f32>() >= density {
+                            *v = 0.0;
+                        }
+                    }
+                    t
+                };
+                let x = sparse(&[n, c, hw, hw]);
+                let built = probe_matmul_kernel(im2col(&x, &geom).unwrap().data());
+                assert_eq!(probe_patches(x.data(), n, &geom, (oh, ow)), built);
+                picked[usize::from(built == MatmulKernel::Sparse)] += 1;
+                let dy = sparse(&[n, oc, oh, ow]);
+                let rows = nchw_to_rows(&dy, n, oc, oh, ow).unwrap();
+                let built = probe_matmul_kernel(rows.data());
+                assert_eq!(probe_grad_rows(dy.data(), [n, oc, oh, ow]), built);
+                picked[usize::from(built == MatmulKernel::Sparse)] += 1;
+            }
+        }
+        assert!(picked[0] > 0 && picked[1] > 0, "kernels picked {picked:?}");
     }
 
     #[test]

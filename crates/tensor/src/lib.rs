@@ -13,7 +13,8 @@
 //! * runtime-dispatched AVX2+FMA slice kernels with scalar fallbacks for
 //!   the GEMM microkernel, elementwise ops and reductions ([`simd`],
 //!   selected once per process by `ADVCOMP_KERNEL=scalar|simd|auto`),
-//! * `im2col`/`col2im` lowering used by convolution layers, and
+//! * convolution for the `nn` layers: the `im2col`/`col2im` lowering and
+//!   direct stride-1 AVX2 kernels bit-identical to it ([`conv_impl`]), and
 //! * random initialisers (uniform, Gaussian, Kaiming/Xavier fan-scaled).
 //!
 //! # Example
@@ -43,8 +44,8 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, im2col, im2col_into, im2col_slice, nchw_to_rows, rows_to_nchw, rows_to_nchw_slice,
-    Conv2dGeometry,
+    col2im, conv2d_forward, conv2d_input_grad, conv_impl, im2col, im2col_into, im2col_slice,
+    nchw_to_rows, rows_to_nchw, rows_to_nchw_slice, Conv2dGeometry, ConvImpl,
 };
 pub use error::TensorError;
 pub use init::{FanMode, Init};

@@ -22,13 +22,15 @@
 //! from +0, and on both backends the zero-skip kernel is an in-order
 //! `acc + a·b` chain from +0 over the nonzero `a`. A row's bits never
 //! depend on the other rows. On AVX2, products with fewer than 32 output
-//! columns and a depth of at least 8 — every conv forward at the widths
-//! the sweeps run, whose `n` is the layer's output-channel count — run
-//! each band's full 8-row groups through the 8-row tile instead of the
+//! columns and a depth of at least 8 — every lowered conv forward at the
+//! widths the sweeps run, whose `n` is the layer's output-channel count —
+//! run each band's full 8-row groups through the 8-row tile instead of the
 //! one-row bodies, whose 32-wide stripes would leave most of such a
 //! product to a scalar tail. The tile keeps both arithmetics, so it
 //! changes speed, not bits. `crates/tensor/tests/kernels.rs` pins all of
-//! this.
+//! this. (On the AVX2 backend `Conv2d`'s stride-1 passes skip the GEMM:
+//! the direct kernels of `crate::conv` compute the same bits, choosing
+//! between the two arithmetics with the same density probe.)
 //!
 //! Reference implementations kept for tests and ablation benchmarks
 //! (compiled only under `cfg(test)` or the `bench-ablation` feature so
@@ -52,7 +54,7 @@ const PANEL: usize = 128;
 
 /// Minimum `m * n * k` product before work is split across the pool; below
 /// this the submission overhead dominates.
-const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
+pub(crate) const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Upper bound on elements inspected by the density probe.
 const DENSITY_PROBE_SAMPLES: usize = 1024;
@@ -122,24 +124,34 @@ fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {
     Ok((m, k, n))
 }
 
-/// Fraction of nonzero entries in `data`, estimated from at most
-/// [`DENSITY_PROBE_SAMPLES`] strided samples (exact for small inputs).
-fn probe_nonzero_fraction(data: &[f32]) -> f32 {
-    if data.is_empty() {
-        return 1.0;
+/// Distance between the flat indices the density probe samples in an
+/// operand of `len` elements: it reads indices `0, step, 2·step, …` below
+/// `len`, at most about 2 × [`DENSITY_PROBE_SAMPLES`] of them (every one
+/// for small inputs).
+pub(crate) fn probe_step(len: usize) -> usize {
+    (len / DENSITY_PROBE_SAMPLES).max(1)
+}
+
+/// The kernel the density probe picks for an operand of `len` elements,
+/// where `nonzero()` says whether the next sampled element is nonzero: it
+/// is called once per sampled index, in increasing index order (see
+/// [`probe_step`]). Callers that never build the operand (the direct
+/// convolution kernels) sample it through this, so they choose exactly
+/// as [`probe_matmul_kernel`] would over the built matrix.
+pub(crate) fn probe_kernel_by(len: usize, mut nonzero: impl FnMut() -> bool) -> MatmulKernel {
+    let fraction = if len == 0 {
+        1.0
+    } else {
+        let step = probe_step(len);
+        let seen = len.div_ceil(step) as u32;
+        let hits: u32 = (0..seen).map(|_| u32::from(nonzero())).sum();
+        hits as f32 / seen as f32
+    };
+    if fraction <= SPARSE_NONZERO_CUTOFF {
+        MatmulKernel::Sparse
+    } else {
+        MatmulKernel::Dense
     }
-    let step = (data.len() / DENSITY_PROBE_SAMPLES).max(1);
-    let mut seen = 0u32;
-    let mut nonzero = 0u32;
-    let mut i = 0;
-    while i < data.len() {
-        seen += 1;
-        if data[i] != 0.0 {
-            nonzero += 1;
-        }
-        i += step;
-    }
-    nonzero as f32 / seen as f32
 }
 
 /// Packs `b` (`k × n`, row-major) into column panels of width [`PANEL`].
@@ -162,37 +174,55 @@ fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
     packed
 }
 
+/// How the dense microkernel finds the column panel of `b` that starts at
+/// column `j0` and is `w` wide: returns the panel's first element and the
+/// distance between its rows. Packed panels (see [`pack_b_panels`]) are
+/// `k` rows of `w`; unpacked, `b` is read in place with row stride `n`.
+/// For `n ≤ PANEL` the two coincide.
+pub(crate) fn panel_at(packed: bool, k: usize, n: usize, j0: usize, w: usize) -> (usize, usize) {
+    if packed {
+        (k * j0, w)
+    } else {
+        (j0, n)
+    }
+}
+
 /// Dense microkernel over one output row band.
 ///
 /// `out_band` holds rows `[row_start, row_start + out_band.len()/n)` of the
-/// result and must be zero-initialised. On an AVX2+FMA machine with the
-/// `Simd` backend selected, the band runs through [`crate::simd`]: its
+/// result and must be zero-initialised. `b` is either packed into column
+/// panels (`packed`) or row-major `k × n`; the layout changes where the
+/// panels are read from, never the arithmetic. On an AVX2+FMA machine with
+/// the `Simd` backend selected, the band runs through [`crate::simd`]: its
 /// full 8-row groups through the 8-row FMA tile when `n` < [`TILE_MAX_N`]
 /// and `k` ≥ [`TILE_MIN_K`] (one panel, laid out as `b` itself), the other
 /// rows through the 32-wide FMA stripe body. Both evaluate each element as
-/// an in-order `mul_add` chain from +0. Otherwise, for each panel of
-/// `packed_b`, the scalar inner loop accumulates 4 `k`-steps at a time
-/// into a `w`-wide output stripe with no branches, which the compiler
+/// an in-order `mul_add` chain from +0. Otherwise, for each panel of `b`,
+/// the scalar inner loop accumulates 4 `k`-steps at a time into a
+/// `w`-wide output stripe with no branches, which the compiler
 /// autovectorises to whatever the baseline target offers.
+#[allow(clippy::too_many_arguments)]
 fn matmul_dense_rows(
     backend: KernelBackend,
     a: &[f32],
-    packed_b: &[f32],
+    b: &[f32],
+    packed: bool,
     out_band: &mut [f32],
     row_start: usize,
     k: usize,
     n: usize,
 ) {
-    let (out_band, row_start) = tile_rows(backend, a, packed_b, out_band, row_start, k, n, false);
+    let (out_band, row_start) = tile_rows(backend, a, b, out_band, row_start, k, n, false);
     if out_band.is_empty()
-        || simd::gemm_dense_rows(backend, a, packed_b, out_band, row_start, k, n, PANEL)
+        || simd::gemm_dense_rows(backend, a, b, packed, out_band, row_start, k, n, PANEL)
     {
         return;
     }
     let rows = out_band.len() / n;
     for j0 in (0..n).step_by(PANEL) {
         let w = PANEL.min(n - j0);
-        let panel = &packed_b[k * j0..k * j0 + k * w];
+        let (base, stride) = panel_at(packed, k, n, j0, w);
+        let brow = |kk: usize| &b[base + kk * stride..base + kk * stride + w];
         for r in 0..rows {
             let a_row = &a[(row_start + r) * k..(row_start + r + 1) * k];
             let out_row = &mut out_band[r * n + j0..r * n + j0 + w];
@@ -202,10 +232,7 @@ fn matmul_dense_rows(
                 let a1 = a_row[kk + 1];
                 let a2 = a_row[kk + 2];
                 let a3 = a_row[kk + 3];
-                let b0 = &panel[kk * w..(kk + 1) * w];
-                let b1 = &panel[(kk + 1) * w..(kk + 2) * w];
-                let b2 = &panel[(kk + 2) * w..(kk + 3) * w];
-                let b3 = &panel[(kk + 3) * w..(kk + 4) * w];
+                let (b0, b1, b2, b3) = (brow(kk), brow(kk + 1), brow(kk + 2), brow(kk + 3));
                 for j in 0..w {
                     out_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
                 }
@@ -213,9 +240,9 @@ fn matmul_dense_rows(
             }
             while kk < k {
                 let av = a_row[kk];
-                let brow = &panel[kk * w..(kk + 1) * w];
+                let b0 = brow(kk);
                 for j in 0..w {
-                    out_row[j] += av * brow[j];
+                    out_row[j] += av * b0[j];
                 }
                 kk += 1;
             }
@@ -331,11 +358,13 @@ impl PackedGemmB {
 /// (the graph executor) that hold activations in arena slices rather than
 /// `Tensor`s.
 pub fn probe_matmul_kernel(data: &[f32]) -> MatmulKernel {
-    if probe_nonzero_fraction(data) <= SPARSE_NONZERO_CUTOFF {
-        MatmulKernel::Sparse
-    } else {
-        MatmulKernel::Dense
-    }
+    let step = probe_step(data.len());
+    let mut i = 0;
+    probe_kernel_by(data.len(), || {
+        let hit = data[i] != 0.0;
+        i += step;
+        hit
+    })
 }
 
 /// Dense GEMM against a pre-packed right operand: `out = a · b`, with `a`
@@ -372,7 +401,7 @@ pub fn gemm_prepacked(
     }
     out.fill(0.0);
     run_banded(out, m, k, n, |row_start, band| {
-        matmul_dense_rows(backend, a, &b.packed, band, row_start, k, n);
+        matmul_dense_rows(backend, a, &b.packed, true, band, row_start, k, n);
     });
     Ok(())
 }
@@ -481,9 +510,18 @@ impl Tensor {
         let b = other.data();
         match kernel {
             MatmulKernel::Dense => {
-                let packed = pack_b_panels(b, k, n);
+                // Pack only when it changes the layout and a panel is read
+                // more than once: for `n ≤ PANEL` the packed layout is `b`
+                // itself, and a one-row product streams each panel once.
+                let packed;
+                let (b, is_packed) = if n <= PANEL || m == 1 {
+                    (b, false)
+                } else {
+                    packed = pack_b_panels(b, k, n);
+                    (&packed[..], true)
+                };
                 run_banded(out.data_mut(), m, k, n, |row_start, band| {
-                    matmul_dense_rows(backend, a, &packed, band, row_start, k, n);
+                    matmul_dense_rows(backend, a, b, is_packed, band, row_start, k, n);
                 });
             }
             MatmulKernel::Sparse => {
@@ -541,7 +579,7 @@ impl Tensor {
         let packed = pack_b_panels(other.data(), k, n);
         let threads = pool::available_threads();
         if m * k * n < PARALLEL_THRESHOLD || threads < 2 || m < 2 {
-            matmul_dense_rows(backend, a, &packed, out.data_mut(), 0, k, n);
+            matmul_dense_rows(backend, a, &packed, true, out.data_mut(), 0, k, n);
             return Ok(out);
         }
         let chunk_rows = m.div_ceil(threads);
@@ -549,7 +587,7 @@ impl Tensor {
             for (t, band) in out.data_mut().chunks_mut(chunk_rows * n).enumerate() {
                 let packed = &packed;
                 scope.spawn(move || {
-                    matmul_dense_rows(backend, a, packed, band, t * chunk_rows, k, n);
+                    matmul_dense_rows(backend, a, packed, true, band, t * chunk_rows, k, n);
                 });
             }
         });
@@ -739,6 +777,32 @@ mod tests {
             let mut out = vec![f32::NAN; m * n];
             gemm_prepacked(simd::backend(), a.data(), m, &packed, &mut out).unwrap();
             assert_eq!(reference.data(), &out[..], "prepacked at {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn unpacked_dense_reads_bit_identical_to_packed() {
+        // `matmul_with` reads `b` in place when packing would not change
+        // its layout (n ≤ PANEL) or no panel is reused (m = 1);
+        // `gemm_prepacked` always reads packed panels.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        for &(m, k) in &[(1usize, 60usize), (1, 7), (5, 33)] {
+            for &n in &[1usize, 127, 128, 129, 200] {
+                let a = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[m, k], &mut rng);
+                let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[k, n], &mut rng);
+                let packed = PackedGemmB::pack(b.data(), k, n).unwrap();
+                for be in [KernelBackend::Scalar, KernelBackend::Simd] {
+                    let got = a.matmul_with(&b, MatmulKernel::Dense, be).unwrap();
+                    let mut want = vec![f32::NAN; m * n];
+                    gemm_prepacked(be, a.data(), m, &packed, &mut want).unwrap();
+                    let same = got
+                        .data()
+                        .iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits());
+                    assert!(same, "{m}x{k}x{n} on {}", be.name());
+                }
+            }
         }
     }
 

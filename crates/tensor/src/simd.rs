@@ -43,6 +43,21 @@
 //! and leaves the rest to the one-row bodies. It makes no heap
 //! allocation: it transposes A into a stack buffer, `k` in blocks of 128.
 //!
+//! # Direct convolution
+//!
+//! The direct stride-1 convolution kernels compute what the SIMD lowering
+//! (`im2col` → GEMM → bias → NCHW, and NCHW → rows → GEMM → `col2im`)
+//! computes, bit for bit, without the patch matrix. Per output element the
+//! forward chains the element's taps in patch order with the dense GEMM's
+//! FMA or the zero-skip GEMM's mul-then-add, from +0 over zero-bordered
+//! input planes, then adds the bias; per input pixel the input gradient
+//! sums, from +0 and in `col2im`'s order (its taps reversed), terms that
+//! are each the lowering's chain over the output channels. Blocks of
+//! output (or input) channels × up to 4 vectors of 8 columns of one row
+//! keep 6–12 chains in registers. See `conv_direct_forward` and
+//! `conv_direct_input_grad`; `crate::conv` drives them and picks the
+//! arithmetic with the lowering's density probe.
+//!
 //! NaN edge cases differ where the hardware min/max semantics differ from
 //! `f32::clamp`/`f32::max`: `_mm256_max_ps(a, b)` returns `b` when `a` is
 //! NaN, so a NaN input to the SIMD `clamp`/`relu`/`max` maps to a bound
@@ -442,18 +457,20 @@ pub fn max_abs_slice(backend: KernelBackend, a: &[f32]) -> f32 {
 // bit-exact class)
 // ---------------------------------------------------------------------------
 
-/// AVX2 dense microkernel over one output row band of packed-panel GEMM.
+/// AVX2 dense microkernel over one output row band of a GEMM.
 ///
 /// Layout contract is identical to the scalar microkernel in `ops.rs`:
-/// `packed_b` holds `k`-row column panels of width `panel` (last one
-/// ragged), and `out_band` covers rows `[row_start, ...)` of the result,
-/// zero-initialised. Returns `false` when the AVX2 path is unavailable (or
-/// the backend is `Scalar`) so the caller can run its scalar kernel.
+/// `b` holds `k`-row column panels of width `panel` (last one ragged) when
+/// `packed`, and is row-major `k × n` otherwise; `out_band` covers rows
+/// `[row_start, ...)` of the result, zero-initialised. Returns `false`
+/// when the AVX2 path is unavailable (or the backend is `Scalar`) so the
+/// caller can run its scalar kernel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_dense_rows(
     backend: KernelBackend,
     a: &[f32],
-    packed_b: &[f32],
+    b: &[f32],
+    packed: bool,
     out_band: &mut [f32],
     row_start: usize,
     k: usize,
@@ -462,10 +479,10 @@ pub(crate) fn gemm_dense_rows(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if use_avx2(backend) {
-        unsafe { avx2::gemm_dense_rows(a, packed_b, out_band, row_start, k, n, panel) };
+        unsafe { avx2::gemm_dense_rows(a, b, packed, out_band, row_start, k, n, panel) };
         return true;
     }
-    let _ = (backend, a, packed_b, out_band, row_start, k, n, panel);
+    let _ = (backend, a, b, packed, out_band, row_start, k, n, panel);
     false
 }
 
@@ -525,6 +542,167 @@ pub(crate) fn gemm_tile_rows(
     }
     let _ = (backend, a, b, out_band, row_start, k, n, skip_zeros);
     0
+}
+
+// ---------------------------------------------------------------------------
+// Direct stride-1 convolution (bit-exact with the SIMD lowering)
+// ---------------------------------------------------------------------------
+
+/// One sample of a stride-1 convolution with `pad < kh, kw`, as the direct
+/// kernels see it: `c × h × w` input, `oc` output channels of
+/// `kh × kw` taps, `oh × ow` output (`oh = h + 2·pad − kh + 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DirectConv {
+    pub c: usize,
+    pub h: usize,
+    pub w: usize,
+    pub oc: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub pad: usize,
+    pub oh: usize,
+    pub ow: usize,
+}
+
+/// Output columns one block of the direct kernels covers at most: 4
+/// vectors of 8 lanes. The zero-bordered planes leave room for it.
+const DIRECT_MAX_COLS: usize = 32;
+
+impl DirectConv {
+    /// Row stride of a zero-bordered plane whose rows feed `cols` outputs
+    /// each: room for a whole last block and the kernel's reach.
+    fn row_stride(&self, cols: usize) -> usize {
+        cols.div_ceil(DIRECT_MAX_COLS) * DIRECT_MAX_COLS + self.kw - 1
+    }
+
+    /// Copies the sample `x` (`c × h × w`) into `buf` as `c` planes of
+    /// `(h + 2·pad) × row_stride(ow)`, the image at row and column offset
+    /// `pad` and +0 everywhere else. Returns the row stride.
+    fn pad_input(&self, x: &[f32], buf: &mut Vec<f32>) -> usize {
+        let stride = self.row_stride(self.ow);
+        let ph = self.h + 2 * self.pad;
+        buf.clear();
+        buf.resize(self.c * ph * stride, 0.0);
+        for (ch, src) in x.chunks_exact(self.h * self.w).enumerate() {
+            for (iy, row) in src.chunks_exact(self.w).enumerate() {
+                let at = (ch * ph + iy + self.pad) * stride + self.pad;
+                buf[at..at + self.w].copy_from_slice(row);
+            }
+        }
+        stride
+    }
+
+    /// Copies the output gradient `dy` (`oc × oh × ow`) into `buf` as `oc`
+    /// planes of `oh × row_stride(w)`, each row at column offset
+    /// `kw − 1 − pad` and +0 everywhere else, so that input column `ix`
+    /// reads tap `kx`'s output column at `ix + kw − 1 − kx`. Returns the
+    /// row stride.
+    fn pad_grad(&self, dy: &[f32], buf: &mut Vec<f32>) -> usize {
+        let stride = self.row_stride(self.w);
+        let offset = self.kw - 1 - self.pad;
+        buf.clear();
+        buf.resize(self.oc * self.oh * stride, 0.0);
+        for (r, row) in dy.chunks_exact(self.ow).enumerate() {
+            let at = r * stride + offset;
+            buf[at..at + self.ow].copy_from_slice(row);
+        }
+        stride
+    }
+}
+
+/// Direct stride-1 forward of one sample on the AVX2 path: `x` is the
+/// sample (`c × h × w`), `wt` the kernel as `c·kh·kw × oc` (the lowering's
+/// `Wᵀ`), `out` the sample's `oc × oh × ow` output, and `scratch` a reusable
+/// buffer for the zero-bordered input planes.
+///
+/// Each output element is the lowering's: a chain over its taps in patch
+/// order `(ch, ky, kx)` from +0, padding taps reading +0, then `+ bias`.
+/// With `skip_zeros == false` the chain is the dense GEMM's in-order FMA;
+/// with `skip_zeros == true` it is the zero-skip GEMM's mul then add, and
+/// where `finite_weights == false` the products of zero inputs are masked
+/// to +0. (With finite weights such a product is ±0, and adding it to an
+/// accumulator that started at +0 changes no bits, so the mask is only
+/// needed for an ∞ or NaN weight.) Returns `false`, computing nothing,
+/// when the AVX2 path is unavailable (or the backend is `Scalar`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_direct_forward(
+    backend: KernelBackend,
+    d: &DirectConv,
+    x: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    skip_zeros: bool,
+    finite_weights: bool,
+    scratch: &mut Vec<f32>,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        let stride = d.pad_input(x, scratch);
+        let xpad = &scratch[..];
+        // SAFETY: `use_avx2` checked that the CPU has AVX2 and FMA; the
+        // kernel bounds-checks every slice it reads or writes.
+        unsafe {
+            let run = match (skip_zeros, finite_weights) {
+                (false, _) => avx2::conv_forward::<false, false>,
+                (true, true) => avx2::conv_forward::<true, false>,
+                (true, false) => avx2::conv_forward::<true, true>,
+            };
+            run(d, xpad, stride, wt, bias, out);
+        }
+        return true;
+    }
+    let _ = (backend, d, x, wt, bias, out);
+    let _ = (skip_zeros, finite_weights, scratch);
+    false
+}
+
+/// Direct stride-1 input gradient of one sample on the AVX2 path: `dy` is
+/// the sample's output gradient (`oc × oh × ow`), `wt` the kernel as
+/// `c·kh·kw × oc`, `out` the sample's `c × h × w` input gradient, and
+/// `scratch` a reusable buffer for the zero-bordered gradient planes.
+///
+/// Gather form of `col2im(dY·W)`: each input pixel is a sum from +0 of one
+/// term per output position its taps reach, taken in reverse tap order
+/// (`ky`, then `kx`, descending: `col2im`'s raster order of output
+/// positions), and each term is the lowering's chain over the output
+/// channels of `dy · w` from +0 — the dense GEMM's in-order FMA, or with
+/// `skip_zeros` the zero-skip GEMM's mul then add. Where `finite_weights
+/// == false` the terms the lowering never forms are masked to +0: products
+/// of zero `dy` entries (zero-skip), and whole terms of output columns
+/// outside the output (dense), which read the planes' +0 border. Returns
+/// `false`, computing nothing, when the AVX2 path is unavailable (or the
+/// backend is `Scalar`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_direct_input_grad(
+    backend: KernelBackend,
+    d: &DirectConv,
+    dy: &[f32],
+    wt: &[f32],
+    out: &mut [f32],
+    skip_zeros: bool,
+    finite_weights: bool,
+    scratch: &mut Vec<f32>,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        let stride = d.pad_grad(dy, scratch);
+        let dypad = &scratch[..];
+        // SAFETY: as in `conv_direct_forward`.
+        unsafe {
+            let run = match (skip_zeros, finite_weights) {
+                (false, true) => avx2::conv_input_grad::<false, false>,
+                (false, false) => avx2::conv_input_grad::<false, true>,
+                (true, true) => avx2::conv_input_grad::<true, false>,
+                (true, false) => avx2::conv_input_grad::<true, true>,
+            };
+            run(d, dypad, stride, wt, out);
+        }
+        return true;
+    }
+    let _ = (backend, d, dy, wt, out);
+    let _ = (skip_zeros, finite_weights, scratch);
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -992,12 +1170,21 @@ mod avx2 {
         m
     }
 
-    /// One row × one packed panel: 4 ymm accumulators cover a 32-wide
-    /// output stripe; each `k` step broadcasts `a_row[kk]` and FMAs it
-    /// against the panel row. Remainders narrow to one ymm, then a scalar
-    /// `mul_add` tail (still contracted, matching the vector lanes).
+    /// One row × one panel whose rows lie `stride` apart: 4 ymm
+    /// accumulators cover a 32-wide output stripe; each `k` step
+    /// broadcasts `a_row[kk]` and FMAs it against the panel row.
+    /// Remainders narrow to one ymm, then a scalar `mul_add` tail (still
+    /// contracted, matching the vector lanes).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_row_panel(a_row: &[f32], panel: &[f32], out_row: &mut [f32], w: usize) {
+    unsafe fn gemm_row_panel(
+        a_row: &[f32],
+        panel: &[f32],
+        stride: usize,
+        out_row: &mut [f32],
+        w: usize,
+    ) {
+        // Every pointer read below stays inside `panel`.
+        assert!(a_row.is_empty() || panel.len() >= (a_row.len() - 1) * stride + w);
         let pp = panel.as_ptr();
         let op = out_row.as_mut_ptr();
         let mut j = 0;
@@ -1008,7 +1195,7 @@ mod avx2 {
             let mut acc3 = _mm256_loadu_ps(op.add(j + 3 * LANES));
             for (kk, &av) in a_row.iter().enumerate() {
                 let avv = _mm256_set1_ps(av);
-                let base = pp.add(kk * w + j);
+                let base = pp.add(kk * stride + j);
                 acc0 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(base), acc0);
                 acc1 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(base.add(LANES)), acc1);
                 acc2 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(base.add(2 * LANES)), acc2);
@@ -1023,14 +1210,15 @@ mod avx2 {
         while j + LANES <= w {
             let mut acc = _mm256_loadu_ps(op.add(j));
             for (kk, &av) in a_row.iter().enumerate() {
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(pp.add(kk * w + j)), acc);
+                let bv = _mm256_loadu_ps(pp.add(kk * stride + j));
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, acc);
             }
             _mm256_storeu_ps(op.add(j), acc);
             j += LANES;
         }
         if j < w {
             for (kk, &av) in a_row.iter().enumerate() {
-                let row = &panel[kk * w..(kk + 1) * w];
+                let row = &panel[kk * stride..kk * stride + w];
                 for jj in j..w {
                     out_row[jj] = av.mul_add(row[jj], out_row[jj]);
                 }
@@ -1042,7 +1230,8 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm_dense_rows(
         a: &[f32],
-        packed_b: &[f32],
+        b: &[f32],
+        packed: bool,
         out_band: &mut [f32],
         row_start: usize,
         k: usize,
@@ -1052,11 +1241,12 @@ mod avx2 {
         let rows = out_band.len() / n;
         for j0 in (0..n).step_by(panel) {
             let w = panel.min(n - j0);
-            let p = &packed_b[k * j0..k * j0 + k * w];
+            let (base, stride) = crate::ops::panel_at(packed, k, n, j0, w);
+            let p = &b[base..];
             for r in 0..rows {
                 let a_row = &a[(row_start + r) * k..(row_start + r + 1) * k];
                 let out_row = &mut out_band[r * n + j0..r * n + j0 + w];
-                gemm_row_panel(a_row, p, out_row, w);
+                gemm_row_panel(a_row, p, stride, out_row, w);
             }
         }
     }
@@ -1227,6 +1417,337 @@ mod avx2 {
         }
         for (vj, col) in v.iter().zip(cols.iter_mut()) {
             _mm256_storeu_ps(col.as_mut_ptr(), *vj);
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Direct stride-1 convolution
+    // -----------------------------------------------------------------------
+
+    use super::DirectConv;
+
+    /// Stores the first `min(8, dst.len())` lanes of `v` to `dst`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_lanes(dst: &mut [f32], v: __m256) {
+        if dst.len() >= LANES {
+            _mm256_storeu_ps(dst.as_mut_ptr(), v);
+        } else {
+            let mut lanes = [0.0f32; LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+            dst.copy_from_slice(&lanes[..dst.len()]);
+        }
+    }
+
+    /// The block shape for rows of `cols` outputs over `channels`
+    /// channels: vectors per block `V` (1, 2 or 4, so at most
+    /// `DIRECT_MAX_COLS` columns) and channels per block `B`, with `B·V`
+    /// about `regs` live chains (`B ≤ 8`) and the channels split into
+    /// blocks of balanced size. Four vectors only where two would leave
+    /// chains unused: wide rows over few channels.
+    fn blocking(cols: usize, channels: usize, regs: usize) -> (usize, usize) {
+        let v = if cols <= LANES {
+            1
+        } else if cols <= 2 * LANES || 2 * channels >= regs {
+            2
+        } else {
+            4
+        };
+        let most = (regs / v).clamp(1, 8);
+        (v, channels.div_ceil(channels.div_ceil(most)))
+    }
+
+    /// Calls `$f::<V, B, flags..>(args)` for the block shape `(v, b)` from
+    /// `blocking`; the arms list every shape it can return.
+    macro_rules! block_shapes {
+        ($f:ident::<$skip:ident, $masked:ident>, ($v:expr, $b:expr), $args:tt,
+         $(($vv:literal, [$($bb:literal),*])),*) => {
+            match ($v, $b) {
+                $($(($vv, $bb) => $f::<$vv, $bb, $skip, $masked> $args,)*)*
+                _ => unreachable!("no direct-convolution block of shape {:?}", ($v, $b)),
+            }
+        };
+    }
+
+    /// The forward over one sample; see [`super::conv_direct_forward`].
+    /// `xpad` holds the zero-bordered input planes, rows `stride` apart.
+    ///
+    /// Blocks of `B` output channels × `V` vectors of 8 output columns of
+    /// one output row keep `B·V ≤ 12` accumulators live: each tap loads
+    /// `V` input vectors and broadcasts `B` weights.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn conv_forward<const SKIP_ZEROS: bool, const MASKED: bool>(
+        d: &DirectConv,
+        xpad: &[f32],
+        stride: usize,
+        wt: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        let (v, b_max) = blocking(d.ow, d.oc, 12);
+        for o0 in (0..d.oc).step_by(b_max) {
+            let b = b_max.min(d.oc - o0);
+            for oy in 0..d.oh {
+                for ox0 in (0..d.ow).step_by(v * LANES) {
+                    block_shapes!(
+                        forward_block::<SKIP_ZEROS, MASKED>,
+                        (v, b),
+                        (d, xpad, stride, wt, bias, out, o0, oy, ox0),
+                        (1, [1, 2, 3, 4, 5, 6, 7, 8]),
+                        (2, [1, 2, 3, 4, 5, 6]),
+                        (4, [1, 2, 3])
+                    )
+                }
+            }
+        }
+    }
+
+    /// Output channels `o0..o0 + B`, output row `oy`, output columns
+    /// `ox0..ox0 + 8·V` (those below `ow` are stored).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn forward_block<
+        const V: usize,
+        const B: usize,
+        const SKIP_ZEROS: bool,
+        const MASKED: bool,
+    >(
+        d: &DirectConv,
+        xpad: &[f32],
+        stride: usize,
+        wt: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+        o0: usize,
+        oy: usize,
+        ox0: usize,
+    ) {
+        let ph = d.h + 2 * d.pad;
+        // Every pointer read below stays inside `xpad` and `wt`.
+        assert!(
+            o0 + B <= d.oc
+                && oy + d.kh <= ph
+                && ox0 + V * LANES + d.kw - 1 <= stride
+                && xpad.len() >= d.c * ph * stride
+                && wt.len() >= d.c * d.kh * d.kw * d.oc
+        );
+        let zero = _mm256_setzero_ps();
+        let mut acc = [[zero; V]; B];
+        let mut x = [zero; V];
+        let mut w = wt.as_ptr().add(o0);
+        for ch in 0..d.c {
+            for ky in 0..d.kh {
+                let row = xpad.as_ptr().add((ch * ph + oy + ky) * stride + ox0);
+                for kx in 0..d.kw {
+                    for (u, xu) in x.iter_mut().enumerate() {
+                        *xu = _mm256_loadu_ps(row.add(kx + u * LANES));
+                    }
+                    if SKIP_ZEROS {
+                        let mut nonzero = [zero; V];
+                        let mut any = 0;
+                        for (m, &xu) in nonzero.iter_mut().zip(&x) {
+                            *m = _mm256_cmp_ps(xu, zero, _CMP_NEQ_UQ);
+                            any |= _mm256_movemask_ps(*m);
+                        }
+                        if any != 0 {
+                            for (j, accj) in acc.iter_mut().enumerate() {
+                                let wv = _mm256_broadcast_ss(&*w.add(j));
+                                for ((a, &xu), &m) in accj.iter_mut().zip(&x).zip(&nonzero) {
+                                    let p = _mm256_mul_ps(xu, wv);
+                                    let p = if MASKED { _mm256_and_ps(p, m) } else { p };
+                                    *a = _mm256_add_ps(*a, p);
+                                }
+                            }
+                        }
+                    } else {
+                        for (j, accj) in acc.iter_mut().enumerate() {
+                            let wv = _mm256_broadcast_ss(&*w.add(j));
+                            for (a, &xu) in accj.iter_mut().zip(&x) {
+                                *a = _mm256_fmadd_ps(xu, wv, *a);
+                            }
+                        }
+                    }
+                    w = w.add(d.oc);
+                }
+            }
+        }
+        let plane = d.oh * d.ow;
+        for (j, accj) in acc.iter().enumerate() {
+            let bv = _mm256_set1_ps(bias[o0 + j]);
+            let dst = &mut out[(o0 + j) * plane + oy * d.ow..][..d.ow];
+            for (u, &a) in accj.iter().enumerate() {
+                let x0 = ox0 + u * LANES;
+                if x0 < d.ow {
+                    let end = (x0 + LANES).min(d.ow);
+                    store_lanes(&mut dst[x0..end], _mm256_add_ps(a, bv));
+                }
+            }
+        }
+    }
+
+    /// The input gradient over one sample; see
+    /// [`super::conv_direct_input_grad`]. `dypad` holds the zero-bordered
+    /// gradient planes, rows `stride` apart.
+    ///
+    /// Blocks of `B` input channels × `V` vectors of 8 input columns of one
+    /// input row keep `B·V ≤ 6` term chains and as many sums live: each
+    /// output channel's step loads `V` gradient vectors, shared by the `B`
+    /// channels, and broadcasts `B` weights.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn conv_input_grad<const SKIP_ZEROS: bool, const MASKED: bool>(
+        d: &DirectConv,
+        dypad: &[f32],
+        stride: usize,
+        wt: &[f32],
+        out: &mut [f32],
+    ) {
+        let (v, b_max) = blocking(d.w, d.c, 6);
+        for ch0 in (0..d.c).step_by(b_max) {
+            let b = b_max.min(d.c - ch0);
+            for iy in 0..d.h {
+                for ix0 in (0..d.w).step_by(v * LANES) {
+                    block_shapes!(
+                        input_grad_block::<SKIP_ZEROS, MASKED>,
+                        (v, b),
+                        (d, dypad, stride, wt, out, ch0, iy, ix0),
+                        (1, [1, 2, 3, 4, 5, 6]),
+                        (2, [1, 2, 3]),
+                        (4, [1])
+                    )
+                }
+            }
+        }
+    }
+
+    /// Input channels `ch0..ch0 + B`, input row `iy`, input columns
+    /// `ix0..ix0 + 8·V` (those below `w` are stored).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn input_grad_block<
+        const V: usize,
+        const B: usize,
+        const SKIP_ZEROS: bool,
+        const MASKED: bool,
+    >(
+        d: &DirectConv,
+        dypad: &[f32],
+        stride: usize,
+        wt: &[f32],
+        out: &mut [f32],
+        ch0: usize,
+        iy: usize,
+        ix0: usize,
+    ) {
+        let taps = d.kh * d.kw;
+        let plane = d.oh * stride;
+        // Every pointer read below stays inside `dypad` and `wt`.
+        assert!(
+            ch0 + B <= d.c
+                && ix0 + V * LANES + d.kw - 1 <= stride
+                && dypad.len() >= d.oc * plane
+                && wt.len() >= d.c * taps * d.oc
+        );
+        let zero = _mm256_setzero_ps();
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut sum = [[zero; V]; B];
+        let mut g = [zero; V];
+        for ky in (0..d.kh).rev() {
+            // Output row `iy + pad − ky`; a row outside the output forms
+            // no term.
+            let oy = (iy + d.pad).wrapping_sub(ky);
+            if oy >= d.oh {
+                continue;
+            }
+            for kx in (0..d.kw).rev() {
+                let src = dypad.as_ptr().add(oy * stride + ix0 + d.kw - 1 - kx);
+                let w = wt.as_ptr().add((ch0 * taps + ky * d.kw + kx) * d.oc);
+                let mut term = [[zero; V]; B];
+                for o in 0..d.oc {
+                    for (u, gu) in g.iter_mut().enumerate() {
+                        *gu = _mm256_loadu_ps(src.add(o * plane + u * LANES));
+                    }
+                    if SKIP_ZEROS {
+                        let mut nonzero = [zero; V];
+                        let mut any = 0;
+                        for (m, &gu) in nonzero.iter_mut().zip(&g) {
+                            *m = _mm256_cmp_ps(gu, zero, _CMP_NEQ_UQ);
+                            any |= _mm256_movemask_ps(*m);
+                        }
+                        if any == 0 {
+                            continue;
+                        }
+                        for (j, tj) in term.iter_mut().enumerate() {
+                            let wv = _mm256_broadcast_ss(&*w.add(j * taps * d.oc + o));
+                            for ((t, &gu), &m) in tj.iter_mut().zip(&g).zip(&nonzero) {
+                                let p = _mm256_mul_ps(gu, wv);
+                                let p = if MASKED { _mm256_and_ps(p, m) } else { p };
+                                *t = _mm256_add_ps(*t, p);
+                            }
+                        }
+                    } else {
+                        for (j, tj) in term.iter_mut().enumerate() {
+                            let wv = _mm256_broadcast_ss(&*w.add(j * taps * d.oc + o));
+                            for (t, &gu) in tj.iter_mut().zip(&g) {
+                                *t = _mm256_fmadd_ps(gu, wv, *t);
+                            }
+                        }
+                    }
+                }
+                if MASKED && !SKIP_ZEROS {
+                    // Keep out the terms of output columns outside
+                    // `0..ow`: dense chains over the +0 border, which an
+                    // ∞ or NaN weight turns into NaN.
+                    for (u, _) in g.iter().enumerate() {
+                        let ox = (ix0 + u * LANES + d.pad) as i32 - kx as i32;
+                        let ox = _mm256_add_epi32(_mm256_set1_epi32(ox), lane);
+                        let inside = _mm256_and_si256(
+                            _mm256_cmpgt_epi32(ox, _mm256_set1_epi32(-1)),
+                            _mm256_cmpgt_epi32(_mm256_set1_epi32(d.ow as i32), ox),
+                        );
+                        for tj in term.iter_mut() {
+                            tj[u] = _mm256_and_ps(tj[u], _mm256_castsi256_ps(inside));
+                        }
+                    }
+                }
+                for (sj, tj) in sum.iter_mut().zip(&term) {
+                    for (s, &t) in sj.iter_mut().zip(tj) {
+                        *s = _mm256_add_ps(*s, t);
+                    }
+                }
+            }
+        }
+        let plane_in = d.h * d.w;
+        for (j, sj) in sum.iter().enumerate() {
+            let dst = &mut out[(ch0 + j) * plane_in + iy * d.w..][..d.w];
+            for (u, &s) in sj.iter().enumerate() {
+                let x0 = ix0 + u * LANES;
+                if x0 < d.w {
+                    let end = (x0 + LANES).min(d.w);
+                    store_lanes(&mut dst[x0..end], s);
+                }
+            }
         }
     }
 }

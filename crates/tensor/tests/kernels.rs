@@ -11,8 +11,9 @@
 //! binary with `ADVCOMP_THREADS=8`.
 
 use advcomp_tensor::{
-    col2im, gemm_prepacked, gemm_sparse, im2col, im2col_into, nchw_to_rows, pool, rows_to_nchw,
-    simd, Conv2dGeometry, Init, KernelBackend, MatmulKernel, PackedGemmB, Tensor,
+    col2im, conv2d_forward, conv2d_input_grad, gemm_prepacked, gemm_sparse, im2col, im2col_into,
+    nchw_to_rows, pool, probe_matmul_kernel, rows_to_nchw, simd, Conv2dGeometry, ConvImpl, Init,
+    KernelBackend, MatmulKernel, PackedGemmB, Tensor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -347,6 +348,297 @@ fn gemm_kernels_keep_per_element_arithmetic() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `len` values uniform in [-1, 1), of which about a `density` fraction is
+/// nonzero; the zeros take both signs.
+fn with_density(len: usize, density: f32, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+    use rand::Rng;
+    let mut v = uniform(&[len], rng).into_data();
+    for x in v.iter_mut() {
+        if rng.gen::<f32>() >= density {
+            *x = if rng.gen::<bool>() { 0.0 } else { -0.0 };
+        }
+    }
+    v
+}
+
+/// Equal bits, or both NaN: a NaN's payload depends on which operand an
+/// instruction propagates, not on the arithmetic under test.
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+fn assert_same(label: &str, got: &Tensor, want: &Tensor) {
+    assert_eq!(got.shape(), want.shape(), "{label}: shape");
+    for (idx, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert!(
+            same_value(*g, *w),
+            "{label}: element {idx} is {g:e} ({:#010x}), want {w:e} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// One convolution: geometry, output channels and batch.
+#[derive(Debug, Clone, Copy)]
+struct ConvCase {
+    c: usize,
+    oc: usize,
+    k: usize,
+    pad: usize,
+    hw: usize,
+    batch: usize,
+}
+
+impl ConvCase {
+    fn geom(&self) -> Conv2dGeometry {
+        Conv2dGeometry::square(self.c, self.hw, self.k, 1, self.pad)
+    }
+
+    /// Input, output gradient, weight and bias, the first two with about a
+    /// `density` fraction of nonzero entries.
+    fn data(&self, density: f32, rng: &mut rand::rngs::StdRng) -> ConvData {
+        let oh = self.geom().output_hw().unwrap().0;
+        let (n, c, oc, hw) = (self.batch, self.c, self.oc, self.hw);
+        let x = with_density(n * c * hw * hw, density, rng);
+        let dy = with_density(n * oc * oh * oh, density, rng);
+        ConvData {
+            x: Tensor::new(&[n, c, hw, hw], x).unwrap(),
+            dy: Tensor::new(&[n, oc, oh, oh], dy).unwrap(),
+            weight: uniform(&[oc, c, self.k, self.k], rng),
+            bias: uniform(&[oc], rng),
+        }
+    }
+}
+
+/// The operands of one [`ConvCase`].
+struct ConvData {
+    x: Tensor,
+    dy: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+}
+
+/// Every `c ∈ {1, 3, 11, 22}`, `oc ∈ {1, 3, 8, 11, 22}`, `k ∈ {1, 3, 5}`
+/// and `pad < k`, each at one spatial size in 5..=32 and one batch of 1, 3
+/// or 48 (batch 48 only where the patch matrix stays small), plus the six
+/// sweep convolutions (LeNet-5 at width 0.5, CifarNet at width 0.35) at
+/// batch 1 and 48.
+fn conv_cases() -> Vec<ConvCase> {
+    let mut cases = Vec::new();
+    let mut i = 0usize;
+    for c in [1usize, 3, 11, 22] {
+        for oc in [1usize, 3, 8, 11, 22] {
+            for k in [1usize, 3, 5] {
+                for pad in 0..k {
+                    let hw = 5 + (i * 11) % 28;
+                    let mut batch = [1usize, 3, 48][i % 3];
+                    if batch == 48 && c * k * k * hw * hw > 20_000 {
+                        batch = 3;
+                    }
+                    cases.push(ConvCase {
+                        c,
+                        oc,
+                        k,
+                        pad,
+                        hw,
+                        batch,
+                    });
+                    i += 1;
+                }
+            }
+        }
+    }
+    for batch in [1, 48] {
+        for (c, oc, k, pad, hw) in [
+            (1, 3, 5, 2, 28),
+            (3, 8, 5, 0, 14),
+            (3, 11, 3, 1, 32),
+            (11, 11, 3, 1, 32),
+            (11, 22, 3, 1, 16),
+            (22, 22, 3, 1, 8),
+        ] {
+            cases.push(ConvCase {
+                c,
+                oc,
+                k,
+                pad,
+                hw,
+                batch,
+            });
+        }
+    }
+    cases
+}
+
+/// Both passes of `case` by both implementations with `kernel` (forced, or
+/// probe-chosen when `None`), under thread cap `cap`: the direct kernels
+/// must return the lowering's bits.
+fn check_direct_conv(
+    label: &str,
+    case: &ConvCase,
+    data: &ConvData,
+    kernel: Option<MatmulKernel>,
+    cap: usize,
+) {
+    let be = KernelBackend::Simd;
+    let geom = case.geom();
+    let ConvData {
+        x,
+        dy,
+        weight,
+        bias,
+    } = data;
+    let mut cols = Tensor::default();
+    let (lowered, direct, lowered_dx, direct_dx) = pool::with_thread_cap(cap, || {
+        let mut forward = |imp| conv2d_forward(be, x, weight, bias, &geom, imp, kernel, &mut cols);
+        let lowered = forward(ConvImpl::Lowering).unwrap();
+        let direct = forward(ConvImpl::Direct).unwrap();
+        let input_grad = |imp| conv2d_input_grad(be, dy, weight, &geom, imp, kernel).unwrap();
+        (
+            lowered,
+            direct,
+            input_grad(ConvImpl::Lowering),
+            input_grad(ConvImpl::Direct),
+        )
+    });
+    assert_same(&format!("{label}: forward"), &direct, &lowered);
+    assert_same(&format!("{label}: input gradient"), &direct_dx, &lowered_dx);
+}
+
+/// The direct stride-1 kernels return the SIMD lowering's bits —
+/// `im2col → matmul → add_row_broadcast → rows_to_nchw` forward and
+/// `nchw_to_rows → matmul → col2im` input gradient — with each GEMM kernel
+/// flavour forced, at thread caps 1, 2 and 8.
+#[test]
+fn direct_conv_matches_lowering_per_flavour() {
+    if !simd::simd_available() {
+        eprintln!("skipping: no AVX2+FMA on this machine");
+        return;
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    for (i, case) in conv_cases().into_iter().enumerate() {
+        let data = case.data(0.6, &mut rng);
+        for kernel in [MatmulKernel::Dense, MatmulKernel::Sparse] {
+            let label = format!("{case:?} {kernel:?}");
+            check_direct_conv(&label, &case, &data, Some(kernel), [1, 2, 8][i % 3]);
+        }
+    }
+}
+
+/// With no kernel forced, the direct kernels pick the flavour the lowering
+/// would — the density probe over the patch matrix (forward) and the
+/// gradient rows (input gradient) they never build — at densities
+/// straddling the probe's 0.25 cutoff, and so return the lowering's bits.
+/// Both flavours must get picked along the way.
+#[test]
+fn direct_conv_picks_the_lowering_kernel() {
+    if !simd::simd_available() {
+        eprintln!("skipping: no AVX2+FMA on this machine");
+        return;
+    }
+    let be = KernelBackend::Simd;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    let mut picked = [[0usize; 2]; 2];
+    for (i, case) in conv_cases().into_iter().enumerate() {
+        let density = [0.18, 0.23, 0.27, 0.33][i % 4];
+        let data = case.data(density, &mut rng);
+        let ConvData {
+            x,
+            dy,
+            weight,
+            bias,
+        } = &data;
+        let geom = case.geom();
+        let (oh, ow) = geom.output_hw().unwrap();
+        let chosen = [
+            probe_matmul_kernel(im2col(x, &geom).unwrap().data()),
+            probe_matmul_kernel(
+                nchw_to_rows(dy, case.batch, case.oc, oh, ow)
+                    .unwrap()
+                    .data(),
+            ),
+        ];
+        for (pass, kernel) in chosen.into_iter().enumerate() {
+            picked[pass][usize::from(kernel == MatmulKernel::Sparse)] += 1;
+        }
+        let label = format!("{case:?} density {density}");
+        check_direct_conv(&label, &case, &data, None, 8);
+        // The probe-chosen bits are those of the flavour the built matrix
+        // picks, which the per-flavour test pins to the lowering.
+        let mut cols = Tensor::default();
+        let mut forward = |kernel| {
+            conv2d_forward(
+                be,
+                x,
+                weight,
+                bias,
+                &geom,
+                ConvImpl::Direct,
+                kernel,
+                &mut cols,
+            )
+        };
+        let (probed, forced) = (forward(None).unwrap(), forward(Some(chosen[0])).unwrap());
+        assert_same(&format!("{label}: forward flavour"), &probed, &forced);
+        let input_grad =
+            |kernel| conv2d_input_grad(be, dy, weight, &geom, ConvImpl::Direct, kernel);
+        let (probed, forced) = (
+            input_grad(None).unwrap(),
+            input_grad(Some(chosen[1])).unwrap(),
+        );
+        assert_same(
+            &format!("{label}: input-gradient flavour"),
+            &probed,
+            &forced,
+        );
+    }
+    for (pass, counts) in ["forward", "input gradient"].iter().zip(picked) {
+        assert!(
+            counts[0] > 0 && counts[1] > 0,
+            "{pass}: flavours picked {counts:?}"
+        );
+    }
+}
+
+/// ±0, ±∞ and NaN weights facing zero multipliers — zero inputs and
+/// padding in the forward, zero gradient entries and the border in the
+/// input gradient — give the lowering's values in both flavours: NaN where
+/// the dense GEMM multiplies them by zero, nothing where the zero-skip GEMM
+/// skips the product or no output position exists.
+#[test]
+fn direct_conv_matches_lowering_with_non_finite_weights() {
+    if !simd::simd_available() {
+        eprintln!("skipping: no AVX2+FMA on this machine");
+        return;
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    let specials = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (c, oc, k, pad, hw, batch) in [
+        (1, 3, 5, 2, 12, 2),
+        (3, 8, 3, 1, 9, 3),
+        (11, 11, 3, 2, 20, 1),
+        (2, 22, 5, 4, 7, 2),
+    ] {
+        let case = ConvCase {
+            c,
+            oc,
+            k,
+            pad,
+            hw,
+            batch,
+        };
+        let mut data = case.data(0.5, &mut rng);
+        for (idx, v) in data.weight.data_mut().iter_mut().enumerate().step_by(3) {
+            *v = specials[idx % specials.len()];
+        }
+        for kernel in [MatmulKernel::Dense, MatmulKernel::Sparse] {
+            let label = format!("{case:?} {kernel:?} non-finite weights");
+            check_direct_conv(&label, &case, &data, Some(kernel), 2);
         }
     }
 }

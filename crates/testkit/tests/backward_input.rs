@@ -7,13 +7,22 @@
 //! FakeQuant formats installed, at batch 1 and 48: with every parameter
 //! gradient seeded nonzero, `backward_input` returns the bits of
 //! `backward`'s input gradient and leaves every parameter gradient as it
-//! was.
+//! was. A small net with a stride-2 and a 1×1 convolution rides along: on
+//! the AVX2 backend the paper nets' stride-1 convolutions run the direct
+//! kernels while the stride-2 one keeps the `im2col` lowering, so the
+//! suite covers both.
+//!
+//! `Conv2d` caches its input, not a patch matrix, and `backward` rebuilds
+//! the patch matrix for the weight gradient: the second test pins that a
+//! `backward` after an `Eval`-mode forward accumulates the same parameter
+//! gradients as after a `Train`-mode one (none of these nets has dropout).
 
 use advcomp_compress::{PruneMask, Quantizer};
 use advcomp_models::{cifarnet, lenet5, ModelKind};
-use advcomp_nn::{Mode, Sequential};
+use advcomp_nn::{Conv2d, Dense, FakeQuant, Flatten, Layer, Mode, Relu, Sequential};
 use advcomp_tensor::Tensor;
 use advcomp_testkit::DetRng;
+use rand::SeedableRng;
 
 /// A deterministic `[batch, ...shape]` tensor with values in `[lo, hi)`.
 fn det_tensor(seed: u64, batch: usize, shape: &[usize], lo: f32, hi: f32) -> Tensor {
@@ -23,30 +32,60 @@ fn det_tensor(seed: u64, batch: usize, shape: &[usize], lo: f32, hi: f32) -> Ten
     Tensor::new(&full, DetRng::new(seed).vec_f32(numel, lo, hi)).expect("consistent shape")
 }
 
-/// One paper net at reduced width.
-fn build(kind: ModelKind) -> Sequential {
-    match kind {
-        ModelKind::CifarNet => cifarnet(0.35, 32),
-        _ => lenet5(0.5, 31),
-    }
+/// Input shape of [`strided`].
+const STRIDED_INPUT: [usize; 3] = [3, 16, 16];
+
+/// A net with the convolutions the paper nets lack: 3×3 at stride 2 (which
+/// keeps the `im2col` lowering on every backend) and 1×1, with FakeQuant
+/// layers where the paper nets place them.
+fn strided(seed: u64) -> Sequential {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(FakeQuant::new()),
+        Box::new(Conv2d::with_name("down", 3, 5, 3, 2, 1, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(FakeQuant::new()),
+        Box::new(Conv2d::with_name("point", 5, 7, 1, 1, 0, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(FakeQuant::new()),
+        Box::new(Flatten::new()),
+        Box::new(Dense::with_name("fc", 7 * 8 * 8, 10, &mut rng)),
+    ];
+    Sequential::new(layers)
 }
 
-/// Both paper nets, at f32, DNS-pruned to density 0.1 and with 4-bit
+/// Builds one net under test.
+type Build = fn() -> Sequential;
+
+/// The nets under test with their input shapes: both paper nets at reduced
+/// width, and [`strided`].
+fn nets() -> [(&'static str, Vec<usize>, Build); 3] {
+    [
+        ("lenet5", ModelKind::LeNet5.input_shape().to_vec(), || {
+            lenet5(0.5, 31)
+        }),
+        (
+            "cifarnet",
+            ModelKind::CifarNet.input_shape().to_vec(),
+            || cifarnet(0.35, 32),
+        ),
+        ("strided", STRIDED_INPUT.to_vec(), || strided(33)),
+    ]
+}
+
+/// Every net of [`nets`] at f32, DNS-pruned to density 0.1 and with 4-bit
 /// weights and FakeQuant activation formats installed (simulated, so the
 /// layers stay differentiable).
-fn variants() -> Vec<(String, ModelKind, Sequential)> {
+fn variants() -> Vec<(String, Vec<usize>, Sequential)> {
     let mut out = Vec::new();
-    for (name, kind) in [
-        ("lenet5", ModelKind::LeNet5),
-        ("cifarnet", ModelKind::CifarNet),
-    ] {
-        out.push((format!("{name} f32"), kind, build(kind)));
-        let mut pruned = build(kind);
+    for (name, shape, build) in nets() {
+        out.push((format!("{name} f32"), shape.clone(), build()));
+        let mut pruned = build();
         PruneMask::from_magnitude(&pruned, 0.1)
             .and_then(|mask| mask.apply(&mut pruned))
             .expect("prune");
-        out.push((format!("{name} dns 0.1"), kind, pruned));
-        let mut quantized = build(kind);
+        out.push((format!("{name} dns 0.1"), shape.clone(), pruned));
+        let mut quantized = build();
         Quantizer::for_bitwidth(4)
             .expect("4-bit quantizer")
             .quantize(&mut quantized);
@@ -57,7 +96,7 @@ fn variants() -> Vec<(String, ModelKind, Sequential)> {
                 .any(|l| l.activation_format().is_some()),
             "{name}: no FakeQuant format installed"
         );
-        out.push((format!("{name} fakequant 4"), kind, quantized));
+        out.push((format!("{name} fakequant 4"), shape, quantized));
     }
     out
 }
@@ -74,10 +113,10 @@ fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
 
 #[test]
 fn backward_input_is_the_input_half_of_backward() {
-    for (name, kind, mut model) in variants() {
+    for (name, shape, mut model) in variants() {
         for batch in [1usize, 48] {
             let label = format!("{name} batch {batch}");
-            let x = det_tensor(batch as u64, batch, kind.input_shape(), 0.0, 1.0);
+            let x = det_tensor(batch as u64, batch, &shape, 0.0, 1.0);
             let logits = model.forward(&x, Mode::Eval).expect("forward");
             let classes = logits.shape()[1];
             let seed = det_tensor(100 + batch as u64, batch, &[classes], -1.0, 1.0);
@@ -111,6 +150,42 @@ fn backward_input_is_the_input_half_of_backward() {
                     .iter()
                     .zip(&seeded)
                     .any(|(p, before)| p.grad.data() != before.data()),
+                "{label}: backward accumulated no parameter gradient"
+            );
+        }
+    }
+}
+
+/// Parameter gradients and input gradient of one `backward` from zeroed
+/// gradients, after a forward of `x` in `mode`.
+fn gradients_after(model: &mut Sequential, x: &Tensor, mode: Mode) -> (Vec<Tensor>, Tensor) {
+    let logits = model.forward(x, mode).expect("forward");
+    let seed = det_tensor(7, logits.shape()[0], &logits.shape()[1..], -1.0, 1.0);
+    model.zero_grad();
+    let dx = model.backward(&seed).expect("backward");
+    (model.params().iter().map(|p| p.grad.clone()).collect(), dx)
+}
+
+#[test]
+fn backward_after_eval_forward_matches_train_forward() {
+    for (name, shape, mut model) in variants() {
+        for batch in [1usize, 48] {
+            let label = format!("{name} batch {batch}");
+            let x = det_tensor(50 + batch as u64, batch, &shape, 0.0, 1.0);
+            let (eval_grads, eval_dx) = gradients_after(&mut model, &x, Mode::Eval);
+            let (train_grads, train_dx) = gradients_after(&mut model, &x, Mode::Train);
+            for ((p, e), t) in model.params().iter().zip(&eval_grads).zip(&train_grads) {
+                assert_bits(&format!("{label}: {} gradient", p.name), e.data(), t.data());
+            }
+            assert_bits(
+                &format!("{label}: input gradient"),
+                eval_dx.data(),
+                train_dx.data(),
+            );
+            assert!(
+                eval_grads
+                    .iter()
+                    .any(|g| g.data().iter().any(|&v| v != 0.0)),
                 "{label}: backward accumulated no parameter gradient"
             );
         }

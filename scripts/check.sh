@@ -139,13 +139,16 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 
 # Bench gates: every measurement bench writes one record schema and
 # checks its own gates after writing, exiting 1 with every failed record
-# listed. The ten gates: on AVX2+FMA the SIMD GEMM is not slower than
+# listed. The eleven gates: on AVX2+FMA the SIMD GEMM is not slower than
 # scalar at 128³, the SIMD dense GEMM is not slower than scalar at the
 # conv-width shapes (LeNet-5 conv1 and CifarNet conv2 forwards, whose
-# output widths are channel counts), and the packed Q8 GEMM is not slower
-# than dense f32; every graph
-# row has zero steady-state allocations, and on AVX2 compiled q8 LeNet-5
-# is >= 1.3x unfused; the detect fixture AUC is >= 0.9, and a live
+# output widths are channel counts), the direct convolution kernels are
+# not slower than the SIMD im2col lowering on any pass conv_impl sends
+# them (forward and input gradient of the six sweep convolutions, batch 1
+# and 48), and the packed Q8 GEMM is not slower than dense f32; every
+# graph row has zero steady-state allocations, and on AVX2 compiled q8
+# LeNet-5 is >= 1.3x unfused (both timed in alternating iterations, at the
+# bench's default 60); the detect fixture AUC is >= 0.9, and a live
 # guarded engine flags an offline-crafted UAP more often than clean
 # traffic and at a rate >= 0.15; with the core count of the committed
 # BENCH_serve.json the 8-worker knee is >= 0.6x the committed one, and on
@@ -155,7 +158,7 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 # scripts/bench.sh.
 cargo build -q --release -p advcomp-bench --features bench-ablation
 bench_tmp="$(mktemp -d)"
-for run in "kernel --iters 25" "quant --iters 25" "graph --iters 25" \
+for run in "kernel --iters 25" "quant --iters 25" "graph" \
     "detect --iters 50" "serve --workers 1,8 --duration-ms 400"; do
     read -r bench flags <<<"$run"
     # shellcheck disable=SC2086 # $flags holds several words on purpose
