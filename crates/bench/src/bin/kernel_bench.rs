@@ -28,6 +28,15 @@
 //! iterations. On an AVX2+FMA host every shape that
 //! [`advcomp_tensor::conv_impl`] sends to the direct kernels has the
 //! `speedup` of both passes gated at ≥ 1: the rule must not pick a loser.
+//! The `simd.conv_wgrad.*` records do the same for the weight and bias
+//! gradients at batch 32: the lowering's `im2col`, row transposes, GEMM
+//! and `sum_axis0` against the direct kernel, gated alike.
+//!
+//! The `simd.fake_quantize.*` records time a copy and
+//! `tensor::fake_quantize_in_place` with its pass mask (the `FakeQuant`
+//! forward) on a LeNet-5 conv1-sized activation (batch 32 × 3 × 28 × 28
+//! = 75,264 values) at Q1.3 and Q2.6, scalar body against AVX2 body, the
+//! speedup gated at ≥ 1 on an AVX2+FMA host.
 //!
 //! ```text
 //! scripts/bench.sh kernel [--out FILE] [--iters N]
@@ -35,9 +44,11 @@
 
 use advcomp_attacks::step;
 use advcomp_bench::record::{median_ns, median_ns_pair, speedup, Flags, Report};
+use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    conv2d_forward, conv2d_input_grad, conv_impl, gemm_prepacked, gemm_sparse, im2col, pool, simd,
-    Conv2dGeometry, ConvImpl, Init, KernelBackend, MatmulKernel, PackedGemmB, Tensor,
+    conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, fake_quantize_in_place,
+    gemm_prepacked, gemm_sparse, im2col, pool, simd, Conv2dGeometry, ConvImpl, Init, KernelBackend,
+    MatmulKernel, PackedGemmB, Tensor,
 };
 use std::hint::black_box;
 
@@ -163,6 +174,96 @@ fn simd_ablation(iters: usize, report: &mut Report) {
     }
     conv_width_gemms(iters.min(50), report);
     conv_direct(iters.min(50), report);
+    conv_wgrad(iters.min(50), report);
+    fake_quantize_rows(iters, report);
+}
+
+/// The six sweep convolutions (LeNet-5 at width 0.5, CifarNet at width
+/// 0.35) as `(name, c, oc, kernel, padding, input size)`.
+const SWEEP_CONVS: [(&str, usize, usize, usize, usize, usize); 6] = [
+    ("lenet5_conv1", 1, 3, 5, 2, 28),
+    ("lenet5_conv2", 3, 8, 5, 0, 14),
+    ("cifarnet_conv1", 3, 11, 3, 1, 32),
+    ("cifarnet_conv2", 11, 11, 3, 1, 32),
+    ("cifarnet_conv3", 11, 22, 3, 1, 16),
+    ("cifarnet_conv4", 22, 22, 3, 1, 8),
+];
+
+/// Times the weight and bias gradients of the six sweep convolutions at
+/// batch 32 through the SIMD lowering and the direct kernel, in
+/// alternating iterations, into the `simd.conv_wgrad.*` records, and gates
+/// the speedup of every shape `conv_impl` routes to the direct kernel.
+fn conv_wgrad(iters: usize, report: &mut Report) {
+    if !simd::simd_available() {
+        println!("  (no AVX2+FMA: simd.conv_wgrad.* not measured)");
+        return;
+    }
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(23);
+    let init = Init::Uniform { lo: -1.0, hi: 1.0 };
+    let be = KernelBackend::Simd;
+    const BATCH: usize = 32;
+    for (name, c, oc, k, pad, hw) in SWEEP_CONVS {
+        let geom = Conv2dGeometry::square(c, hw, k, 1, pad);
+        let (oh, ow) = geom.output_hw().expect("sweep geometry");
+        let x = init.tensor(&[BATCH, c, hw, hw], &mut rng);
+        let dy = init.tensor(&[BATCH, oc, oh, ow], &mut rng);
+        let grads = |imp| {
+            let g = conv2d_weight_grad(be, &x, &dy, &geom, imp, None, None);
+            black_box(g.expect("conv weight gradient"));
+        };
+        let (lowering_ns, direct_ns) = median_ns_pair(
+            iters,
+            || grads(ConvImpl::Lowering),
+            || grads(ConvImpl::Direct),
+        );
+        let row = format!("simd.conv_wgrad.{name}.b{BATCH}");
+        let x = speedup(lowering_ns, direct_ns);
+        println!(
+            "{:>28}: lowering {lowering_ns:>10} ns  direct {direct_ns:>10} ns  ({x:.2}x)",
+            format!("{name}.b{BATCH}.dw")
+        );
+        report.push(format!("{row}.lowering_ns"), "ns", lowering_ns as f64);
+        report.push(format!("{row}.direct_ns"), "ns", direct_ns as f64);
+        let record = report.push(format!("{row}.speedup"), "x", x);
+        if conv_impl(be, &geom) == ConvImpl::Direct {
+            record.min(1.0);
+        }
+    }
+}
+
+/// Times a copy of the input and `fake_quantize_in_place` with its pass
+/// mask over it (the `FakeQuant` forward), scalar body against AVX2 body,
+/// on a LeNet-5 conv1-sized activation at Q1.3 and Q2.6 into the
+/// `simd.fake_quantize.*` records; the speedup is gated on AVX2+FMA.
+fn fake_quantize_rows(iters: usize, report: &mut Report) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);
+    // Post-ReLU-like activations spanning both formats' ranges.
+    let x = Init::Uniform { lo: -0.5, hi: 2.5 }.tensor(&[32 * 3 * 28 * 28], &mut rng);
+    let (mut out, mut mask) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+    for (label, bits) in [("q1_3", 4), ("q2_6", 8)] {
+        let fmt = QFormat::for_bitwidth(bits).expect("paper bitwidth");
+        let mut time = |be: KernelBackend| {
+            median_ns(iters, || {
+                out.copy_from_slice(x.data());
+                fake_quantize_in_place(be, fmt, &mut out, Some(&mut mask)).expect("lengths");
+                black_box((&out, &mask));
+            })
+        };
+        let scalar_ns = time(KernelBackend::Scalar);
+        let simd_ns = time(KernelBackend::Simd);
+        let x = speedup(scalar_ns, simd_ns);
+        println!(
+            "{:>28}: scalar {scalar_ns:>10} ns  simd {simd_ns:>10} ns  ({x:.2}x)",
+            format!("fake_quantize.{label}")
+        );
+        let row = format!("simd.fake_quantize.{label}");
+        report.push(format!("{row}.scalar_ns"), "ns", scalar_ns as f64);
+        report.push(format!("{row}.simd_ns"), "ns", simd_ns as f64);
+        let record = report.push(format!("{row}.speedup"), "x", x);
+        if simd::simd_available() {
+            record.min(1.0);
+        }
+    }
 }
 
 /// Times both passes of the six sweep convolutions through the SIMD
@@ -178,15 +279,7 @@ fn conv_direct(iters: usize, report: &mut Report) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
     let init = Init::Uniform { lo: -1.0, hi: 1.0 };
     let be = KernelBackend::Simd;
-    // (name, c, oc, kernel, padding, input size) at the sweep widths.
-    for (name, c, oc, k, pad, hw) in [
-        ("lenet5_conv1", 1, 3, 5, 2, 28),
-        ("lenet5_conv2", 3, 8, 5, 0, 14),
-        ("cifarnet_conv1", 3, 11, 3, 1, 32),
-        ("cifarnet_conv2", 11, 11, 3, 1, 32),
-        ("cifarnet_conv3", 11, 22, 3, 1, 16),
-        ("cifarnet_conv4", 22, 22, 3, 1, 8),
-    ] {
+    for (name, c, oc, k, pad, hw) in SWEEP_CONVS {
         let geom = Conv2dGeometry::square(c, hw, k, 1, pad);
         let (oh, ow) = geom.output_hw().expect("sweep geometry");
         let weight = init.tensor(&[oc, c, k, k], &mut rng);

@@ -3,9 +3,9 @@
 use crate::finetune::TrainConfig;
 use crate::{CompressError, Result};
 use advcomp_data::{Batches, Dataset};
-use advcomp_nn::{softmax_cross_entropy, LrSchedule, Mode, ParamKind, Sequential};
+use advcomp_nn::{softmax_cross_entropy, LrSchedule, Mode, Param, ParamKind, Sequential};
 use advcomp_qformat::QFormat;
-use advcomp_tensor::Tensor;
+use advcomp_tensor::{fake_quantize_in_place, simd, Tensor};
 use std::collections::HashMap;
 
 /// Formats used for a quantised model.
@@ -82,9 +82,11 @@ impl Quantizer {
     /// Rounds every weight tensor to the weight format, in place (biases
     /// are left in full precision). Post-training quantisation.
     pub fn quantize_weights(&self, model: &mut Sequential) {
+        let (backend, format) = (simd::backend(), self.cfg.weight_format);
         for p in model.params_mut() {
             if p.kind == ParamKind::Weight {
-                self.cfg.weight_format.quantize_slice(p.value.data_mut());
+                fake_quantize_in_place(backend, format, p.value.data_mut(), None)
+                    .expect("a maskless fake-quantise cannot fail");
             }
         }
     }
@@ -169,11 +171,7 @@ impl Quantizer {
             for (x, y) in plan.iter(data) {
                 // Install quantised weights from masters.
                 for p in model.params_mut() {
-                    let m = master.get(&p.name).expect("captured");
-                    p.value = match p.kind {
-                        ParamKind::Weight => m.map(|v| wf.quantize(v)),
-                        ParamKind::Bias => m.clone(),
-                    };
+                    install(p, master.get(&p.name).expect("captured"), wf)?;
                 }
                 let logits = model.forward(&x, Mode::Train)?;
                 let loss = softmax_cross_entropy(&logits, &y)?;
@@ -205,14 +203,22 @@ impl Quantizer {
         }
         // Final install: quantised weights, full-precision biases.
         for p in model.params_mut() {
-            let m = master.get(&p.name).expect("captured");
-            p.value = match p.kind {
-                ParamKind::Weight => m.map(|v| wf.quantize(v)),
-                ParamKind::Bias => m.clone(),
-            };
+            install(p, master.get(&p.name).expect("captured"), wf)?;
         }
         Ok(())
     }
+}
+
+/// Installs a master copy into its parameter, in the parameter's own
+/// storage (the master was cloned from it, so the shapes agree): weights
+/// rounded to `wf` (`QFormat::quantize`'s bits, by
+/// [`fake_quantize_in_place`]), biases as they are.
+fn install(p: &mut Param, master: &Tensor, wf: QFormat) -> Result<()> {
+    p.value.data_mut().copy_from_slice(master.data());
+    if p.kind == ParamKind::Weight {
+        fake_quantize_in_place(simd::backend(), wf, p.value.data_mut(), None)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

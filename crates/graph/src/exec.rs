@@ -13,8 +13,9 @@
 //!   `Arc`, one byte per code at 4 and 8 bits alike, scaled by the weight
 //!   format's resolution — checkpoint loading refuses any other stored
 //!   scale);
-//! * per-layer activation-quantisation buffers ([`QActivations`]) are
-//!   owned by the plan and rewritten in place;
+//! * per-layer activation-quantisation buffers ([`QActivations`]), and
+//!   the one scratch of input codes from which packed convs gather their
+//!   patch codes, are owned by the plan and rewritten in place;
 //! * every f32 intermediate lives at a fixed per-sample offset in one
 //!   arena, scaled by the batch size at run time.
 //!
@@ -34,9 +35,10 @@ use std::time::Instant;
 use advcomp_nn::{QuantizedWeights, Sequential};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    gemm_prepacked, gemm_sparse, im2col_slice, probe_matmul_kernel, qmatmul,
-    quantize_activations_into, rows_to_nchw_slice, simd, Conv2dGeometry, KernelBackend,
-    MatmulKernel, PackedGemmB, QActivations, Tensor, QK,
+    fake_quantize_in_place, gemm_prepacked, gemm_sparse, im2col_slice, max_pool2d,
+    probe_matmul_kernel, qmatmul, quantize_activations_into, quantize_patches_into,
+    rows_to_nchw_slice, simd, Conv2dGeometry, KernelBackend, MatmulKernel, PackedGemmB,
+    QActivations, Tensor, QK,
 };
 
 use crate::fuse::{fuse, FusedOp, FusionStats, GemmUnit};
@@ -96,6 +98,15 @@ enum Step {
     Gemm { src: Src, dst: usize, weight: usize },
     /// Quantise f32 activations into a plan-owned i8 buffer.
     QuantizeAct { src: Src, qbuf: usize, cols: usize },
+    /// Quantise a packed conv's patch rows into a plan-owned i8 buffer
+    /// straight from its NCHW input (`tensor::quantize_patches_into`: the
+    /// codes `Im2col` + `QuantizeAct` would give, without the f32 patch
+    /// matrix).
+    QuantizePatches {
+        src: Src,
+        qbuf: usize,
+        geom: Conv2dGeometry,
+    },
     /// Int8 GEMM with fused dequantisation.
     QGemm {
         qbuf: usize,
@@ -112,21 +123,19 @@ enum Step {
         oh: usize,
         ow: usize,
     },
-    /// 2-D max pooling.
+    /// 2-D max pooling (`tensor::max_pool2d`, `MaxPool2d`'s window loop).
     MaxPool {
         src: Src,
         dst: usize,
         c: usize,
         h: usize,
         w: usize,
-        oh: usize,
-        ow: usize,
         kernel: usize,
         stride: usize,
     },
     /// In-place ReLU.
     EltRelu { buf: usize },
-    /// In-place simulated quantisation.
+    /// In-place simulated quantisation (`tensor::fake_quantize_in_place`).
     EltQuantize { buf: usize, format: QFormat },
 }
 
@@ -140,6 +149,8 @@ struct Builder {
     qbufs: Vec<QActivations>,
     /// Per-qbuf `(rows per sample, cols)` for pre-sizing.
     qbuf_dims: Vec<(usize, usize)>,
+    /// Largest per-sample input a `QuantizePatches` step encodes.
+    codes_per_sample: usize,
 }
 
 impl Builder {
@@ -254,6 +265,10 @@ pub struct ExecPlan {
     qbuf_dims: Vec<(usize, usize)>,
     /// High-water code length per qbuf, for allocation accounting.
     qbuf_hw: Vec<usize>,
+    /// The input codes of the current `QuantizePatches` step.
+    input_codes: Vec<i8>,
+    /// Largest per-sample length `input_codes` takes, for pre-sizing.
+    codes_per_sample: usize,
     sizes: Vec<usize>,
     offsets: Vec<usize>,
     arena_elems: usize,
@@ -316,16 +331,16 @@ impl ExecPlan {
                     let patch = geom.patch_len();
                     let rows_ps = oh * ow;
                     let oc = unit.weight.out_features();
-                    let scratch = b.buf(rows_ps * patch);
-                    b.touch(cur);
-                    b.steps.push(Step::Im2col {
-                        src: cur,
-                        dst: scratch,
-                        geom,
-                    });
                     let rows_buf;
                     match &unit.weight {
                         GemmWeight::Dense(w2d) => {
+                            let scratch = b.buf(rows_ps * patch);
+                            b.touch(cur);
+                            b.steps.push(Step::Im2col {
+                                src: cur,
+                                dst: scratch,
+                                geom,
+                            });
                             let weight = b.push_f32_weight(w2d)?;
                             b.touch(Src::Buf(scratch));
                             rows_buf = b.buf(rows_ps * oc);
@@ -338,11 +353,13 @@ impl ExecPlan {
                         GemmWeight::Packed(q) => {
                             let weight = b.push_packed_weight(q);
                             let qbuf = b.qbuf(q.act_format(), rows_ps, patch)?;
-                            b.touch(Src::Buf(scratch));
-                            b.steps.push(Step::QuantizeAct {
-                                src: Src::Buf(scratch),
+                            let in_len = geom.in_channels * geom.in_h * geom.in_w;
+                            b.codes_per_sample = b.codes_per_sample.max(in_len);
+                            b.touch(cur);
+                            b.steps.push(Step::QuantizePatches {
+                                src: cur,
                                 qbuf,
-                                cols: patch,
+                                geom,
                             });
                             rows_buf = b.buf(rows_ps * oc);
                             b.steps.push(Step::QGemm {
@@ -452,8 +469,6 @@ impl ExecPlan {
                         c,
                         h,
                         w,
-                        oh,
-                        ow,
                         kernel: *kernel,
                         stride: *stride,
                     });
@@ -485,6 +500,8 @@ impl ExecPlan {
             qbufs: b.qbufs,
             qbuf_dims: b.qbuf_dims,
             qbuf_hw,
+            input_codes: Vec::new(),
+            codes_per_sample: b.codes_per_sample,
             sizes: b.lives.iter().map(|l| l.size).collect(),
             offsets: plan.offsets,
             arena_elems: plan.arena_len,
@@ -532,6 +549,7 @@ impl ExecPlan {
             epilogues,
             qbufs,
             qbuf_hw,
+            input_codes,
             sizes,
             offsets,
             arena,
@@ -590,6 +608,22 @@ impl ExecPlan {
                         *alloc_events += 1;
                     }
                 }
+                Step::QuantizePatches { src, qbuf, geom } => {
+                    let sl: &[f32] = match src {
+                        Src::Input => input_data,
+                        Src::Buf(s) => &arena[rng(*s)],
+                    };
+                    let (q, cap) = (&mut qbufs[*qbuf], input_codes.capacity());
+                    quantize_patches_into(backend, sl, n, geom, input_codes, q)?;
+                    let len = q.codes().len();
+                    if len > qbuf_hw[*qbuf] {
+                        qbuf_hw[*qbuf] = len;
+                        *alloc_events += 1;
+                    }
+                    if input_codes.capacity() > cap {
+                        *alloc_events += 1;
+                    }
+                }
                 Step::QGemm { qbuf, dst, weight } => {
                     let PlannedGemm::Packed { weights: qw } = &weights[*weight] else {
                         unreachable!("int8 GEMM bound to f32 weights");
@@ -641,8 +675,6 @@ impl ExecPlan {
                     c,
                     h,
                     w,
-                    oh,
-                    ow,
                     kernel,
                     stride,
                 } => {
@@ -650,27 +682,7 @@ impl ExecPlan {
                         Src::Input => (input_data, &mut arena[rng(*dst)]),
                         Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
                     };
-                    // Loop order and strict `>` comparison replicate
-                    // `MaxPool2d::forward` exactly.
-                    for b in 0..n {
-                        for ch in 0..*c {
-                            let plane = (b * c + ch) * h * w;
-                            for oy in 0..*oh {
-                                for ox in 0..*ow {
-                                    let mut best = sl[plane + oy * stride * w + ox * stride];
-                                    for ky in 0..*kernel {
-                                        let row = plane + (oy * stride + ky) * w + ox * stride;
-                                        for kx in 0..*kernel {
-                                            if sl[row + kx] > best {
-                                                best = sl[row + kx];
-                                            }
-                                        }
-                                    }
-                                    dl[((b * c + ch) * oh + oy) * ow + ox] = best;
-                                }
-                            }
-                        }
-                    }
+                    max_pool2d(sl, [n, *c, *h, *w], *kernel, *stride, dl, None)?;
                 }
                 Step::EltRelu { buf } => {
                     // `v.max(0.0)`, as the Relu layer computes it.
@@ -679,9 +691,8 @@ impl ExecPlan {
                     }
                 }
                 Step::EltQuantize { buf, format } => {
-                    for v in &mut arena[rng(*buf)] {
-                        *v = format.quantize(*v);
-                    }
+                    // `FakeQuant`'s kernel, so the same bits on either backend.
+                    fake_quantize_in_place(backend, *format, &mut arena[rng(*buf)], None)?;
                 }
             }
         }
@@ -718,6 +729,10 @@ impl ExecPlan {
             let rows = rows_ps * n;
             q.reset(rows, cols);
             self.qbuf_hw[i] = self.qbuf_hw[i].max(q.codes().len());
+        }
+        let codes = self.codes_per_sample * n;
+        if codes > self.input_codes.len() {
+            self.input_codes.resize(codes, 0);
         }
     }
 

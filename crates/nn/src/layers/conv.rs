@@ -7,24 +7,25 @@ use crate::qweights::QuantizedWeights;
 use crate::{NnError, Result};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    conv2d_forward, conv2d_input_grad, conv_impl, im2col_into, nchw_to_rows, qmatmul_f32,
+    conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, im2col_into, qmatmul_f32,
     rows_to_nchw, simd, Conv2dGeometry, ConvImpl, Init, QTensor, Tensor,
 };
 use rand::Rng;
 
 /// A 2-D convolution over NCHW input.
 ///
-/// Weights are stored as `[out_channels, in_channels, kh, kw]`. The forward
-/// and input gradient run the implementation [`advcomp_tensor::conv_impl`]
-/// picks for the layer's geometry: on the AVX2 backend a stride-1 conv
-/// with padding below its kernel runs the direct kernels, which build no
-/// patch matrix; every other conv lowers to `im2col` + matmul. Both give
-/// the same bits. The forward caches its input, so `backward` after a
-/// forward in either mode can rebuild the patch matrix for the weight
-/// gradient `g2dᵀ · cols`, and `backward_input` needs none. The patch
-/// matrix lives in a scratch tensor (`cols`) that the lowered passes
-/// rewrite in place instead of reallocating, which matters in training
-/// loops that run a forward/backward pair per step.
+/// Weights are stored as `[out_channels, in_channels, kh, kw]`. Every pass
+/// — forward, input gradient, and weight and bias gradients — runs the
+/// implementation [`advcomp_tensor::conv_impl`] picks for the layer's
+/// geometry: on the AVX2 backend a stride-1 conv with padding below its
+/// kernel runs the direct kernels, which build no patch matrix; every
+/// other conv lowers to `im2col` + matmul. Both give the same bits. The
+/// forward caches its input, from which `backward` after a forward in
+/// either mode computes the weight gradient `g2dᵀ · cols`; `backward_input`
+/// needs no patch matrix at all. A lowered forward leaves its patch matrix
+/// in a scratch tensor (`cols`), rewritten in place instead of reallocated
+/// and reused by the lowered weight gradient; on the direct path the
+/// layer never builds or keeps one.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -43,8 +44,6 @@ struct ConvCache {
     geom: Conv2dGeometry,
     input: Tensor,
     out_hw: (usize, usize),
-    /// `cols` still holds `input`'s patch matrix: the forward lowered.
-    cols_ready: bool,
 }
 
 impl Conv2d {
@@ -222,25 +221,27 @@ impl Layer for Conv2d {
             geom,
             input: input.clone(),
             out_hw: (oh, ow),
-            cols_ready: imp == ConvImpl::Lowering,
         });
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let cache = self.checked_cache(grad_output)?;
-        let (geom, (oh, ow)) = (cache.geom, cache.out_hw);
-        let (n, oc) = (cache.input.shape()[0], self.out_channels());
-        if let Some(cache) = self.cache.as_mut().filter(|c| !c.cols_ready) {
-            im2col_into(&cache.input, &geom, &mut self.cols)?;
-            cache.cols_ready = true;
-        }
-        let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
-        // dL/dW = g2dᵀ · cols.
-        let gw2d = g2d.t()?.matmul(&self.cols)?;
-        let gw = gw2d.reshape(self.weight.value.shape())?;
+        let backend = simd::backend();
+        let imp = conv_impl(backend, &cache.geom);
+        // A lowered forward left the input's patch matrix in `cols`.
+        let cols = (imp == ConvImpl::Lowering).then_some(&self.cols);
+        let (gw, gb) = conv2d_weight_grad(
+            backend,
+            &cache.input,
+            grad_output,
+            &cache.geom,
+            imp,
+            None,
+            cols,
+        )?;
+        let geom = cache.geom;
         self.weight.grad.add_assign(&gw)?;
-        let gb = g2d.sum_axis0()?;
         self.bias.grad.add_assign(&gb)?;
         self.input_grad(&geom, grad_output)
     }

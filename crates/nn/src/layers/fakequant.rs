@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
 use advcomp_qformat::QFormat;
-use advcomp_tensor::Tensor;
+use advcomp_tensor::{fake_quantize_in_place, simd, Tensor};
 
 /// Simulated fixed-point quantisation of activations.
 ///
@@ -15,9 +15,12 @@ use advcomp_tensor::Tensor;
 ///
 /// The backward pass uses the clipped straight-through estimator: gradients
 /// pass unchanged where the input was inside the representable range and are
-/// zeroed where it saturated. When no format is installed the layer is an
-/// identity, so model builders can place `FakeQuant` everywhere and enable
-/// quantisation later without rebuilding.
+/// zeroed where it saturated. The forward, in either mode, copies its input
+/// and rewrites the copy to the rounded activations, writing that pass mask
+/// in the same [`advcomp_tensor::fake_quantize_in_place`] pass, whose AVX2
+/// body returns `QFormat::quantize`'s bits. When no format is installed the
+/// layer is an identity, so model builders can place `FakeQuant` everywhere
+/// and enable quantisation later without rebuilding.
 #[derive(Debug, Default)]
 pub struct FakeQuant {
     format: Option<QFormat>,
@@ -60,9 +63,9 @@ impl Layer for FakeQuant {
                 Ok(input.clone())
             }
             Some(q) => {
-                let (lo, hi) = (q.min_value(), q.max_value());
-                let mask = input.map(|v| if (lo..=hi).contains(&v) { 1.0 } else { 0.0 });
-                let y = input.map(|v| q.quantize(v));
+                let mut y = input.clone();
+                let mut mask = Tensor::zeros(input.shape());
+                fake_quantize_in_place(simd::backend(), q, y.data_mut(), Some(mask.data_mut()))?;
                 self.pass_mask = Some(mask);
                 self.last_output = Some(y.clone());
                 Ok(y)

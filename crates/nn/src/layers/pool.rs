@@ -2,12 +2,14 @@
 
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
-use advcomp_tensor::{Tensor, TensorError};
+use advcomp_tensor::{max_pool2d, Tensor, TensorError};
 
 /// 2-D max pooling over NCHW input with a square window.
 ///
 /// Caches the argmax position of every window so the backward pass routes
-/// each output gradient to the single input element that produced it.
+/// each output gradient to the single input element that produced it. The
+/// window loop is [`advcomp_tensor::max_pool2d`], which the graph
+/// executor's pooling step shares.
 #[derive(Debug)]
 pub struct MaxPool2d {
     kernel: usize,
@@ -69,32 +71,14 @@ impl Layer for MaxPool2d {
         let (oh, ow) = self.output_hw(h, w)?;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         let mut argmax = vec![0usize; n * c * oh * ow];
-        let src = input.data();
-        let dst = out.data_mut();
-        for b in 0..n {
-            for ch in 0..c {
-                let plane = (b * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = plane + oy * self.stride * w + ox * self.stride;
-                        let mut best = src[best_idx];
-                        for ky in 0..self.kernel {
-                            let row = plane + (oy * self.stride + ky) * w + ox * self.stride;
-                            for kx in 0..self.kernel {
-                                let idx = row + kx;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = ((b * c + ch) * oh + oy) * ow + ox;
-                        dst[o] = best;
-                        argmax[o] = best_idx;
-                    }
-                }
-            }
-        }
+        max_pool2d(
+            input.data(),
+            [n, c, h, w],
+            self.kernel,
+            self.stride,
+            out.data_mut(),
+            Some(&mut argmax),
+        )?;
         self.cache = Some(PoolCache {
             input_shape: input.shape().to_vec(),
             argmax,

@@ -44,15 +44,16 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, conv2d_forward, conv2d_input_grad, conv_impl, im2col, im2col_into, im2col_slice,
-    nchw_to_rows, rows_to_nchw, rows_to_nchw_slice, Conv2dGeometry, ConvImpl,
+    col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, im2col, im2col_into,
+    im2col_slice, max_pool2d, nchw_to_rows, quantize_patches_into, rows_to_nchw,
+    rows_to_nchw_slice, Conv2dGeometry, ConvImpl,
 };
 pub use error::TensorError;
 pub use init::{FanMode, Init};
 pub use ops::{gemm_prepacked, gemm_sparse, probe_matmul_kernel, MatmulKernel, PackedGemmB};
 pub use quant::{
-    qmatmul, qmatmul_f32, quantize_activations, quantize_activations_into, QActivations, QTensor,
-    QuantKind, QK,
+    fake_quantize_in_place, qmatmul, qmatmul_f32, quantize_activations, quantize_activations_into,
+    QActivations, QTensor, QuantKind, QK,
 };
 pub use shape::{broadcast_shapes, numel, Shape};
 pub use simd::KernelBackend;

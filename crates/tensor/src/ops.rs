@@ -28,9 +28,10 @@
 //! one-row bodies, whose 32-wide stripes would leave most of such a
 //! product to a scalar tail. The tile keeps both arithmetics, so it
 //! changes speed, not bits. `crates/tensor/tests/kernels.rs` pins all of
-//! this. (On the AVX2 backend `Conv2d`'s stride-1 passes skip the GEMM:
-//! the direct kernels of `crate::conv` compute the same bits, choosing
-//! between the two arithmetics with the same density probe.)
+//! this. (On the AVX2 backend `Conv2d`'s stride-1 passes, weight gradient
+//! included, skip the GEMM: the direct kernels of `crate::conv` compute the
+//! same bits, choosing between the two arithmetics with the same density
+//! probe.)
 //!
 //! Reference implementations kept for tests and ablation benchmarks
 //! (compiled only under `cfg(test)` or the `bench-ablation` feature so

@@ -310,15 +310,16 @@ pub fn global() -> &'static WorkerPool {
 }
 
 /// `for_each_chunk`'s output buffer, shared with the helpers of one scope.
-struct SharedOut(*mut f32);
+struct SharedOut<T>(*mut T);
 
 // SAFETY: the helpers only form disjoint `&mut` bands from this pointer
 // (one per claimed chunk index) while the caller holds the exclusive
-// borrow of the buffer, so sharing the pointer cannot alias.
-unsafe impl Sync for SharedOut {}
+// borrow of the buffer, so sharing the pointer cannot alias; the bands
+// move to other threads, hence `T: Send`.
+unsafe impl<T: Send> Sync for SharedOut<T> {}
 
-impl SharedOut {
-    fn ptr(&self) -> *mut f32 {
+impl<T> SharedOut<T> {
+    fn ptr(&self) -> *mut T {
         self.0
     }
 }
@@ -332,9 +333,9 @@ impl SharedOut {
 /// computes chunks itself and up to `effective_threads() − 1` idle workers
 /// help; if `f` panics, the panic is re-raised here after every chunk has
 /// run.
-pub fn for_each_chunk<F>(out: &mut [f32], chunk_len: usize, f: F)
+pub fn for_each_chunk<T: Send, F>(out: &mut [T], chunk_len: usize, f: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_len = chunk_len.max(1);
     let pool = global();

@@ -15,6 +15,15 @@
 //! bytes + f32 scale) exist only on disk, in the checkpoint codec;
 //! [`QuantKind`] names which one a tensor is stored as.
 //!
+//! The simulation half's one elementwise kernel lives here too:
+//! [`fake_quantize_in_place`] rewrites a slice to `QFormat::quantize(v)`
+//! (and, when asked, writes the straight-through estimator's pass mask
+//! first), with an AVX2 body exact for every f32 input of every format up
+//! to 24 bits and `QFormat::quantize` itself as the scalar body. Its
+//! callers copy first where they keep the input. `FakeQuant`, the graph
+//! executor's quantise step and the weight installs of quantisation-aware
+//! fine-tuning all call it, and the activation encoder shares its rounding.
+//!
 //! The GEMM ([`qmatmul`]) quantises f32 activations per row on entry,
 //! accumulates integer dot products in i32, and applies the one combined
 //! dequant multiply (`resolution_w × scale_a`) per output.
@@ -466,8 +475,68 @@ pub fn quantize_activations_into(
     Ok(())
 }
 
+/// Widest format [`fake_quantize_in_place`]'s AVX2 body runs. A code of at
+/// most 24 bits is an exact f32 integer, so the body rounds, saturates and
+/// decodes in f32 lanes with `QFormat::quantize`'s bits; wider codes can
+/// round on the way back to f32, and their formats take the scalar body.
+const FAKE_QUANT_MAX_BITS: u32 = 24;
+
+/// Simulated fixed-point quantisation of a slice, in place: every value of
+/// `data` becomes `format.quantize(value)`, and when `mask` is given, the
+/// clipped straight-through estimator's pass mask of the original value is
+/// written to it first: 1.0 where `format.min_value() <= v <=
+/// format.max_value()`, +0.0 elsewhere (NaN included).
+///
+/// Both bodies return `QFormat::quantize`'s bits for every f32 input: round
+/// half away from zero, NaN → +0, saturation at the range edges (±∞
+/// included), and +0 for every input whose code is zero, −0 among them.
+/// The AVX2 body rounds `t = v · 2^f` (exact: a power-of-two scaling) as
+/// `trunc(t)` plus `sign(t)` where `|t − trunc t| ≥ ½` (the difference is
+/// exact too), which [`quantize_activations`] shares; it runs formats of up
+/// to 24 bits. The scalar body, and wider formats on either backend, call
+/// `QFormat::quantize` per element.
+///
+/// # Errors
+///
+/// [`TensorError::LengthMismatch`] when `mask` is not as long as `data`.
+pub fn fake_quantize_in_place(
+    backend: KernelBackend,
+    format: QFormat,
+    data: &mut [f32],
+    mask: Option<&mut [f32]>,
+) -> Result<()> {
+    if let Some(m) = mask.as_ref().filter(|m| m.len() != data.len()) {
+        return Err(TensorError::LengthMismatch {
+            expected: data.len(),
+            actual: m.len(),
+        });
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx2(backend) && format.total_bits() <= FAKE_QUANT_MAX_BITS {
+        // SAFETY: use_avx2 verified AVX2 support at runtime; the lengths
+        // were checked above.
+        unsafe { avx2::fake_quantize_in_place(format, data, mask) };
+        return Ok(());
+    }
+    let _ = backend;
+    fake_quantize_scalar(format, data, mask);
+    Ok(())
+}
+
+/// The scalar body of [`fake_quantize_in_place`] (and its AVX2 body's
+/// tail): the range test, then `QFormat::quantize`, per element.
+fn fake_quantize_scalar(format: QFormat, data: &mut [f32], mask: Option<&mut [f32]>) {
+    if let Some(mask) = mask {
+        let pass = format.min_value()..=format.max_value();
+        for (m, v) in mask.iter_mut().zip(data.iter()) {
+            *m = if pass.contains(v) { 1.0 } else { 0.0 };
+        }
+    }
+    format.quantize_slice(data);
+}
+
 /// Encodes one row of f32 values to i8 codes.
-fn encode_row(backend: KernelBackend, src: &[f32], format: QFormat, dst: &mut [i8]) {
+pub(crate) fn encode_row(backend: KernelBackend, src: &[f32], format: QFormat, dst: &mut [i8]) {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx2(backend) {
         // SAFETY: use_avx2 verified AVX2 support at runtime.
@@ -631,42 +700,144 @@ mod avx2 {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// Encodes a row of f32 to i8 codes: `round_half_away(v · 2^f)`
-    /// saturated to the raw range, NaN → 0. Bit-exact with the scalar
-    /// `QFormat::encode` (power-of-two scaling is exact in both widths).
+    /// `round_half_away(t)` on every lane: `trunc(t)`, plus `sign(t)` where
+    /// `|t − trunc t| ≥ ½`. The difference is exact for every f32, so this
+    /// rounds exactly where `trunc(t + copysign(½, t))` does not: one ulp
+    /// below ½, that sum rounds up to 1. ±∞ stay ±∞ (their difference is
+    /// NaN, which fails the compare), NaN stays NaN, and a zero result is
+    /// +0 (the fix-up adds +0 where it adds nothing).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn round_half_away(t: __m256) -> __m256 {
+        let r = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(t);
+        let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), _mm256_sub_ps(t, r));
+        let up = _mm256_cmp_ps(abs, _mm256_set1_ps(0.5), _CMP_GE_OQ);
+        let sign = _mm256_and_ps(t, _mm256_set1_ps(-0.0));
+        let step = _mm256_or_ps(_mm256_set1_ps(1.0), sign);
+        _mm256_add_ps(r, _mm256_and_ps(up, step))
+    }
+
+    /// A format's code arithmetic in f32 lanes, for codes of at most 24
+    /// bits (exact f32 integers).
+    struct CodeLanes {
+        /// `2^f`.
+        scale: __m256,
+        /// The raw range's edges.
+        lo: __m256,
+        hi: __m256,
+    }
+
+    impl CodeLanes {
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(format: QFormat) -> CodeLanes {
+            CodeLanes {
+                scale: _mm256_set1_ps((1u64 << format.frac_bits()) as f32),
+                lo: _mm256_set1_ps(format.min_raw() as f32),
+                hi: _mm256_set1_ps(format.max_raw() as f32),
+            }
+        }
+
+        /// `QFormat::encode(v)` as integral f32 lanes: the rounded
+        /// `v · 2^f` (exact in f32, or ±∞ where it saturates anyway), NaN
+        /// → 0, saturated to the raw range.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn codes(&self, v: __m256) -> __m256 {
+            let r = round_half_away(_mm256_mul_ps(v, self.scale));
+            let r = _mm256_and_ps(r, _mm256_cmp_ps(v, v, _CMP_ORD_Q));
+            _mm256_max_ps(self.lo, _mm256_min_ps(self.hi, r))
+        }
+    }
+
+    /// Encodes a row of f32 to i8 codes, bit-exact with the scalar
+    /// `QFormat::encode`. A tail of under 8 values runs the same lanes
+    /// through zero-padded stack copies.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn encode_row(src: &[f32], format: QFormat, dst: &mut [i8]) {
-        let scale = _mm256_set1_ps((1u64 << format.frac_bits()) as f32);
-        let lo = _mm256_set1_ps(format.min_raw() as f32);
-        let hi = _mm256_set1_ps(format.max_raw() as f32);
-        let half = _mm256_set1_ps(0.5);
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let n = src.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            let t = _mm256_mul_ps(v, scale);
-            // round half away from zero: trunc(t + copysign(0.5, t)).
-            let signed_half = _mm256_or_ps(half, _mm256_and_ps(t, sign_mask));
-            let r = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm256_add_ps(
-                t,
-                signed_half,
-            ));
-            // NaN → 0 (ordered-compare mask), then saturate to the raw range.
-            let ord = _mm256_cmp_ps(r, r, _CMP_ORD_Q);
-            let r = _mm256_and_ps(r, ord);
-            let r = _mm256_max_ps(lo, _mm256_min_ps(hi, r));
-            let q = _mm256_cvtps_epi32(r); // integral input: exact
-                                           // 8 × i32 → 8 × i8 in the low lanes.
+        /// The 8 codes of `v`'s lanes, stored at `out` (integral inputs
+        /// in the i8 range: each narrowing is exact).
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn encode8(lanes: &CodeLanes, v: __m256, out: *mut i8) {
+            let q = _mm256_cvtps_epi32(lanes.codes(v));
             let packed16 =
                 _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
-            let packed8 = _mm_packs_epi16(packed16, packed16);
-            _mm_storel_epi64(dst.as_mut_ptr().add(i).cast(), packed8);
+            _mm_storel_epi64(out.cast(), _mm_packs_epi16(packed16, packed16));
+        }
+        let lanes = CodeLanes::new(format);
+        let n = src.len();
+        // Every store below stays inside `dst`.
+        assert!(dst.len() >= n);
+        let mut i = 0;
+        while i + 8 <= n {
+            encode8(
+                &lanes,
+                _mm256_loadu_ps(src.as_ptr().add(i)),
+                dst.as_mut_ptr().add(i),
+            );
             i += 8;
         }
-        for l in i..n {
-            dst[l] = format.encode(src[l]) as i8;
+        if i < n {
+            let (mut tail, mut codes) = ([0.0f32; 8], [0i8; 8]);
+            tail[..n - i].copy_from_slice(&src[i..]);
+            encode8(&lanes, _mm256_loadu_ps(tail.as_ptr()), codes.as_mut_ptr());
+            dst[i..n].copy_from_slice(&codes[..n - i]);
         }
+    }
+
+    /// The body of [`super::fake_quantize_in_place`] for formats of at
+    /// most 24 bits; `mask` must be as long as `data` (asserted).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fake_quantize_in_place(
+        format: QFormat,
+        data: &mut [f32],
+        mut mask: Option<&mut [f32]>,
+    ) {
+        let lanes = CodeLanes::new(format);
+        let resolution = _mm256_set1_ps(format.resolution());
+        let lo_v = _mm256_set1_ps(format.min_value());
+        let hi_v = _mm256_set1_ps(format.max_value());
+        let one = _mm256_set1_ps(1.0);
+        let n = data.len();
+        // Every load and store below stays inside the two slices.
+        assert!(mask.as_ref().is_none_or(|m| m.len() == n));
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_loadu_ps(data.as_ptr().add(i));
+            if let Some(mask) = mask.as_deref_mut() {
+                let pass = _mm256_and_ps(
+                    _mm256_cmp_ps(v, lo_v, _CMP_GE_OQ),
+                    _mm256_cmp_ps(v, hi_v, _CMP_LE_OQ),
+                );
+                _mm256_storeu_ps(mask.as_mut_ptr().add(i), _mm256_and_ps(pass, one));
+            }
+            // The code times the resolution: an exact product, +0 for a
+            // zero code.
+            let q = _mm256_mul_ps(lanes.codes(v), resolution);
+            _mm256_storeu_ps(data.as_mut_ptr().add(i), q);
+            i += 8;
+        }
+        super::fake_quantize_scalar(format, &mut data[i..], mask.map(|m| &mut m[i..]));
     }
 
     /// Sign-extends 16 i8 lanes to 16 i16 lanes.

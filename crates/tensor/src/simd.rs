@@ -18,7 +18,9 @@
 //!   scalar code, in the same order, with no contraction (the SIMD `axpy`
 //!   deliberately uses multiply-then-add rather than FMA). For finite
 //!   inputs the results are bitwise identical across backends, so the
-//!   golden-vector suite passes under either backend for these ops.
+//!   golden-vector suite passes under either backend for these ops. The
+//!   fake-quantiser (`crate::quant::fake_quantize_in_place`) is in this
+//!   class too, for every input, ±∞ and NaN included.
 //! * **Tolerance-class** — the dense GEMM uses FMA contraction and the
 //!   reductions (`sum`, `sumsq`, `sum_abs`) use lane-parallel
 //!   accumulators, so results differ from scalar by reassociation /
@@ -54,9 +56,14 @@
 //! sums, from +0 and in `col2im`'s order (its taps reversed), terms that
 //! are each the lowering's chain over the output channels. Blocks of
 //! output (or input) channels × up to 4 vectors of 8 columns of one row
-//! keep 6–12 chains in registers. See `conv_direct_forward` and
-//! `conv_direct_input_grad`; `crate::conv` drives them and picks the
-//! arithmetic with the lowering's density probe.
+//! keep 6–12 chains in registers. The weight gradient chains each weight
+//! over the batch's output positions in order, as `g2dᵀ · cols` does, with
+//! 8 output channels in the lanes (as in the 8-row GEMM tile) and up to 12
+//! weights' chains per task, one broadcast from the zero-bordered input
+//! planes per chain and position; the bias gradient is one more chain,
+//! over a plane of ones. See `conv_direct_forward`,
+//! `conv_direct_input_grad` and `conv_direct_weight_grad`; `crate::conv`
+//! drives them and picks the arithmetic with the lowering's density probe.
 //!
 //! NaN edge cases differ where the hardware min/max semantics differ from
 //! `f32::clamp`/`f32::max`: `_mm256_max_ps(a, b)` returns `b` when `a` is
@@ -702,6 +709,159 @@ pub(crate) fn conv_direct_input_grad(
     }
     let _ = (backend, d, dy, wt, out);
     let _ = (skip_zeros, finite_weights, scratch);
+    false
+}
+
+/// Output channels one vector of the direct weight gradient holds: the
+/// gradient's rows sit in the lanes as in the 8-row GEMM tile.
+pub(crate) const WGRAD_GROUP: usize = 8;
+
+/// Chains one task of the direct weight gradient keeps in registers, at
+/// most.
+const WGRAD_CHAINS: usize = 12;
+
+/// How the direct weight gradient splits its chains into tasks.
+///
+/// The kernel's taps, in patch order `(ch, ky, kx)`, fall into *segments*
+/// of `width` consecutive columns of one kernel row (`width` is 5 or 3
+/// where that divides `kw`, else 1), so segment `s` holds taps `s·width..`
+/// and its chains read one input row at `width` neighbouring offsets. One more
+/// segment reads a plane of ones: its first chain is the bias gradient,
+/// because `fma(g, 1, acc)` and `acc + g·1` are both `acc + g`, the addition
+/// `sum_axis0` makes. A *task* is one group of [`WGRAD_GROUP`] output
+/// channels times one block of `segs` segments (`segs · width ≤ 12`
+/// chains), the last block padded with repeats of the ones segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WgradTiling {
+    /// Taps per segment.
+    pub width: usize,
+    /// Segments per block.
+    pub segs: usize,
+    /// Segments over kernel taps; segment `tap_segments` reads the ones.
+    pub tap_segments: usize,
+    /// Blocks per output-channel group.
+    pub blocks: usize,
+    /// Output-channel groups.
+    pub groups: usize,
+}
+
+impl WgradTiling {
+    pub(crate) fn new(d: &DirectConv) -> WgradTiling {
+        let width = [5, 3]
+            .into_iter()
+            .find(|&w| d.kw.is_multiple_of(w))
+            .unwrap_or(1);
+        let segs = WGRAD_CHAINS / width;
+        let tap_segments = d.c * d.kh * d.kw / width;
+        WgradTiling {
+            width,
+            segs,
+            tap_segments,
+            blocks: (tap_segments + 1).div_ceil(segs),
+            groups: d.oc.div_ceil(WGRAD_GROUP),
+        }
+    }
+
+    /// Tasks, group-major.
+    pub(crate) fn tasks(&self) -> usize {
+        self.groups * self.blocks
+    }
+
+    /// Accumulator floats per task: `segs × width` chains of
+    /// [`WGRAD_GROUP`] lanes, slot `r`'s column `kx` at `(r·width + kx)·8`.
+    pub(crate) fn task_len(&self) -> usize {
+        self.segs * self.width * WGRAD_GROUP
+    }
+
+    /// `(group, block)` of task `task`.
+    pub(crate) fn task(&self, task: usize) -> (usize, usize) {
+        (task / self.blocks, task % self.blocks)
+    }
+
+    /// The segment in slot `slot` of block `block`: `Some(first tap)` for
+    /// a tap segment, `None` for the ones segment or its padding repeats.
+    pub(crate) fn segment(&self, block: usize, slot: usize) -> Option<usize> {
+        let seg = block * self.segs + slot;
+        (seg < self.tap_segments).then_some(seg * self.width)
+    }
+
+    /// Whether slot `slot` of block `block` is the ones segment itself.
+    pub(crate) fn is_bias(&self, block: usize, slot: usize) -> bool {
+        block * self.segs + slot == self.tap_segments
+    }
+}
+
+/// Direct stride-1 weight and bias gradients of a whole batch on the AVX2
+/// path, for the consecutive tasks of `tiling` from `first_task` on:
+/// `x` is the batch (`n × c × h × w`), `dy` its output gradient (`n × oc ×
+/// oh × ow`), and `acc` holds the tasks' accumulators (see
+/// [`WgradTiling::task_len`]), +0 on entry. `scratch` holds one sample's
+/// zero-bordered input planes, the plane of ones and the sample's gradient
+/// transposed to rows of `8·groups` channels.
+///
+/// Every chain runs over `(sample, oy, ox)` in order, the order of the
+/// lowering's `g2dᵀ · cols` and `sum_axis0`, from +0. With `skip_zeros ==
+/// false` it is the dense GEMM's in-order FMA, padding taps multiplying the
+/// planes' +0 as `cols`' zeros are multiplied; with `skip_zeros == true` it
+/// is the zero-skip GEMM's mul then add over the nonzero gradient entries,
+/// the zero entries' products masked to +0 where `finite_input == false`
+/// as in the 8-row tile (with a finite input such a product is ±0 and adds
+/// nothing).
+/// Returns `false`, computing nothing, when the AVX2 path is unavailable
+/// (or the backend is `Scalar`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_direct_weight_grad(
+    backend: KernelBackend,
+    d: &DirectConv,
+    tiling: &WgradTiling,
+    x: &[f32],
+    dy: &[f32],
+    first_task: usize,
+    acc: &mut [f32],
+    skip_zeros: bool,
+    finite_input: bool,
+    scratch: &mut Vec<f32>,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        let stride = d.w + 2 * d.pad;
+        let plane = (d.h + 2 * d.pad) * stride;
+        let out_plane = d.oh * d.ow;
+        let ocp = tiling.groups * WGRAD_GROUP;
+        let planes_len = (d.c + 1) * plane;
+        scratch.clear();
+        scratch.resize(planes_len + out_plane * ocp, 0.0);
+        let (xpad, grow) = scratch.split_at_mut(planes_len);
+        xpad[d.c * plane..].fill(1.0);
+        let (sample, grad_sample) = (d.c * d.h * d.w, d.oc * out_plane);
+        for (xs, gs) in x.chunks_exact(sample).zip(dy.chunks_exact(grad_sample)) {
+            // Only the interiors are written, so the borders stay +0.
+            for (ch, src) in xs.chunks_exact(d.h * d.w).enumerate() {
+                for (iy, row) in src.chunks_exact(d.w).enumerate() {
+                    let at = ch * plane + (iy + d.pad) * stride + d.pad;
+                    xpad[at..at + d.w].copy_from_slice(row);
+                }
+            }
+            for (o, gp) in gs.chunks_exact(out_plane).enumerate() {
+                for (pos, &g) in gp.iter().enumerate() {
+                    grow[pos * ocp + o] = g;
+                }
+            }
+            // SAFETY: `use_avx2` checked that the CPU has AVX2 and FMA; the
+            // kernel bounds-checks every slice it reads or writes.
+            unsafe {
+                let run = match (skip_zeros, finite_input) {
+                    (false, _) => avx2::conv_weight_grad::<false, false>,
+                    (true, true) => avx2::conv_weight_grad::<true, false>,
+                    (true, false) => avx2::conv_weight_grad::<true, true>,
+                };
+                run(d, tiling, xpad, stride, grow, first_task, acc);
+            }
+        }
+        return true;
+    }
+    let _ = (backend, d, tiling, x, dy, first_task, acc);
+    let _ = (skip_zeros, finite_input, scratch);
     false
 }
 
@@ -1747,6 +1907,157 @@ mod avx2 {
                     let end = (x0 + LANES).min(d.w);
                     store_lanes(&mut dst[x0..end], s);
                 }
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Direct stride-1 weight gradient
+    // -----------------------------------------------------------------------
+
+    use super::{WgradTiling, WGRAD_GROUP};
+
+    /// One sample's share of the band of tasks from `first_task` on; see
+    /// [`super::conv_direct_weight_grad`]. `xpad` holds the sample's
+    /// zero-bordered planes and the plane of ones, rows `stride` apart, and
+    /// `grow` its gradient as rows of `8·groups` channels.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn conv_weight_grad<const SKIP_ZEROS: bool, const MASKED: bool>(
+        d: &DirectConv,
+        t: &WgradTiling,
+        xpad: &[f32],
+        stride: usize,
+        grow: &[f32],
+        first_task: usize,
+        acc: &mut [f32],
+    ) {
+        let run = match t.width {
+            1 => weight_grad_tasks::<1, 12, SKIP_ZEROS, MASKED>,
+            3 => weight_grad_tasks::<3, 4, SKIP_ZEROS, MASKED>,
+            5 => weight_grad_tasks::<5, 2, SKIP_ZEROS, MASKED>,
+            w => unreachable!("no weight-gradient segment of width {w}"),
+        };
+        run(d, t, xpad, stride, grow, first_task, acc);
+    }
+
+    /// [`conv_weight_grad`] for segments of `W` taps, `R` per block.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn weight_grad_tasks<
+        const W: usize,
+        const R: usize,
+        const SKIP_ZEROS: bool,
+        const MASKED: bool,
+    >(
+        d: &DirectConv,
+        t: &WgradTiling,
+        xpad: &[f32],
+        stride: usize,
+        grow: &[f32],
+        first_task: usize,
+        acc: &mut [f32],
+    ) {
+        debug_assert!(t.width == W && t.segs == R);
+        let plane = (d.h + 2 * d.pad) * stride;
+        let ocp = t.groups * WGRAD_GROUP;
+        for (i, task_acc) in acc.chunks_exact_mut(t.task_len()).enumerate() {
+            let (group, block) = t.task(first_task + i);
+            // Each segment's tap (ky, kx0) in channel plane ch, or the
+            // plane of ones at index c.
+            let offsets: [usize; R] = core::array::from_fn(|slot| match t.segment(block, slot) {
+                Some(kk) => {
+                    let (ch, ky, kx) = (kk / (d.kh * d.kw), kk / d.kw % d.kh, kk % d.kw);
+                    ch * plane + ky * stride + kx
+                }
+                None => d.c * plane,
+            });
+            weight_grad_block::<W, R, SKIP_ZEROS, MASKED>(
+                d, xpad, stride, &offsets, grow, ocp, group, task_acc,
+            );
+        }
+    }
+
+    /// Output channels `8·group..` of the `R × W` chains whose segments
+    /// start at `offsets` in `xpad`, over one sample's output positions in
+    /// order: per position one load of the gradient row's 8 channels and
+    /// one broadcast per chain.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn weight_grad_block<
+        const W: usize,
+        const R: usize,
+        const SKIP_ZEROS: bool,
+        const MASKED: bool,
+    >(
+        d: &DirectConv,
+        xpad: &[f32],
+        stride: usize,
+        offsets: &[usize; R],
+        grow: &[f32],
+        ocp: usize,
+        group: usize,
+        acc: &mut [f32],
+    ) {
+        // The furthest input offset a chain reads past its segment start.
+        let reach = (d.oh - 1) * stride + d.ow - 1 + W - 1;
+        // Every pointer read below stays inside `xpad`, `grow` and `acc`.
+        assert!(
+            offsets.iter().all(|&o| o + reach < xpad.len())
+                && (group + 1) * WGRAD_GROUP <= ocp
+                && grow.len() >= d.oh * d.ow * ocp
+                && acc.len() >= R * W * LANES
+        );
+        let zero = _mm256_setzero_ps();
+        let mut a = [[zero; W]; R];
+        for (r, ar) in a.iter_mut().enumerate() {
+            for (kx, akx) in ar.iter_mut().enumerate() {
+                *akx = _mm256_loadu_ps(acc.as_ptr().add((r * W + kx) * LANES));
+            }
+        }
+        let rows: [*const f32; R] = core::array::from_fn(|r| xpad.as_ptr().add(offsets[r]));
+        let mut g = grow.as_ptr().add(group * WGRAD_GROUP);
+        for oy in 0..d.oh {
+            for ox in 0..d.ow {
+                let gv = _mm256_loadu_ps(g);
+                g = g.add(ocp);
+                let at = oy * stride + ox;
+                if SKIP_ZEROS {
+                    let nonzero = _mm256_cmp_ps(gv, zero, _CMP_NEQ_UQ);
+                    if _mm256_movemask_ps(nonzero) == 0 {
+                        continue;
+                    }
+                    for (row, ar) in rows.iter().zip(a.iter_mut()) {
+                        for (kx, akx) in ar.iter_mut().enumerate() {
+                            let p = _mm256_mul_ps(gv, _mm256_broadcast_ss(&*row.add(at + kx)));
+                            let p = if MASKED { _mm256_and_ps(p, nonzero) } else { p };
+                            *akx = _mm256_add_ps(*akx, p);
+                        }
+                    }
+                } else {
+                    for (row, ar) in rows.iter().zip(a.iter_mut()) {
+                        for (kx, akx) in ar.iter_mut().enumerate() {
+                            let xv = _mm256_broadcast_ss(&*row.add(at + kx));
+                            *akx = _mm256_fmadd_ps(gv, xv, *akx);
+                        }
+                    }
+                }
+            }
+        }
+        for (r, ar) in a.iter().enumerate() {
+            for (kx, &akx) in ar.iter().enumerate() {
+                _mm256_storeu_ps(acc.as_mut_ptr().add((r * W + kx) * LANES), akx);
             }
         }
     }

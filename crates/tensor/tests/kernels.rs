@@ -10,10 +10,12 @@
 //! every cap runs serially. `scripts/check.sh` therefore also runs this
 //! binary with `ADVCOMP_THREADS=8`.
 
+use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    col2im, conv2d_forward, conv2d_input_grad, gemm_prepacked, gemm_sparse, im2col, im2col_into,
-    nchw_to_rows, pool, probe_matmul_kernel, rows_to_nchw, simd, Conv2dGeometry, ConvImpl, Init,
-    KernelBackend, MatmulKernel, PackedGemmB, Tensor,
+    col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, fake_quantize_in_place,
+    gemm_prepacked, gemm_sparse, im2col, im2col_into, nchw_to_rows, pool, probe_matmul_kernel,
+    quantize_activations, quantize_patches_into, rows_to_nchw, simd, Conv2dGeometry, ConvImpl,
+    Init, KernelBackend, MatmulKernel, PackedGemmB, QActivations, Tensor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -425,9 +427,10 @@ struct ConvData {
 
 /// Every `c ∈ {1, 3, 11, 22}`, `oc ∈ {1, 3, 8, 11, 22}`, `k ∈ {1, 3, 5}`
 /// and `pad < k`, each at one spatial size in 5..=32 and one batch of 1, 3
-/// or 48 (batch 48 only where the patch matrix stays small), plus the six
-/// sweep convolutions (LeNet-5 at width 0.5, CifarNet at width 0.35) at
-/// batch 1 and 48.
+/// or 48 (batch 48 only where the patch matrix stays small), a 4 × 4
+/// kernel at every `pad < 4` (a width no weight-gradient segment divides
+/// but 1), plus the six sweep convolutions (LeNet-5 at width 0.5, CifarNet
+/// at width 0.35) at batch 1 and 48.
 fn conv_cases() -> Vec<ConvCase> {
     let mut cases = Vec::new();
     let mut i = 0usize;
@@ -453,6 +456,24 @@ fn conv_cases() -> Vec<ConvCase> {
             }
         }
     }
+    for (pad, (c, oc, hw, batch)) in [
+        (3, 8, 9, 3),
+        (11, 22, 12, 1),
+        (1, 11, 17, 48),
+        (22, 3, 6, 3),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        cases.push(ConvCase {
+            c,
+            oc,
+            k: 4,
+            pad,
+            hw,
+            batch,
+        });
+    }
     for batch in [1, 48] {
         for (c, oc, k, pad, hw) in [
             (1, 3, 5, 2, 28),
@@ -475,7 +496,8 @@ fn conv_cases() -> Vec<ConvCase> {
     cases
 }
 
-/// Both passes of `case` by both implementations with `kernel` (forced, or
+/// Every pass of `case` — forward, input gradient, and weight and bias
+/// gradients — by both implementations with `kernel` (forced, or
 /// probe-chosen when `None`), under thread cap `cap`: the direct kernels
 /// must return the lowering's bits.
 fn check_direct_conv(
@@ -494,26 +516,32 @@ fn check_direct_conv(
         bias,
     } = data;
     let mut cols = Tensor::default();
-    let (lowered, direct, lowered_dx, direct_dx) = pool::with_thread_cap(cap, || {
-        let mut forward = |imp| conv2d_forward(be, x, weight, bias, &geom, imp, kernel, &mut cols);
-        let lowered = forward(ConvImpl::Lowering).unwrap();
-        let direct = forward(ConvImpl::Direct).unwrap();
-        let input_grad = |imp| conv2d_input_grad(be, dy, weight, &geom, imp, kernel).unwrap();
-        (
-            lowered,
-            direct,
-            input_grad(ConvImpl::Lowering),
-            input_grad(ConvImpl::Direct),
-        )
-    });
-    assert_same(&format!("{label}: forward"), &direct, &lowered);
-    assert_same(&format!("{label}: input gradient"), &direct_dx, &lowered_dx);
+    let mut passes = |imp| {
+        pool::with_thread_cap(cap, || {
+            let y = conv2d_forward(be, x, weight, bias, &geom, imp, kernel, &mut cols).unwrap();
+            let dx = conv2d_input_grad(be, dy, weight, &geom, imp, kernel).unwrap();
+            let (dw, db) = conv2d_weight_grad(be, x, dy, &geom, imp, kernel, None).unwrap();
+            [y, dx, dw, db]
+        })
+    };
+    let lowered = passes(ConvImpl::Lowering);
+    let direct = passes(ConvImpl::Direct);
+    let names = [
+        "forward",
+        "input gradient",
+        "weight gradient",
+        "bias gradient",
+    ];
+    for ((name, got), want) in names.iter().zip(&direct).zip(&lowered) {
+        assert_same(&format!("{label}: {name}"), got, want);
+    }
 }
 
 /// The direct stride-1 kernels return the SIMD lowering's bits —
-/// `im2col → matmul → add_row_broadcast → rows_to_nchw` forward and
-/// `nchw_to_rows → matmul → col2im` input gradient — with each GEMM kernel
-/// flavour forced, at thread caps 1, 2 and 8.
+/// `im2col → matmul → add_row_broadcast → rows_to_nchw` forward,
+/// `nchw_to_rows → matmul → col2im` input gradient, and `g2dᵀ · im2col`
+/// weight and `sum_axis0` bias gradients — with each GEMM kernel flavour
+/// forced, at thread caps 1, 2 and 8.
 #[test]
 fn direct_conv_matches_lowering_per_flavour() {
     if !simd::simd_available() {
@@ -531,10 +559,11 @@ fn direct_conv_matches_lowering_per_flavour() {
 }
 
 /// With no kernel forced, the direct kernels pick the flavour the lowering
-/// would — the density probe over the patch matrix (forward) and the
-/// gradient rows (input gradient) they never build — at densities
-/// straddling the probe's 0.25 cutoff, and so return the lowering's bits.
-/// Both flavours must get picked along the way.
+/// would — the density probe over the patch matrix (forward), the gradient
+/// rows (input gradient) and their transpose (weight gradient), none of
+/// which they build — at densities straddling the probe's 0.25 cutoff, and
+/// so return the lowering's bits. Both flavours must get picked along the
+/// way.
 #[test]
 fn direct_conv_picks_the_lowering_kernel() {
     if !simd::simd_available() {
@@ -543,7 +572,7 @@ fn direct_conv_picks_the_lowering_kernel() {
     }
     let be = KernelBackend::Simd;
     let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-    let mut picked = [[0usize; 2]; 2];
+    let mut picked = [[0usize; 2]; 3];
     for (i, case) in conv_cases().into_iter().enumerate() {
         let density = [0.18, 0.23, 0.27, 0.33][i % 4];
         let data = case.data(density, &mut rng);
@@ -555,13 +584,11 @@ fn direct_conv_picks_the_lowering_kernel() {
         } = &data;
         let geom = case.geom();
         let (oh, ow) = geom.output_hw().unwrap();
+        let rows = nchw_to_rows(dy, case.batch, case.oc, oh, ow).unwrap();
         let chosen = [
             probe_matmul_kernel(im2col(x, &geom).unwrap().data()),
-            probe_matmul_kernel(
-                nchw_to_rows(dy, case.batch, case.oc, oh, ow)
-                    .unwrap()
-                    .data(),
-            ),
+            probe_matmul_kernel(rows.data()),
+            probe_matmul_kernel(rows.t().unwrap().data()),
         ];
         for (pass, kernel) in chosen.into_iter().enumerate() {
             picked[pass][usize::from(kernel == MatmulKernel::Sparse)] += 1;
@@ -596,8 +623,20 @@ fn direct_conv_picks_the_lowering_kernel() {
             &probed,
             &forced,
         );
+        let weight_grad = |kernel| {
+            conv2d_weight_grad(be, x, dy, &geom, ConvImpl::Direct, kernel, None)
+                .unwrap()
+                .0
+        };
+        let (probed, forced) = (weight_grad(None), weight_grad(Some(chosen[2])));
+        assert_same(
+            &format!("{label}: weight-gradient flavour"),
+            &probed,
+            &forced,
+        );
     }
-    for (pass, counts) in ["forward", "input gradient"].iter().zip(picked) {
+    let passes = ["forward", "input gradient", "weight gradient"];
+    for (pass, counts) in passes.iter().zip(picked) {
         assert!(
             counts[0] > 0 && counts[1] > 0,
             "{pass}: flavours picked {counts:?}"
@@ -639,6 +678,226 @@ fn direct_conv_matches_lowering_with_non_finite_weights() {
         for kernel in [MatmulKernel::Dense, MatmulKernel::Sparse] {
             let label = format!("{case:?} {kernel:?} non-finite weights");
             check_direct_conv(&label, &case, &data, Some(kernel), 2);
+        }
+    }
+}
+
+/// ±∞ and NaN in the input and in the output gradient, next to zeros and
+/// the padding, give the lowering's weight and bias gradients (and the
+/// other passes' values) in both flavours: NaN where the dense GEMM
+/// multiplies an ∞ gradient by a padded zero, nothing where the zero-skip
+/// GEMM skips a zero gradient entry facing an ∞ input.
+#[test]
+fn direct_conv_matches_lowering_with_non_finite_operands() {
+    if !simd::simd_available() {
+        eprintln!("skipping: no AVX2+FMA on this machine");
+        return;
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0];
+    for (i, (c, oc, k, pad, hw, batch)) in [
+        (1, 3, 5, 2, 12, 2),
+        (3, 8, 3, 1, 9, 3),
+        (11, 11, 3, 2, 20, 1),
+        (2, 22, 5, 4, 7, 2),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let case = ConvCase {
+            c,
+            oc,
+            k,
+            pad,
+            hw,
+            batch,
+        };
+        let poison = |t: &mut Tensor, every: usize| {
+            for (idx, v) in t.data_mut().iter_mut().enumerate().step_by(every) {
+                *v = specials[idx % specials.len()];
+            }
+        };
+        for (in_x, in_dy) in [(true, false), (false, true), (true, true)] {
+            let mut data = case.data(0.5, &mut rng);
+            if in_x {
+                poison(&mut data.x, 7);
+            }
+            if in_dy {
+                poison(&mut data.dy, 5);
+            }
+            for kernel in [MatmulKernel::Dense, MatmulKernel::Sparse] {
+                let label = format!("{case:?} {kernel:?} non-finite x {in_x} dy {in_dy}");
+                check_direct_conv(&label, &case, &data, Some(kernel), [1, 2, 8][i % 3]);
+            }
+        }
+    }
+}
+
+/// `fake_quantize_in_place`, with and without its pass mask, on `backends`
+/// against `QFormat::quantize` and the clipped-STE range test `min_value
+/// <= v <= max_value`, bit for bit.
+fn check_fake_quantize(fmt: QFormat, values: &[f32], backends: &[KernelBackend]) {
+    let pass = fmt.min_value()..=fmt.max_value();
+    let want: Vec<(u32, u32)> = values
+        .iter()
+        .map(|v| {
+            let mask = if pass.contains(v) { 1.0f32 } else { 0.0 };
+            (fmt.quantize(*v).to_bits(), mask.to_bits())
+        })
+        .collect();
+    for &backend in backends {
+        let mut out = values.to_vec();
+        let mut mask = vec![f32::NAN; values.len()];
+        fake_quantize_in_place(backend, fmt, &mut out, Some(&mut mask)).unwrap();
+        let mut unmasked = values.to_vec();
+        fake_quantize_in_place(backend, fmt, &mut unmasked, None).unwrap();
+        for (i, (&v, &(want, want_mask))) in values.iter().zip(&want).enumerate() {
+            let label = || {
+                format!(
+                    "{fmt} {} input {v:e} ({:#010x})",
+                    backend.name(),
+                    v.to_bits()
+                )
+            };
+            assert_eq!(out[i].to_bits(), want, "{}: value", label());
+            assert_eq!(unmasked[i].to_bits(), want, "{}: without mask", label());
+            assert_eq!(mask[i].to_bits(), want_mask, "{}: mask", label());
+        }
+    }
+}
+
+/// `v` and the `d` nearest floats on either side of it.
+fn ulps_around(v: f32, d: i32) -> impl Iterator<Item = f32> {
+    (-d..=d).map(move |k| f32::from_bits((v.to_bits() as i32).wrapping_add(k) as u32))
+}
+
+/// The fake-quantiser's output and pass mask equal `QFormat::quantize` and
+/// its range test bit for bit at every `QFormat::for_bitwidth` format from
+/// 4 to 24 bits (the widest its AVX2 body runs): ±0, subnormals, ±∞ and
+/// NaNs, every code's midpoint ± 2 ulps (so the ulp below ½·2^-f rounds
+/// to 0, and each saturation threshold is crossed), and the range edges ±
+/// 1 ulp. Slices of odd length also run the vector body's scalar tail.
+/// The scalar body is `QFormat::quantize` itself; it is checked on the
+/// edge values and the paper's packed widths, the AVX2 body everywhere.
+#[test]
+fn fake_quantize_matches_qformat_quantize() {
+    const CODES_PER_CHUNK: i64 = 1 << 16;
+    for bits in 4..=24 {
+        let fmt = QFormat::for_bitwidth(bits).unwrap();
+        let mut specials = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fa0_0001),
+            f32::MAX,
+            f32::MIN,
+        ];
+        specials.extend(ulps_around(fmt.min_value(), 1).chain(ulps_around(fmt.max_value(), 1)));
+        let both = [KernelBackend::Scalar, KernelBackend::Simd];
+        check_fake_quantize(fmt, &specials, &both);
+        let sweep: &[KernelBackend] = if bits <= 8 { &both } else { &both[1..] };
+        let res = f64::from(fmt.resolution());
+        let mut k0 = fmt.min_raw() - 1;
+        while k0 <= fmt.max_raw() {
+            let k1 = (k0 + CODES_PER_CHUNK).min(fmt.max_raw() + 1);
+            let values: Vec<f32> = (k0..k1)
+                .flat_map(|k| ulps_around(((k as f64 + 0.5) * res) as f32, 2))
+                .collect();
+            check_fake_quantize(fmt, &values, sweep);
+            k0 = k1;
+        }
+    }
+}
+
+/// Every one of the 2³² f32 bit patterns through the AVX2 fake-quantiser
+/// at Q1.3 and Q2.6 against `QFormat::quantize` and the range test. Takes
+/// minutes; run with `cargo test --release -p advcomp-tensor --test
+/// kernels -- --ignored`.
+#[test]
+#[ignore]
+fn fake_quantize_matches_qformat_quantize_on_every_f32() {
+    const CHUNK: u64 = 1 << 20;
+    for bits in [4, 8] {
+        let fmt = QFormat::for_bitwidth(bits).unwrap();
+        let pass = fmt.min_value()..=fmt.max_value();
+        let mut mask = vec![0.0f32; CHUNK as usize];
+        for start in (0..1u64 << 32).step_by(CHUNK as usize) {
+            let values: Vec<f32> = (start..start + CHUNK)
+                .map(|b| f32::from_bits(b as u32))
+                .collect();
+            let mut out = values.clone();
+            fake_quantize_in_place(KernelBackend::Simd, fmt, &mut out, Some(&mut mask)).unwrap();
+            for (i, &v) in values.iter().enumerate() {
+                let want_mask = if pass.contains(&v) { 1.0f32 } else { 0.0 };
+                assert!(
+                    out[i].to_bits() == fmt.quantize(v).to_bits()
+                        && mask[i].to_bits() == want_mask.to_bits(),
+                    "{fmt}: input {:#010x}",
+                    v.to_bits()
+                );
+            }
+        }
+    }
+}
+
+/// `quantize_patches_into` — each input value encoded once, the patch rows
+/// gathered as codes — gives the codes of quantising `im2col`'s patch
+/// matrix, on both backends, at Q1.3 and Q2.6, for strided and padded
+/// geometries, with inputs that include NaN, ±∞, −0, the ulp below half a
+/// step and the range edges; and reusing its buffers for a smaller batch
+/// changes nothing.
+#[test]
+fn quantize_patches_matches_the_quantised_patch_matrix() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    for bits in [4, 8] {
+        let fmt = QFormat::for_bitwidth(bits).unwrap();
+        let res = fmt.resolution();
+        let edges = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits((0.5 * res).to_bits() - 1),
+            -f32::from_bits((0.5 * res).to_bits() - 1),
+            fmt.max_value(),
+            fmt.min_value(),
+        ];
+        for (c, hw, k, stride, pad) in [
+            (1, 28, 5, 1, 2),
+            (3, 14, 5, 1, 0),
+            (3, 9, 3, 2, 1),
+            (11, 8, 3, 1, 1),
+            (2, 7, 4, 3, 3),
+        ] {
+            let geom = Conv2dGeometry::square(c, hw, k, stride, pad);
+            let (mut input_codes, mut out) = (Vec::new(), QActivations::with_format(fmt).unwrap());
+            for n in [3, 1] {
+                let mut x = Init::Uniform { lo: -3.0, hi: 3.0 }.tensor(&[n, c, hw, hw], &mut rng);
+                for (i, &e) in edges.iter().enumerate() {
+                    x.data_mut()[i * 7 % (n * c * hw * hw)] = e;
+                }
+                let cols = im2col(&x, &geom).unwrap();
+                let (rows, patch) = (cols.shape()[0], cols.shape()[1]);
+                for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+                    let want =
+                        quantize_activations(backend, cols.data(), rows, patch, fmt).unwrap();
+                    quantize_patches_into(backend, x.data(), n, &geom, &mut input_codes, &mut out)
+                        .unwrap();
+                    assert_eq!(
+                        (out.rows(), out.cols(), out.codes()),
+                        (want.rows(), want.cols(), want.codes()),
+                        "{fmt} {geom:?} batch {n} {}",
+                        backend.name()
+                    );
+                }
+            }
         }
     }
 }

@@ -12,10 +12,10 @@
 //! kernels while the stride-2 one keeps the `im2col` lowering, so the
 //! suite covers both.
 //!
-//! `Conv2d` caches its input, not a patch matrix, and `backward` rebuilds
-//! the patch matrix for the weight gradient: the second test pins that a
-//! `backward` after an `Eval`-mode forward accumulates the same parameter
-//! gradients as after a `Train`-mode one (none of these nets has dropout).
+//! `Conv2d` caches its input and computes the weight gradient from it in
+//! `backward`: the second test pins that a `backward` after an
+//! `Eval`-mode forward accumulates the same parameter gradients as after a
+//! `Train`-mode one (none of these nets has dropout).
 
 use advcomp_compress::{PruneMask, Quantizer};
 use advcomp_models::{cifarnet, lenet5, ModelKind};

@@ -153,16 +153,20 @@ fn compiled_forward_is_bit_exact_dns_pruned() {
 fn compiled_forward_is_bit_exact_simulated_quant() {
     // Activation formats installed but weights not frozen: the Quantize
     // nodes stay in the graph (nothing elides them) and run as in-place
-    // elementwise steps.
-    for (name, kind, mut model) in paper_nets(24) {
-        Quantizer::for_bitwidth(8).unwrap().quantize(&mut model);
-        let plan = ExecPlan::compile(&model, kind.input_shape()).unwrap();
-        assert_eq!(
-            plan.stats().elided_quantize,
-            0,
-            "{name}: simulated quantise must not elide"
-        );
-        assert_bit_exact(name, kind, &mut model);
+    // elementwise steps, at both of the paper's packed formats (Q1.3 and
+    // Q2.6) — the fake-quantiser the plan and `FakeQuant` share.
+    for bits in [4, 8] {
+        for (name, kind, mut model) in paper_nets(24) {
+            Quantizer::for_bitwidth(bits).unwrap().quantize(&mut model);
+            let plan = ExecPlan::compile(&model, kind.input_shape()).unwrap();
+            let name = format!("{name} {bits}-bit");
+            assert_eq!(
+                plan.stats().elided_quantize,
+                0,
+                "{name}: simulated quantise must not elide"
+            );
+            assert_bit_exact(&name, kind, &mut model);
+        }
     }
 }
 

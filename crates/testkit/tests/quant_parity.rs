@@ -102,6 +102,55 @@ fn pack_roundtrip_matches_qformat_quantize_off_grid() {
     }
 }
 
+/// The activation encoder's codes on the AVX2 backend equal the scalar
+/// `QFormat::encode` at every packed format (Q1.3, Q4.1–Q4.3, Q2.6), on the
+/// inputs where rounding is hardest: every code's midpoint and the two
+/// ulps either side of it (one ulp below ½·2^-f must encode to 0, not 1),
+/// the range edges, ±0, subnormals, ±∞ and NaN.
+#[test]
+fn activation_codes_agree_across_backends() {
+    for bits in 4..=8 {
+        let fmt = QFormat::for_bitwidth(bits).unwrap();
+        let res = fmt.resolution();
+        let ulps = |v: f32| (-2..=2).map(move |d| f32::from_bits((v.to_bits() as i32 + d) as u32));
+        let mut values: Vec<f32> = (fmt.min_raw() - 1..=fmt.max_raw() + 1)
+            .flat_map(|k| ulps((k as f32 + 0.5) * res).chain(ulps(k as f32 * res)))
+            .collect();
+        values.extend([
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        let cols = values.len();
+        let codes = |backend| {
+            let q = quantize_activations(backend, &values, 1, cols, fmt).unwrap();
+            q.codes()[..cols].to_vec()
+        };
+        let (scalar, simd) = (codes(KernelBackend::Scalar), codes(KernelBackend::Simd));
+        for (i, &v) in values.iter().enumerate() {
+            assert_eq!(
+                i64::from(scalar[i]),
+                fmt.encode(v),
+                "{fmt}: scalar code of {v:e}"
+            );
+            assert_eq!(
+                simd[i],
+                scalar[i],
+                "{fmt}: SIMD code of {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Pillar 2: differential fuzzing vs f64 references.
 // ---------------------------------------------------------------------------

@@ -139,13 +139,16 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 
 # Bench gates: every measurement bench writes one record schema and
 # checks its own gates after writing, exiting 1 with every failed record
-# listed. The eleven gates: on AVX2+FMA the SIMD GEMM is not slower than
+# listed. The thirteen gates: on AVX2+FMA the SIMD GEMM is not slower than
 # scalar at 128³, the SIMD dense GEMM is not slower than scalar at the
 # conv-width shapes (LeNet-5 conv1 and CifarNet conv2 forwards, whose
 # output widths are channel counts), the direct convolution kernels are
 # not slower than the SIMD im2col lowering on any pass conv_impl sends
 # them (forward and input gradient of the six sweep convolutions, batch 1
-# and 48), and the packed Q8 GEMM is not slower than dense f32; every
+# and 48) nor on their weight gradients (batch 32), the AVX2
+# fake-quantiser is not slower than its scalar body (Q1.3 and Q2.6, a
+# LeNet-5 conv1-sized activation), and the packed Q8 GEMM is not slower
+# than dense f32; every
 # graph row has zero steady-state allocations, and on AVX2 compiled q8
 # LeNet-5 is >= 1.3x unfused (both timed in alternating iterations, at the
 # bench's default 60); the detect fixture AUC is >= 0.9, and a live
