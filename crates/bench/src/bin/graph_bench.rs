@@ -8,9 +8,12 @@
 //!
 //! Gates: every row's `alloc_events_steady` is 0 (on every host), and on
 //! an AVX2 host compiled q8-frozen LeNet-5 is at least 1.3× the unfused
-//! layer path (`lenet5.q8.speedup`). The two forwards of a row are timed
-//! in alternating iterations, one median each, so a burst of host noise
-//! cannot land on one side only.
+//! layer path (`lenet5.q8.speedup`) and the compiled f32 forward of both
+//! nets is not slower than the layer path (`lenet5.f32.speedup` and
+//! `cifarnet.f32.speedup` ≥ 1: plan and layer run one convolution
+//! forward, so the plan keeps only its savings). The two forwards of a
+//! row are timed in alternating iterations, one median each, so a burst
+//! of host noise cannot land on one side only.
 //!
 //! ```text
 //! scripts/bench.sh graph [--out FILE] [--iters N]
@@ -26,6 +29,8 @@ use std::hint::black_box;
 
 /// The floor on compiled q8 LeNet-5's speedup over the unfused path.
 const GATE_SPEEDUP: f64 = 1.3;
+/// The floor on both nets' compiled f32 speedup over the layer path.
+const GATE_F32_SPEEDUP: f64 = 1.0;
 const BATCH: usize = 8;
 
 fn freeze(model: &mut Sequential, bits: u32) {
@@ -109,8 +114,15 @@ fn bench_model(
         let record = report.push(format!("{row}.{key}"), unit, value);
         if key == "alloc_events_steady" {
             record.max(0.0);
-        } else if key == "speedup" && row == "lenet5.q8" && simd::simd_available() {
-            record.min(GATE_SPEEDUP);
+        } else if key == "speedup" && simd::simd_available() {
+            let floor = match row.as_str() {
+                "lenet5.q8" => Some(GATE_SPEEDUP),
+                "lenet5.f32" | "cifarnet.f32" => Some(GATE_F32_SPEEDUP),
+                _ => None,
+            };
+            if let Some(floor) = floor {
+                record.min(floor);
+            }
         }
     }
     println!(

@@ -47,8 +47,8 @@ use advcomp_bench::record::{median_ns, median_ns_pair, speedup, Flags, Report};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, fake_quantize_in_place,
-    gemm_prepacked, gemm_sparse, im2col, pool, simd, Conv2dGeometry, ConvImpl, Init, KernelBackend,
-    MatmulKernel, PackedGemmB, Tensor,
+    gemm_prepacked, gemm_sparse, im2col, pool, simd, Conv2dGeometry, ConvImpl, ConvScratch, Init,
+    KernelBackend, MatmulKernel, PackedGemmB, Tensor,
 };
 use std::hint::black_box;
 
@@ -287,15 +287,32 @@ fn conv_direct(iters: usize, report: &mut Report) {
         for batch in [1usize, 48] {
             let x = init.tensor(&[batch, c, hw, hw], &mut rng);
             let dy = init.tensor(&[batch, oc, oh, ow], &mut rng);
-            // The direct forward leaves its `cols` argument alone.
-            let (mut cols, mut untouched) = (Tensor::default(), Tensor::default());
-            let forward = |imp, cols: &mut Tensor| {
-                let y = conv2d_forward(be, &x, &weight, &bias, &geom, imp, None, cols);
-                black_box(y.expect("conv forward"));
+            // The direct forward leaves its scratch alone.
+            let (mut scratch, mut untouched) = (ConvScratch::default(), ConvScratch::default());
+            // What `Conv2d::forward` does per call: transpose the kernel,
+            // then convolve into a fresh output.
+            let forward = |imp, scratch: &mut ConvScratch| {
+                let weight_t = weight.reshape(&[oc, geom.patch_len()]).and_then(|w| w.t());
+                let weight_t = weight_t.expect("sweep kernel");
+                let mut y = Tensor::zeros(&[batch, oc, oh, ow]);
+                conv2d_forward(
+                    be,
+                    x.data(),
+                    batch,
+                    weight_t.data(),
+                    bias.data(),
+                    &geom,
+                    imp,
+                    None,
+                    scratch,
+                    y.data_mut(),
+                )
+                .expect("conv forward");
+                black_box(y);
             };
             let (fwd_lowering, fwd_direct) = median_ns_pair(
                 iters,
-                || forward(ConvImpl::Lowering, &mut cols),
+                || forward(ConvImpl::Lowering, &mut scratch),
                 || forward(ConvImpl::Direct, &mut untouched),
             );
             let input_grad = |imp| {

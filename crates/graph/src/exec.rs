@@ -6,39 +6,47 @@
 //! ([`crate::plan`]). Everything a forward pass needs is materialised at
 //! compile time:
 //!
-//! * dense f32 weights are transposed into GEMM layout **and** pre-packed
-//!   into the panel format the dense microkernel consumes (the
+//! * f32 `Dense` weights are transposed into GEMM layout **and**
+//!   pre-packed into the panel format the dense microkernel consumes (the
 //!   `Sequential` path re-packs per call);
+//! * f32 conv kernels are transposed once into the `[c·kh·kw, oc]` layout
+//!   of `tensor::conv2d_forward`, the forward `Conv2d` calls too, and each
+//!   conv's implementation (`tensor::conv_impl`: the direct kernels or the
+//!   lowering) is chosen once for the plan's backend;
 //! * packed int8 weights are shared with the layer that owns them (one
 //!   `Arc`, one byte per code at 4 and 8 bits alike, scaled by the weight
 //!   format's resolution — checkpoint loading refuses any other stored
 //!   scale);
-//! * per-layer activation-quantisation buffers ([`QActivations`]), and
-//!   the one scratch of input codes from which packed convs gather their
-//!   patch codes, are owned by the plan and rewritten in place;
+//! * per-layer activation-quantisation buffers ([`QActivations`]), the
+//!   one scratch of input codes from which packed convs gather their patch
+//!   codes, and the one [`ConvScratch`] of the lowered f32 convs (patch
+//!   matrix and GEMM rows) are owned by the plan and rewritten in place;
 //! * every f32 intermediate lives at a fixed per-sample offset in one
 //!   arena, scaled by the batch size at run time.
 //!
 //! The steady-state forward therefore performs **zero plan-owned heap
 //! allocation**: the only growth happens when a larger batch than any
 //! seen before arrives, and every such growth increments
-//! [`ExecPlan::alloc_events`] so tests can assert the steady state.
+//! [`ExecPlan::alloc_events`] so tests can assert the steady state. (The
+//! direct conv kernels keep their zero-bordered input planes in
+//! `advcomp-tensor`'s per-thread scratch, which grows once per thread and
+//! serves the layer path as well.)
 //!
 //! Arithmetic parity: each step dispatches into the same
-//! `advcomp-tensor` kernels the layers use, preserving operand order,
-//! parallel-banding thresholds and per-element epilogue order, so the
-//! compiled forward is bit-identical to `Sequential::forward` on the
-//! scalar backend (and on SIMD, identical kernel-for-kernel).
+//! `advcomp-tensor` kernels the layers use (an f32 conv into the very
+//! function `Conv2d` calls), preserving operand order, parallel-banding
+//! thresholds and per-element epilogue order, so the compiled forward is
+//! bit-identical to `Sequential::forward` on either backend.
 
 use std::time::Instant;
 
 use advcomp_nn::{QuantizedWeights, Sequential};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    fake_quantize_in_place, gemm_prepacked, gemm_sparse, im2col_slice, max_pool2d,
+    conv2d_forward, conv_impl, fake_quantize_in_place, gemm_prepacked, gemm_sparse, max_pool2d,
     probe_matmul_kernel, qmatmul, quantize_activations_into, quantize_patches_into,
-    rows_to_nchw_slice, simd, Conv2dGeometry, KernelBackend, MatmulKernel, PackedGemmB,
-    QActivations, Tensor, QK,
+    rows_to_nchw_slice, simd, Conv2dGeometry, ConvImpl, ConvScratch, KernelBackend, MatmulKernel,
+    PackedGemmB, QActivations, Tensor, QK,
 };
 
 use crate::fuse::{fuse, FusedOp, FusionStats, GemmUnit};
@@ -86,15 +94,22 @@ enum Step {
     /// Copy the caller input into an arena buffer (only when the first
     /// real op is in-place).
     CopyInput { dst: usize },
-    /// Unroll convolution patches into the column buffer.
-    Im2col {
+    /// f32 convolution, bias included: `tensor::conv2d_forward`, which
+    /// `Conv2d` calls too, by `imp`. A lowering writes its patch matrix
+    /// and GEMM rows into the plan's `ConvScratch`. A fused ReLU follows as
+    /// an `EltRelu` step.
+    Conv {
         src: Src,
         dst: usize,
         geom: Conv2dGeometry,
+        imp: ConvImpl,
+        /// The kernel in the `[c·kh·kw, oc]` layout.
+        weight_t: Vec<f32>,
+        bias: Vec<f32>,
     },
-    /// f32 GEMM; probes the activation density per call and dispatches to
-    /// the packed dense or zero-skipping sparse kernel, exactly like
-    /// `Tensor::matmul`.
+    /// f32 GEMM of a `Dense` layer; probes the activation density per call
+    /// and dispatches to the packed dense or zero-skipping sparse kernel,
+    /// exactly like `Tensor::matmul`.
     Gemm { src: Src, dst: usize, weight: usize },
     /// Quantise f32 activations into a plan-owned i8 buffer.
     QuantizeAct { src: Src, qbuf: usize, cols: usize },
@@ -113,9 +128,10 @@ enum Step {
         dst: usize,
         weight: usize,
     },
-    /// In-place bias/ReLU epilogue over GEMM rows.
+    /// In-place bias/ReLU epilogue over GEMM rows (`Dense` and packed
+    /// convs).
     Epilogue { buf: usize, cols: usize, epi: usize },
-    /// Permute GEMM rows (`[m, oc]`) back to NCHW.
+    /// Permute a packed conv's GEMM rows (`[m, oc]`) back to NCHW.
     RowsToNchw {
         src: usize,
         dst: usize,
@@ -151,6 +167,9 @@ struct Builder {
     qbuf_dims: Vec<(usize, usize)>,
     /// Largest per-sample input a `QuantizePatches` step encodes.
     codes_per_sample: usize,
+    /// Largest per-sample patch matrix and GEMM rows of a lowered f32
+    /// conv.
+    conv_scratch_per_sample: (usize, usize),
 }
 
 impl Builder {
@@ -187,7 +206,7 @@ impl Builder {
         }
     }
 
-    /// Transposes and pre-packs an f32 `[out, k]` weight.
+    /// Transposes and pre-packs an f32 `Dense` weight, `[out, k]`.
     fn push_f32_weight(&mut self, w: &Tensor) -> Result<usize> {
         let wt = w.t()?;
         let (k, n) = (wt.shape()[0], wt.shape()[1]);
@@ -269,6 +288,10 @@ pub struct ExecPlan {
     input_codes: Vec<i8>,
     /// Largest per-sample length `input_codes` takes, for pre-sizing.
     codes_per_sample: usize,
+    /// The patch matrix and GEMM rows of the current lowered f32 conv.
+    conv_scratch: ConvScratch,
+    /// Largest per-sample lengths `conv_scratch` takes, for pre-sizing.
+    conv_scratch_per_sample: (usize, usize),
     sizes: Vec<usize>,
     offsets: Vec<usize>,
     arena_elems: usize,
@@ -331,24 +354,29 @@ impl ExecPlan {
                     let patch = geom.patch_len();
                     let rows_ps = oh * ow;
                     let oc = unit.weight.out_features();
-                    let rows_buf;
                     match &unit.weight {
                         GemmWeight::Dense(w2d) => {
-                            let scratch = b.buf(rows_ps * patch);
+                            let imp = conv_impl(backend, &geom);
+                            if imp == ConvImpl::Lowering {
+                                let (cols, rows) = &mut b.conv_scratch_per_sample;
+                                *cols = (*cols).max(rows_ps * patch);
+                                *rows = (*rows).max(rows_ps * oc);
+                            }
                             b.touch(cur);
-                            b.steps.push(Step::Im2col {
+                            let dst = b.buf(oc * oh * ow);
+                            b.steps.push(Step::Conv {
                                 src: cur,
-                                dst: scratch,
+                                dst,
                                 geom,
+                                imp,
+                                weight_t: w2d.t()?.into_data(),
+                                bias: unit.bias.clone(),
                             });
-                            let weight = b.push_f32_weight(w2d)?;
-                            b.touch(Src::Buf(scratch));
-                            rows_buf = b.buf(rows_ps * oc);
-                            b.steps.push(Step::Gemm {
-                                src: Src::Buf(scratch),
-                                dst: rows_buf,
-                                weight,
-                            });
+                            if unit.relu {
+                                b.touch(Src::Buf(dst));
+                                b.steps.push(Step::EltRelu { buf: dst });
+                            }
+                            cur = Src::Buf(dst);
                         }
                         GemmWeight::Packed(q) => {
                             let weight = b.push_packed_weight(q);
@@ -361,31 +389,31 @@ impl ExecPlan {
                                 qbuf,
                                 geom,
                             });
-                            rows_buf = b.buf(rows_ps * oc);
+                            let rows_buf = b.buf(rows_ps * oc);
                             b.steps.push(Step::QGemm {
                                 qbuf,
                                 dst: rows_buf,
                                 weight,
                             });
+                            let epi = b.epilogue(unit, None);
+                            b.touch(Src::Buf(rows_buf));
+                            b.steps.push(Step::Epilogue {
+                                buf: rows_buf,
+                                cols: oc,
+                                epi,
+                            });
+                            b.touch(Src::Buf(rows_buf));
+                            let nchw = b.buf(oc * oh * ow);
+                            b.steps.push(Step::RowsToNchw {
+                                src: rows_buf,
+                                dst: nchw,
+                                oc,
+                                oh,
+                                ow,
+                            });
+                            cur = Src::Buf(nchw);
                         }
                     }
-                    let epi = b.epilogue(unit, None);
-                    b.touch(Src::Buf(rows_buf));
-                    b.steps.push(Step::Epilogue {
-                        buf: rows_buf,
-                        cols: oc,
-                        epi,
-                    });
-                    b.touch(Src::Buf(rows_buf));
-                    let nchw = b.buf(oc * oh * ow);
-                    b.steps.push(Step::RowsToNchw {
-                        src: rows_buf,
-                        dst: nchw,
-                        oc,
-                        oh,
-                        ow,
-                    });
-                    cur = Src::Buf(nchw);
                     cur_shape = out_shape.clone();
                     cur_codes = None;
                 }
@@ -502,6 +530,8 @@ impl ExecPlan {
             qbuf_hw,
             input_codes: Vec::new(),
             codes_per_sample: b.codes_per_sample,
+            conv_scratch: ConvScratch::default(),
+            conv_scratch_per_sample: b.conv_scratch_per_sample,
             sizes: b.lives.iter().map(|l| l.size).collect(),
             offsets: plan.offsets,
             arena_elems: plan.arena_len,
@@ -550,6 +580,7 @@ impl ExecPlan {
             qbufs,
             qbuf_hw,
             input_codes,
+            conv_scratch,
             sizes,
             offsets,
             arena,
@@ -563,13 +594,35 @@ impl ExecPlan {
                 Step::CopyInput { dst } => {
                     arena[rng(*dst)].copy_from_slice(input_data);
                 }
-                Step::Im2col { src, dst, geom } => match src {
-                    Src::Input => im2col_slice(input_data, n, geom, &mut arena[rng(*dst)])?,
-                    Src::Buf(s) => {
-                        let (sl, dl) = split_pair(arena, rng(*s), rng(*dst));
-                        im2col_slice(sl, n, geom, dl)?;
+                Step::Conv {
+                    src,
+                    dst,
+                    geom,
+                    imp,
+                    weight_t,
+                    bias,
+                } => {
+                    let (sl, dl): (&[f32], &mut [f32]) = match src {
+                        Src::Input => (input_data, &mut arena[rng(*dst)]),
+                        Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
+                    };
+                    let cap = conv_scratch.capacity();
+                    conv2d_forward(
+                        backend,
+                        sl,
+                        n,
+                        weight_t,
+                        bias,
+                        geom,
+                        *imp,
+                        None,
+                        conv_scratch,
+                        dl,
+                    )?;
+                    if conv_scratch.capacity() > cap {
+                        *alloc_events += 1;
                     }
-                },
+                }
                 Step::Gemm { src, dst, weight } => {
                     let PlannedGemm::F32 {
                         raw,
@@ -716,9 +769,10 @@ impl ExecPlan {
         Ok(out)
     }
 
-    /// Pre-sizes the arena and quantisation buffers for batches up to
-    /// `n`, so the first real forward is already allocation-free. Growth
-    /// here is deliberate and not counted in [`ExecPlan::alloc_events`].
+    /// Pre-sizes the arena, the quantisation buffers and the conv lowering
+    /// scratch for batches up to `n`, so the first real forward is already
+    /// allocation-free. Growth here is deliberate and not counted in
+    /// [`ExecPlan::alloc_events`].
     pub fn reserve_batch(&mut self, n: usize) {
         let need = self.arena_elems * n;
         if need > self.arena.len() {
@@ -734,6 +788,8 @@ impl ExecPlan {
         if codes > self.input_codes.len() {
             self.input_codes.resize(codes, 0);
         }
+        let (cols, rows) = self.conv_scratch_per_sample;
+        self.conv_scratch.reserve(cols * n, rows * n);
     }
 
     /// Per-sample input shape the plan was compiled for.
@@ -773,11 +829,14 @@ impl ExecPlan {
         self.unplanned_elems
     }
 
-    /// Current bytes held by plan-owned buffers: the f32 arena plus the
-    /// i8 activation-code buffers.
+    /// Bytes held by plan-owned buffers at their high-water mark: the f32
+    /// arena, the i8 activation-code buffers, the input codes packed convs
+    /// gather from, and the lowered f32 convs' patch matrix and GEMM rows.
     pub fn arena_peak_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<f32>()
-            + self.qbufs.iter().map(|q| q.codes().len()).sum::<usize>()
+        let f32_elems = self.arena.len() + self.conv_scratch.capacity();
+        f32_elems * std::mem::size_of::<f32>()
+            + self.qbuf_hw.iter().sum::<usize>()
+            + self.input_codes.capacity()
     }
 
     /// Wall-clock microseconds the compilation took.
@@ -832,33 +891,74 @@ mod tests {
         }
     }
 
+    /// Both backends: on the scalar one the conv lowers through the plan's
+    /// scratch, on AVX2 it runs the direct kernels.
+    const BACKENDS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Simd];
+
     #[test]
     fn steady_state_forward_is_allocation_free() {
         let model = tiny_net(5);
-        let mut plan = ExecPlan::compile(&model, &[1, 8, 8]).unwrap();
-        let x = batch(7, 4);
-        let mut out = Tensor::zeros(&[0]);
-        plan.forward_into(&x, &mut out).unwrap();
-        let warm = plan.alloc_events();
-        for _ in 0..5 {
+        for backend in BACKENDS {
+            let mut plan = ExecPlan::compile_with_backend(&model, &[1, 8, 8], backend).unwrap();
+            let x = batch(7, 4);
+            let mut out = Tensor::zeros(&[0]);
             plan.forward_into(&x, &mut out).unwrap();
+            let warm = plan.alloc_events();
+            assert!(warm > 0, "{backend:?}: the first forward grew nothing");
+            for _ in 0..5 {
+                plan.forward_into(&x, &mut out).unwrap();
+            }
+            assert_eq!(
+                plan.alloc_events(),
+                warm,
+                "{backend:?}: steady state allocated"
+            );
+            // A smaller batch must not allocate either.
+            let small = batch(8, 2);
+            plan.forward_into(&small, &mut out).unwrap();
+            assert_eq!(plan.alloc_events(), warm, "{backend:?}");
         }
-        assert_eq!(plan.alloc_events(), warm, "steady-state forward allocated");
-        // A smaller batch must not allocate either.
-        let small = batch(8, 2);
-        plan.forward_into(&small, &mut out).unwrap();
-        assert_eq!(plan.alloc_events(), warm);
     }
 
     #[test]
     fn reserve_batch_makes_first_forward_allocation_free() {
         let model = tiny_net(5);
+        for backend in BACKENDS {
+            let mut plan = ExecPlan::compile_with_backend(&model, &[1, 8, 8], backend).unwrap();
+            plan.reserve_batch(4);
+            let x = batch(9, 4);
+            let mut out = Tensor::zeros(&[0]);
+            plan.forward_into(&x, &mut out).unwrap();
+            assert_eq!(plan.alloc_events(), 0, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn arena_peak_bytes_counts_every_plan_owned_buffer() {
+        // q8-frozen: per sample a 512-element arena (conv1's GEMM rows and
+        // their NCHW copy, 256 each), conv1's 64 patch rows of one 32-code
+        // block, the 64 input values it encodes before gathering them,
+        // fc1's 64 input codes, and the 8 codes fc1 emits for fc2, padded
+        // to one block: 2048 + 2048 + 64 + 64 + 32 bytes.
+        let mut model = tiny_net(5);
+        let fmt = QFormat::for_bitwidth(8).unwrap();
+        model.freeze_quantized(fmt, fmt).unwrap();
         let mut plan = ExecPlan::compile(&model, &[1, 8, 8]).unwrap();
-        plan.reserve_batch(4);
-        let x = batch(9, 4);
-        let mut out = Tensor::zeros(&[0]);
-        plan.forward_into(&x, &mut out).unwrap();
-        assert_eq!(plan.alloc_events(), 0);
+        assert_eq!(plan.arena_elems_per_sample(), 512);
+        plan.reserve_batch(8);
+        assert_eq!(plan.arena_peak_bytes(), 8 * 4256);
+        // A smaller batch leaves the high-water mark where it was.
+        plan.forward(&batch(3, 2)).unwrap();
+        assert_eq!(plan.arena_peak_bytes(), 8 * 4256);
+        // f32 on the scalar backend, where the conv lowers: per sample a
+        // 320-element arena (the conv output, then the pooled copy) and
+        // the conv's 64 × 9 patch matrix and 64 × 4 GEMM rows.
+        let model = tiny_net(5);
+        let mut plan =
+            ExecPlan::compile_with_backend(&model, &[1, 8, 8], KernelBackend::Scalar).unwrap();
+        assert_eq!(plan.arena_elems_per_sample(), 320);
+        plan.reserve_batch(8);
+        assert_eq!(plan.arena_peak_bytes(), 8 * 4 * (320 + 64 * 9 + 64 * 4));
     }
 
     #[test]

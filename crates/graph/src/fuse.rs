@@ -13,12 +13,15 @@
 //!    way) and `Flatten` (a permutation). Zero padding introduced by
 //!    im2col is covered because `encode(0) == 0`.
 //! 2. **Pattern fusion.** `Conv2d [+ Relu]` and `Dense [+ Relu]` collapse
-//!    into single GEMM units whose epilogue applies bias and ReLU per
-//!    element while the output rows are still hot. A ReLU that follows
-//!    any other op stays a standalone step. The epilogue runs in the
-//!    GEMM's rows layout (`[m, oc]`, channel = column), which commutes
-//!    with the later rows→NCHW permutation, so fused arithmetic is
-//!    bit-identical to the layer-at-a-time chain.
+//!    into single units that apply bias, then ReLU. `Dense` and packed
+//!    convs run a GEMM whose epilogue does both per element while the
+//!    output rows are still hot; the epilogue runs in the GEMM's rows
+//!    layout (`[m, oc]`, channel = column), which commutes with a packed
+//!    conv's later rows→NCHW permutation. An f32 conv runs
+//!    `tensor::conv2d_forward`, which adds the bias, and its fused ReLU
+//!    follows as the in-place ReLU step. Either way each element is
+//!    `max(0, acc + bias)`, bit-identical to the layer-at-a-time chain. A
+//!    ReLU that follows any other op stays a standalone step.
 //! 3. **Int8 chaining.** For adjacent `Dense → Dense(packed)` pairs the
 //!    producer's epilogue additionally emits the consumer's i8 activation
 //!    codes (`F.encode(y)` on the final f32 value — exactly what the
@@ -36,7 +39,9 @@ use crate::ir::{GemmWeight, Graph, Node, Op};
 pub struct FusionStats {
     /// `Quantize` nodes elided into a downstream packed GEMM.
     pub elided_quantize: usize,
-    /// Conv2d nodes that absorbed a following ReLU.
+    /// Conv2d nodes that absorbed a following ReLU: a packed conv applies
+    /// it in its GEMM epilogue, an f32 conv as the in-place ReLU step right
+    /// after the convolution.
     pub fused_conv_act: usize,
     /// Dense nodes that absorbed a following ReLU.
     pub fused_dense_act: usize,
@@ -47,7 +52,8 @@ pub struct FusionStats {
     pub dropped_identity: usize,
 }
 
-/// A GEMM with its fused epilogue.
+/// A GEMM with its fused epilogue (for an f32 conv: the convolution, its
+/// bias and whether a ReLU follows).
 #[derive(Debug, Clone)]
 pub struct GemmUnit {
     /// The weights (`[out, k]` layout when dense).
@@ -79,9 +85,11 @@ impl GemmUnit {
 /// One operation after fusion.
 #[derive(Debug, Clone)]
 pub enum FusedOp {
-    /// im2col + GEMM + epilogue + rows→NCHW.
+    /// A convolution. f32: `tensor::conv2d_forward` (bias included), then
+    /// the in-place ReLU step when `unit.relu`. Packed: patch codes, int8
+    /// GEMM, bias/ReLU epilogue, rows→NCHW.
     Conv2d {
-        /// The GEMM and its epilogue.
+        /// The weights, bias and fused ReLU.
         unit: GemmUnit,
         /// Square kernel edge.
         kernel: usize,

@@ -8,7 +8,7 @@ use crate::{NnError, Result};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, im2col_into, qmatmul_f32,
-    rows_to_nchw, simd, Conv2dGeometry, ConvImpl, Init, QTensor, Tensor,
+    rows_to_nchw, simd, Conv2dGeometry, ConvImpl, ConvScratch, Init, QTensor, Tensor,
 };
 use rand::Rng;
 
@@ -22,9 +22,11 @@ use rand::Rng;
 /// other conv lowers to `im2col` + matmul. Both give the same bits. The
 /// forward caches its input, from which `backward` after a forward in
 /// either mode computes the weight gradient `g2dᵀ · cols`; `backward_input`
-/// needs no patch matrix at all. A lowered forward leaves its patch matrix
-/// in a scratch tensor (`cols`), rewritten in place instead of reallocated
-/// and reused by the lowered weight gradient; on the direct path the
+/// needs no patch matrix at all. The f32 forward is
+/// [`advcomp_tensor::conv2d_forward`], the graph executor's too. A lowered
+/// forward leaves its patch matrix and GEMM rows in the layer's
+/// [`ConvScratch`], rewritten in place instead of reallocated, and the
+/// lowered weight gradient reuses the patch matrix; on the direct path the
 /// layer never builds or keeps one.
 #[derive(Debug)]
 pub struct Conv2d {
@@ -35,7 +37,7 @@ pub struct Conv2d {
     padding: usize,
     packed: Option<QuantizedWeights>,
     cache: Option<ConvCache>,
-    cols: Tensor,
+    scratch: ConvScratch,
 }
 
 /// What `backward` needs of the last forward.
@@ -94,7 +96,7 @@ impl Conv2d {
             padding,
             packed: None,
             cache: None,
-            cols: Tensor::default(),
+            scratch: ConvScratch::default(),
         }
     }
 
@@ -189,12 +191,13 @@ impl Layer for Conv2d {
             // Dequant-fused conv path: the unrolled patch matrix feeds the
             // int8 GEMM directly; only the codes of the weight blocks and
             // the quantised patches touch memory in the hot loop.
-            im2col_into(input, &geom, &mut self.cols)?;
-            let (rows, oc) = (self.cols.shape()[0], q.tensor().rows());
+            let cols = &mut self.scratch.cols;
+            im2col_into(input, &geom, cols)?;
+            let (rows, oc) = (cols.shape()[0], q.tensor().rows());
             let mut out = vec![0.0f32; rows * oc];
             qmatmul_f32(
                 simd::backend(),
-                self.cols.data(),
+                cols.data(),
                 rows,
                 q.act_format(),
                 q.tensor(),
@@ -206,16 +209,20 @@ impl Layer for Conv2d {
             return Ok(out);
         }
         let backend = simd::backend();
-        let imp = conv_impl(backend, &geom);
-        let out = conv2d_forward(
+        let oc = self.out_channels();
+        let weight_t = self.weight.value.reshape(&[oc, geom.patch_len()])?.t()?;
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        conv2d_forward(
             backend,
-            input,
-            &self.weight.value,
-            &self.bias.value,
+            input.data(),
+            n,
+            weight_t.data(),
+            self.bias.value.data(),
             &geom,
-            imp,
+            conv_impl(backend, &geom),
             None,
-            &mut self.cols,
+            &mut self.scratch,
+            out.data_mut(),
         )?;
         self.cache = Some(ConvCache {
             geom,
@@ -229,8 +236,8 @@ impl Layer for Conv2d {
         let cache = self.checked_cache(grad_output)?;
         let backend = simd::backend();
         let imp = conv_impl(backend, &cache.geom);
-        // A lowered forward left the input's patch matrix in `cols`.
-        let cols = (imp == ConvImpl::Lowering).then_some(&self.cols);
+        // A lowered forward left the input's patch matrix in the scratch.
+        let cols = (imp == ConvImpl::Lowering).then_some(&self.scratch.cols);
         let (gw, gb) = conv2d_weight_grad(
             backend,
             &cache.input,
@@ -285,7 +292,7 @@ impl Layer for Conv2d {
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
-        // The cache and the im2col scratch are per-replica state and start
+        // The cache and the lowering scratch are per-replica state and start
         // empty; the scratch is regrown lazily by the replica's first
         // lowered pass. Packed weights are shared across replicas via Arc.
         Box::new(Conv2d {
@@ -296,7 +303,7 @@ impl Layer for Conv2d {
             padding: self.padding,
             packed: self.packed.clone(),
             cache: None,
-            cols: Tensor::default(),
+            scratch: ConvScratch::default(),
         })
     }
 

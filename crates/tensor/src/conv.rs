@@ -6,8 +6,7 @@
 //! ([`im2col`]), multiplied against the `[c·kh·kw, oc]` reshaped kernel,
 //! and the backward pass folds patch gradients back with [`col2im`]. This
 //! is the standard GEMM formulation used by most CPU deep-learning
-//! runtimes; it runs every geometry on both backends, and the graph
-//! executor's conv steps use it.
+//! runtimes; it runs every geometry on both backends.
 //!
 //! **The direct kernels** ([`ConvImpl::Direct`], AVX2 backend, stride 1,
 //! padding below the kernel) compute the same numbers without building the
@@ -20,9 +19,12 @@
 //! mul-then-add) in the same order, and the batch's kernel is chosen by
 //! sampling the never-built GEMM operand at exactly the positions
 //! [`crate::probe_matmul_kernel`] would. [`conv_impl`] is the one rule
-//! that sends a layer's pass to them; [`conv2d_forward`],
-//! [`conv2d_input_grad`] and [`conv2d_weight_grad`] run either
-//! implementation.
+//! that sends a pass to them; [`conv2d_forward`], [`conv2d_input_grad`]
+//! and [`conv2d_weight_grad`] run either implementation.
+//!
+//! [`conv2d_forward`] is the one f32 convolution forward: `Conv2d` and the
+//! graph executor's f32 conv steps both call it, on slices, and it runs
+//! whichever implementation the caller's [`conv_impl`] picked.
 //!
 //! Every transform here but the weight gradient touches each batch sample
 //! independently, and each sample occupies a contiguous region of the
@@ -30,9 +32,9 @@
 //! worker pool ([`crate::pool`]). A weight's gradient sums over the whole
 //! batch in order, so the direct weight gradient splits its chains, not
 //! its samples, across threads. The direct kernels keep their
-//! zero-bordered planes in per-thread scratch. [`im2col_into`] reuses a
-//! caller-owned scratch tensor, so a layer that lowers allocates its patch
-//! matrix once rather than once per step.
+//! zero-bordered planes in per-thread scratch. A lowered forward writes its
+//! patch matrix and GEMM rows into caller-owned [`ConvScratch`], so a layer
+//! or plan that lowers allocates them once rather than once per step.
 //!
 //! [`max_pool2d`] is the one max-pooling window loop, shared by the layer
 //! and the graph executor.
@@ -219,51 +221,25 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 pub fn im2col_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Result<()> {
     let n = check_input(input, geom, "im2col")?;
     let (oh, ow) = geom.output_hw()?;
-    let patch = geom.patch_len();
-    out.reset_scratch(&[n * oh * ow, patch]);
-    let data = input.data();
-    pool::for_each_chunk(out.data_mut(), oh * ow * patch, |b, chunk| {
-        chunk.fill(0.0);
-        im2col_sample(data, chunk, patch, b, geom, oh, ow);
-    });
+    out.reset_scratch(&[n * oh * ow, geom.patch_len()]);
+    im2col_slice(input.data(), geom, (oh, ow), out.data_mut());
     Ok(())
 }
 
-/// [`im2col`] over raw slices: `input` is an NCHW batch of `n` samples
-/// matching `geom`, `out` the `n·oh·ow × patch` column matrix, fully
-/// overwritten. Identical per-sample core and pool chunking as
-/// [`im2col_into`] — the graph executor's arena-resident variant.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] when either slice disagrees
-/// with the geometry, or geometry errors from
-/// [`Conv2dGeometry::output_hw`].
-pub fn im2col_slice(input: &[f32], n: usize, geom: &Conv2dGeometry, out: &mut [f32]) -> Result<()> {
-    let (oh, ow) = geom.output_hw()?;
+/// [`im2col`] over raw slices: fills `out`, the `n·oh·ow × c·kh·kw` patch
+/// matrix of the `n` NCHW samples in `input`, one sample per pool task. The
+/// callers, [`im2col_into`] and the lowered [`conv2d_forward`], have sized
+/// both slices to `geom`.
+fn im2col_slice(input: &[f32], geom: &Conv2dGeometry, (oh, ow): (usize, usize), out: &mut [f32]) {
     let patch = geom.patch_len();
-    let in_len = n * geom.in_channels * geom.in_h * geom.in_w;
-    if input.len() != in_len {
-        return Err(TensorError::LengthMismatch {
-            expected: in_len,
-            actual: input.len(),
-        });
-    }
-    if out.len() != n * oh * ow * patch {
-        return Err(TensorError::LengthMismatch {
-            expected: n * oh * ow * patch,
-            actual: out.len(),
-        });
-    }
     pool::for_each_chunk(out, oh * ow * patch, |b, chunk| {
         chunk.fill(0.0);
         im2col_sample(input, chunk, patch, b, geom, oh, ow);
     });
-    Ok(())
 }
 
 /// [`quantize_activations_into`](crate::quantize_activations_into) of
-/// the patch matrix [`im2col_slice`] would build from `input` (`n` NCHW
+/// the patch matrix [`im2col`] would build from `input` (`n` NCHW
 /// samples matching `geom`), without building it: every input value is
 /// encoded once into `input_codes` (resized to `input.len()`), and the
 /// patch rows gather codes. A code depends on its value alone and a zero
@@ -390,23 +366,13 @@ pub fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) ->
         });
     }
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    let src = rows.data();
-    pool::for_each_chunk(out.data_mut(), oc * oh * ow, |b, chunk| {
-        for y in 0..oh {
-            for x in 0..ow {
-                let row = ((b * oh + y) * ow + x) * oc;
-                for o in 0..oc {
-                    chunk[(o * oh + y) * ow + x] = src[row + o];
-                }
-            }
-        }
-    });
+    rows_to_nchw_slice(rows.data(), n, oc, oh, ow, out.data_mut())?;
     Ok(out)
 }
 
 /// [`rows_to_nchw`] over raw slices: reorders `n·oh·ow × oc` GEMM rows
-/// into an NCHW `n × oc × oh × ow` destination, fully overwritten. Same
-/// per-sample transpose and pool chunking as the `Tensor` variant.
+/// into an NCHW `n × oc × oh × ow` destination, fully overwritten, one
+/// batch sample per pool task.
 ///
 /// # Errors
 ///
@@ -559,8 +525,9 @@ pub enum ConvImpl {
 /// the direct kernels can run the geometry — the `Simd` backend on an
 /// AVX2+FMA CPU, stride 1, padding below the kernel — and
 /// [`ConvImpl::Lowering`] everywhere else: the scalar backend (the goldens'
-/// reference) and strided convolutions. (Frozen int8 convolutions and the
-/// graph executor's conv steps lower without asking.)
+/// reference) and strided convolutions. `Conv2d` and the graph executor's
+/// f32 conv steps both ask it. (Int8 convolutions have no direct kernel:
+/// the frozen layer lowers, and the graph executor gathers patch codes.)
 ///
 /// The passes share the rule because `kernel_bench`'s `simd.conv_direct.*`
 /// and `simd.conv_wgrad.*` rows measure the direct kernels winning every
@@ -750,83 +717,110 @@ fn probe_grad_cols(grad: &[f32], [n, oc, oh, ow]: [usize; 4]) -> MatmulKernel {
     })
 }
 
-/// Convolution forward `y = conv(x, W) + b` of an NCHW batch, `[n, oc, oh,
-/// ow]` out, by `imp`.
+/// The buffers a lowered convolution forward fills: the patch matrix and
+/// the GEMM rows. The caller owns them and passes them to every call, so
+/// they are rewritten in place and grow only when a larger batch comes; the
+/// direct kernels leave them alone.
+#[derive(Debug, Clone, Default)]
+pub struct ConvScratch {
+    /// The `[n·oh·ow, c·kh·kw]` patch matrix of the last lowered forward,
+    /// which the lowered [`conv2d_weight_grad`] reuses.
+    pub cols: Tensor,
+    /// The `n·oh·ow × oc` GEMM rows of the last lowered forward.
+    rows: Vec<f32>,
+}
+
+impl ConvScratch {
+    /// Grows the buffers to hold `cols` patch-matrix and `rows` GEMM-row
+    /// elements without reallocating.
+    pub fn reserve(&mut self, cols: usize, rows: usize) {
+        self.cols.reserve_scratch(cols);
+        self.rows.reserve(rows.saturating_sub(self.rows.len()));
+    }
+
+    /// The f32 elements the buffers hold room for.
+    pub fn capacity(&self) -> usize {
+        self.cols.capacity() + self.rows.capacity()
+    }
+}
+
+/// The f32 convolution forward `y = conv(x, W) + b`, by `imp`: `input`
+/// holds `n` NCHW samples matching `geom`, `weight_t` the kernel in the
+/// GEMM's `[c·kh·kw, oc]` layout (`Wᵀ`), `bias` its `oc` biases, and `out`
+/// receives the `[n, oc, oh, ow]` output, fully overwritten. `Conv2d` and
+/// the graph executor's f32 conv steps both run it.
 ///
-/// `weight` is `[oc, c, kh, kw]` and `bias` `[oc]`. `kernel` forces the GEMM
-/// kernel flavour; `None` picks it as [`crate::Tensor::matmul`] would, by
-/// the density probe over the patch matrix. [`ConvImpl::Lowering`] runs
-/// `im2col` into `cols` (reused across calls), the GEMM against `Wᵀ`, the
-/// bias add and the NCHW transpose; [`ConvImpl::Direct`] leaves `cols`
-/// alone and returns the same bits.
+/// `kernel` forces the GEMM kernel flavour; `None` picks it as
+/// [`crate::Tensor::matmul`] would, by the density probe over the patch
+/// matrix. [`ConvImpl::Lowering`] runs `im2col` into `scratch.cols`, the
+/// GEMM into the scratch rows, the bias add and the NCHW transpose;
+/// [`ConvImpl::Direct`] leaves `scratch` alone and returns the same bits.
 ///
 /// # Errors
 ///
-/// Shape errors when `input`, `weight` or `bias` disagree with `geom`,
-/// geometry errors from [`Conv2dGeometry::output_hw`], and
-/// [`TensorError::InvalidGeometry`] for [`ConvImpl::Direct`] where
+/// [`TensorError::LengthMismatch`] when a slice disagrees with `n`, `geom`
+/// and `bias.len()`, geometry errors from [`Conv2dGeometry::output_hw`],
+/// and [`TensorError::InvalidGeometry`] for [`ConvImpl::Direct`] where
 /// [`conv_impl`] would never choose it for lack of AVX2, stride 1 or
 /// padding below the kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward(
     backend: KernelBackend,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
+    input: &[f32],
+    n: usize,
+    weight_t: &[f32],
+    bias: &[f32],
     geom: &Conv2dGeometry,
     imp: ConvImpl,
     kernel: Option<MatmulKernel>,
-    cols: &mut Tensor,
-) -> Result<Tensor> {
-    let oc = weight_channels(weight, geom, "conv2d forward")?;
-    if bias.shape() != [oc] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: bias.shape().to_vec(),
-            rhs: vec![oc],
-            op: "conv2d forward",
-        });
-    }
+    scratch: &mut ConvScratch,
+    out: &mut [f32],
+) -> Result<()> {
     let (oh, ow) = geom.output_hw()?;
-    let patch = geom.patch_len();
-    let wt = weight.reshape(&[oc, patch])?.t()?;
+    let (oc, patch) = (bias.len(), geom.patch_len());
+    let sample = geom.in_channels * geom.in_h * geom.in_w;
+    let lens = [
+        (input.len(), n * sample),
+        (weight_t.len(), patch * oc),
+        (out.len(), n * oc * oh * ow),
+    ];
+    if let Some(&(actual, expected)) = lens.iter().find(|(a, e)| a != e) {
+        return Err(TensorError::LengthMismatch { expected, actual });
+    }
     if imp == ConvImpl::Lowering {
-        im2col_into(input, geom, cols)?;
-        let n = input.shape()[0];
+        let ConvScratch { cols, rows } = scratch;
+        let m = n * oh * ow;
+        cols.reset_scratch(&[m, patch]);
+        im2col_slice(input, geom, (oh, ow), cols.data_mut());
         let kernel = kernel.unwrap_or_else(|| crate::probe_matmul_kernel(cols.data()));
-        let out2d = cols
-            .matmul_with(&wt, kernel, backend)?
-            .add_row_broadcast(bias)?;
-        return rows_to_nchw(&out2d, n, oc, oh, ow);
+        rows.clear();
+        rows.resize(m * oc, 0.0);
+        crate::ops::matmul_slices(backend, kernel, cols.data(), weight_t, rows, patch, oc);
+        for row in rows.chunks_exact_mut(oc) {
+            simd::add_assign_slices(backend, row, bias);
+        }
+        return rows_to_nchw_slice(rows, n, oc, oh, ow, out);
     }
     let d = direct_shape(backend, geom, oc)?;
-    let n = check_input(input, geom, "conv2d forward")?;
-    let x = input.data();
-    let kernel = kernel.unwrap_or_else(|| probe_patches(x, n, geom, (oh, ow)));
-    let finite = wt.data().iter().all(|v| v.is_finite());
-    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    let sample = d.c * d.h * d.w;
-    for_each_sample(
-        out.data_mut(),
-        oc * oh * ow,
-        n * oh * ow * oc * patch,
-        |b, chunk| {
-            DIRECT_SCRATCH.with(|scratch| {
-                let ran = simd::conv_direct_forward(
-                    backend,
-                    &d,
-                    &x[b * sample..(b + 1) * sample],
-                    wt.data(),
-                    bias.data(),
-                    chunk,
-                    kernel == MatmulKernel::Sparse,
-                    finite,
-                    &mut scratch.borrow_mut(),
-                );
-                debug_assert!(ran, "direct_shape checked the AVX2 path");
-            });
-        },
-    );
-    Ok(out)
+    let kernel = kernel.unwrap_or_else(|| probe_patches(input, n, geom, (oh, ow)));
+    let finite = weight_t.iter().all(|v| v.is_finite());
+    for_each_sample(out, oc * oh * ow, n * oh * ow * oc * patch, |b, chunk| {
+        DIRECT_SCRATCH.with(|scratch| {
+            let ran = simd::conv_direct_forward(
+                backend,
+                &d,
+                &input[b * sample..(b + 1) * sample],
+                weight_t,
+                bias,
+                chunk,
+                kernel == MatmulKernel::Sparse,
+                finite,
+                &mut scratch.borrow_mut(),
+            );
+            debug_assert!(ran, "direct_shape checked the AVX2 path");
+        });
+    });
+    Ok(())
 }
 
 /// Convolution input gradient `dL/dx` (`[n, c, h, w]`) from the NCHW

@@ -45,8 +45,8 @@ mod tensor;
 
 pub use conv::{
     col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, im2col, im2col_into,
-    im2col_slice, max_pool2d, nchw_to_rows, quantize_patches_into, rows_to_nchw,
-    rows_to_nchw_slice, Conv2dGeometry, ConvImpl,
+    max_pool2d, nchw_to_rows, quantize_patches_into, rows_to_nchw, rows_to_nchw_slice,
+    Conv2dGeometry, ConvImpl, ConvScratch,
 };
 pub use error::TensorError;
 pub use init::{FanMode, Init};

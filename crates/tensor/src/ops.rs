@@ -28,10 +28,10 @@
 //! one-row bodies, whose 32-wide stripes would leave most of such a
 //! product to a scalar tail. The tile keeps both arithmetics, so it
 //! changes speed, not bits. `crates/tensor/tests/kernels.rs` pins all of
-//! this. (On the AVX2 backend `Conv2d`'s stride-1 passes, weight gradient
-//! included, skip the GEMM: the direct kernels of `crate::conv` compute the
-//! same bits, choosing between the two arithmetics with the same density
-//! probe.)
+//! this. (On the AVX2 backend stride-1 convolutions skip the GEMM — every
+//! pass of `Conv2d`, and the graph executor's f32 conv steps, which run the
+//! same forward: the direct kernels of `crate::conv` compute the same bits,
+//! choosing between the two arithmetics with the same density probe.)
 //!
 //! Reference implementations kept for tests and ablation benchmarks
 //! (compiled only under `cfg(test)` or the `bench-ablation` feature so
@@ -450,6 +450,44 @@ pub fn gemm_sparse(
     Ok(())
 }
 
+/// `out = a · b` by `kernel`: `a` is `m × k` and `b` `k × n`, both
+/// row-major, and `out` is the zero-initialised `m × n` result, `m =
+/// out.len() / n`. The body of [`Tensor::matmul_with`], and of the lowered
+/// convolution forward, which keeps its operands in caller-owned scratch.
+pub(crate) fn matmul_slices(
+    backend: KernelBackend,
+    kernel: MatmulKernel,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    let m = out.len().checked_div(n).unwrap_or(0);
+    match kernel {
+        MatmulKernel::Dense => {
+            // Pack only when it changes the layout and a panel is read
+            // more than once: for `n ≤ PANEL` the packed layout is `b`
+            // itself, and a one-row product streams each panel once.
+            let packed;
+            let (b, is_packed) = if n <= PANEL || m == 1 {
+                (b, false)
+            } else {
+                packed = pack_b_panels(b, k, n);
+                (&packed[..], true)
+            };
+            run_banded(out, m, k, n, |row_start, band| {
+                matmul_dense_rows(backend, a, b, is_packed, band, row_start, k, n);
+            });
+        }
+        MatmulKernel::Sparse => {
+            run_banded(out, m, k, n, |row_start, band| {
+                matmul_sparse_rows(backend, a, b, band, row_start, k, n);
+            });
+        }
+    }
+}
+
 impl Tensor {
     /// Matrix product of two 2-D tensors.
     ///
@@ -507,30 +545,15 @@ impl Tensor {
     ) -> Result<Tensor> {
         let (m, k, n) = matmul_dims(self, other)?;
         let mut out = Tensor::zeros(&[m, n]);
-        let a = self.data();
-        let b = other.data();
-        match kernel {
-            MatmulKernel::Dense => {
-                // Pack only when it changes the layout and a panel is read
-                // more than once: for `n ≤ PANEL` the packed layout is `b`
-                // itself, and a one-row product streams each panel once.
-                let packed;
-                let (b, is_packed) = if n <= PANEL || m == 1 {
-                    (b, false)
-                } else {
-                    packed = pack_b_panels(b, k, n);
-                    (&packed[..], true)
-                };
-                run_banded(out.data_mut(), m, k, n, |row_start, band| {
-                    matmul_dense_rows(backend, a, b, is_packed, band, row_start, k, n);
-                });
-            }
-            MatmulKernel::Sparse => {
-                run_banded(out.data_mut(), m, k, n, |row_start, band| {
-                    matmul_sparse_rows(backend, a, b, band, row_start, k, n);
-                });
-            }
-        }
+        matmul_slices(
+            backend,
+            kernel,
+            self.data(),
+            other.data(),
+            out.data_mut(),
+            k,
+            n,
+        );
         Ok(out)
     }
 

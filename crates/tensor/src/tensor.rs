@@ -198,7 +198,19 @@ impl Tensor {
     /// kernels that fully overwrite a persistent scratch tensor.
     pub(crate) fn reset_scratch(&mut self, shape: &[usize]) {
         self.data.resize(numel(shape), 0.0);
-        self.shape = shape.to_vec();
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+    }
+
+    /// Room, in elements, the backing buffer holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Grows the backing buffer to hold `len` elements without
+    /// reallocating; shape and contents are unchanged.
+    pub(crate) fn reserve_scratch(&mut self, len: usize) {
+        self.data.reserve(len.saturating_sub(self.data.len()));
     }
 
     /// Overwrites `self` with `data` reshaped to `shape`, reusing the

@@ -15,7 +15,7 @@ use advcomp_tensor::{
     col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, fake_quantize_in_place,
     gemm_prepacked, gemm_sparse, im2col, im2col_into, nchw_to_rows, pool, probe_matmul_kernel,
     quantize_activations, quantize_patches_into, rows_to_nchw, simd, Conv2dGeometry, ConvImpl,
-    Init, KernelBackend, MatmulKernel, PackedGemmB, QActivations, Tensor,
+    ConvScratch, Init, KernelBackend, MatmulKernel, PackedGemmB, QActivations, Tensor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -496,6 +496,44 @@ fn conv_cases() -> Vec<ConvCase> {
     cases
 }
 
+/// [`conv2d_forward`] of the NCHW `x` with the `[oc, c, kh, kw]` `weight`,
+/// into an output first filled with NaN, so an element the call does not
+/// write shows.
+#[allow(clippy::too_many_arguments)]
+fn conv_forward(
+    be: KernelBackend,
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    geom: &Conv2dGeometry,
+    imp: ConvImpl,
+    kernel: Option<MatmulKernel>,
+    scratch: &mut ConvScratch,
+) -> Tensor {
+    let (n, oc) = (x.shape()[0], weight.shape()[0]);
+    let (oh, ow) = geom.output_hw().unwrap();
+    let weight_t = weight
+        .reshape(&[oc, geom.patch_len()])
+        .unwrap()
+        .t()
+        .unwrap();
+    let mut y = Tensor::full(&[n, oc, oh, ow], f32::NAN);
+    conv2d_forward(
+        be,
+        x.data(),
+        n,
+        weight_t.data(),
+        bias.data(),
+        geom,
+        imp,
+        kernel,
+        scratch,
+        y.data_mut(),
+    )
+    .unwrap();
+    y
+}
+
 /// Every pass of `case` — forward, input gradient, and weight and bias
 /// gradients — by both implementations with `kernel` (forced, or
 /// probe-chosen when `None`), under thread cap `cap`: the direct kernels
@@ -515,10 +553,10 @@ fn check_direct_conv(
         weight,
         bias,
     } = data;
-    let mut cols = Tensor::default();
+    let mut scratch = ConvScratch::default();
     let mut passes = |imp| {
         pool::with_thread_cap(cap, || {
-            let y = conv2d_forward(be, x, weight, bias, &geom, imp, kernel, &mut cols).unwrap();
+            let y = conv_forward(be, x, weight, bias, &geom, imp, kernel, &mut scratch);
             let dx = conv2d_input_grad(be, dy, weight, &geom, imp, kernel).unwrap();
             let (dw, db) = conv2d_weight_grad(be, x, dy, &geom, imp, kernel, None).unwrap();
             [y, dx, dw, db]
@@ -538,7 +576,7 @@ fn check_direct_conv(
 }
 
 /// The direct stride-1 kernels return the SIMD lowering's bits —
-/// `im2col → matmul → add_row_broadcast → rows_to_nchw` forward,
+/// `im2col → matmul → bias add → rows_to_nchw` forward,
 /// `nchw_to_rows → matmul → col2im` input gradient, and `g2dᵀ · im2col`
 /// weight and `sum_axis0` bias gradients — with each GEMM kernel flavour
 /// forced, at thread caps 1, 2 and 8.
@@ -554,6 +592,55 @@ fn direct_conv_matches_lowering_per_flavour() {
         for kernel in [MatmulKernel::Dense, MatmulKernel::Sparse] {
             let label = format!("{case:?} {kernel:?}");
             check_direct_conv(&label, &case, &data, Some(kernel), [1, 2, 8][i % 3]);
+        }
+    }
+}
+
+/// `conv2d_forward` writes every output element by either implementation
+/// on either backend, strided geometries included, and a lowering leaves
+/// the input's patch matrix in the scratch: the graph executor passes arena
+/// slices that still hold an earlier step's values, one scratch serves
+/// every conv of a plan, and `Conv2d`'s lowered weight gradient reads the
+/// patch matrix back.
+#[test]
+fn conv_forward_writes_every_output() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(59);
+    let mut scratch = ConvScratch::default();
+    let mut cases: Vec<(ConvCase, usize)> = conv_cases()
+        .into_iter()
+        .step_by(7)
+        .map(|case| (case, 1))
+        .collect();
+    let strided = ConvCase {
+        c: 3,
+        oc: 5,
+        k: 3,
+        pad: 1,
+        hw: 16,
+        batch: 3,
+    };
+    cases.push((strided, 2));
+    for (case, stride) in cases {
+        let data = case.data(0.6, &mut rng);
+        let geom = Conv2dGeometry {
+            stride,
+            ..case.geom()
+        };
+        for be in [KernelBackend::Scalar, KernelBackend::Simd] {
+            for imp in [ConvImpl::Lowering, ConvImpl::Direct] {
+                if imp == ConvImpl::Direct && advcomp_tensor::conv_impl(be, &geom) != imp {
+                    continue;
+                }
+                let label = format!("{case:?} stride {stride} {be:?} {imp:?}");
+                let (x, weight, bias) = (&data.x, &data.weight, &data.bias);
+                let y = conv_forward(be, x, weight, bias, &geom, imp, None, &mut scratch);
+                assert!(!y.has_non_finite(), "{label}: an output was not written");
+                if imp == ConvImpl::Lowering {
+                    let cols = im2col(x, &geom).unwrap();
+                    assert_eq!(scratch.cols.shape(), cols.shape(), "{label}");
+                    assert_eq!(scratch.cols.data(), cols.data(), "{label}");
+                }
+            }
         }
     }
 }
@@ -597,9 +684,9 @@ fn direct_conv_picks_the_lowering_kernel() {
         check_direct_conv(&label, &case, &data, None, 8);
         // The probe-chosen bits are those of the flavour the built matrix
         // picks, which the per-flavour test pins to the lowering.
-        let mut cols = Tensor::default();
+        let mut scratch = ConvScratch::default();
         let mut forward = |kernel| {
-            conv2d_forward(
+            conv_forward(
                 be,
                 x,
                 weight,
@@ -607,10 +694,10 @@ fn direct_conv_picks_the_lowering_kernel() {
                 &geom,
                 ConvImpl::Direct,
                 kernel,
-                &mut cols,
+                &mut scratch,
             )
         };
-        let (probed, forced) = (forward(None).unwrap(), forward(Some(chosen[0])).unwrap());
+        let (probed, forced) = (forward(None), forward(Some(chosen[0])));
         assert_same(&format!("{label}: forward flavour"), &probed, &forced);
         let input_grad =
             |kernel| conv2d_input_grad(be, dy, weight, &geom, ConvImpl::Direct, kernel);

@@ -1,14 +1,16 @@
-//! Deterministic model and data fixtures for golden vectors.
+//! Deterministic model and data fixtures.
 //!
-//! Every fixture is materialised from [`DetRng`] streams: layers are
-//! constructed through the normal `advcomp_nn` constructors (which draw
-//! initial weights from whatever `rand` the workspace links) and then
-//! **every parameter value is overwritten** from the testkit's own
-//! generator. The resulting network is therefore identical in every build
-//! environment — the property the checked-in goldens rely on.
+//! The golden-vector fixtures are materialised from [`DetRng`] streams:
+//! layers are constructed through the normal `advcomp_nn` constructors
+//! (which draw initial weights from whatever `rand` the workspace links)
+//! and then **every parameter value is overwritten** from the testkit's
+//! own generator. The resulting network is therefore identical in every
+//! build environment — the property the checked-in goldens rely on.
+//! [`strided`] keeps its constructors' weights: the suites that use it
+//! compare two paths in one process, never a checked-in value.
 
 use crate::det::DetRng;
-use advcomp_nn::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Sequential};
+use advcomp_nn::{Conv2d, Dense, FakeQuant, Flatten, Layer, MaxPool2d, Relu, Sequential};
 use advcomp_tensor::Tensor;
 use rand::SeedableRng;
 
@@ -58,6 +60,38 @@ pub fn lenet(seed: u64) -> Sequential {
     let mut rng = DetRng::new(seed);
     materialize_params(&mut model, &mut rng);
     model
+}
+
+/// Per-sample input shape of [`strided`].
+pub const STRIDED_INPUT: [usize; 3] = [3, 16, 16];
+
+/// A net with the convolutions the paper nets lack, with FakeQuant layers
+/// where the paper nets place them:
+///
+/// ```text
+/// FakeQuant → down: Conv2d(3→5, k3, s2, p1) → ReLU
+/// FakeQuant → point: Conv2d(5→7, k1, s1, p0) → ReLU
+/// FakeQuant → Flatten → fc: Dense(448→10)
+/// ```
+///
+/// The stride-2 conv lowers to `im2col` + GEMM on every backend, and the
+/// 1×1 conv runs the direct kernels on AVX2, so the one net covers both
+/// implementations under either `ADVCOMP_KERNEL`. The FakeQuant layers
+/// pass values through until a quantiser installs their formats.
+pub fn strided(seed: u64) -> Sequential {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(FakeQuant::new()),
+        Box::new(Conv2d::with_name("down", 3, 5, 3, 2, 1, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(FakeQuant::new()),
+        Box::new(Conv2d::with_name("point", 5, 7, 1, 1, 0, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(FakeQuant::new()),
+        Box::new(Flatten::new()),
+        Box::new(Dense::with_name("fc", 7 * 8 * 8, 10, &mut rng)),
+    ];
+    Sequential::new(layers)
 }
 
 /// A batch of deterministic `[batch, 1, 8, 8]` images with pixels in

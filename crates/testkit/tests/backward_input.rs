@@ -19,10 +19,10 @@
 
 use advcomp_compress::{PruneMask, Quantizer};
 use advcomp_models::{cifarnet, lenet5, ModelKind};
-use advcomp_nn::{Conv2d, Dense, FakeQuant, Flatten, Layer, Mode, Relu, Sequential};
+use advcomp_nn::{Mode, Sequential};
 use advcomp_tensor::Tensor;
+use advcomp_testkit::fixtures::{strided, STRIDED_INPUT};
 use advcomp_testkit::DetRng;
-use rand::SeedableRng;
 
 /// A deterministic `[batch, ...shape]` tensor with values in `[lo, hi)`.
 fn det_tensor(seed: u64, batch: usize, shape: &[usize], lo: f32, hi: f32) -> Tensor {
@@ -30,28 +30,6 @@ fn det_tensor(seed: u64, batch: usize, shape: &[usize], lo: f32, hi: f32) -> Ten
     full.extend_from_slice(shape);
     let numel: usize = full.iter().product();
     Tensor::new(&full, DetRng::new(seed).vec_f32(numel, lo, hi)).expect("consistent shape")
-}
-
-/// Input shape of [`strided`].
-const STRIDED_INPUT: [usize; 3] = [3, 16, 16];
-
-/// A net with the convolutions the paper nets lack: 3×3 at stride 2 (which
-/// keeps the `im2col` lowering on every backend) and 1×1, with FakeQuant
-/// layers where the paper nets place them.
-fn strided(seed: u64) -> Sequential {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(FakeQuant::new()),
-        Box::new(Conv2d::with_name("down", 3, 5, 3, 2, 1, &mut rng)),
-        Box::new(Relu::new()),
-        Box::new(FakeQuant::new()),
-        Box::new(Conv2d::with_name("point", 5, 7, 1, 1, 0, &mut rng)),
-        Box::new(Relu::new()),
-        Box::new(FakeQuant::new()),
-        Box::new(Flatten::new()),
-        Box::new(Dense::with_name("fc", 7 * 8 * 8, 10, &mut rng)),
-    ];
-    Sequential::new(layers)
 }
 
 /// Builds one net under test.

@@ -13,13 +13,18 @@
 //!
 //! The DNS-pruned cases cover the sweep's pruned recipes, whose sparse
 //! activations take the zero-skipping GEMM dispatch, and batch 64 is the
-//! batch `evaluate_model` runs.
+//! batch `evaluate_model` runs. Plan and layer run one f32 convolution
+//! forward (`tensor::conv2d_forward`), by the implementation `conv_impl`
+//! picks: on AVX2 the paper nets' stride-1 convs all run the direct
+//! kernels, so the `strided` fixture's stride-2 conv keeps the plan's
+//! lowering branch pinned under `ADVCOMP_KERNEL=simd` too.
 //!
 //! Alongside end-to-end parity: per-pattern unit tests (a ReLU after a
 //! non-GEMM layer through the standalone step, dense+bias+ReLU fusion,
 //! quant→dequant elision, int8 chaining), the static memory plan's no-aliasing invariant
 //! over every topological order of a branching schedule, and the
-//! zero-allocation steady-state hook.
+//! zero-allocation steady-state hook on frozen LeNet-5 and the `strided`
+//! fixture.
 
 use advcomp_attacks::NetKind;
 use advcomp_compress::{DnsPruner, Quantizer, TrainConfig};
@@ -28,6 +33,7 @@ use advcomp_graph::{plan_arena, validate_no_alias, BufferLife, ExecPlan};
 use advcomp_models::{cifarnet, lenet5, ModelKind};
 use advcomp_nn::{Conv2d, Dense, Flatten, MaxPool2d, Mode, Relu, Sequential};
 use advcomp_tensor::{simd, KernelBackend, Tensor};
+use advcomp_testkit::fixtures::{strided, STRIDED_INPUT};
 use advcomp_testkit::DetRng;
 use rand::SeedableRng;
 
@@ -46,9 +52,8 @@ fn rel_l2(actual: &[f32], expected: &[f32]) -> f64 {
 /// Cross-backend (FMA-reassociation) gate, matching `quant_parity`.
 const REL_L2_GATE: f64 = 1e-5;
 
-/// A deterministic input batch for one of the paper nets.
-fn net_batch(kind: ModelKind, seed: u64, batch: usize) -> Tensor {
-    let shape = kind.input_shape();
+/// A deterministic input batch of per-sample `shape`.
+fn net_batch(shape: &[usize], seed: u64, batch: usize) -> Tensor {
     let mut rng = DetRng::new(seed);
     let numel: usize = shape.iter().product();
     let data = rng.vec_f32(batch * numel, 0.0, 1.0);
@@ -59,20 +64,24 @@ fn net_batch(kind: ModelKind, seed: u64, batch: usize) -> Tensor {
 
 /// The two paper nets with their input shapes, at reduced width so the
 /// suite stays fast while covering every layer pattern.
-fn paper_nets(seed: u64) -> Vec<(&'static str, ModelKind, Sequential)> {
+fn paper_nets(seed: u64) -> Vec<(&'static str, &'static [usize], Sequential)> {
     vec![
-        ("lenet5", ModelKind::LeNet5, lenet5(0.5, seed)),
-        ("cifarnet", ModelKind::CifarNet, cifarnet(0.25, seed)),
+        ("lenet5", ModelKind::LeNet5.input_shape(), lenet5(0.5, seed)),
+        (
+            "cifarnet",
+            ModelKind::CifarNet.input_shape(),
+            cifarnet(0.25, seed),
+        ),
     ]
 }
 
 /// Asserts per-logit bit-identity between the compiled plan and the
-/// `Sequential` forward over a few batch sizes.
-fn assert_bit_exact(name: &str, kind: ModelKind, model: &mut Sequential) {
-    let mut plan =
-        ExecPlan::compile(model, kind.input_shape()).expect("plan compiles without hand edits");
+/// `Sequential` forward of per-sample `input_shape` over a few batch
+/// sizes.
+fn assert_bit_exact(name: &str, input_shape: &[usize], model: &mut Sequential) {
+    let mut plan = ExecPlan::compile(model, input_shape).expect("plan compiles without hand edits");
     for batch in [1usize, 3, 64] {
-        let x = net_batch(kind, 7 + batch as u64, batch);
+        let x = net_batch(input_shape, 7 + batch as u64, batch);
         let want = model.forward(&x, Mode::Eval).expect("reference forward");
         let got = plan.forward(&x).expect("compiled forward");
         assert_eq!(want.shape(), got.shape(), "{name}: shape diverged");
@@ -91,20 +100,20 @@ fn assert_bit_exact(name: &str, kind: ModelKind, model: &mut Sequential) {
 
 #[test]
 fn compiled_forward_is_bit_exact_f32() {
-    for (name, kind, mut model) in paper_nets(21) {
-        assert_bit_exact(name, kind, &mut model);
+    for (name, shape, mut model) in paper_nets(21) {
+        assert_bit_exact(name, shape, &mut model);
     }
 }
 
 #[test]
 fn compiled_forward_is_bit_exact_q8_frozen() {
-    for (name, kind, mut model) in paper_nets(22) {
+    for (name, shape, mut model) in paper_nets(22) {
         let frozen = Quantizer::for_bitwidth(8)
             .unwrap()
             .quantize_frozen(&mut model)
             .unwrap();
         assert!(frozen > 0, "{name}: nothing froze");
-        assert_bit_exact(name, kind, &mut model);
+        assert_bit_exact(name, shape, &mut model);
     }
 }
 
@@ -112,13 +121,13 @@ fn compiled_forward_is_bit_exact_q8_frozen() {
 fn compiled_forward_is_bit_exact_q4_frozen() {
     // Q4 weights hold one byte per code like Q8, and the plan shares the
     // layer's blocks, so both paths run the same int8 kernel.
-    for (name, kind, mut model) in paper_nets(23) {
+    for (name, shape, mut model) in paper_nets(23) {
         let frozen = Quantizer::for_bitwidth(4)
             .unwrap()
             .quantize_frozen(&mut model)
             .unwrap();
         assert!(frozen > 0, "{name}: nothing froze");
-        assert_bit_exact(name, kind, &mut model);
+        assert_bit_exact(name, shape, &mut model);
     }
 }
 
@@ -126,7 +135,7 @@ fn compiled_forward_is_bit_exact_q4_frozen() {
 fn compiled_forward_is_bit_exact_dns_pruned() {
     for density in [0.5, 0.1] {
         let nets = [NetKind::LeNet5, NetKind::CifarNet];
-        for (net, (name, kind, mut model)) in nets.into_iter().zip(paper_nets(26)) {
+        for (net, (name, shape, mut model)) in nets.into_iter().zip(paper_nets(26)) {
             // A short DNS fine-tune on real task data, as the sweep's
             // `DnsPrune` recipe runs it, so the mask has moved off its
             // one-shot magnitude start.
@@ -144,7 +153,7 @@ fn compiled_forward_is_bit_exact_dns_pruned() {
                 (kept - density).abs() < 0.05,
                 "{name}: density {kept} off target {density}"
             );
-            assert_bit_exact(name, kind, &mut model);
+            assert_bit_exact(name, shape, &mut model);
         }
     }
 }
@@ -156,17 +165,31 @@ fn compiled_forward_is_bit_exact_simulated_quant() {
     // elementwise steps, at both of the paper's packed formats (Q1.3 and
     // Q2.6) — the fake-quantiser the plan and `FakeQuant` share.
     for bits in [4, 8] {
-        for (name, kind, mut model) in paper_nets(24) {
+        for (name, shape, mut model) in paper_nets(24) {
             Quantizer::for_bitwidth(bits).unwrap().quantize(&mut model);
-            let plan = ExecPlan::compile(&model, kind.input_shape()).unwrap();
+            let plan = ExecPlan::compile(&model, shape).unwrap();
             let name = format!("{name} {bits}-bit");
             assert_eq!(
                 plan.stats().elided_quantize,
                 0,
                 "{name}: simulated quantise must not elide"
             );
-            assert_bit_exact(&name, kind, &mut model);
+            assert_bit_exact(&name, shape, &mut model);
         }
+    }
+}
+
+/// The `strided` fixture's 3×3 stride-2 conv lowers on every backend and
+/// its 1×1 conv runs direct on AVX2, at f32 and with FakeQuant formats
+/// installed (Q1.3 and Q2.6).
+#[test]
+fn compiled_forward_is_bit_exact_strided() {
+    assert_bit_exact("strided f32", &STRIDED_INPUT, &mut strided(27));
+    for bits in [4, 8] {
+        let mut model = strided(28);
+        Quantizer::for_bitwidth(bits).unwrap().quantize(&mut model);
+        let name = format!("strided {bits}-bit");
+        assert_bit_exact(&name, &STRIDED_INPUT, &mut model);
     }
 }
 
@@ -175,18 +198,16 @@ fn scalar_and_simd_plans_agree_within_rel_l2() {
     if !simd::simd_available() {
         return;
     }
-    for (name, kind, mut model) in paper_nets(25) {
+    for (name, shape, mut model) in paper_nets(25) {
         Quantizer::for_bitwidth(8)
             .unwrap()
             .quantize_frozen(&mut model)
             .unwrap();
         let mut scalar =
-            ExecPlan::compile_with_backend(&model, kind.input_shape(), KernelBackend::Scalar)
-                .unwrap();
+            ExecPlan::compile_with_backend(&model, shape, KernelBackend::Scalar).unwrap();
         let mut vector =
-            ExecPlan::compile_with_backend(&model, kind.input_shape(), KernelBackend::Simd)
-                .unwrap();
-        let x = net_batch(kind, 31, 4);
+            ExecPlan::compile_with_backend(&model, shape, KernelBackend::Simd).unwrap();
+        let x = net_batch(shape, 31, 4);
         let a = scalar.forward(&x).unwrap();
         let b = vector.forward(&x).unwrap();
         let err = rel_l2(b.data(), a.data());
@@ -360,6 +381,28 @@ fn topological_orders(ops: &[(usize, Vec<usize>)]) -> Vec<Vec<usize>> {
 // Zero-allocation steady state on the real acceptance net.
 // ---------------------------------------------------------------------------
 
+/// After one warm-up forward, repeated forwards of `x` grow no plan-owned
+/// buffer, and a plan pre-sized for the batch never allocates at all.
+fn assert_steady_state_allocation_free(name: &str, model: &Sequential, x: &Tensor) {
+    let shape = &x.shape()[1..];
+    let mut plan = ExecPlan::compile(model, shape).unwrap();
+    let mut out = Tensor::zeros(&[0]);
+    plan.forward_into(x, &mut out).unwrap();
+    let warm = plan.alloc_events();
+    for _ in 0..8 {
+        plan.forward_into(x, &mut out).unwrap();
+    }
+    assert_eq!(
+        plan.alloc_events(),
+        warm,
+        "{name}: steady-state compiled forward must not grow plan-owned buffers"
+    );
+    let mut fresh = ExecPlan::compile(model, shape).unwrap();
+    fresh.reserve_batch(x.shape()[0]);
+    fresh.forward_into(x, &mut out).unwrap();
+    assert_eq!(fresh.alloc_events(), 0, "{name}: reserved plan allocated");
+}
+
 #[test]
 fn frozen_lenet5_steady_state_is_allocation_free() {
     let mut model = lenet5(0.5, 70);
@@ -367,22 +410,14 @@ fn frozen_lenet5_steady_state_is_allocation_free() {
         .unwrap()
         .quantize_frozen(&mut model)
         .unwrap();
-    let mut plan = ExecPlan::compile(&model, &[1, 28, 28]).unwrap();
-    let x = net_batch(ModelKind::LeNet5, 71, 4);
-    let mut out = Tensor::zeros(&[0]);
-    plan.forward_into(&x, &mut out).unwrap();
-    let warm = plan.alloc_events();
-    for _ in 0..8 {
-        plan.forward_into(&x, &mut out).unwrap();
-    }
-    assert_eq!(
-        plan.alloc_events(),
-        warm,
-        "steady-state compiled forward must not grow plan-owned buffers"
-    );
-    // Pre-reserved plans never allocate at all.
-    let mut fresh = ExecPlan::compile(&model, &[1, 28, 28]).unwrap();
-    fresh.reserve_batch(4);
-    fresh.forward_into(&x, &mut out).unwrap();
-    assert_eq!(fresh.alloc_events(), 0);
+    let x = net_batch(ModelKind::LeNet5.input_shape(), 71, 4);
+    assert_steady_state_allocation_free("frozen lenet5", &model, &x);
+}
+
+/// The lowered conv's patch matrix and GEMM rows live in plan-owned
+/// scratch, which the steady state must not grow either.
+#[test]
+fn strided_steady_state_is_allocation_free() {
+    let x = net_batch(&STRIDED_INPUT, 72, 4);
+    assert_steady_state_allocation_free("strided", &strided(29), &x);
 }

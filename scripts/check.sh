@@ -65,11 +65,14 @@ echo "quant parity: packed storage and int8 kernels agree"
 # forward — must be per-logit bit-identical to Sequential::forward for
 # both paper nets at f32, q8-frozen, q4-frozen (plan and layer share the
 # same packed codes and int8 kernels) and DNS-pruned (scalar-vs-SIMD
-# plans additionally compared under the 1e-5 relative-L2 gate), the
-# Dense+ReLU fusion must fire on its pattern, a ReLU after a non-GEMM
-# layer must stay bit-exact as a standalone step, and the static memory
-# plan must never alias simultaneously live buffers under any
-# topological order. Run under both dispatch values like kernel_parity.
+# plans additionally compared under the 1e-5 relative-L2 gate), and so
+# must a stride-2 fixture whose conv lowers under either dispatch value
+# (the paper nets' convs all run direct under simd), with its lowering
+# scratch allocation-free in the steady state; the Dense+ReLU fusion must
+# fire on its pattern, a ReLU after a non-GEMM layer must stay bit-exact
+# as a standalone step, and the static memory plan must never alias
+# simultaneously live buffers under any topological order. Run under
+# both dispatch values like kernel_parity.
 for kernel in scalar simd; do
     ADVCOMP_KERNEL="$kernel" \
         cargo test -q -p advcomp-testkit --test graph_parity >/dev/null
@@ -139,7 +142,7 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 
 # Bench gates: every measurement bench writes one record schema and
 # checks its own gates after writing, exiting 1 with every failed record
-# listed. The thirteen gates: on AVX2+FMA the SIMD GEMM is not slower than
+# listed. The fifteen gates: on AVX2+FMA the SIMD GEMM is not slower than
 # scalar at 128³, the SIMD dense GEMM is not slower than scalar at the
 # conv-width shapes (LeNet-5 conv1 and CifarNet conv2 forwards, whose
 # output widths are channel counts), the direct convolution kernels are
@@ -150,7 +153,8 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 # LeNet-5 conv1-sized activation), and the packed Q8 GEMM is not slower
 # than dense f32; every
 # graph row has zero steady-state allocations, and on AVX2 compiled q8
-# LeNet-5 is >= 1.3x unfused (both timed in alternating iterations, at the
+# LeNet-5 is >= 1.3x unfused and compiled f32 LeNet-5 and CifarNet are
+# each >= 1x the layer path (all timed in alternating iterations, at the
 # bench's default 60); the detect fixture AUC is >= 0.9, and a live
 # guarded engine flags an offline-crafted UAP more often than clean
 # traffic and at a rate >= 0.15; with the core count of the committed
