@@ -122,6 +122,11 @@ impl Attack for DeepFool {
         "deepfool"
     }
 
+    /// `generate` concatenates one `attack_one` call per sample.
+    fn independent_samples(&self) -> bool {
+        true
+    }
+
     fn generate(&self, model: &mut Sequential, x: &Tensor, labels: &[usize]) -> Result<Tensor> {
         let n = *x.shape().first().unwrap_or(&0);
         if n != labels.len() {

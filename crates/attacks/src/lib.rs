@@ -19,7 +19,10 @@
 //!
 //! [`PaperParams`] carries the exact Table 1 hyper-parameters. Every attack
 //! implements the [`Attack`] trait so the transfer harness in
-//! `advcomp-core` treats them uniformly.
+//! `advcomp-core` treats them uniformly. [`craft_all`] crafts several
+//! attacks against one model with what serial [`Attack::generate`] calls
+//! return, running DeepFool's samples on idle pool workers beside the batch
+//! attacks.
 //!
 //! Every eval-only forward (accuracy, transfer accuracy, black-box oracle
 //! queries, UAP fool rates) runs through a compiled [`PlannedEval`] plan;
@@ -38,6 +41,7 @@
 //! # }
 //! ```
 
+mod craft;
 mod deepfool;
 mod error;
 mod fgm;
@@ -50,6 +54,7 @@ mod stats;
 pub mod step;
 mod universal;
 
+pub use craft::{craft_all, CraftJob};
 pub use deepfool::DeepFool;
 pub use error::AttackError;
 pub use fgm::{Fgm, Fgsm};
@@ -84,4 +89,13 @@ pub trait Attack: Send + Sync {
     ///
     /// Returns [`AttackError`] on shape/label mismatches or network errors.
     fn generate(&self, model: &mut Sequential, x: &Tensor, labels: &[usize]) -> Result<Tensor>;
+
+    /// Whether `generate` crafts each sample on its own: its output on a
+    /// batch is the concatenation of its outputs on each sample alone,
+    /// bit for bit, on any replica of the model, with the health events
+    /// in sample order. [`craft_all`] runs such an attack's samples as
+    /// separate pool chunks. `false` unless an attack says otherwise.
+    fn independent_samples(&self) -> bool {
+        false
+    }
 }

@@ -7,7 +7,7 @@ use crate::runner::run_supervised;
 use crate::scale::ExperimentScale;
 use crate::trainer::{evaluate_planned, TaskSetup, TrainedModel};
 use crate::{CoreError, Result};
-use advcomp_attacks::{AttackKind, NetKind, PaperParams, PlannedEval};
+use advcomp_attacks::{craft_all, Attack, AttackKind, CraftJob, NetKind, PaperParams, PlannedEval};
 use advcomp_compress::TrainConfig;
 use advcomp_nn::{faults, health};
 use advcomp_tensor::Tensor;
@@ -209,19 +209,24 @@ impl TransferMatrix {
 
         // Per-attack evaluation sets and baseline-generated adversarial
         // samples — these do not depend on the recipe, so compute them once.
-        let mut eval_sets: Vec<(Tensor, Vec<usize>)> = Vec::new();
-        let mut adv_from_full: Vec<Tensor> = Vec::new();
-        {
-            let mut full = baseline.instantiate()?;
-            for &kind in &self.attacks {
-                let n = eval_count(kind, scale, setup.test.len());
-                let (x, y) = setup.test.slice(0, n)?;
-                let attack = PaperParams::build_adapted(self.net, kind);
-                let adv = attack.generate(&mut full, &x, &y)?;
-                eval_sets.push((x, y));
-                adv_from_full.push(adv);
-            }
-        }
+        let eval_sets = self
+            .attacks
+            .iter()
+            .map(|&kind| {
+                setup
+                    .test
+                    .slice(0, eval_count(kind, scale, setup.test.len()))
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let (adv_from_full, craft_events) = health::scope(|| {
+            craft(
+                self.net,
+                &self.attacks,
+                &eval_sets,
+                &mut baseline.instantiate()?,
+            )
+        });
+        let adv_from_full = adv_from_full?;
 
         let attack_ids: Vec<&str> = self.attacks.iter().map(|k| k.id()).collect();
         let keys: Vec<String> = self
@@ -238,6 +243,10 @@ impl TransferMatrix {
             seed,
             setup,
             baseline,
+            craft_health: craft_events
+                .iter()
+                .map(health::HealthEvent::describe)
+                .collect(),
             finetune_cfg,
             eval_sets,
             adv_from_full,
@@ -355,6 +364,8 @@ pub struct PreparedMatrix {
     seed: u64,
     setup: TaskSetup,
     baseline: TrainedModel,
+    /// Health events of crafting `adv_from_full` on the baseline.
+    craft_health: Vec<String>,
     finetune_cfg: TrainConfig,
     eval_sets: Vec<(Tensor, Vec<usize>)>,
     adv_from_full: Vec<Tensor>,
@@ -409,13 +420,15 @@ impl PreparedMatrix {
         rec.status == PointStatus::Ok && rec.scenarios.len() == self.attacks.len()
     }
 
-    /// Baseline-training health events, formatted for [`MatrixRun::health`].
+    /// Baseline health events, formatted for [`MatrixRun::health`]: those
+    /// of training, then those of crafting the baseline's adversarial
+    /// samples (Scenario 2 inputs).
     pub fn baseline_health(&self) -> Vec<String> {
-        self.baseline
-            .health
-            .events
-            .iter()
+        let training = self.baseline.health.events.iter();
+        let crafting = self.craft_health.iter();
+        training
             .map(|e| format!("baseline: {e}"))
+            .chain(crafting.map(|e| format!("baseline craft: {e}")))
             .collect()
     }
 
@@ -621,8 +634,8 @@ pub struct MatrixRun {
     /// Points that failed permanently, with their final error and attempt
     /// count — recorded, not dropped.
     pub failed: Vec<PointFailure>,
-    /// Resilience incidents: baseline-training rollbacks, per-point
-    /// numerical-health events, journal-write degradations.
+    /// Resilience incidents: baseline-training rollbacks, baseline-crafting
+    /// and per-point numerical-health events, journal-write degradations.
     pub health: Vec<String>,
 }
 
@@ -654,16 +667,15 @@ fn compute_point(
     let mut comp_eval = PlannedEval::compile(&comp, sample_shape)?;
     let mut full_eval = PlannedEval::compile(&baseline.instantiate()?, sample_shape)?;
     let base_accuracy = evaluate_planned(&mut comp_eval, &setup.test, 64)?;
+    // One generation on the compressed model serves both Scenario 1
+    // (evaluate on itself) and Scenario 3 (evaluate on the hidden
+    // baseline).
+    let adv_comp = craft(net, attacks, eval_sets, &mut comp)?;
     let mut scenarios = Vec::with_capacity(attacks.len());
-    for (i, &kind) in attacks.iter().enumerate() {
-        let (x, y) = &eval_sets[i];
-        let attack = PaperParams::build_adapted(net, kind);
-        // One generation on the compressed model serves both Scenario 1
-        // (evaluate on itself) and Scenario 3 (evaluate on the hidden
-        // baseline).
-        let adv_comp = attack.generate(&mut comp, x, y)?;
-        let s1 = comp_eval.accuracy(&adv_comp, y)?;
-        let s3 = full_eval.accuracy(&adv_comp, y)?;
+    for (i, adv_comp) in adv_comp.iter().enumerate() {
+        let y = &eval_sets[i].1;
+        let s1 = comp_eval.accuracy(adv_comp, y)?;
+        let s3 = full_eval.accuracy(adv_comp, y)?;
         let s2 = comp_eval.accuracy(&adv_from_full[i], y)?;
         scenarios.push((s1, s2, s3));
     }
@@ -671,6 +683,27 @@ fn compute_point(
         base_accuracy,
         scenarios,
     })
+}
+
+/// Crafts every attack (at its adapted Table 1 parameters) on its
+/// evaluation set against `model`, as serial `generate` calls would, with
+/// DeepFool's samples on idle pool workers ([`craft_all`]).
+fn craft(
+    net: NetKind,
+    attacks: &[AttackKind],
+    eval_sets: &[(Tensor, Vec<usize>)],
+    model: &mut advcomp_nn::Sequential,
+) -> Result<Vec<Tensor>> {
+    let built: Vec<Box<dyn Attack>> = attacks
+        .iter()
+        .map(|&kind| PaperParams::build_adapted(net, kind))
+        .collect();
+    let jobs: Vec<CraftJob<'_>> = built
+        .iter()
+        .zip(eval_sets)
+        .map(|(attack, (x, y))| (attack.as_ref(), x, y.as_slice()))
+        .collect();
+    Ok(craft_all(model, &jobs)?)
 }
 
 /// A single-attack sweep — the one-curve convenience wrapper over

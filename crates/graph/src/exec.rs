@@ -276,7 +276,10 @@ fn split_pair(
 pub struct ExecPlan {
     backend: KernelBackend,
     input_shape: Vec<usize>,
-    output_shape: Vec<usize>,
+    /// The output's full shape, `[n, output_shape...]`: `forward_into`
+    /// writes the batch size into slot 0, so publishing the output builds
+    /// no shape.
+    batch_output_shape: Vec<usize>,
     steps: Vec<Step>,
     weights: Vec<PlannedGemm>,
     epilogues: Vec<EpilogueParams>,
@@ -521,7 +524,7 @@ impl ExecPlan {
         Ok(ExecPlan {
             backend,
             input_shape: graph.input_shape,
-            output_shape: cur_shape,
+            batch_output_shape: std::iter::once(0).chain(cur_shape).collect(),
             steps: b.steps,
             weights: b.weights,
             epilogues: b.epilogues,
@@ -749,12 +752,10 @@ impl ExecPlan {
                 }
             }
         }
-        let mut full_shape = Vec::with_capacity(1 + self.output_shape.len());
-        full_shape.push(n);
-        full_shape.extend_from_slice(&self.output_shape);
+        self.batch_output_shape[0] = n;
         let out_range = self.offsets[self.out_buf] * n
             ..self.offsets[self.out_buf] * n + self.sizes[self.out_buf] * n;
-        out.assign_from(&full_shape, &self.arena[out_range])?;
+        out.assign_from(&self.batch_output_shape, &self.arena[out_range])?;
         Ok(())
     }
 
@@ -799,7 +800,7 @@ impl ExecPlan {
 
     /// Per-sample output shape.
     pub fn output_shape(&self) -> &[usize] {
-        &self.output_shape
+        &self.batch_output_shape[1..]
     }
 
     /// The kernel backend every step dispatches with.

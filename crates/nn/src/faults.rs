@@ -26,6 +26,14 @@
 //! `advcomp-core` query it at their loop bodies and write paths. Probing a
 //! site is two atomic loads when no fault targets it, so production runs
 //! (no `ADVCOMP_FAULTS`, nothing installed) pay essentially nothing.
+//!
+//! Hit indices count invocations process-wide, in the order threads reach
+//! the site. `advcomp_attacks::craft_all` crafts DeepFool's samples on pool
+//! workers beside the batch attacks, so inside one call the `attack_iter`
+//! hits follow that schedule. A sticky fault from hit 0 fires on every hit
+//! whatever the order, and with `ADVCOMP_THREADS=1` the order is fixed, so
+//! both stay deterministic; a one-shot fault at a later hit may land on a
+//! different sample from run to run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

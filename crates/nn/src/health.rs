@@ -4,10 +4,13 @@
 //! `advcomp-attacks`, the training rollback logic in `advcomp-core` — need
 //! to report "something numerically bad happened and here is how I
 //! recovered" without every function signature in between growing a
-//! metadata channel. Each sweep job runs wholly on one worker thread, so a
+//! metadata channel. Each sweep job runs on one worker thread, so a
 //! thread-local event log works: guards [`record`] events as they fire, and
 //! the job harness wraps the whole pipeline in [`scope`] to collect
-//! everything that happened into the point's result metadata.
+//! everything that happened into the point's result metadata. Work a job
+//! hands to other threads brings its events back: `advcomp_attacks::craft_all`
+//! captures each pool-crafted sample's events in a [`scope`] and re-records
+//! them on the calling thread.
 //!
 //! Events are *recoveries*, not errors: a guard that records an event has
 //! already degraded gracefully (kept the last good attack iterate, rolled

@@ -672,22 +672,18 @@ fn probe_patches(
     geom: &Conv2dGeometry,
     (oh, ow): (usize, usize),
 ) -> MatmulKernel {
-    let (h, w, kw) = (geom.in_h, geom.in_w, geom.kernel_w);
-    let taps = geom.kernel_h * kw;
-    // Patch column `kk` reads channel plane `kk / taps` at kernel offset
-    // `(ky, kx)`, both counted from the padded origin of its patch.
-    let columns: Vec<(usize, usize, usize)> = (0..geom.patch_len())
-        .map(|kk| ((kk / taps) * h * w, kk % taps / kw, kk % kw))
-        .collect();
+    let (h, w) = (geom.in_h, geom.in_w);
     let sample = geom.in_channels * h * w;
-    let dims = [n, oh, ow, columns.len()];
+    // Patch column `(ch, ky, kx)` reads channel plane `ch` at kernel offset
+    // `(ky, kx)`, counted from the padded origin of its patch; splitting
+    // the column into its three digits walks the same flat indices.
+    let dims = [n, oh, ow, geom.in_channels, geom.kernel_h, geom.kernel_w];
     let mut walk = ProbeWalk::new(dims);
     probe_kernel_by(dims.iter().product(), || {
-        let [b, oy, ox, kk] = walk.next();
-        let (plane, ky, kx) = columns[kk];
+        let [b, oy, ox, ch, ky, kx] = walk.next();
         let iy = (oy * geom.stride + ky).wrapping_sub(geom.padding);
         let ix = (ox * geom.stride + kx).wrapping_sub(geom.padding);
-        iy < h && ix < w && input[b * sample + plane + iy * w + ix] != 0.0
+        iy < h && ix < w && input[b * sample + ch * h * w + iy * w + ix] != 0.0
     })
 }
 

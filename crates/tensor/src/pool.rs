@@ -10,27 +10,45 @@
 //! * The pool is sized by the `ADVCOMP_THREADS` environment variable when
 //!   set, otherwise by [`std::thread::available_parallelism`]. The value is
 //!   read **once** and cached (see [`available_threads`]).
-//! * [`for_each_chunk`] is the one scheduling primitive. It hands out
-//!   disjoint mutable bands of an output buffer — the access pattern of
-//!   every kernel in this crate (row bands of a GEMM, batch samples of
-//!   `im2col`, element ranges of a large `map`) — and blocks until every
-//!   band has been computed, so the bands may borrow the caller's stack.
+//! * [`WorkerPool::run`] is the one scheduling body. It runs a *lead*
+//!   closure on the calling thread while idle workers run numbered
+//!   *chunks*, then lets the caller claim the chunks still unclaimed, and
+//!   blocks until every chunk has finished, so chunks may borrow the
+//!   caller's stack.
+//! * [`for_each_chunk`] is `run` with an empty lead: it hands out disjoint
+//!   mutable bands of an output buffer — the access pattern of every
+//!   kernel in this crate (row bands of a GEMM, batch samples of `im2col`,
+//!   element ranges of a large `map`).
 //!
 //! # Self-scheduled scopes
 //!
-//! A parallel `for_each_chunk` call publishes one *job* on the pool's
-//! queue: a claim cursor over its chunk indices plus a number of *helper
-//! seats*, `min(effective_threads − 1, chunks − 1)`. The calling thread
-//! then claims chunk indices from the cursor itself, and every idle worker
-//! that takes a seat claims from the same cursor. The caller therefore
-//! never sleeps while its own chunks are unclaimed; it waits only for
-//! chunks a helper has already started. A worker takes a seat on the first
-//! queued job that still has unclaimed chunks and a free seat, and a job
-//! leaves the queue once it is exhausted or fully seated. Because seats
-//! are counted per job, [`with_thread_cap`]`(n)` bounds every scope to `n`
-//! threads, the caller included. Chunk boundaries never depend on which
-//! thread claims a chunk, so kernel results are bit-identical under any
-//! schedule.
+//! A parallel `run` publishes one *job* on the pool's queue: a claim
+//! cursor over its chunk indices plus a number of *helper seats*. The
+//! calling thread runs the lead, then claims chunk indices from the cursor
+//! itself, while every idle worker that takes a seat claims from the same
+//! cursor from the moment the job is published. The caller therefore never
+//! sleeps while its own chunks are unclaimed; it waits only for chunks a
+//! helper has already started. A worker takes a seat on the first queued
+//! job that still has unclaimed chunks and a free seat, and a job leaves
+//! the queue once it is exhausted or fully seated. Seats are counted per
+//! job and capped at `effective_threads − 1`, so [`with_thread_cap`]`(n)`
+//! bounds every scope to `n` threads, the caller included. Chunk boundaries
+//! never depend on which thread claims a chunk, so kernel results are
+//! bit-identical under any schedule. With no helper seat (a cap of 1, a
+//! call from inside a worker, or a caller asking for none, as
+//! `for_each_chunk` does for a single chunk) the lead runs first and then
+//! every chunk in index order, all on the caller.
+//!
+//! # Lead plus chunks
+//!
+//! Kernels pass an empty lead. `advcomp_attacks::craft_all` passes a real
+//! one: the sweep's per-point crafting runs the batch attacks (IFGSM,
+//! IFGM) as the lead on the calling thread, while DeepFool's independent
+//! samples are the chunks that idle workers take. The lead's own kernel
+//! scopes publish jobs of their own, so a worker that runs out of samples
+//! helps those. A panic in the lead stops the remaining chunks from
+//! starting and is re-raised once every started chunk has finished; a
+//! panic in a chunk is re-raised after the lead and every chunk.
 //!
 //! # Composition with experiment-level parallelism
 //!
@@ -39,9 +57,9 @@
 //! worker. Each such caller computes its own scopes and the shared workers
 //! only help, so concurrent callers make progress side by side instead of
 //! queueing behind the workers: `w` callers on an `ADVCOMP_THREADS=p` pool
-//! run at most `w + p − 1` compute threads. A scope opened from inside a
-//! pool worker (nested data parallelism) runs inline on that worker, which
-//! makes nesting deadlock-free.
+//! run at most `w + p − 1` compute threads, leads included. A scope opened
+//! from inside a pool worker (nested data parallelism) runs inline on that
+//! worker, which makes nesting deadlock-free.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -76,7 +94,7 @@ thread_local! {
     /// instead of publishing jobs from inside a job.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 
-    /// Per-thread cap on the parallelism a `for_each_chunk` caller will
+    /// Per-thread cap on the parallelism a [`WorkerPool::run`] caller will
     /// use; `usize::MAX` means "whatever the pool has". Tests and ablation
     /// benches use [`with_thread_cap`] to exercise 1/2/8-way splits
     /// deterministically inside one process.
@@ -108,8 +126,9 @@ struct Job {
     /// called only with an index won from `next`, and the caller does not
     /// return before every won index has finished, so the borrow outlives
     /// every call. A job can stay queued (or held by a seated helper) after
-    /// its caller returned; by then `next >= count`, so no claim succeeds
-    /// and this pointer is never dereferenced again.
+    /// its caller returned; by then `next >= count` (exhausted or
+    /// [cancelled](Job::cancel)), so no claim succeeds and this pointer is
+    /// never dereferenced again.
     chunk: *const (dyn Fn(usize) + Sync + 'static),
     count: usize,
     next: AtomicUsize,
@@ -119,6 +138,9 @@ struct Job {
 
 struct Progress {
     finished: usize,
+    /// Chunks that will finish: `count`, or after [`Job::cancel`] the
+    /// number won before it.
+    expected: usize,
     panic: Option<Panic>,
 }
 
@@ -151,8 +173,8 @@ impl Job {
         let mut panic = None;
         while let Some(i) = self.claim() {
             // SAFETY: `i` was just won from the cursor, so the caller is
-            // still blocked in `for_each_chunk` and the closure is alive
-            // (see `Job::chunk`).
+            // still inside `WorkerPool::run` and the closure is alive (see
+            // `Job::chunk`).
             let chunk = unsafe { &*self.chunk };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| chunk(i))) {
                 panic.get_or_insert(payload);
@@ -167,15 +189,31 @@ impl Job {
         if progress.panic.is_none() {
             progress.panic = panic;
         }
-        if progress.finished == self.count {
+        if progress.finished == progress.expected {
             self.done.notify_all();
         }
     }
 
-    /// Blocks until every chunk has finished; returns the first panic.
+    /// Stops every later claim: chunks not yet won never run, and
+    /// [`wait`](Job::wait) waits only for the ones already won.
+    fn cancel(&self) {
+        // `Relaxed` as in `claim`: the swap and every claim are
+        // read-modify-writes of one atomic, so each claim lands wholly
+        // before the swap (and is counted in `won`) or after it (and fails).
+        let won = self
+            .next
+            .swap(self.count, Ordering::Relaxed)
+            .min(self.count);
+        self.progress
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .expected = won;
+    }
+
+    /// Blocks until every won chunk has finished; returns the first panic.
     fn wait(&self) -> Option<Panic> {
         let mut progress = self.progress.lock().unwrap_or_else(|p| p.into_inner());
-        while progress.finished < self.count {
+        while progress.finished < progress.expected {
             progress = self.done.wait(progress).unwrap_or_else(|p| p.into_inner());
         }
         progress.panic.take()
@@ -228,7 +266,7 @@ impl WorkerPool {
             published: Condvar::new(),
         });
         // One worker fewer than the target parallelism: the thread calling
-        // `for_each_chunk` always computes chunks itself, so `threads`-way
+        // `WorkerPool::run` always computes chunks itself, so `threads`-way
         // splits use exactly `threads` runnable threads.
         for worker in 0..threads.saturating_sub(1) {
             let queue = Arc::clone(&queue);
@@ -261,11 +299,34 @@ impl WorkerPool {
         THREAD_CAP.with(|cap| cap.get()).min(self.threads)
     }
 
-    /// Runs `chunk(i)` for every `i` in `0..count` on this thread and on up
-    /// to `helpers` (≥ 1) idle workers, returning once all have finished.
-    /// A panic in any chunk is re-raised here after that.
-    fn run(&self, count: usize, helpers: usize, chunk: &(dyn Fn(usize) + Sync)) {
-        debug_assert!(helpers >= 1 && helpers < count);
+    /// Runs `lead` on this thread while up to `helpers` idle workers run
+    /// `chunk(i)` for the indices `i` in `0..count` they claim, then claims
+    /// the indices still unclaimed on this thread, and returns `lead`'s
+    /// result once every chunk has finished.
+    ///
+    /// `helpers` is capped at [`effective_threads`](Self::effective_threads)
+    /// `− 1` and at `count`. With no helper left, nothing is published:
+    /// `lead` runs, then every chunk in index order, on this thread, and a
+    /// panic propagates at once. Otherwise a panic in a chunk is re-raised
+    /// here after `lead` and every chunk have finished, and a panic in
+    /// `lead` stops the unclaimed chunks from starting and is re-raised
+    /// once every started chunk has finished (chunks may borrow this
+    /// thread's stack).
+    pub fn run<R>(
+        &self,
+        count: usize,
+        helpers: usize,
+        lead: impl FnOnce() -> R,
+        chunk: &(dyn Fn(usize) + Sync),
+    ) -> R {
+        let helpers = helpers.min(self.effective_threads() - 1).min(count);
+        if helpers == 0 {
+            let led = lead();
+            for i in 0..count {
+                chunk(i);
+            }
+            return led;
+        }
         // SAFETY: only the lifetime changes (same fat-pointer layout); see
         // `Job::chunk` for why the erased borrow is never used after this
         // function returns.
@@ -281,6 +342,7 @@ impl WorkerPool {
             next: AtomicUsize::new(0),
             progress: Mutex::new(Progress {
                 finished: 0,
+                expected: count,
                 panic: None,
             }),
             done: Condvar::new(),
@@ -296,10 +358,18 @@ impl WorkerPool {
         for _ in 0..helpers {
             self.queue.published.notify_one();
         }
-        job.work();
-        if let Some(payload) = job.wait() {
+        let led = catch_unwind(AssertUnwindSafe(lead));
+        if led.is_ok() {
+            job.work();
+        } else {
+            job.cancel();
+        }
+        let chunk_panic = job.wait();
+        let led = led.unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(payload) = chunk_panic {
             resume_unwind(payload);
         }
+        led
     }
 }
 
@@ -329,30 +399,23 @@ impl<T> SharedOut<T> {
 ///
 /// Chunks are disjoint `&mut` bands, so no synchronisation is needed in
 /// `f`. Chunk `i` starts at element `i * chunk_len`; every chunk except
-/// possibly the last has exactly `chunk_len` elements. The calling thread
-/// computes chunks itself and up to `effective_threads() − 1` idle workers
-/// help; if `f` panics, the panic is re-raised here after every chunk has
-/// run.
+/// possibly the last has exactly `chunk_len` elements. This is
+/// [`WorkerPool::run`] with an empty lead: the calling thread computes
+/// chunks itself and up to `effective_threads() − 1` idle workers help
+/// (never more than one fewer than the chunks); if `f` panics on a helper,
+/// the panic is re-raised here after every chunk has run.
 pub fn for_each_chunk<T: Send, F>(out: &mut [T], chunk_len: usize, f: F)
 where
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_len = chunk_len.max(1);
-    let pool = global();
-    let count = out.len().div_ceil(chunk_len);
-    let threads = pool.effective_threads();
-    if threads < 2 || count < 2 {
-        for (i, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
     let len = out.len();
+    let count = len.div_ceil(chunk_len);
     let out = SharedOut(out.as_mut_ptr());
-    pool.run(count, (threads - 1).min(count - 1), &|i| {
+    global().run(count, count.saturating_sub(1), || {}, &|i| {
         let start = i * chunk_len;
         let end = (start + chunk_len).min(len);
-        // SAFETY: the pool runs each index in `0..count` exactly once, so
+        // SAFETY: the pool runs each index in `0..count` at most once, so
         // `start..end` is in bounds and disjoint from every other band, and
         // `out` stays exclusively borrowed until `run` returns, which is
         // after every band has been dropped.

@@ -214,7 +214,7 @@ impl Tensor {
     }
 
     /// Overwrites `self` with `data` reshaped to `shape`, reusing the
-    /// existing allocation when the element count already matches. The
+    /// existing data and shape allocations when they are large enough. The
     /// graph executor uses this to publish its arena-resident output into a
     /// caller-owned tensor without a per-forward allocation.
     ///
@@ -231,7 +231,8 @@ impl Tensor {
         }
         self.data.clear();
         self.data.extend_from_slice(data);
-        self.shape = shape.to_vec();
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
         Ok(())
     }
 

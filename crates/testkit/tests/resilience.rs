@@ -192,3 +192,38 @@ fn nan_attack_gradient_surfaces_in_sweep_health_metadata() {
         assert!((0.0..=1.0).contains(&v), "{p:?}");
     }
 }
+
+#[test]
+fn nan_in_baseline_crafting_surfaces_in_sweep_health_metadata() {
+    let scale = serial_tiny();
+    // The sticky NaN also poisons the baseline's crafts of the Scenario 2
+    // samples, which `prepare` runs before any point's health scope.
+    let _g = install(vec![FaultSpec::sticky(FaultKind::Nan, "attack_iter", 0)]);
+    let matrix = TransferMatrix::pruning(
+        NetKind::LeNet5,
+        vec![AttackKind::Ifgsm, AttackKind::DeepFool],
+        &[1.0],
+    );
+    let run = matrix
+        .run_resilient(
+            &scale,
+            &RunConfig {
+                seed: 7,
+                run_dir: None,
+                retry: RetryPolicy::none(),
+            },
+        )
+        .unwrap();
+    assert!(run.failed.is_empty(), "{:?}", run.failed);
+    let first = |prefix: &str| {
+        run.health
+            .iter()
+            .position(|h| h.starts_with(prefix) && h.contains("non-finite"))
+            .unwrap_or_else(|| panic!("no '{prefix}' event in {:?}", run.health))
+    };
+    let ifgsm = first("baseline craft: ifgsm: ");
+    let deepfool = first("baseline craft: deepfool: ");
+    let point = first("point x=1 (none): ");
+    // Listed in crafting order, after training and before the points.
+    assert!(ifgsm < deepfool && deepfool < point, "{:?}", run.health);
+}

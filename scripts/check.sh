@@ -17,12 +17,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 # stale Cargo.lock instead of silently rewriting it.
 cargo test --workspace -q --locked
 
-# Pooled kernel paths: `with_thread_cap(n)` is clamped to the pool size,
-# so on a 1-core host every cap in the kernels suite runs serially. A
-# pool of 8 makes its 2- and 8-way caps split into real bands and run
-# chunks on helper threads.
+# Pooled paths: `with_thread_cap(n)` is clamped to the pool size, so on a
+# 1-core host every cap in the kernels suite runs serially. A pool of 8
+# makes its 2- and 8-way caps split into real bands and run chunks on
+# helper threads. It also gives `craft_all` seven helpers, so DeepFool's
+# samples interleave across threads beside the batch attacks, and the
+# crafts and health events must still equal serial `generate` calls bit
+# for bit.
 ADVCOMP_THREADS=8 cargo test -q --locked -p advcomp-tensor --test kernels >/dev/null
 echo "kernels: pooled bands agree at ADVCOMP_THREADS=8"
+ADVCOMP_THREADS=8 cargo test -q --locked -p advcomp-testkit --test craft_concurrency >/dev/null
+echo "crafting: craft_all equals serial generate at ADVCOMP_THREADS=8"
 
 # Golden-drift gate: regenerate the checked-in golden vectors in place and
 # fail if they differ from HEAD. A stale golden already fails `cargo test`;
