@@ -208,7 +208,7 @@ fn conv_wgrad(iters: usize, report: &mut Report) {
         let x = init.tensor(&[BATCH, c, hw, hw], &mut rng);
         let dy = init.tensor(&[BATCH, oc, oh, ow], &mut rng);
         let grads = |imp| {
-            let g = conv2d_weight_grad(be, &x, &dy, &geom, imp, None, None);
+            let g = conv2d_weight_grad(be, &x, &dy, &geom, imp, None);
             black_box(g.expect("conv weight gradient"));
         };
         let (lowering_ns, direct_ns) = median_ns_pair(
@@ -303,7 +303,6 @@ fn conv_direct(iters: usize, report: &mut Report) {
                     bias.data(),
                     &geom,
                     imp,
-                    None,
                     scratch,
                     y.data_mut(),
                 )
@@ -316,7 +315,7 @@ fn conv_direct(iters: usize, report: &mut Report) {
                 || forward(ConvImpl::Direct, &mut untouched),
             );
             let input_grad = |imp| {
-                let g = conv2d_input_grad(be, &dy, &weight, &geom, imp, None);
+                let g = conv2d_input_grad(be, &dy, &weight, &geom, imp);
                 black_box(g.expect("conv input gradient"));
             };
             let (dx_lowering, dx_direct) = median_ns_pair(

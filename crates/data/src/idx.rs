@@ -1,20 +1,16 @@
-//! Loaders for the genuine dataset file formats.
+//! Loaders for the genuine dataset file formats: MNIST's IDX format
+//! (`train-images-idx3-ubyte` etc.) and the CIFAR-10 binary batches
+//! (`data_batch_1.bin` ... `test_batch.bin`).
 //!
-//! When real corpora are present these are used instead of the synthetic
-//! generators: MNIST's IDX format (`train-images-idx3-ubyte` etc.) and the
-//! CIFAR-10 binary batches (`data_batch_1.bin` ... `test_batch.bin`). Set
-//! `ADVCOMP_DATA_DIR` (or pass an explicit directory) to point at them.
+//! [`load_mnist`] and [`load_cifar10`] parse the files in a directory their
+//! caller passes. No experiment calls them: every experiment trains and
+//! attacks on the synthetic stand-ins.
 
 use crate::dataset::{Dataset, DatasetError};
 use advcomp_tensor::Tensor;
 use std::fs::File;
 use std::io::Read;
-use std::path::{Path, PathBuf};
-
-/// Directory the loaders look in when none is given: `ADVCOMP_DATA_DIR`.
-pub fn default_data_dir() -> Option<PathBuf> {
-    std::env::var_os("ADVCOMP_DATA_DIR").map(PathBuf::from)
-}
+use std::path::Path;
 
 fn read_file(path: &Path) -> Result<Vec<u8>, DatasetError> {
     let mut buf = Vec::new();

@@ -13,8 +13,8 @@
 //!   mid-80s — reproducing the paper's LeNet5-vs-CifarNet accuracy contrast
 //!   that drives its §4.1 gradient-magnitude argument.
 //!
-//! When real files are available (`ADVCOMP_DATA_DIR`), [`idx::load_mnist`]
-//! and [`idx::load_cifar10`] read the genuine formats instead.
+//! [`idx::load_mnist`] and [`idx::load_cifar10`] parse the genuine formats
+//! from a directory their caller passes; no experiment calls them.
 //!
 //! # Example
 //!

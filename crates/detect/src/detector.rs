@@ -235,11 +235,6 @@ impl VariantEnsemble {
             .collect()
     }
 
-    /// Number of compressed variants.
-    pub fn num_variants(&self) -> usize {
-        self.variants.len()
-    }
-
     /// Eval logits of every member for `x`: `(baseline, variants)`.
     ///
     /// # Errors

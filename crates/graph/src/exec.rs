@@ -610,18 +610,7 @@ impl ExecPlan {
                         Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
                     };
                     let cap = conv_scratch.capacity();
-                    conv2d_forward(
-                        backend,
-                        sl,
-                        n,
-                        weight_t,
-                        bias,
-                        geom,
-                        *imp,
-                        None,
-                        conv_scratch,
-                        dl,
-                    )?;
+                    conv2d_forward(backend, sl, n, weight_t, bias, geom, *imp, conv_scratch, dl)?;
                     if conv_scratch.capacity() > cap {
                         *alloc_events += 1;
                     }

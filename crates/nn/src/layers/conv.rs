@@ -18,9 +18,10 @@ use rand::Rng;
 /// — forward, input gradient, and weight and bias gradients — runs the
 /// implementation [`advcomp_tensor::conv_impl`] picks for the layer's
 /// geometry: on the AVX2 backend a stride-1 conv with padding below its
-/// kernel runs the direct kernels, which build no patch matrix; every
-/// other conv lowers to `im2col` + matmul. Both give the same bits. The
-/// forward caches its input, from which `backward` after a forward in
+/// kernel runs the direct kernels, which build no patch matrix and give
+/// the dense lowering's bits, so a sample's forward and input gradient do
+/// not depend on the rest of its batch; every other conv lowers to
+/// `im2col` + matmul. The forward caches its input, from which `backward` after a forward in
 /// either mode computes the weight gradient `g2dᵀ · cols`; `backward_input`
 /// needs no patch matrix at all. The f32 forward is
 /// [`advcomp_tensor::conv2d_forward`], the graph executor's too. A lowered
@@ -116,11 +117,6 @@ impl Conv2d {
         }
     }
 
-    /// `true` when the kernels are frozen into packed quantised form.
-    pub fn is_frozen(&self) -> bool {
-        self.packed.is_some()
-    }
-
     /// Checks `grad_output` against the last forward and returns that
     /// forward's cache.
     fn checked_cache(&self, grad_output: &Tensor) -> Result<&ConvCache> {
@@ -157,7 +153,6 @@ impl Conv2d {
             &self.weight.value,
             geom,
             imp,
-            None,
         )?)
     }
 }
@@ -220,7 +215,6 @@ impl Layer for Conv2d {
             self.bias.value.data(),
             &geom,
             conv_impl(backend, &geom),
-            None,
             &mut self.scratch,
             out.data_mut(),
         )?;
@@ -238,15 +232,8 @@ impl Layer for Conv2d {
         let imp = conv_impl(backend, &cache.geom);
         // A lowered forward left the input's patch matrix in the scratch.
         let cols = (imp == ConvImpl::Lowering).then_some(&self.scratch.cols);
-        let (gw, gb) = conv2d_weight_grad(
-            backend,
-            &cache.input,
-            grad_output,
-            &cache.geom,
-            imp,
-            None,
-            cols,
-        )?;
+        let (gw, gb) =
+            conv2d_weight_grad(backend, &cache.input, grad_output, &cache.geom, imp, cols)?;
         let geom = cache.geom;
         self.weight.grad.add_assign(&gw)?;
         self.bias.grad.add_assign(&gb)?;

@@ -70,11 +70,6 @@ impl Dense {
         }
     }
 
-    /// `true` when the weights are frozen into packed quantised form.
-    pub fn is_frozen(&self) -> bool {
-        self.packed.is_some()
-    }
-
     /// The last forward's input, which every backward needs.
     fn cached_input(&self) -> Result<&Tensor> {
         if self.packed.is_some() {

@@ -35,12 +35,6 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to the layer chain (used by compression passes to
-    /// enable `FakeQuant` points).
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Runs the network on a batch.
     ///
     /// # Errors

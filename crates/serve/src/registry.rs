@@ -386,11 +386,6 @@ impl ModelRegistry {
         self.current().map_or_else(Vec::new, |s| s.names())
     }
 
-    /// Number of compressed variants.
-    pub fn num_variants(&self) -> usize {
-        self.current().map_or(0, |s| s.variants.len())
-    }
-
     /// Compiles `model` for the registry's input shape and probe-forwards a
     /// zero sample through the plan, returning the plan and the model's
     /// class count.

@@ -14,13 +14,15 @@
 //! NCHW, the input gradient gathers each input pixel's terms from the
 //! output gradient, and the weight gradient chains each weight over the
 //! batch's output positions, so neither `im2col`, `col2im` nor the row ↔
-//! NCHW transposes run. They are bit-identical to the SIMD lowering: each
-//! element keeps its GEMM kernel's arithmetic (dense FMA chain or zero-skip
-//! mul-then-add) in the same order, and the batch's kernel is chosen by
-//! sampling the never-built GEMM operand at exactly the positions
-//! [`crate::probe_matmul_kernel`] would. [`conv_impl`] is the one rule
-//! that sends a pass to them; [`conv2d_forward`], [`conv2d_input_grad`]
-//! and [`conv2d_weight_grad`] run either implementation.
+//! NCHW transposes run. They have one arithmetic, the dense GEMM's
+//! in-order FMA chain, and return the bits of the SIMD lowering run with
+//! the dense kernel; they skip all-zero steps of that chain, which can
+//! change only the sign of a zero an underflowed product left (see
+//! [`crate::simd`]). (The lowering itself picks its GEMM kernel by the
+//! density probe over the whole batch's operand,
+//! [`crate::probe_matmul_kernel`].) [`conv_impl`] is the one rule that
+//! sends a pass to them; [`conv2d_forward`], [`conv2d_input_grad`] and
+//! [`conv2d_weight_grad`] run either implementation.
 //!
 //! [`conv2d_forward`] is the one f32 convolution forward: `Conv2d` and the
 //! graph executor's f32 conv steps both call it, on slices, and it runs
@@ -39,9 +41,8 @@
 //! [`max_pool2d`] is the one max-pooling window loop, shared by the layer
 //! and the graph executor.
 
-use crate::ops::{probe_kernel_by, probe_step};
 use crate::simd::{self, DirectConv, WgradTiling, WGRAD_GROUP};
-use crate::{pool, KernelBackend, MatmulKernel, QActivations, Result, Tensor, TensorError};
+use crate::{pool, probe_matmul_kernel, KernelBackend, QActivations, Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 /// Static geometry of a 2-D convolution or pooling window over NCHW input.
@@ -516,7 +517,7 @@ pub enum ConvImpl {
     /// `col2im` input gradient.
     Lowering,
     /// The direct stride-1 AVX2 kernels, bit-identical to the SIMD
-    /// lowering, with no patch matrix.
+    /// lowering run with the dense GEMM, with no patch matrix.
     Direct,
 }
 
@@ -528,6 +529,11 @@ pub enum ConvImpl {
 /// reference) and strided convolutions. `Conv2d` and the graph executor's
 /// f32 conv steps both ask it. (Int8 convolutions have no direct kernel:
 /// the frozen layer lowers, and the graph executor gathers patch codes.)
+///
+/// Where it picks [`ConvImpl::Direct`], a sample's forward and input
+/// gradient equal, bit for bit, those of the sample convolved alone. The
+/// lowering's GEMM kernel follows a density probe over the whole batch, so
+/// there a sample's bits can depend on its batchmates.
 ///
 /// The passes share the rule because `kernel_bench`'s `simd.conv_direct.*`
 /// and `simd.conv_wgrad.*` rows measure the direct kernels winning every
@@ -622,97 +628,6 @@ where
     }
 }
 
-/// Coordinates of the flat indices the density probe samples (see
-/// [`probe_step`]) in a row-major array of shape `dims`, in increasing
-/// order, found by mixed-radix addition of the step's digits rather than
-/// by division.
-struct ProbeWalk<const N: usize> {
-    dims: [usize; N],
-    step: [usize; N],
-    coord: [usize; N],
-}
-
-impl<const N: usize> ProbeWalk<N> {
-    fn new(dims: [usize; N]) -> Self {
-        let mut rest = probe_step(dims.iter().product());
-        let mut step = [0; N];
-        for j in (1..N).rev() {
-            step[j] = rest % dims[j];
-            rest /= dims[j];
-        }
-        step[0] = rest;
-        ProbeWalk {
-            dims,
-            step,
-            coord: [0; N],
-        }
-    }
-
-    /// The next sampled coordinate (the first call returns the origin).
-    fn next(&mut self) -> [usize; N] {
-        let at = self.coord;
-        let mut carry = 0;
-        for j in (1..N).rev() {
-            let v = self.coord[j] + self.step[j] + carry;
-            carry = usize::from(v >= self.dims[j]);
-            self.coord[j] = v - carry * self.dims[j];
-        }
-        self.coord[0] += self.step[0] + carry;
-        at
-    }
-}
-
-/// The GEMM kernel the lowering's forward would pick: the density probe
-/// over the `[n·oh·ow, c·kh·kw]` patch matrix of `input`, read at the
-/// sampled positions without building it. `(oh, ow)` is the geometry's
-/// output size.
-fn probe_patches(
-    input: &[f32],
-    n: usize,
-    geom: &Conv2dGeometry,
-    (oh, ow): (usize, usize),
-) -> MatmulKernel {
-    let (h, w) = (geom.in_h, geom.in_w);
-    let sample = geom.in_channels * h * w;
-    // Patch column `(ch, ky, kx)` reads channel plane `ch` at kernel offset
-    // `(ky, kx)`, counted from the padded origin of its patch; splitting
-    // the column into its three digits walks the same flat indices.
-    let dims = [n, oh, ow, geom.in_channels, geom.kernel_h, geom.kernel_w];
-    let mut walk = ProbeWalk::new(dims);
-    probe_kernel_by(dims.iter().product(), || {
-        let [b, oy, ox, ch, ky, kx] = walk.next();
-        let iy = (oy * geom.stride + ky).wrapping_sub(geom.padding);
-        let ix = (ox * geom.stride + kx).wrapping_sub(geom.padding);
-        iy < h && ix < w && input[b * sample + ch * h * w + iy * w + ix] != 0.0
-    })
-}
-
-/// The GEMM kernel the lowering's input gradient would pick: the density
-/// probe over the `[n·oh·ow, oc]` gradient rows of the NCHW `grad` (shape
-/// `[n, oc, oh, ow]`), read without transposing it. A row's output
-/// position is one coordinate here, which keeps the walk's carry chain
-/// short.
-fn probe_grad_rows(grad: &[f32], [n, oc, oh, ow]: [usize; 4]) -> MatmulKernel {
-    let plane = oh * ow;
-    let mut walk = ProbeWalk::new([n, plane, oc]);
-    probe_kernel_by(n * plane * oc, || {
-        let [b, pos, o] = walk.next();
-        grad[(b * oc + o) * plane + pos] != 0.0
-    })
-}
-
-/// The GEMM kernel the lowering's weight gradient would pick: the density
-/// probe over `g2dᵀ`, the `[oc, n·oh·ow]` transpose of the gradient rows of
-/// the NCHW `grad` (shape `[n, oc, oh, ow]`), read without building it.
-fn probe_grad_cols(grad: &[f32], [n, oc, oh, ow]: [usize; 4]) -> MatmulKernel {
-    let plane = oh * ow;
-    let mut walk = ProbeWalk::new([oc, n, plane]);
-    probe_kernel_by(oc * n * plane, || {
-        let [o, b, pos] = walk.next();
-        grad[(b * oc + o) * plane + pos] != 0.0
-    })
-}
-
 /// The buffers a lowered convolution forward fills: the patch matrix and
 /// the GEMM rows. The caller owns them and passes them to every call, so
 /// they are rewritten in place and grow only when a larger batch comes; the
@@ -746,11 +661,12 @@ impl ConvScratch {
 /// receives the `[n, oc, oh, ow]` output, fully overwritten. `Conv2d` and
 /// the graph executor's f32 conv steps both run it.
 ///
-/// `kernel` forces the GEMM kernel flavour; `None` picks it as
-/// [`crate::Tensor::matmul`] would, by the density probe over the patch
-/// matrix. [`ConvImpl::Lowering`] runs `im2col` into `scratch.cols`, the
-/// GEMM into the scratch rows, the bias add and the NCHW transpose;
-/// [`ConvImpl::Direct`] leaves `scratch` alone and returns the same bits.
+/// [`ConvImpl::Lowering`] runs `im2col` into `scratch.cols`, the GEMM
+/// (its kernel picked as [`crate::Tensor::matmul`] would, by the density
+/// probe over the patch matrix) into the scratch rows, the bias add and the
+/// NCHW transpose. [`ConvImpl::Direct`] leaves `scratch` alone and returns
+/// the bits of that lowering run with the dense GEMM, whatever the
+/// sample's batchmates hold.
 ///
 /// # Errors
 ///
@@ -768,7 +684,6 @@ pub fn conv2d_forward(
     bias: &[f32],
     geom: &Conv2dGeometry,
     imp: ConvImpl,
-    kernel: Option<MatmulKernel>,
     scratch: &mut ConvScratch,
     out: &mut [f32],
 ) -> Result<()> {
@@ -788,7 +703,7 @@ pub fn conv2d_forward(
         let m = n * oh * ow;
         cols.reset_scratch(&[m, patch]);
         im2col_slice(input, geom, (oh, ow), cols.data_mut());
-        let kernel = kernel.unwrap_or_else(|| crate::probe_matmul_kernel(cols.data()));
+        let kernel = probe_matmul_kernel(cols.data());
         rows.clear();
         rows.resize(m * oc, 0.0);
         crate::ops::matmul_slices(backend, kernel, cols.data(), weight_t, rows, patch, oc);
@@ -798,7 +713,6 @@ pub fn conv2d_forward(
         return rows_to_nchw_slice(rows, n, oc, oh, ow, out);
     }
     let d = direct_shape(backend, geom, oc)?;
-    let kernel = kernel.unwrap_or_else(|| probe_patches(input, n, geom, (oh, ow)));
     let finite = weight_t.iter().all(|v| v.is_finite());
     for_each_sample(out, oc * oh * ow, n * oh * ow * oc * patch, |b, chunk| {
         DIRECT_SCRATCH.with(|scratch| {
@@ -809,7 +723,6 @@ pub fn conv2d_forward(
                 weight_t,
                 bias,
                 chunk,
-                kernel == MatmulKernel::Sparse,
                 finite,
                 &mut scratch.borrow_mut(),
             );
@@ -822,11 +735,10 @@ pub fn conv2d_forward(
 /// Convolution input gradient `dL/dx` (`[n, c, h, w]`) from the NCHW
 /// output gradient `grad_output` (`[n, oc, oh, ow]`), by `imp`.
 ///
-/// `kernel` forces the GEMM kernel flavour; `None` picks it as
-/// [`crate::Tensor::matmul`] would, by the density probe over the
-/// gradient rows. [`ConvImpl::Lowering`] runs `nchw_to_rows`, the GEMM
-/// against `W` and `col2im`; [`ConvImpl::Direct`] returns the same bits
-/// without any of them.
+/// [`ConvImpl::Lowering`] runs `nchw_to_rows`, the GEMM against `W` (its
+/// kernel picked by the density probe over the gradient rows) and
+/// `col2im`. [`ConvImpl::Direct`] returns the bits of that lowering run
+/// with the dense GEMM, without any of them.
 ///
 /// # Errors
 ///
@@ -837,7 +749,6 @@ pub fn conv2d_input_grad(
     weight: &Tensor,
     geom: &Conv2dGeometry,
     imp: ConvImpl,
-    kernel: Option<MatmulKernel>,
 ) -> Result<Tensor> {
     let oc = weight_channels(weight, geom, "conv2d input gradient")?;
     let (oh, ow) = geom.output_hw()?;
@@ -853,13 +764,11 @@ pub fn conv2d_input_grad(
     let w2d = weight.reshape(&[oc, patch])?;
     if imp == ConvImpl::Lowering {
         let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
-        let kernel = kernel.unwrap_or_else(|| crate::probe_matmul_kernel(g2d.data()));
-        let gcols = g2d.matmul_with(&w2d, kernel, backend)?;
+        let gcols = g2d.matmul_with(&w2d, probe_matmul_kernel(g2d.data()), backend)?;
         return col2im(&gcols, geom, n);
     }
     let d = direct_shape(backend, geom, oc)?;
     let dy = grad_output.data();
-    let kernel = kernel.unwrap_or_else(|| probe_grad_rows(dy, [n, oc, oh, ow]));
     let wt = w2d.t()?;
     let finite = wt.data().iter().all(|v| v.is_finite());
     let mut out = Tensor::zeros(&[n, d.c, d.h, d.w]);
@@ -876,7 +785,6 @@ pub fn conv2d_input_grad(
                     &dy[b * sample..(b + 1) * sample],
                     wt.data(),
                     chunk,
-                    kernel == MatmulKernel::Sparse,
                     finite,
                     &mut scratch.borrow_mut(),
                 );
@@ -891,15 +799,15 @@ pub fn conv2d_input_grad(
 /// kw]` and `[oc]`, of the NCHW batch `input` and its output gradient
 /// `grad_output` (`[n, oc, oh, ow]`), by `imp`.
 ///
-/// `kernel` forces the GEMM kernel flavour; `None` picks it as
-/// [`crate::Tensor::matmul`] would, by the density probe over `g2dᵀ`.
 /// [`ConvImpl::Lowering`] multiplies `g2dᵀ` (the transposed gradient rows)
 /// by the patch matrix — `cols` when the caller's forward already built it
-/// for `input`, a fresh `im2col` otherwise — and sums the rows for the
-/// bias. [`ConvImpl::Direct`] returns the same bits without the patch
-/// matrix, the rows or their transpose: output channels sit in the vector
-/// lanes, each weight is one chain over `(n, oy, ox)` that no thread split
-/// shares, and the bias is summed in `sum_axis0`'s row order.
+/// for `input`, a fresh `im2col` otherwise — with the kernel the density
+/// probe over `g2dᵀ` picks, and sums the rows for the bias.
+/// [`ConvImpl::Direct`] returns the bits of that lowering run with the
+/// dense GEMM, without the patch matrix, the rows or their transpose:
+/// output channels sit in the vector lanes, each weight is one chain over
+/// `(n, oy, ox)` that no thread split shares, and the bias is summed in
+/// `sum_axis0`'s row order.
 ///
 /// # Errors
 ///
@@ -912,7 +820,6 @@ pub fn conv2d_weight_grad(
     grad_output: &Tensor,
     geom: &Conv2dGeometry,
     imp: ConvImpl,
-    kernel: Option<MatmulKernel>,
     cols: Option<&Tensor>,
 ) -> Result<(Tensor, Tensor)> {
     let n = check_input(input, geom, "conv2d weight gradient")?;
@@ -945,13 +852,11 @@ pub fn conv2d_weight_grad(
         };
         let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
         let g2d_t = g2d.t()?;
-        let kernel = kernel.unwrap_or_else(|| crate::probe_matmul_kernel(g2d_t.data()));
-        let gw = g2d_t.matmul_with(cols, kernel, backend)?;
+        let gw = g2d_t.matmul_with(cols, probe_matmul_kernel(g2d_t.data()), backend)?;
         return Ok((gw.reshape(&weight_shape)?, g2d.sum_axis0()?));
     }
     let d = direct_shape(backend, geom, oc)?;
     let (x, dy) = (input.data(), grad_output.data());
-    let kernel = kernel.unwrap_or_else(|| probe_grad_cols(dy, [n, oc, oh, ow]));
     let finite = x.iter().all(|v| v.is_finite());
     let tiling = WgradTiling::new(&d);
     let task_len = tiling.task_len();
@@ -966,7 +871,6 @@ pub fn conv2d_weight_grad(
                 dy,
                 first_task,
                 band,
-                kernel == MatmulKernel::Sparse,
                 finite,
                 &mut scratch.borrow_mut(),
             );
@@ -1146,106 +1050,6 @@ mod tests {
     fn col2im_validates_shape() {
         let g = Conv2dGeometry::square(1, 2, 1, 1, 0);
         assert!(col2im(&Tensor::zeros(&[3, 1]), &g, 1).is_err());
-    }
-
-    #[test]
-    fn probe_walk_visits_the_sampled_indices() {
-        for dims in [
-            [1usize, 7, 5, 3],
-            [2, 28, 28, 25],
-            [48, 10, 10, 75],
-            [3, 1, 1, 1],
-        ] {
-            let len: usize = dims.iter().product();
-            let step = probe_step(len);
-            let mut walk = ProbeWalk::new(dims);
-            for i in (0..len).step_by(step) {
-                let [a, b, c, d] = walk.next();
-                assert_eq!(
-                    ((a * dims[1] + b) * dims[2] + c) * dims[3] + d,
-                    i,
-                    "{dims:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn virtual_probes_equal_the_probe_over_the_built_operands() {
-        use crate::{probe_matmul_kernel, Init};
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        let mut picked = [0usize; 2];
-        // (batch, channels, size, kernel, stride, padding, out channels):
-        // small operands sampled whole, large ones strided.
-        for (n, c, hw, k, stride, pad, oc) in [
-            (1, 1, 5, 3, 1, 1, 2),
-            (1, 1, 28, 5, 1, 2, 3),
-            (3, 3, 14, 5, 1, 0, 8),
-            (48, 3, 32, 3, 1, 1, 11),
-            (2, 11, 16, 3, 2, 1, 22),
-            (4, 2, 9, 5, 1, 4, 1),
-        ] {
-            let geom = Conv2dGeometry::square(c, hw, k, stride, pad);
-            let (oh, ow) = geom.output_hw().unwrap();
-            for density in [0.05f32, 0.2, 0.25, 0.3, 0.4, 1.0] {
-                let mut sparse = |shape: &[usize]| {
-                    let mut t = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(shape, &mut rng);
-                    for v in t.data_mut() {
-                        if rng.gen::<f32>() >= density {
-                            *v = 0.0;
-                        }
-                    }
-                    t
-                };
-                let x = sparse(&[n, c, hw, hw]);
-                let built = probe_matmul_kernel(im2col(&x, &geom).unwrap().data());
-                assert_eq!(probe_patches(x.data(), n, &geom, (oh, ow)), built);
-                picked[usize::from(built == MatmulKernel::Sparse)] += 1;
-                let dy = sparse(&[n, oc, oh, ow]);
-                let rows = nchw_to_rows(&dy, n, oc, oh, ow).unwrap();
-                let built = probe_matmul_kernel(rows.data());
-                assert_eq!(probe_grad_rows(dy.data(), [n, oc, oh, ow]), built);
-                picked[usize::from(built == MatmulKernel::Sparse)] += 1;
-                let built = probe_matmul_kernel(rows.t().unwrap().data());
-                assert_eq!(probe_grad_cols(dy.data(), [n, oc, oh, ow]), built);
-                picked[usize::from(built == MatmulKernel::Sparse)] += 1;
-            }
-        }
-        assert!(picked[0] > 0 && picked[1] > 0, "kernels picked {picked:?}");
-    }
-
-    /// The gradient probes read exactly the built operands' sampled
-    /// indices: an NCHW gradient whose built rows (or their transpose)
-    /// are nonzero at exactly those indices reads as dense, and one that
-    /// is nonzero everywhere else as sparse, which a walk over any other
-    /// indices would not report.
-    #[test]
-    fn gradient_probes_read_the_sampled_indices() {
-        for [n, oc, oh, ow] in [[3usize, 11, 7, 9], [48, 3, 28, 28], [2, 22, 16, 16]] {
-            let plane = oh * ow;
-            let len = n * oc * plane;
-            let step = probe_step(len);
-            // NCHW index of flat index `i` of the rows `[n·plane, oc]` and
-            // of their transpose `[oc, n·plane]`.
-            let of_rows = |i: usize| ((i / oc / plane) * oc + i % oc) * plane + i / oc % plane;
-            let of_cols = |i: usize| {
-                let (o, r) = (i / (n * plane), i % (n * plane));
-                ((r / plane) * oc + o) * plane + r % plane
-            };
-            type Probe = fn(&[f32], [usize; 4]) -> MatmulKernel;
-            let probes: [(Probe, &dyn Fn(usize) -> usize); 2] =
-                [(probe_grad_rows, &of_rows), (probe_grad_cols, &of_cols)];
-            for (probe, nchw) in probes {
-                for (fill, want) in [(0.0, MatmulKernel::Dense), (1.0, MatmulKernel::Sparse)] {
-                    let mut grad = vec![fill; len];
-                    for i in (0..len).step_by(step) {
-                        grad[nchw(i)] = 1.0 - fill;
-                    }
-                    assert_eq!(probe(&grad, [n, oc, oh, ow]), want, "{:?}", [n, oc, oh, ow]);
-                }
-            }
-        }
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! changes speed, not bits. `crates/tensor/tests/kernels.rs` pins all of
 //! this. (On the AVX2 backend stride-1 convolutions skip the GEMM — every
 //! pass of `Conv2d`, and the graph executor's f32 conv steps, which run the
-//! same forward: the direct kernels of `crate::conv` compute the same bits,
-//! choosing between the two arithmetics with the same density probe.)
+//! same forward: the direct kernels of `crate::conv` compute the bits of
+//! the dense kernel, with no density probe.)
 //!
 //! Reference implementations kept for tests and ablation benchmarks
 //! (compiled only under `cfg(test)` or the `bench-ablation` feature so
@@ -123,36 +123,6 @@ fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {
         });
     }
     Ok((m, k, n))
-}
-
-/// Distance between the flat indices the density probe samples in an
-/// operand of `len` elements: it reads indices `0, step, 2·step, …` below
-/// `len`, at most about 2 × [`DENSITY_PROBE_SAMPLES`] of them (every one
-/// for small inputs).
-pub(crate) fn probe_step(len: usize) -> usize {
-    (len / DENSITY_PROBE_SAMPLES).max(1)
-}
-
-/// The kernel the density probe picks for an operand of `len` elements,
-/// where `nonzero()` says whether the next sampled element is nonzero: it
-/// is called once per sampled index, in increasing index order (see
-/// [`probe_step`]). Callers that never build the operand (the direct
-/// convolution kernels) sample it through this, so they choose exactly
-/// as [`probe_matmul_kernel`] would over the built matrix.
-pub(crate) fn probe_kernel_by(len: usize, mut nonzero: impl FnMut() -> bool) -> MatmulKernel {
-    let fraction = if len == 0 {
-        1.0
-    } else {
-        let step = probe_step(len);
-        let seen = len.div_ceil(step) as u32;
-        let hits: u32 = (0..seen).map(|_| u32::from(nonzero())).sum();
-        hits as f32 / seen as f32
-    };
-    if fraction <= SPARSE_NONZERO_CUTOFF {
-        MatmulKernel::Sparse
-    } else {
-        MatmulKernel::Dense
-    }
 }
 
 /// Packs `b` (`k × n`, row-major) into column panels of width [`PANEL`].
@@ -359,13 +329,21 @@ impl PackedGemmB {
 /// (the graph executor) that hold activations in arena slices rather than
 /// `Tensor`s.
 pub fn probe_matmul_kernel(data: &[f32]) -> MatmulKernel {
-    let step = probe_step(data.len());
-    let mut i = 0;
-    probe_kernel_by(data.len(), || {
-        let hit = data[i] != 0.0;
-        i += step;
-        hit
-    })
+    let fraction = if data.is_empty() {
+        1.0
+    } else {
+        // Every `step`-th element: at most about 2 × DENSITY_PROBE_SAMPLES
+        // of them, every one for small inputs.
+        let step = (data.len() / DENSITY_PROBE_SAMPLES).max(1);
+        let seen = data.len().div_ceil(step) as u32;
+        let hits = data.iter().step_by(step).filter(|&&v| v != 0.0).count() as u32;
+        hits as f32 / seen as f32
+    };
+    if fraction <= SPARSE_NONZERO_CUTOFF {
+        MatmulKernel::Sparse
+    } else {
+        MatmulKernel::Dense
+    }
 }
 
 /// Dense GEMM against a pre-packed right operand: `out = a · b`, with `a`

@@ -10,7 +10,7 @@
 //!
 //! # Numerics policy
 //!
-//! The SIMD implementations fall into two classes:
+//! The SIMD implementations fall into three classes:
 //!
 //! * **Bit-exact** — `add`, `sub`, `mul`, `axpy`, `scale`, `add_scalar`,
 //!   `abs`, `sign`, `relu`, `clamp` and the fused attack-step kernels
@@ -27,6 +27,10 @@
 //!   double-rounding at the level of a few ULPs (≤ 1e-5 relative L2 in the
 //!   testkit parity suite). Golden vectors therefore pin
 //!   `ADVCOMP_KERNEL=scalar`.
+//! * **Bit-exact with the lowering's dense kernel** — the direct
+//!   convolution kernels (below) return the bits of the im2col lowering
+//!   run with the dense GEMM, so against scalar they sit in the dense
+//!   GEMM's tolerance class.
 //!
 //! # GEMM bodies
 //!
@@ -49,21 +53,28 @@
 //!
 //! The direct stride-1 convolution kernels compute what the SIMD lowering
 //! (`im2col` → GEMM → bias → NCHW, and NCHW → rows → GEMM → `col2im`)
-//! computes, bit for bit, without the patch matrix. Per output element the
-//! forward chains the element's taps in patch order with the dense GEMM's
-//! FMA or the zero-skip GEMM's mul-then-add, from +0 over zero-bordered
-//! input planes, then adds the bias; per input pixel the input gradient
-//! sums, from +0 and in `col2im`'s order (its taps reversed), terms that
-//! are each the lowering's chain over the output channels. Blocks of
-//! output (or input) channels × up to 4 vectors of 8 columns of one row
-//! keep 6–12 chains in registers. The weight gradient chains each weight
-//! over the batch's output positions in order, as `g2dᵀ · cols` does, with
-//! 8 output channels in the lanes (as in the 8-row GEMM tile) and up to 12
-//! weights' chains per task, one broadcast from the zero-bordered input
-//! planes per chain and position; the bias gradient is one more chain,
-//! over a plane of ones. See `conv_direct_forward`,
-//! `conv_direct_input_grad` and `conv_direct_weight_grad`; `crate::conv`
-//! drives them and picks the arithmetic with the lowering's density probe.
+//! computes with the dense GEMM, bit for bit, without the patch matrix.
+//! They have one arithmetic, the dense GEMM's in-order FMA chain from +0:
+//! per output element the forward chains the element's taps in patch
+//! order over zero-bordered input planes, then adds the bias; per input
+//! pixel the input gradient sums, from +0 and in `col2im`'s order (its
+//! taps reversed), terms that are each the lowering's chain over the
+//! output channels. Blocks of output (or input) channels × up to 4 vectors
+//! of 8 columns of one row keep 6–12 chains in registers. The weight
+//! gradient chains each weight over the batch's output positions in order,
+//! as `g2dᵀ · cols` does, with 8 output channels in the lanes (as in the
+//! 8-row GEMM tile) and up to 12 weights' chains per task, one broadcast
+//! from the zero-bordered input planes per chain and position; the bias
+//! gradient is one more chain, over a plane of ones.
+//!
+//! Where the other operand is finite, the kernels skip the FMAs of an
+//! all-zero input vector, gradient vector or 8-channel gradient position:
+//! their products are ±0, which leave an accumulator as it is unless it
+//! holds −0, and an accumulator is −0 only after an underflowed product
+//! rounded it there. Where the other operand holds ±∞ or NaN they skip
+//! nothing, so `0·∞` gives the dense GEMM's NaN. See
+//! `conv_direct_forward`, `conv_direct_input_grad` and
+//! `conv_direct_weight_grad`; `crate::conv` drives them.
 //!
 //! NaN edge cases differ where the hardware min/max semantics differ from
 //! `f32::clamp`/`f32::max`: `_mm256_max_ps(a, b)` returns `b` when `a` is
@@ -552,7 +563,7 @@ pub(crate) fn gemm_tile_rows(
 }
 
 // ---------------------------------------------------------------------------
-// Direct stride-1 convolution (bit-exact with the SIMD lowering)
+// Direct stride-1 convolution (bit-exact with the dense SIMD lowering)
 // ---------------------------------------------------------------------------
 
 /// One sample of a stride-1 convolution with `pad < kh, kw`, as the direct
@@ -622,15 +633,14 @@ impl DirectConv {
 /// `Wᵀ`), `out` the sample's `oc × oh × ow` output, and `scratch` a reusable
 /// buffer for the zero-bordered input planes.
 ///
-/// Each output element is the lowering's: a chain over its taps in patch
-/// order `(ch, ky, kx)` from +0, padding taps reading +0, then `+ bias`.
-/// With `skip_zeros == false` the chain is the dense GEMM's in-order FMA;
-/// with `skip_zeros == true` it is the zero-skip GEMM's mul then add, and
-/// where `finite_weights == false` the products of zero inputs are masked
-/// to +0. (With finite weights such a product is ±0, and adding it to an
-/// accumulator that started at +0 changes no bits, so the mask is only
-/// needed for an ∞ or NaN weight.) Returns `false`, computing nothing,
-/// when the AVX2 path is unavailable (or the backend is `Scalar`).
+/// Each output element is the dense lowering's: the dense GEMM's in-order
+/// FMA chain over its taps in patch order `(ch, ky, kx)` from +0, padding
+/// taps reading +0, then `+ bias`. Where `finite_weights`, a tap whose
+/// input vectors are all zero is skipped (see the module docs for why that
+/// keeps the bits); otherwise every tap runs, so a zero input or padding
+/// facing an ∞ or NaN weight gives NaN. Returns `false`, computing
+/// nothing, when the AVX2 path is unavailable (or the backend is
+/// `Scalar`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_direct_forward(
     backend: KernelBackend,
@@ -639,7 +649,6 @@ pub(crate) fn conv_direct_forward(
     wt: &[f32],
     bias: &[f32],
     out: &mut [f32],
-    skip_zeros: bool,
     finite_weights: bool,
     scratch: &mut Vec<f32>,
 ) -> bool {
@@ -650,17 +659,16 @@ pub(crate) fn conv_direct_forward(
         // SAFETY: `use_avx2` checked that the CPU has AVX2 and FMA; the
         // kernel bounds-checks every slice it reads or writes.
         unsafe {
-            let run = match (skip_zeros, finite_weights) {
-                (false, _) => avx2::conv_forward::<false, false>,
-                (true, true) => avx2::conv_forward::<true, false>,
-                (true, false) => avx2::conv_forward::<true, true>,
+            let run = if finite_weights {
+                avx2::conv_forward::<true>
+            } else {
+                avx2::conv_forward::<false>
             };
             run(d, xpad, stride, wt, bias, out);
         }
         return true;
     }
-    let _ = (backend, d, x, wt, bias, out);
-    let _ = (skip_zeros, finite_weights, scratch);
+    let _ = (backend, d, x, wt, bias, out, finite_weights, scratch);
     false
 }
 
@@ -672,22 +680,20 @@ pub(crate) fn conv_direct_forward(
 /// Gather form of `col2im(dY·W)`: each input pixel is a sum from +0 of one
 /// term per output position its taps reach, taken in reverse tap order
 /// (`ky`, then `kx`, descending: `col2im`'s raster order of output
-/// positions), and each term is the lowering's chain over the output
-/// channels of `dy · w` from +0 — the dense GEMM's in-order FMA, or with
-/// `skip_zeros` the zero-skip GEMM's mul then add. Where `finite_weights
-/// == false` the terms the lowering never forms are masked to +0: products
-/// of zero `dy` entries (zero-skip), and whole terms of output columns
-/// outside the output (dense), which read the planes' +0 border. Returns
-/// `false`, computing nothing, when the AVX2 path is unavailable (or the
-/// backend is `Scalar`).
-#[allow(clippy::too_many_arguments)]
+/// positions), and each term is the dense lowering's in-order FMA chain
+/// over the output channels of `dy · w` from +0. Where `finite_weights`,
+/// an output channel whose gradient vectors are all zero is skipped;
+/// otherwise every channel runs, and the terms of output columns outside
+/// the output, which the lowering never forms, are masked to +0 (they
+/// chain over the planes' +0 border, which an ∞ or NaN weight turns into
+/// NaN). Returns `false`, computing nothing, when the AVX2 path is
+/// unavailable (or the backend is `Scalar`).
 pub(crate) fn conv_direct_input_grad(
     backend: KernelBackend,
     d: &DirectConv,
     dy: &[f32],
     wt: &[f32],
     out: &mut [f32],
-    skip_zeros: bool,
     finite_weights: bool,
     scratch: &mut Vec<f32>,
 ) -> bool {
@@ -697,18 +703,16 @@ pub(crate) fn conv_direct_input_grad(
         let dypad = &scratch[..];
         // SAFETY: as in `conv_direct_forward`.
         unsafe {
-            let run = match (skip_zeros, finite_weights) {
-                (false, true) => avx2::conv_input_grad::<false, false>,
-                (false, false) => avx2::conv_input_grad::<false, true>,
-                (true, true) => avx2::conv_input_grad::<true, false>,
-                (true, false) => avx2::conv_input_grad::<true, true>,
+            let run = if finite_weights {
+                avx2::conv_input_grad::<true>
+            } else {
+                avx2::conv_input_grad::<false>
             };
             run(d, dypad, stride, wt, out);
         }
         return true;
     }
-    let _ = (backend, d, dy, wt, out);
-    let _ = (skip_zeros, finite_weights, scratch);
+    let _ = (backend, d, dy, wt, out, finite_weights, scratch);
     false
 }
 
@@ -727,10 +731,10 @@ const WGRAD_CHAINS: usize = 12;
 /// where that divides `kw`, else 1), so segment `s` holds taps `s·width..`
 /// and its chains read one input row at `width` neighbouring offsets. One more
 /// segment reads a plane of ones: its first chain is the bias gradient,
-/// because `fma(g, 1, acc)` and `acc + g·1` are both `acc + g`, the addition
-/// `sum_axis0` makes. A *task* is one group of [`WGRAD_GROUP`] output
-/// channels times one block of `segs` segments (`segs · width ≤ 12`
-/// chains), the last block padded with repeats of the ones segment.
+/// because `fma(g, 1, acc)` is `acc + g`, the addition `sum_axis0` makes. A
+/// *task* is one group of [`WGRAD_GROUP`] output channels times one block of
+/// `segs` segments (`segs · width ≤ 12` chains), the last block padded with
+/// repeats of the ones segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WgradTiling {
     /// Taps per segment.
@@ -799,16 +803,14 @@ impl WgradTiling {
 /// zero-bordered input planes, the plane of ones and the sample's gradient
 /// transposed to rows of `8·groups` channels.
 ///
-/// Every chain runs over `(sample, oy, ox)` in order, the order of the
-/// lowering's `g2dᵀ · cols` and `sum_axis0`, from +0. With `skip_zeros ==
-/// false` it is the dense GEMM's in-order FMA, padding taps multiplying the
-/// planes' +0 as `cols`' zeros are multiplied; with `skip_zeros == true` it
-/// is the zero-skip GEMM's mul then add over the nonzero gradient entries,
-/// the zero entries' products masked to +0 where `finite_input == false`
-/// as in the 8-row tile (with a finite input such a product is ±0 and adds
-/// nothing).
-/// Returns `false`, computing nothing, when the AVX2 path is unavailable
-/// (or the backend is `Scalar`).
+/// Every chain is the dense GEMM's in-order FMA over `(sample, oy, ox)`,
+/// the order of the lowering's `g2dᵀ · cols` and `sum_axis0`, from +0,
+/// padding taps multiplying the planes' +0 as `cols`' zeros are
+/// multiplied. Where `finite_input`, a position whose 8 gradient entries
+/// are all zero is skipped; otherwise every position runs, so a zero
+/// gradient entry facing an ∞ or NaN input gives NaN. Returns `false`,
+/// computing nothing, when the AVX2 path is unavailable (or the backend is
+/// `Scalar`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_direct_weight_grad(
     backend: KernelBackend,
@@ -818,7 +820,6 @@ pub(crate) fn conv_direct_weight_grad(
     dy: &[f32],
     first_task: usize,
     acc: &mut [f32],
-    skip_zeros: bool,
     finite_input: bool,
     scratch: &mut Vec<f32>,
 ) -> bool {
@@ -850,10 +851,10 @@ pub(crate) fn conv_direct_weight_grad(
             // SAFETY: `use_avx2` checked that the CPU has AVX2 and FMA; the
             // kernel bounds-checks every slice it reads or writes.
             unsafe {
-                let run = match (skip_zeros, finite_input) {
-                    (false, _) => avx2::conv_weight_grad::<false, false>,
-                    (true, true) => avx2::conv_weight_grad::<true, false>,
-                    (true, false) => avx2::conv_weight_grad::<true, true>,
+                let run = if finite_input {
+                    avx2::conv_weight_grad::<true>
+                } else {
+                    avx2::conv_weight_grad::<false>
                 };
                 run(d, tiling, xpad, stride, grow, first_task, acc);
             }
@@ -861,7 +862,7 @@ pub(crate) fn conv_direct_weight_grad(
         return true;
     }
     let _ = (backend, d, tiling, x, dy, first_task, acc);
-    let _ = (skip_zeros, finite_input, scratch);
+    let _ = (finite_input, scratch);
     false
 }
 
@@ -1586,6 +1587,17 @@ mod avx2 {
 
     use super::DirectConv;
 
+    /// Whether every lane of `v` is +0 or −0 (NaN is not).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn all_zero(v: __m256) -> bool {
+        _mm256_testz_si256(_mm256_castps_si256(v), _mm256_set1_epi32(i32::MAX)) != 0
+    }
+
     /// Stores the first `min(8, dst.len())` lanes of `v` to `dst`.
     ///
     /// # Safety
@@ -1621,13 +1633,13 @@ mod avx2 {
         (v, channels.div_ceil(channels.div_ceil(most)))
     }
 
-    /// Calls `$f::<V, B, flags..>(args)` for the block shape `(v, b)` from
+    /// Calls `$f::<V, B, FINITE>(args)` for the block shape `(v, b)` from
     /// `blocking`; the arms list every shape it can return.
     macro_rules! block_shapes {
-        ($f:ident::<$skip:ident, $masked:ident>, ($v:expr, $b:expr), $args:tt,
+        ($f:ident::<$finite:ident>, ($v:expr, $b:expr), $args:tt,
          $(($vv:literal, [$($bb:literal),*])),*) => {
             match ($v, $b) {
-                $($(($vv, $bb) => $f::<$vv, $bb, $skip, $masked> $args,)*)*
+                $($(($vv, $bb) => $f::<$vv, $bb, $finite> $args,)*)*
                 _ => unreachable!("no direct-convolution block of shape {:?}", ($v, $b)),
             }
         };
@@ -1644,7 +1656,7 @@ mod avx2 {
     ///
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn conv_forward<const SKIP_ZEROS: bool, const MASKED: bool>(
+    pub unsafe fn conv_forward<const FINITE: bool>(
         d: &DirectConv,
         xpad: &[f32],
         stride: usize,
@@ -1658,7 +1670,7 @@ mod avx2 {
             for oy in 0..d.oh {
                 for ox0 in (0..d.ow).step_by(v * LANES) {
                     block_shapes!(
-                        forward_block::<SKIP_ZEROS, MASKED>,
+                        forward_block::<FINITE>,
                         (v, b),
                         (d, xpad, stride, wt, bias, out, o0, oy, ox0),
                         (1, [1, 2, 3, 4, 5, 6, 7, 8]),
@@ -1671,7 +1683,9 @@ mod avx2 {
     }
 
     /// Output channels `o0..o0 + B`, output row `oy`, output columns
-    /// `ox0..ox0 + 8·V` (those below `ow` are stored).
+    /// `ox0..ox0 + 8·V` (those below `ow` are stored). `FINITE`: every
+    /// weight is finite, so a tap whose `V` input vectors are all zero is
+    /// skipped.
     ///
     /// # Safety
     ///
@@ -1679,12 +1693,7 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn forward_block<
-        const V: usize,
-        const B: usize,
-        const SKIP_ZEROS: bool,
-        const MASKED: bool,
-    >(
+    unsafe fn forward_block<const V: usize, const B: usize, const FINITE: bool>(
         d: &DirectConv,
         xpad: &[f32],
         stride: usize,
@@ -1712,27 +1721,12 @@ mod avx2 {
             for ky in 0..d.kh {
                 let row = xpad.as_ptr().add((ch * ph + oy + ky) * stride + ox0);
                 for kx in 0..d.kw {
+                    let mut bits = zero;
                     for (u, xu) in x.iter_mut().enumerate() {
                         *xu = _mm256_loadu_ps(row.add(kx + u * LANES));
+                        bits = _mm256_or_ps(bits, *xu);
                     }
-                    if SKIP_ZEROS {
-                        let mut nonzero = [zero; V];
-                        let mut any = 0;
-                        for (m, &xu) in nonzero.iter_mut().zip(&x) {
-                            *m = _mm256_cmp_ps(xu, zero, _CMP_NEQ_UQ);
-                            any |= _mm256_movemask_ps(*m);
-                        }
-                        if any != 0 {
-                            for (j, accj) in acc.iter_mut().enumerate() {
-                                let wv = _mm256_broadcast_ss(&*w.add(j));
-                                for ((a, &xu), &m) in accj.iter_mut().zip(&x).zip(&nonzero) {
-                                    let p = _mm256_mul_ps(xu, wv);
-                                    let p = if MASKED { _mm256_and_ps(p, m) } else { p };
-                                    *a = _mm256_add_ps(*a, p);
-                                }
-                            }
-                        }
-                    } else {
+                    if !FINITE || !all_zero(bits) {
                         for (j, accj) in acc.iter_mut().enumerate() {
                             let wv = _mm256_broadcast_ss(&*w.add(j));
                             for (a, &xu) in accj.iter_mut().zip(&x) {
@@ -1771,7 +1765,7 @@ mod avx2 {
     ///
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn conv_input_grad<const SKIP_ZEROS: bool, const MASKED: bool>(
+    pub unsafe fn conv_input_grad<const FINITE: bool>(
         d: &DirectConv,
         dypad: &[f32],
         stride: usize,
@@ -1784,7 +1778,7 @@ mod avx2 {
             for iy in 0..d.h {
                 for ix0 in (0..d.w).step_by(v * LANES) {
                     block_shapes!(
-                        input_grad_block::<SKIP_ZEROS, MASKED>,
+                        input_grad_block::<FINITE>,
                         (v, b),
                         (d, dypad, stride, wt, out, ch0, iy, ix0),
                         (1, [1, 2, 3, 4, 5, 6]),
@@ -1797,7 +1791,10 @@ mod avx2 {
     }
 
     /// Input channels `ch0..ch0 + B`, input row `iy`, input columns
-    /// `ix0..ix0 + 8·V` (those below `w` are stored).
+    /// `ix0..ix0 + 8·V` (those below `w` are stored). `FINITE`: every
+    /// weight is finite, so an output channel whose `V` gradient vectors
+    /// are all zero is skipped; otherwise the terms of output columns
+    /// outside the output are masked to +0.
     ///
     /// # Safety
     ///
@@ -1805,12 +1802,7 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn input_grad_block<
-        const V: usize,
-        const B: usize,
-        const SKIP_ZEROS: bool,
-        const MASKED: bool,
-    >(
+    unsafe fn input_grad_block<const V: usize, const B: usize, const FINITE: bool>(
         d: &DirectConv,
         dypad: &[f32],
         stride: usize,
@@ -1845,40 +1837,25 @@ mod avx2 {
                 let w = wt.as_ptr().add((ch0 * taps + ky * d.kw + kx) * d.oc);
                 let mut term = [[zero; V]; B];
                 for o in 0..d.oc {
+                    let mut bits = zero;
                     for (u, gu) in g.iter_mut().enumerate() {
                         *gu = _mm256_loadu_ps(src.add(o * plane + u * LANES));
+                        bits = _mm256_or_ps(bits, *gu);
                     }
-                    if SKIP_ZEROS {
-                        let mut nonzero = [zero; V];
-                        let mut any = 0;
-                        for (m, &gu) in nonzero.iter_mut().zip(&g) {
-                            *m = _mm256_cmp_ps(gu, zero, _CMP_NEQ_UQ);
-                            any |= _mm256_movemask_ps(*m);
-                        }
-                        if any == 0 {
-                            continue;
-                        }
-                        for (j, tj) in term.iter_mut().enumerate() {
-                            let wv = _mm256_broadcast_ss(&*w.add(j * taps * d.oc + o));
-                            for ((t, &gu), &m) in tj.iter_mut().zip(&g).zip(&nonzero) {
-                                let p = _mm256_mul_ps(gu, wv);
-                                let p = if MASKED { _mm256_and_ps(p, m) } else { p };
-                                *t = _mm256_add_ps(*t, p);
-                            }
-                        }
-                    } else {
-                        for (j, tj) in term.iter_mut().enumerate() {
-                            let wv = _mm256_broadcast_ss(&*w.add(j * taps * d.oc + o));
-                            for (t, &gu) in tj.iter_mut().zip(&g) {
-                                *t = _mm256_fmadd_ps(gu, wv, *t);
-                            }
+                    if FINITE && all_zero(bits) {
+                        continue;
+                    }
+                    for (j, tj) in term.iter_mut().enumerate() {
+                        let wv = _mm256_broadcast_ss(&*w.add(j * taps * d.oc + o));
+                        for (t, &gu) in tj.iter_mut().zip(&g) {
+                            *t = _mm256_fmadd_ps(gu, wv, *t);
                         }
                     }
                 }
-                if MASKED && !SKIP_ZEROS {
+                if !FINITE {
                     // Keep out the terms of output columns outside
-                    // `0..ow`: dense chains over the +0 border, which an
-                    // ∞ or NaN weight turns into NaN.
+                    // `0..ow`: chains over the +0 border, which an ∞ or
+                    // NaN weight turns into NaN.
                     for (u, _) in g.iter().enumerate() {
                         let ox = (ix0 + u * LANES + d.pad) as i32 - kx as i32;
                         let ox = _mm256_add_epi32(_mm256_set1_epi32(ox), lane);
@@ -1926,7 +1903,7 @@ mod avx2 {
     ///
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn conv_weight_grad<const SKIP_ZEROS: bool, const MASKED: bool>(
+    pub unsafe fn conv_weight_grad<const FINITE: bool>(
         d: &DirectConv,
         t: &WgradTiling,
         xpad: &[f32],
@@ -1936,9 +1913,9 @@ mod avx2 {
         acc: &mut [f32],
     ) {
         let run = match t.width {
-            1 => weight_grad_tasks::<1, 12, SKIP_ZEROS, MASKED>,
-            3 => weight_grad_tasks::<3, 4, SKIP_ZEROS, MASKED>,
-            5 => weight_grad_tasks::<5, 2, SKIP_ZEROS, MASKED>,
+            1 => weight_grad_tasks::<1, 12, FINITE>,
+            3 => weight_grad_tasks::<3, 4, FINITE>,
+            5 => weight_grad_tasks::<5, 2, FINITE>,
             w => unreachable!("no weight-gradient segment of width {w}"),
         };
         run(d, t, xpad, stride, grow, first_task, acc);
@@ -1950,12 +1927,7 @@ mod avx2 {
     ///
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn weight_grad_tasks<
-        const W: usize,
-        const R: usize,
-        const SKIP_ZEROS: bool,
-        const MASKED: bool,
-    >(
+    unsafe fn weight_grad_tasks<const W: usize, const R: usize, const FINITE: bool>(
         d: &DirectConv,
         t: &WgradTiling,
         xpad: &[f32],
@@ -1978,7 +1950,7 @@ mod avx2 {
                 }
                 None => d.c * plane,
             });
-            weight_grad_block::<W, R, SKIP_ZEROS, MASKED>(
+            weight_grad_block::<W, R, FINITE>(
                 d, xpad, stride, &offsets, grow, ocp, group, task_acc,
             );
         }
@@ -1987,7 +1959,8 @@ mod avx2 {
     /// Output channels `8·group..` of the `R × W` chains whose segments
     /// start at `offsets` in `xpad`, over one sample's output positions in
     /// order: per position one load of the gradient row's 8 channels and
-    /// one broadcast per chain.
+    /// one broadcast per chain. `FINITE`: every input is finite, so a
+    /// position whose 8 gradient entries are all zero is skipped.
     ///
     /// # Safety
     ///
@@ -1995,12 +1968,7 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn weight_grad_block<
-        const W: usize,
-        const R: usize,
-        const SKIP_ZEROS: bool,
-        const MASKED: bool,
-    >(
+    unsafe fn weight_grad_block<const W: usize, const R: usize, const FINITE: bool>(
         d: &DirectConv,
         xpad: &[f32],
         stride: usize,
@@ -2032,25 +2000,14 @@ mod avx2 {
             for ox in 0..d.ow {
                 let gv = _mm256_loadu_ps(g);
                 g = g.add(ocp);
+                if FINITE && all_zero(gv) {
+                    continue;
+                }
                 let at = oy * stride + ox;
-                if SKIP_ZEROS {
-                    let nonzero = _mm256_cmp_ps(gv, zero, _CMP_NEQ_UQ);
-                    if _mm256_movemask_ps(nonzero) == 0 {
-                        continue;
-                    }
-                    for (row, ar) in rows.iter().zip(a.iter_mut()) {
-                        for (kx, akx) in ar.iter_mut().enumerate() {
-                            let p = _mm256_mul_ps(gv, _mm256_broadcast_ss(&*row.add(at + kx)));
-                            let p = if MASKED { _mm256_and_ps(p, nonzero) } else { p };
-                            *akx = _mm256_add_ps(*akx, p);
-                        }
-                    }
-                } else {
-                    for (row, ar) in rows.iter().zip(a.iter_mut()) {
-                        for (kx, akx) in ar.iter_mut().enumerate() {
-                            let xv = _mm256_broadcast_ss(&*row.add(at + kx));
-                            *akx = _mm256_fmadd_ps(gv, xv, *akx);
-                        }
+                for (row, ar) in rows.iter().zip(a.iter_mut()) {
+                    for (kx, akx) in ar.iter_mut().enumerate() {
+                        let xv = _mm256_broadcast_ss(&*row.add(at + kx));
+                        *akx = _mm256_fmadd_ps(gv, xv, *akx);
                     }
                 }
             }

@@ -177,22 +177,6 @@ impl Tensor {
         Tensor::new(shape, self.data.clone())
     }
 
-    /// Reshapes in place (no data movement).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if element counts differ.
-    pub fn reshape_inplace(&mut self, shape: &[usize]) -> Result<()> {
-        if numel(shape) != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: numel(shape),
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(())
-    }
-
     /// Reshapes `self` to `shape`, reusing the existing allocation when the
     /// element count already matches; contents are left unspecified. Used by
     /// kernels that fully overwrite a persistent scratch tensor.
