@@ -15,11 +15,11 @@
 //! `simd.gemm_speedup_simd_vs_scalar` is gated at ≥ 1: the dispatched GEMM
 //! must not be slower than the scalar one.
 //!
-//! The `simd.gemm_conv_*` records time both f32 GEMM kernels on both
-//! backends at conv-forward shapes, where the output width is a layer's
-//! channel count: LeNet-5 conv1 at batch 48 (37632 × 25 × 3) and CifarNet
-//! conv2 at batch 48 (49152 × 99 × 11). On an AVX2+FMA host each shape's
-//! `dense.speedup` is gated at ≥ 1 as well.
+//! The `simd.gemm_conv_*` records time the f32 GEMM on both backends at
+//! conv-forward shapes, where the output width is a layer's channel count:
+//! LeNet-5 conv1 at batch 48 (37632 × 25 × 3) and CifarNet conv2 at batch
+//! 48 (49152 × 99 × 11). On an AVX2+FMA host each shape's `dense.speedup`
+//! is gated at ≥ 1 as well.
 //!
 //! The `simd.conv_direct.*` records time each convolution pass of the six
 //! sweep convs (LeNet-5 at width 0.5: conv1, conv2; CifarNet at width
@@ -47,21 +47,10 @@ use advcomp_bench::record::{median_ns, median_ns_pair, speedup, Flags, Report};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, fake_quantize_in_place,
-    gemm_prepacked, gemm_sparse, im2col, pool, simd, Conv2dGeometry, ConvImpl, ConvScratch, Init,
-    KernelBackend, MatmulKernel, PackedGemmB, Tensor,
+    gemm_prepacked, im2col, pool, simd, Conv2dGeometry, ConvImpl, ConvScratch, Init, KernelBackend,
+    PackedGemmB, Tensor,
 };
 use std::hint::black_box;
-
-fn sparsify(a: &Tensor, density: f32) -> Tensor {
-    let mut sparse = a.clone();
-    let n = sparse.len();
-    for i in 0..n {
-        if (i as f32 / n as f32) >= density {
-            sparse.data_mut()[i] = 0.0;
-        }
-    }
-    sparse
-}
 
 /// Times the SIMD-dispatch ablations into the `simd.*` records.
 fn simd_ablation(iters: usize, report: &mut Report) {
@@ -80,16 +69,10 @@ fn simd_ablation(iters: usize, report: &mut Report) {
 
     // GEMM: the identical packed/banded path, explicit backend per call.
     let gemm_scalar = median_ns(iters, || {
-        black_box(
-            a.matmul_with(&b, MatmulKernel::Dense, KernelBackend::Scalar)
-                .unwrap(),
-        );
+        black_box(a.matmul_with(&b, KernelBackend::Scalar).unwrap());
     });
     let gemm_simd = median_ns(iters, || {
-        black_box(
-            a.matmul_with(&b, MatmulKernel::Dense, KernelBackend::Simd)
-                .unwrap(),
-        );
+        black_box(a.matmul_with(&b, KernelBackend::Simd).unwrap());
     });
     record_pair("gemm_dense_128", gemm_scalar, gemm_simd);
 
@@ -345,9 +328,9 @@ fn conv_direct(iters: usize, report: &mut Report) {
     }
 }
 
-/// Times the dense and zero-skip GEMMs on both backends at two conv-forward
-/// shapes (`cols · Wᵀ`: m = batch × output pixels, k = patch length,
-/// n = output channels) into the `simd.gemm_conv_*` records.
+/// Times the f32 GEMM on both backends at two conv-forward shapes
+/// (`cols · Wᵀ`: m = batch × output pixels, k = patch length, n = output
+/// channels) into the `simd.gemm_conv_*` records.
 fn conv_width_gemms(iters: usize, report: &mut Report) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
     let init = Init::Uniform { lo: -1.0, hi: 1.0 };
@@ -359,39 +342,25 @@ fn conv_width_gemms(iters: usize, report: &mut Report) {
         let b = init.tensor(&[k, n], &mut rng);
         let packed = PackedGemmB::pack(b.data(), k, n).expect("pack");
         let mut out = vec![0.0f32; m * n];
-        for (kernel, label) in [
-            (MatmulKernel::Dense, "dense"),
-            (MatmulKernel::Sparse, "zero_skip"),
-        ] {
-            let mut time = |be: KernelBackend| {
-                median_ns(iters, || {
-                    match kernel {
-                        MatmulKernel::Dense => gemm_prepacked(be, a.data(), m, &packed, &mut out),
-                        MatmulKernel::Sparse => {
-                            gemm_sparse(be, a.data(), m, b.data(), k, n, &mut out)
-                        }
-                    }
-                    .expect("gemm");
-                    black_box(&out);
-                })
-            };
-            let scalar_ns = time(KernelBackend::Scalar);
-            let simd_ns = time(KernelBackend::Simd);
-            let x = speedup(scalar_ns, simd_ns);
-            println!(
-                "{:>28}: scalar {scalar_ns:>10} ns  simd {simd_ns:>10} ns  ({x:.2}x)",
-                format!("{name}.{label}")
-            );
-            report.push(
-                format!("simd.{name}.{label}.scalar_ns"),
-                "ns",
-                scalar_ns as f64,
-            );
-            report.push(format!("simd.{name}.{label}.simd_ns"), "ns", simd_ns as f64);
-            let record = report.push(format!("simd.{name}.{label}.speedup"), "x", x);
-            if kernel == MatmulKernel::Dense && simd::simd_available() {
-                record.min(1.0);
-            }
+        let mut time = |be: KernelBackend| {
+            median_ns(iters, || {
+                gemm_prepacked(be, a.data(), m, &packed, &mut out).expect("gemm");
+                black_box(&out);
+            })
+        };
+        let scalar_ns = time(KernelBackend::Scalar);
+        let simd_ns = time(KernelBackend::Simd);
+        let x = speedup(scalar_ns, simd_ns);
+        let row = format!("simd.{name}.dense");
+        println!(
+            "{:>28}: scalar {scalar_ns:>10} ns  simd {simd_ns:>10} ns  ({x:.2}x)",
+            format!("{name}.dense")
+        );
+        report.push(format!("{row}.scalar_ns"), "ns", scalar_ns as f64);
+        report.push(format!("{row}.simd_ns"), "ns", simd_ns as f64);
+        let record = report.push(format!("{row}.speedup"), "x", x);
+        if simd::simd_available() {
+            record.min(1.0);
         }
     }
 }
@@ -408,7 +377,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let init = Init::Uniform { lo: -1.0, hi: 1.0 };
     let a = init.tensor(&[SIZE, SIZE], &mut rng);
     let b = init.tensor(&[SIZE, SIZE], &mut rng);
-    let pruned = sparsify(&a, 0.1);
     // Conv lowering at CIFAR-net geometry (batch 8, 3→, 32×32, 3×3 kernel).
     let geom = Conv2dGeometry::square(3, 32, 3, 1, 1);
     let x = init.tensor(&[8, 3, 32, 32], &mut rng);
@@ -429,17 +397,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spawned = time("matmul_spawn_per_call_128", iters, &mut || {
         black_box(a.matmul_spawn_per_call(&b).unwrap());
     });
-    time("matmul_blocked_serial_128", iters, &mut || {
-        black_box(a.matmul_blocked_serial(&b).unwrap());
-    });
     time("matmul_naive_128", iters.min(50), &mut || {
         black_box(a.matmul_naive(&b).unwrap());
-    });
-    time("matmul_sparse_kernel_d0.1", iters, &mut || {
-        black_box(pruned.matmul_with_kernel(&b, MatmulKernel::Sparse).unwrap());
-    });
-    time("matmul_dense_kernel_d0.1", iters, &mut || {
-        black_box(pruned.matmul_with_kernel(&b, MatmulKernel::Dense).unwrap());
     });
     time("im2col_cifar_b8", iters, &mut || {
         black_box(im2col(&x, &geom).unwrap());

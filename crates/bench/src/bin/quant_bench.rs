@@ -16,19 +16,21 @@
 //! * checkpoint bytes: the f32 (v2) file vs the packed (v3) files.
 //!
 //! On an AVX2 host `gemm.q8_speedup_vs_f32` is gated at ≥ 1: the packed
-//! Q8 GEMM must not be slower than the dense f32 SIMD GEMM.
+//! Q8 GEMM must not be slower than the dense f32 SIMD GEMM. The two are
+//! timed in alternating iterations, as `kernel_bench` and `graph_bench`
+//! time their gated pairs.
 //!
 //! ```text
 //! scripts/bench.sh quant [--out FILE] [--iters N]
 //! ```
 
-use advcomp_bench::record::{median_ns, speedup, Flags, Report};
+use advcomp_bench::record::{median_ns, median_ns_pair, speedup, Flags, Report};
 use advcomp_compress::Quantizer;
 use advcomp_graph::ExecPlan;
 use advcomp_models::{lenet5, Checkpoint};
 use advcomp_nn::{Mode, Sequential};
 use advcomp_qformat::QFormat;
-use advcomp_tensor::{pool, qmatmul_f32, simd, Init, KernelBackend, MatmulKernel, QTensor};
+use advcomp_tensor::{pool, qmatmul_f32, simd, Init, KernelBackend, QTensor};
 use std::hint::black_box;
 
 fn frozen_lenet(bits: u32, seed: u64) -> Sequential {
@@ -60,17 +62,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w8 = QTensor::quantize(b.data(), &[SIZE, SIZE], q8).unwrap();
     let w4 = QTensor::quantize(b.data(), &[SIZE, SIZE], q4).unwrap();
 
-    let f32_ns = median_ns(iters, || {
-        black_box(
-            a.matmul_with(&b, MatmulKernel::Dense, KernelBackend::Simd)
-                .unwrap(),
-        );
-    });
+    // The gated pair runs in alternating iterations, so a busy stretch of
+    // the host slows both sides alike.
     let mut out = vec![0.0f32; SIZE * SIZE];
-    let q8_ns = median_ns(iters, || {
-        qmatmul_f32(KernelBackend::Simd, a.data(), SIZE, q8, &w8, &mut out).unwrap();
-        black_box(&out);
-    });
+    let (f32_ns, q8_ns) = median_ns_pair(
+        iters,
+        || {
+            black_box(a.matmul_with(&b, KernelBackend::Simd).unwrap());
+        },
+        || {
+            qmatmul_f32(KernelBackend::Simd, a.data(), SIZE, q8, &w8, &mut out).unwrap();
+            black_box(&out);
+        },
+    );
     let q4_ns = median_ns(iters, || {
         qmatmul_f32(KernelBackend::Simd, a.data(), SIZE, q4, &w4, &mut out).unwrap();
         black_box(&out);

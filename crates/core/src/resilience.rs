@@ -250,6 +250,9 @@ mod tests {
 
     #[test]
     fn healthy_run_matches_train_baseline_bitwise() {
+        // Holds the process-wide fault lock with nothing installed, so the
+        // `train_step` fault another test arms cannot fire in this run.
+        let _serial = install(Vec::new());
         let data = digits();
         let mut plain = small_mlp();
         let plain_stats = train_baseline(&mut plain, &data, &cfg(3)).unwrap();

@@ -36,17 +36,19 @@
 //! `advcomp-tensor` kernels the layers use (an f32 conv into the very
 //! function `Conv2d` calls), preserving operand order, parallel-banding
 //! thresholds and per-element epilogue order, so the compiled forward is
-//! bit-identical to `Sequential::forward` on either backend.
+//! bit-identical to `Sequential::forward` on either backend. None of those
+//! kernels lets one sample's values choose another's arithmetic (the f32
+//! GEMM is one kernel, the packed dense one, on every batch), so row `i` of
+//! a batch's logits is sample `i`'s batch-1 forward, bit for bit.
 
 use std::time::Instant;
 
 use advcomp_nn::{QuantizedWeights, Sequential};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
-    conv2d_forward, conv_impl, fake_quantize_in_place, gemm_prepacked, gemm_sparse, max_pool2d,
-    probe_matmul_kernel, qmatmul, quantize_activations_into, quantize_patches_into,
-    rows_to_nchw_slice, simd, Conv2dGeometry, ConvImpl, ConvScratch, KernelBackend, MatmulKernel,
-    PackedGemmB, QActivations, Tensor, QK,
+    conv2d_forward, conv_impl, fake_quantize_in_place, gemm_prepacked, max_pool2d, qmatmul,
+    quantize_activations_into, quantize_patches_into, rows_to_nchw_slice, simd, Conv2dGeometry,
+    ConvImpl, ConvScratch, KernelBackend, PackedGemmB, QActivations, Tensor, QK,
 };
 
 use crate::fuse::{fuse, FusedOp, FusionStats, GemmUnit};
@@ -66,14 +68,8 @@ enum Src {
 /// A GEMM weight in executor-ready form.
 #[derive(Debug, Clone)]
 enum PlannedGemm {
-    /// f32 weights: raw `[k, n]` row-major (for the sparse kernel) plus
-    /// the pre-packed panels (for the dense kernel).
-    F32 {
-        raw: Vec<f32>,
-        packed: PackedGemmB,
-        k: usize,
-        n: usize,
-    },
+    /// f32 weights, `[k, n]`, pre-packed into the dense kernel's panels.
+    F32(PackedGemmB),
     /// Packed int8 weights, shared with the owning layer.
     Packed { weights: QuantizedWeights },
 }
@@ -107,9 +103,8 @@ enum Step {
         weight_t: Vec<f32>,
         bias: Vec<f32>,
     },
-    /// f32 GEMM of a `Dense` layer; probes the activation density per call
-    /// and dispatches to the packed dense or zero-skipping sparse kernel,
-    /// exactly like `Tensor::matmul`.
+    /// f32 GEMM of a `Dense` layer: the kernel `Tensor::matmul` runs, on
+    /// the weight panels packed at compile time.
     Gemm { src: Src, dst: usize, weight: usize },
     /// Quantise f32 activations into a plan-owned i8 buffer.
     QuantizeAct { src: Src, qbuf: usize, cols: usize },
@@ -210,9 +205,8 @@ impl Builder {
     fn push_f32_weight(&mut self, w: &Tensor) -> Result<usize> {
         let wt = w.t()?;
         let (k, n) = (wt.shape()[0], wt.shape()[1]);
-        let raw = wt.into_data();
-        let packed = PackedGemmB::pack(&raw, k, n)?;
-        self.weights.push(PlannedGemm::F32 { raw, packed, k, n });
+        let packed = PackedGemmB::pack(wt.data(), k, n)?;
+        self.weights.push(PlannedGemm::F32(packed));
         Ok(self.weights.len() - 1)
     }
 
@@ -616,27 +610,14 @@ impl ExecPlan {
                     }
                 }
                 Step::Gemm { src, dst, weight } => {
-                    let PlannedGemm::F32 {
-                        raw,
-                        packed,
-                        k,
-                        n: nf,
-                    } = &weights[*weight]
-                    else {
+                    let PlannedGemm::F32(packed) = &weights[*weight] else {
                         unreachable!("f32 GEMM bound to packed weights");
                     };
                     let (sl, dl): (&[f32], &mut [f32]) = match src {
                         Src::Input => (input_data, &mut arena[rng(*dst)]),
                         Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
                     };
-                    let m = sl.len() / k;
-                    // Same density probe as `Tensor::matmul`: the kernel
-                    // choice (and therefore the arithmetic) matches the
-                    // layer-at-a-time forward exactly.
-                    match probe_matmul_kernel(sl) {
-                        MatmulKernel::Dense => gemm_prepacked(backend, sl, m, packed, dl)?,
-                        MatmulKernel::Sparse => gemm_sparse(backend, sl, m, raw, *k, *nf, dl)?,
-                    }
+                    gemm_prepacked(backend, sl, sl.len() / packed.k(), packed, dl)?;
                 }
                 Step::QuantizeAct { src, qbuf, cols } => {
                     let sl: &[f32] = match src {

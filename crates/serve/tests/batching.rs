@@ -119,12 +119,9 @@ fn response_ids_echo_exactly_once_in_order_across_worker_counts() {
 
 /// Responses computed under heavy concurrency are bit-identical to the
 /// same inputs evaluated alone afterwards: batching may change *where* a
-/// request runs, never *what* it computes. This holds here only because
-/// every baseline GEMM, solo or batched, takes the dense kernel, whose
-/// rows do not depend on each other: at least 5 of the 16 hidden units
-/// of `mlp(16, 7)` are active for every input this test sends, above the
-/// density probe's 25% cutoff. Where a batch's density picks the kernel, a sample's
-/// logits depend on its batchmates (ROADMAP item 2).
+/// request runs, never *what* it computes: every f32 GEMM runs the one
+/// dense kernel, whose rows do not depend on each other, so a sample's
+/// logits do not depend on its batchmates.
 #[test]
 fn concurrent_responses_are_bit_identical_to_solo_forwards() {
     let engine = engine_with(4, 128);

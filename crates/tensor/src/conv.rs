@@ -15,14 +15,14 @@
 //! output gradient, and the weight gradient chains each weight over the
 //! batch's output positions, so neither `im2col`, `col2im` nor the row ↔
 //! NCHW transposes run. They have one arithmetic, the dense GEMM's
-//! in-order FMA chain, and return the bits of the SIMD lowering run with
-//! the dense kernel; they skip all-zero steps of that chain, which can
-//! change only the sign of a zero an underflowed product left (see
-//! [`crate::simd`]). (The lowering itself picks its GEMM kernel by the
-//! density probe over the whole batch's operand,
-//! [`crate::probe_matmul_kernel`].) [`conv_impl`] is the one rule that
-//! sends a pass to them; [`conv2d_forward`], [`conv2d_input_grad`] and
-//! [`conv2d_weight_grad`] run either implementation.
+//! in-order FMA chain, and return the bits of the SIMD lowering; they skip
+//! all-zero steps of that chain, which can change only the sign of a zero
+//! an underflowed product left (see [`crate::simd`]). The lowering's three
+//! products run the crate's one f32 GEMM, whose rows ignore each other, so
+//! on either implementation a sample's forward and input gradient do not
+//! depend on its batchmates. [`conv_impl`] is the one rule that sends a
+//! pass to the direct kernels; [`conv2d_forward`], [`conv2d_input_grad`]
+//! and [`conv2d_weight_grad`] run either implementation.
 //!
 //! [`conv2d_forward`] is the one f32 convolution forward: `Conv2d` and the
 //! graph executor's f32 conv steps both call it, on slices, and it runs
@@ -42,7 +42,7 @@
 //! and the graph executor.
 
 use crate::simd::{self, DirectConv, WgradTiling, WGRAD_GROUP};
-use crate::{pool, probe_matmul_kernel, KernelBackend, QActivations, Result, Tensor, TensorError};
+use crate::{pool, KernelBackend, QActivations, Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 /// Static geometry of a 2-D convolution or pooling window over NCHW input.
@@ -517,7 +517,7 @@ pub enum ConvImpl {
     /// `col2im` input gradient.
     Lowering,
     /// The direct stride-1 AVX2 kernels, bit-identical to the SIMD
-    /// lowering run with the dense GEMM, with no patch matrix.
+    /// lowering, with no patch matrix.
     Direct,
 }
 
@@ -529,11 +529,6 @@ pub enum ConvImpl {
 /// reference) and strided convolutions. `Conv2d` and the graph executor's
 /// f32 conv steps both ask it. (Int8 convolutions have no direct kernel:
 /// the frozen layer lowers, and the graph executor gathers patch codes.)
-///
-/// Where it picks [`ConvImpl::Direct`], a sample's forward and input
-/// gradient equal, bit for bit, those of the sample convolved alone. The
-/// lowering's GEMM kernel follows a density probe over the whole batch, so
-/// there a sample's bits can depend on its batchmates.
 ///
 /// The passes share the rule because `kernel_bench`'s `simd.conv_direct.*`
 /// and `simd.conv_wgrad.*` rows measure the direct kernels winning every
@@ -661,12 +656,11 @@ impl ConvScratch {
 /// receives the `[n, oc, oh, ow]` output, fully overwritten. `Conv2d` and
 /// the graph executor's f32 conv steps both run it.
 ///
-/// [`ConvImpl::Lowering`] runs `im2col` into `scratch.cols`, the GEMM
-/// (its kernel picked as [`crate::Tensor::matmul`] would, by the density
-/// probe over the patch matrix) into the scratch rows, the bias add and the
-/// NCHW transpose. [`ConvImpl::Direct`] leaves `scratch` alone and returns
-/// the bits of that lowering run with the dense GEMM, whatever the
-/// sample's batchmates hold.
+/// [`ConvImpl::Lowering`] runs `im2col` into `scratch.cols`, the GEMM into
+/// the scratch rows, the bias add and the NCHW transpose.
+/// [`ConvImpl::Direct`] leaves `scratch` alone and returns the bits of that
+/// lowering. Either way a sample's output is what it would be convolved
+/// alone.
 ///
 /// # Errors
 ///
@@ -703,10 +697,9 @@ pub fn conv2d_forward(
         let m = n * oh * ow;
         cols.reset_scratch(&[m, patch]);
         im2col_slice(input, geom, (oh, ow), cols.data_mut());
-        let kernel = probe_matmul_kernel(cols.data());
         rows.clear();
         rows.resize(m * oc, 0.0);
-        crate::ops::matmul_slices(backend, kernel, cols.data(), weight_t, rows, patch, oc);
+        crate::ops::matmul_slices(backend, cols.data(), weight_t, rows, patch, oc);
         for row in rows.chunks_exact_mut(oc) {
             simd::add_assign_slices(backend, row, bias);
         }
@@ -735,10 +728,9 @@ pub fn conv2d_forward(
 /// Convolution input gradient `dL/dx` (`[n, c, h, w]`) from the NCHW
 /// output gradient `grad_output` (`[n, oc, oh, ow]`), by `imp`.
 ///
-/// [`ConvImpl::Lowering`] runs `nchw_to_rows`, the GEMM against `W` (its
-/// kernel picked by the density probe over the gradient rows) and
-/// `col2im`. [`ConvImpl::Direct`] returns the bits of that lowering run
-/// with the dense GEMM, without any of them.
+/// [`ConvImpl::Lowering`] runs `nchw_to_rows`, the GEMM against `W` and
+/// `col2im`. [`ConvImpl::Direct`] returns the bits of that lowering,
+/// without any of them.
 ///
 /// # Errors
 ///
@@ -764,7 +756,7 @@ pub fn conv2d_input_grad(
     let w2d = weight.reshape(&[oc, patch])?;
     if imp == ConvImpl::Lowering {
         let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
-        let gcols = g2d.matmul_with(&w2d, probe_matmul_kernel(g2d.data()), backend)?;
+        let gcols = g2d.matmul_with(&w2d, backend)?;
         return col2im(&gcols, geom, n);
     }
     let d = direct_shape(backend, geom, oc)?;
@@ -801,10 +793,9 @@ pub fn conv2d_input_grad(
 ///
 /// [`ConvImpl::Lowering`] multiplies `g2dᵀ` (the transposed gradient rows)
 /// by the patch matrix — `cols` when the caller's forward already built it
-/// for `input`, a fresh `im2col` otherwise — with the kernel the density
-/// probe over `g2dᵀ` picks, and sums the rows for the bias.
-/// [`ConvImpl::Direct`] returns the bits of that lowering run with the
-/// dense GEMM, without the patch matrix, the rows or their transpose:
+/// for `input`, a fresh `im2col` otherwise — and sums the rows for the
+/// bias. [`ConvImpl::Direct`] returns the bits of that lowering, without
+/// the patch matrix, the rows or their transpose:
 /// output channels sit in the vector lanes, each weight is one chain over
 /// `(n, oy, ox)` that no thread split shares, and the bias is summed in
 /// `sum_axis0`'s row order.
@@ -852,7 +843,7 @@ pub fn conv2d_weight_grad(
         };
         let g2d = nchw_to_rows(grad_output, n, oc, oh, ow)?;
         let g2d_t = g2d.t()?;
-        let gw = g2d_t.matmul_with(cols, probe_matmul_kernel(g2d_t.data()), backend)?;
+        let gw = g2d_t.matmul_with(cols, backend)?;
         return Ok((gw.reshape(&weight_shape)?, g2d.sum_axis0()?));
     }
     let d = direct_shape(backend, geom, oc)?;

@@ -7,9 +7,8 @@
 //! * shape bookkeeping and reshape/transpose/slice operations,
 //! * elementwise arithmetic with scalar and same-shape operands,
 //! * reductions (sums, means, extrema, `argmax`, vector norms),
-//! * a density-adaptive matrix multiply (packed dense microkernel or
-//!   zero-skipping sparse kernel) run on a persistent worker pool
-//!   ([`pool`]),
+//! * one f32 matrix multiply (a packed dense microkernel whose output rows
+//!   ignore each other) run on a persistent worker pool ([`pool`]),
 //! * runtime-dispatched AVX2+FMA slice kernels with scalar fallbacks for
 //!   the GEMM microkernel, elementwise ops and reductions ([`simd`],
 //!   selected once per process by `ADVCOMP_KERNEL=scalar|simd|auto`),
@@ -50,7 +49,7 @@ pub use conv::{
 };
 pub use error::TensorError;
 pub use init::{FanMode, Init};
-pub use ops::{gemm_prepacked, gemm_sparse, probe_matmul_kernel, MatmulKernel, PackedGemmB};
+pub use ops::{gemm_prepacked, PackedGemmB};
 pub use quant::{
     fake_quantize_in_place, qmatmul, qmatmul_f32, quantize_activations, quantize_activations_into,
     QActivations, QTensor, QuantKind, QK,

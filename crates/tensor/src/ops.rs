@@ -1,52 +1,38 @@
 //! Matrix multiplication kernels.
 //!
-//! The production entry point [`Tensor::matmul`] picks between two compute
-//! kernels with a cheap density probe over the left operand, then runs the
-//! chosen kernel across disjoint output row bands on the persistent worker
-//! pool ([`crate::pool`]):
+//! Every f32 product runs one compute kernel, the dense microkernel: it
+//! packs `b` into contiguous column panels when that changes the layout,
+//! then runs a branch-free inner loop unrolled 4× over `k` and blocked in
+//! `n`, across disjoint output row bands on the persistent worker pool
+//! ([`crate::pool`]). Its inner loops run through the backend-dispatched
+//! slice kernels in [`crate::simd`]: an AVX2+FMA body selected at runtime,
+//! with the scalar loop below as the fallback.
 //!
-//! * **Dense microkernel** — packs `b` into contiguous column panels, then
-//!   runs a branch-free inner loop unrolled 4× over `k` and blocked in `n`.
-//!   This is the fast path for ordinary dense activations and weights.
-//! * **Sparse-aware kernel** — the cache-blocked i-k-j loop that skips zero
-//!   multipliers from `a`. Pruned models produce weight matrices that are
-//!   mostly zeros, where skipping beats the packed kernel's raw throughput.
-//!
-//! Both kernels run their inner loops through the backend-dispatched slice
-//! kernels in [`crate::simd`]: the dense microkernel has an AVX2+FMA body
-//! selected at runtime (scalar fallback below), and the sparse kernel's
-//! row-axpy vectorises without changing its bit-exact scalar semantics.
-//!
-//! Per output element, each kernel keeps one arithmetic whatever body runs
-//! it: on the AVX2 path the dense kernel is an in-order `mul_add` chain
-//! from +0, and on both backends the zero-skip kernel is an in-order
-//! `acc + a·b` chain from +0 over the nonzero `a`. A row's bits never
-//! depend on the other rows. On AVX2, products with fewer than 32 output
-//! columns and a depth of at least 8 — every lowered conv forward at the
-//! widths the sweeps run, whose `n` is the layer's output-channel count —
-//! run each band's full 8-row groups through the 8-row tile instead of the
-//! one-row bodies, whose 32-wide stripes would leave most of such a
-//! product to a scalar tail. The tile keeps both arithmetics, so it
-//! changes speed, not bits. `crates/tensor/tests/kernels.rs` pins all of
-//! this. (On the AVX2 backend stride-1 convolutions skip the GEMM — every
-//! pass of `Conv2d`, and the graph executor's f32 conv steps, which run the
-//! same forward: the direct kernels of `crate::conv` compute the bits of
-//! the dense kernel, with no density probe.)
+//! Per output element the kernel keeps one arithmetic per backend: on the
+//! AVX2 path an in-order `mul_add` chain from +0, on the scalar path the
+//! 4-step body. An element is computed from its own row of `a` and from
+//! `b` only, so a row's bits never depend on the other rows, the band it
+//! falls in or the batch it came with. On AVX2, products with fewer than
+//! 32 output columns and a depth of at least 8 — every lowered conv
+//! forward at the widths the sweeps run, whose `n` is the layer's
+//! output-channel count — run each band's full 8-row groups through the
+//! 8-row tile instead of the one-row body, whose 32-wide stripes would
+//! leave most of such a product to a scalar tail. The tile computes the
+//! same chain, so it changes speed, not bits. `crates/tensor/tests/kernels.rs`
+//! pins all of this. (On the AVX2 backend stride-1 convolutions skip the
+//! GEMM — every pass of `Conv2d`, and the graph executor's f32 conv steps,
+//! which run the same forward: the direct kernels of `crate::conv` compute
+//! the bits of this kernel.)
 //!
 //! Reference implementations kept for tests and ablation benchmarks
 //! (compiled only under `cfg(test)` or the `bench-ablation` feature so
 //! exhibit binaries don't carry dead code):
-//! [`Tensor::matmul_naive`] (obviously-correct triple loop),
-//! [`Tensor::matmul_blocked_serial`] (blocked zero-skip kernel, no
-//! threading), and [`Tensor::matmul_spawn_per_call`] (the pre-pool
-//! behaviour: same banding, but fresh OS threads spawned on every call).
+//! [`Tensor::matmul_naive`] (obviously-correct triple loop) and
+//! [`Tensor::matmul_spawn_per_call`] (the pre-pool behaviour: same
+//! banding, but fresh OS threads spawned on every call).
 
 use crate::simd::{self, KernelBackend, TILE_MAX_N};
 use crate::{pool, Result, Tensor, TensorError};
-
-/// Edge length of the cache blocks used by the sparse-aware kernel. 64 f32
-/// rows × 64 columns keeps each block pair within L1 on typical x86 cores.
-const BLOCK: usize = 64;
 
 /// Column-panel width of the dense microkernel. A `k × 128` f32 panel is at
 /// most a few hundred KiB for the depths seen here and stays resident while
@@ -57,53 +43,10 @@ const PANEL: usize = 128;
 /// this the submission overhead dominates.
 pub(crate) const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
 
-/// Upper bound on elements inspected by the density probe.
-const DENSITY_PROBE_SAMPLES: usize = 1024;
-
 /// Depth below which the tile is not used: it moves every output through
 /// a transpose, and at a depth of 3 (the input gradient of a 3-channel
-/// conv) that costs more than the products. In a profile of the sweep's
-/// GEMMs, LeNet-5's zero-skip `25088 × 3 × 25` took 0.58 ms through the
-/// tile and 0.36 ms through the row axpy, while depths of 11 to 99 ran
-/// 1.6–3.8× faster through the tile.
+/// conv) that costs more than the products.
 const TILE_MIN_K: usize = 8;
-
-/// Runs the AVX2 8-row tile over the full 8-row groups of `out_band` when
-/// the product is narrow and deep enough for it, and returns the rows it
-/// left to the caller's one-row kernel with their first row index: the
-/// leftover rows, or the whole band when the tile does not apply.
-#[allow(clippy::too_many_arguments)]
-fn tile_rows<'o>(
-    backend: KernelBackend,
-    a: &[f32],
-    b: &[f32],
-    out_band: &'o mut [f32],
-    row_start: usize,
-    k: usize,
-    n: usize,
-    skip_zeros: bool,
-) -> (&'o mut [f32], usize) {
-    let tiled = if n < TILE_MAX_N && k >= TILE_MIN_K {
-        simd::gemm_tile_rows(backend, a, b, out_band, row_start, k, n, skip_zeros)
-    } else {
-        0
-    };
-    (&mut out_band[tiled * n..], row_start + tiled)
-}
-
-/// Nonzero fraction at or below which the sparse-aware kernel is chosen.
-/// The crossover sits well above the ≥90 %-zero regime produced by pruning,
-/// and well below ordinary dense activations.
-const SPARSE_NONZERO_CUTOFF: f32 = 0.25;
-
-/// Compute kernel chosen for a matrix product. See [`Tensor::matmul`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulKernel {
-    /// Packed-panel, branch-free kernel for dense operands.
-    Dense,
-    /// Zero-skipping blocked kernel for pruned / mostly-zero operands.
-    Sparse,
-}
 
 fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {
     if a.ndim() != 2 || b.ndim() != 2 {
@@ -183,7 +126,12 @@ fn matmul_dense_rows(
     k: usize,
     n: usize,
 ) {
-    let (out_band, row_start) = tile_rows(backend, a, b, out_band, row_start, k, n, false);
+    let tiled = if n < TILE_MAX_N && k >= TILE_MIN_K {
+        simd::gemm_tile_rows(backend, a, b, out_band, row_start, k, n)
+    } else {
+        0
+    };
+    let (out_band, row_start) = (&mut out_band[tiled * n..], row_start + tiled);
     if out_band.is_empty()
         || simd::gemm_dense_rows(backend, a, b, packed, out_band, row_start, k, n, PANEL)
     {
@@ -216,48 +164,6 @@ fn matmul_dense_rows(
                     out_row[j] += av * b0[j];
                 }
                 kk += 1;
-            }
-        }
-    }
-}
-
-/// Sparse-aware kernel over one output row band.
-///
-/// `out_band` holds rows `[row_start, row_start + out_band.len()/n)` and
-/// must be zero-initialised. Blocked i-k-j order: the innermost loop is a
-/// row axpy that runs contiguously over `b` and `out` (vectorised through
-/// [`crate::simd::axpy_slices`], which is bit-exact across backends), and
-/// zero multipliers from `a` are skipped entirely — the win pruned weight
-/// matrices are after. Each element is `acc + a·b` over the nonzero `a` in
-/// `k` order, from +0. On the AVX2 path, when `n` < [`TILE_MAX_N`] and `k`
-/// ≥ [`TILE_MIN_K`], the 8-row tile computes the same bits for the band's
-/// full 8-row groups, with the zero terms masked to +0.
-fn matmul_sparse_rows(
-    backend: KernelBackend,
-    a: &[f32],
-    b: &[f32],
-    out_band: &mut [f32],
-    row_start: usize,
-    k: usize,
-    n: usize,
-) {
-    let (out_band, row_start) = tile_rows(backend, a, b, out_band, row_start, k, n, true);
-    let row_end = row_start + out_band.len() / n;
-    for i0 in (row_start..row_end).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(row_end);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for i in i0..i1 {
-                let out_row = &mut out_band[(i - row_start) * n..(i - row_start + 1) * n];
-                let a_row = &a[i * k..(i + 1) * k];
-                for kk in k0..k1 {
-                    let aik = a_row[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    simd::axpy_slices(backend, out_row, b_row, aik);
-                }
             }
         }
     }
@@ -324,35 +230,12 @@ impl PackedGemmB {
     }
 }
 
-/// The kernel [`Tensor::matmul`] would choose for a left operand with this
-/// backing slice — the same strided density probe, exposed for callers
-/// (the graph executor) that hold activations in arena slices rather than
-/// `Tensor`s.
-pub fn probe_matmul_kernel(data: &[f32]) -> MatmulKernel {
-    let fraction = if data.is_empty() {
-        1.0
-    } else {
-        // Every `step`-th element: at most about 2 × DENSITY_PROBE_SAMPLES
-        // of them, every one for small inputs.
-        let step = (data.len() / DENSITY_PROBE_SAMPLES).max(1);
-        let seen = data.len().div_ceil(step) as u32;
-        let hits = data.iter().step_by(step).filter(|&&v| v != 0.0).count() as u32;
-        hits as f32 / seen as f32
-    };
-    if fraction <= SPARSE_NONZERO_CUTOFF {
-        MatmulKernel::Sparse
-    } else {
-        MatmulKernel::Dense
-    }
-}
-
 /// Dense GEMM against a pre-packed right operand: `out = a · b`, with `a`
 /// `m × k` row-major and `out` `m × n` (fully overwritten).
 ///
 /// Runs the identical kernel, banding policy and backend dispatch as
-/// [`Tensor::matmul`] with [`MatmulKernel::Dense`], so results are
-/// bit-identical to the `Tensor` entry point on every backend — the packing
-/// is pure data movement.
+/// [`Tensor::matmul`], so results are bit-identical to the `Tensor` entry
+/// point on every backend — the packing is pure data movement.
 ///
 /// # Errors
 ///
@@ -385,56 +268,12 @@ pub fn gemm_prepacked(
     Ok(())
 }
 
-/// Sparse-aware GEMM over raw slices: `out = a · b`, zero multipliers in
-/// `a` skipped. Same kernel, banding policy and backend dispatch as
-/// [`Tensor::matmul`] with [`MatmulKernel::Sparse`]; `out` is fully
-/// overwritten.
-///
-/// # Errors
-///
-/// [`TensorError::LengthMismatch`] when slice lengths disagree with
-/// `m × k`, `k × n`, `m × n`.
-pub fn gemm_sparse(
-    backend: KernelBackend,
-    a: &[f32],
-    m: usize,
-    b: &[f32],
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) -> Result<()> {
-    if a.len() != m * k {
-        return Err(TensorError::LengthMismatch {
-            expected: m * k,
-            actual: a.len(),
-        });
-    }
-    if b.len() != k * n {
-        return Err(TensorError::LengthMismatch {
-            expected: k * n,
-            actual: b.len(),
-        });
-    }
-    if out.len() != m * n {
-        return Err(TensorError::LengthMismatch {
-            expected: m * n,
-            actual: out.len(),
-        });
-    }
-    out.fill(0.0);
-    run_banded(out, m, k, n, |row_start, band| {
-        matmul_sparse_rows(backend, a, b, band, row_start, k, n);
-    });
-    Ok(())
-}
-
-/// `out = a · b` by `kernel`: `a` is `m × k` and `b` `k × n`, both
-/// row-major, and `out` is the zero-initialised `m × n` result, `m =
-/// out.len() / n`. The body of [`Tensor::matmul_with`], and of the lowered
-/// convolution forward, which keeps its operands in caller-owned scratch.
+/// `out = a · b`: `a` is `m × k` and `b` `k × n`, both row-major, and
+/// `out` is the zero-initialised `m × n` result, `m = out.len() / n`. The
+/// body of [`Tensor::matmul_with`], and of the lowered convolution forward,
+/// which keeps its operands in caller-owned scratch.
 pub(crate) fn matmul_slices(
     backend: KernelBackend,
-    kernel: MatmulKernel,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -442,38 +281,28 @@ pub(crate) fn matmul_slices(
     n: usize,
 ) {
     let m = out.len().checked_div(n).unwrap_or(0);
-    match kernel {
-        MatmulKernel::Dense => {
-            // Pack only when it changes the layout and a panel is read
-            // more than once: for `n ≤ PANEL` the packed layout is `b`
-            // itself, and a one-row product streams each panel once.
-            let packed;
-            let (b, is_packed) = if n <= PANEL || m == 1 {
-                (b, false)
-            } else {
-                packed = pack_b_panels(b, k, n);
-                (&packed[..], true)
-            };
-            run_banded(out, m, k, n, |row_start, band| {
-                matmul_dense_rows(backend, a, b, is_packed, band, row_start, k, n);
-            });
-        }
-        MatmulKernel::Sparse => {
-            run_banded(out, m, k, n, |row_start, band| {
-                matmul_sparse_rows(backend, a, b, band, row_start, k, n);
-            });
-        }
-    }
+    // Pack only when it changes the layout and a panel is read more than
+    // once: for `n ≤ PANEL` the packed layout is `b` itself, and a one-row
+    // product streams each panel once.
+    let packed;
+    let (b, is_packed) = if n <= PANEL || m == 1 {
+        (b, false)
+    } else {
+        packed = pack_b_panels(b, k, n);
+        (&packed[..], true)
+    };
+    run_banded(out, m, k, n, |row_start, band| {
+        matmul_dense_rows(backend, a, b, is_packed, band, row_start, k, n);
+    });
 }
 
 impl Tensor {
     /// Matrix product of two 2-D tensors.
     ///
-    /// Probes the density of `self` to choose between the dense packed
-    /// microkernel and the sparse zero-skip kernel (see
-    /// [`probe_matmul_kernel`]), then runs the kernel over disjoint output
-    /// row bands on the persistent worker pool when the product is large
-    /// enough to amortise the dispatch.
+    /// Runs the dense microkernel over disjoint output row bands on the
+    /// persistent worker pool when the product is large enough to amortise
+    /// the dispatch, on the process-default backend from
+    /// [`crate::simd::backend`].
     ///
     /// # Errors
     ///
@@ -492,71 +321,22 @@ impl Tensor {
     /// # }
     /// ```
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_with_kernel(other, probe_matmul_kernel(self.data()))
+        self.matmul_with(other, simd::backend())
     }
 
-    /// Matrix product with an explicitly chosen kernel (used by tests and
-    /// the ablation benchmarks; prefer [`Tensor::matmul`]). Runs on the
-    /// process-default backend from [`crate::simd::backend`].
+    /// Matrix product with the slice-kernel backend chosen explicitly. This
+    /// is the root of every matmul entry point; parity tests and the
+    /// simd-vs-scalar ablation benches use it to compare backends inside
+    /// one process (the `ADVCOMP_KERNEL` cache is process-wide, so flipping
+    /// the environment mid-run has no effect).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_with_kernel(&self, other: &Tensor, kernel: MatmulKernel) -> Result<Tensor> {
-        self.matmul_with(other, kernel, simd::backend())
-    }
-
-    /// Matrix product with both the kernel and the slice-kernel backend
-    /// chosen explicitly. This is the root of every matmul entry point;
-    /// parity tests and the simd-vs-scalar ablation benches use it to
-    /// compare backends inside one process (the `ADVCOMP_KERNEL` cache is
-    /// process-wide, so flipping the environment mid-run has no effect).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_with(
-        &self,
-        other: &Tensor,
-        kernel: MatmulKernel,
-        backend: KernelBackend,
-    ) -> Result<Tensor> {
+    pub fn matmul_with(&self, other: &Tensor, backend: KernelBackend) -> Result<Tensor> {
         let (m, k, n) = matmul_dims(self, other)?;
         let mut out = Tensor::zeros(&[m, n]);
-        matmul_slices(
-            backend,
-            kernel,
-            self.data(),
-            other.data(),
-            out.data_mut(),
-            k,
-            n,
-        );
-        Ok(out)
-    }
-
-    /// Blocked zero-skip matmul on the calling thread only (ablation
-    /// reference; this was the only kernel before the dense/sparse split).
-    /// Compiled only for tests and `bench-ablation` builds.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    #[cfg(any(test, feature = "bench-ablation"))]
-    pub fn matmul_blocked_serial(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k, n) = matmul_dims(self, other)?;
-        let mut out = Tensor::zeros(&[m, n]);
-        if m > 0 && n > 0 {
-            matmul_sparse_rows(
-                simd::backend(),
-                self.data(),
-                other.data(),
-                out.data_mut(),
-                0,
-                k,
-                n,
-            );
-        }
+        matmul_slices(backend, self.data(), other.data(), out.data_mut(), k, n);
         Ok(out)
     }
 
@@ -641,7 +421,7 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::Init;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn small_matmul_exact() {
@@ -668,73 +448,25 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_on_random() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (5, 7, 3),
-            (33, 65, 17),
-            (70, 70, 70),
-        ] {
-            let a = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[m, k], &mut rng);
-            let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[k, n], &mut rng);
-            let fast = a.matmul(&b).unwrap();
-            let slow = a.matmul_naive(&b).unwrap();
-            assert!(fast.allclose(&slow, 1e-4), "mismatch at {m}x{k}x{n}");
-            let serial = a.matmul_blocked_serial(&b).unwrap();
-            assert!(serial.allclose(&slow, 1e-4));
-        }
-    }
-
-    #[test]
-    fn dense_kernel_matches_naive_on_random() {
+    fn matmul_matches_naive_on_random() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         // Sizes straddle the panel width, the k-unroll remainder, and the
         // parallel threshold.
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
+            (5, 7, 3),
             (3, 6, 130),
+            (33, 65, 17),
             (17, 129, 257),
             (70, 70, 70),
             (130, 80, 90),
         ] {
             let a = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[m, k], &mut rng);
             let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[k, n], &mut rng);
-            let dense = a.matmul_with_kernel(&b, MatmulKernel::Dense).unwrap();
+            let fast = a.matmul(&b).unwrap();
             let slow = a.matmul_naive(&b).unwrap();
-            assert!(dense.allclose(&slow, 1e-4), "mismatch at {m}x{k}x{n}");
+            assert!(fast.allclose(&slow, 1e-4), "mismatch at {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn sparse_kernel_matches_dense_on_pruned_input() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let mut a = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[65, 70], &mut rng);
-        for v in a.data_mut().iter_mut() {
-            if rng.gen::<f32>() < 0.92 {
-                *v = 0.0;
-            }
-        }
-        let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[70, 33], &mut rng);
-        let sparse = a.matmul_with_kernel(&b, MatmulKernel::Sparse).unwrap();
-        let dense = a.matmul_with_kernel(&b, MatmulKernel::Dense).unwrap();
-        assert!(sparse.allclose(&dense, 1e-4));
-    }
-
-    #[test]
-    fn probe_selects_sparse_for_pruned_and_dense_for_dense() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let dense = Init::Uniform { lo: 0.5, hi: 1.0 }.tensor(&[64, 64], &mut rng);
-        assert_eq!(probe_matmul_kernel(dense.data()), MatmulKernel::Dense);
-
-        // ≥90 % zeros — the regime produced by magnitude pruning.
-        let mut pruned = Init::Uniform { lo: 0.5, hi: 1.0 }.tensor(&[64, 64], &mut rng);
-        for (i, v) in pruned.data_mut().iter_mut().enumerate() {
-            if i % 10 != 0 {
-                *v = 0.0;
-            }
-        }
-        assert_eq!(probe_matmul_kernel(pruned.data()), MatmulKernel::Sparse);
     }
 
     #[test]
@@ -774,7 +506,7 @@ mod tests {
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (7, 33, 130), (130, 80, 90)] {
             let a = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[m, k], &mut rng);
             let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[k, n], &mut rng);
-            let reference = a.matmul_with_kernel(&b, MatmulKernel::Dense).unwrap();
+            let reference = a.matmul(&b).unwrap();
             let packed = PackedGemmB::pack(b.data(), k, n).unwrap();
             let mut out = vec![f32::NAN; m * n];
             gemm_prepacked(simd::backend(), a.data(), m, &packed, &mut out).unwrap();
@@ -794,7 +526,7 @@ mod tests {
                 let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[k, n], &mut rng);
                 let packed = PackedGemmB::pack(b.data(), k, n).unwrap();
                 for be in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    let got = a.matmul_with(&b, MatmulKernel::Dense, be).unwrap();
+                    let got = a.matmul_with(&b, be).unwrap();
                     let mut want = vec![f32::NAN; m * n];
                     gemm_prepacked(be, a.data(), m, &packed, &mut want).unwrap();
                     let same = got
@@ -806,23 +538,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sparse_slice_gemm_bit_identical_to_matmul() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        let (m, k, n) = (65, 70, 33);
-        let mut a = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[m, k], &mut rng);
-        for v in a.data_mut().iter_mut() {
-            if rng.gen::<f32>() < 0.9 {
-                *v = 0.0;
-            }
-        }
-        let b = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[k, n], &mut rng);
-        let reference = a.matmul_with_kernel(&b, MatmulKernel::Sparse).unwrap();
-        let mut out = vec![f32::NAN; m * n];
-        gemm_sparse(simd::backend(), a.data(), m, b.data(), k, n, &mut out).unwrap();
-        assert_eq!(reference.data(), &out[..]);
     }
 
     #[test]

@@ -27,27 +27,24 @@
 //!   double-rounding at the level of a few ULPs (≤ 1e-5 relative L2 in the
 //!   testkit parity suite). Golden vectors therefore pin
 //!   `ADVCOMP_KERNEL=scalar`.
-//! * **Bit-exact with the lowering's dense kernel** — the direct
-//!   convolution kernels (below) return the bits of the im2col lowering
-//!   run with the dense GEMM, so against scalar they sit in the dense
-//!   GEMM's tolerance class.
+//! * **Bit-exact with the lowering** — the direct convolution kernels
+//!   (below) return the bits of the SIMD im2col lowering, so against
+//!   scalar they sit in the dense GEMM's tolerance class.
 //!
 //! # GEMM bodies
 //!
-//! The dense GEMM has two AVX2 bodies with one per-element arithmetic, an
-//! in-order FMA chain from +0: the one-row stripe body (four ymm
-//! accumulators across a 32-wide output stripe, then narrower remainders
-//! and a scalar `mul_add` tail) and, for fewer than 32 output columns at a
-//! depth of at least 8, the 8-row tile (`gemm_tile_rows`), which puts 8
-//! rows in the lanes and one output column in each of up to 8
-//! accumulators. Conv layers lower to `cols · Wᵀ` with as many output
-//! columns as channels (3–22 at the widths the sweeps run), where the
-//! stripe body ran mostly its scalar tail. The
-//! zero-skip GEMM runs the same tile with mul-then-add and the zero
-//! multipliers' products masked to +0, which is bit-exact with its scalar
-//! kernel (bit-exact class). The tile takes a band's full 8-row groups
-//! and leaves the rest to the one-row bodies. It makes no heap
-//! allocation: it transposes A into a stack buffer, `k` in blocks of 128.
+//! The dense GEMM, the crate's one f32 GEMM, has two AVX2 bodies with one
+//! per-element arithmetic, an in-order FMA chain from +0: the one-row
+//! stripe body (four ymm accumulators across a 32-wide output stripe, then
+//! narrower remainders and a scalar `mul_add` tail) and, for fewer than 32
+//! output columns at a depth of at least 8, the 8-row tile
+//! (`gemm_tile_rows`), which puts 8 rows in the lanes and one output column
+//! in each of up to 8 accumulators. Conv layers lower to `cols · Wᵀ` with
+//! as many output columns as channels (3–22 at the widths the sweeps run),
+//! where the stripe body ran mostly its scalar tail. The tile takes a
+//! band's full 8-row groups and leaves the rest to the one-row body. It
+//! makes no heap allocation: it transposes A into a stack buffer, `k` in
+//! blocks of 128.
 //!
 //! # Direct convolution
 //!
@@ -471,8 +468,7 @@ pub fn max_abs_slice(backend: KernelBackend, a: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM bodies (dense: tolerance class, FMA contraction; zero-skip tile:
-// bit-exact class)
+// GEMM bodies (tolerance class: FMA contraction)
 // ---------------------------------------------------------------------------
 
 /// AVX2 dense microkernel over one output row band of a GEMM.
@@ -519,23 +515,14 @@ pub(crate) const TILE_MAX_N: usize = 32;
 /// result, zero-initialised. Each group of 8 rows sits in the lanes of up
 /// to 8 accumulators, one per output column, and walks `k` once per column
 /// group, so the row count fills the vector lanes instead of the narrow
-/// `n`. Per element the arithmetic is that of the kernel it stands in for,
-/// starting from +0:
-///
-/// * `skip_zeros == false` (dense): `acc = fma(a[r][kk], b[kk][j], acc)`
-///   for `kk` in order — the per-element chain of the stripe body and its
-///   `mul_add` tail in [`gemm_dense_rows`].
-/// * `skip_zeros == true` (zero-skip): `acc = acc + (a[r][kk] * b[kk][j])`
-///   with the product masked to +0 where `a[r][kk] == 0`. An accumulator
-///   that starts at +0 never becomes −0, so adding a masked +0 gives the
-///   bits of skipping the term, and the mask keeps a ±∞ or NaN in `b` out
-///   where its multiplier is zero — the scalar zero-skip kernel's result.
+/// `n`. Per element the arithmetic is `acc = fma(a[r][kk], b[kk][j], acc)`
+/// for `kk` in order from +0 — the per-element chain of the stripe body and
+/// its `mul_add` tail in [`gemm_dense_rows`].
 ///
 /// Returns how many leading rows of the band it computed: a multiple of 8,
 /// or 0 when the AVX2 path is unavailable (or the backend is `Scalar`). The
 /// caller computes the remaining rows with its one-row kernel, so a row's
 /// bits never depend on its neighbours.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_tile_rows(
     backend: KernelBackend,
     a: &[f32],
@@ -544,21 +531,14 @@ pub(crate) fn gemm_tile_rows(
     row_start: usize,
     k: usize,
     n: usize,
-    skip_zeros: bool,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if use_avx2(backend) {
         // SAFETY: `use_avx2` checked that the CPU has AVX2 and FMA; the
         // tile bounds-checks every slice it reads or writes.
-        return unsafe {
-            if skip_zeros {
-                avx2::gemm_tile_rows::<true>(a, b, out_band, row_start, k, n)
-            } else {
-                avx2::gemm_tile_rows::<false>(a, b, out_band, row_start, k, n)
-            }
-        };
+        return unsafe { avx2::gemm_tile_rows(a, b, out_band, row_start, k, n) };
     }
-    let _ = (backend, a, b, out_band, row_start, k, n, skip_zeros);
+    let _ = (backend, a, b, out_band, row_start, k, n);
     0
 }
 
@@ -1418,13 +1398,13 @@ mod avx2 {
 
     /// The 8-row tile over the band's full 8-row groups; returns the rows
     /// it computed. See [`super::gemm_tile_rows`] for the per-element
-    /// arithmetic of each flavour.
+    /// arithmetic.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_tile_rows<const SKIP_ZEROS: bool>(
+    pub unsafe fn gemm_tile_rows(
         a: &[f32],
         b: &[f32],
         out_band: &mut [f32],
@@ -1464,14 +1444,14 @@ mod avx2 {
                     let w = LANES.min(n - j0);
                     let cols = &mut acc[j0..j0 + w];
                     match w {
-                        1 => tile_cols::<1, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        2 => tile_cols::<2, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        3 => tile_cols::<3, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        4 => tile_cols::<4, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        5 => tile_cols::<5, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        6 => tile_cols::<6, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        7 => tile_cols::<7, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
-                        _ => tile_cols::<8, SKIP_ZEROS>(&at, kb, b_block, n, j0, cols),
+                        1 => tile_cols::<1>(&at, kb, b_block, n, j0, cols),
+                        2 => tile_cols::<2>(&at, kb, b_block, n, j0, cols),
+                        3 => tile_cols::<3>(&at, kb, b_block, n, j0, cols),
+                        4 => tile_cols::<4>(&at, kb, b_block, n, j0, cols),
+                        5 => tile_cols::<5>(&at, kb, b_block, n, j0, cols),
+                        6 => tile_cols::<6>(&at, kb, b_block, n, j0, cols),
+                        7 => tile_cols::<7>(&at, kb, b_block, n, j0, cols),
+                        _ => tile_cols::<8>(&at, kb, b_block, n, j0, cols),
                     }
                     j0 += w;
                 }
@@ -1543,7 +1523,7 @@ mod avx2 {
     /// The CPU must support AVX2 and FMA.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile_cols<const W: usize, const SKIP_ZEROS: bool>(
+    unsafe fn tile_cols<const W: usize>(
         at: &[f32; TILE_K * LANES],
         kb: usize,
         b_block: &[f32],
@@ -1557,23 +1537,11 @@ mod avx2 {
         for (vj, col) in v.iter_mut().zip(cols.iter()) {
             *vj = _mm256_loadu_ps(col.as_ptr());
         }
-        let zero = _mm256_setzero_ps();
         for kk in 0..kb {
             let av = _mm256_loadu_ps(at.as_ptr().add(kk * LANES));
             let brow = b_block.as_ptr().add(kk * n + j0);
-            if SKIP_ZEROS {
-                let nonzero = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
-                if _mm256_movemask_ps(nonzero) == 0 {
-                    continue;
-                }
-                for (j, vj) in v.iter_mut().enumerate() {
-                    let prod = _mm256_mul_ps(av, _mm256_broadcast_ss(&*brow.add(j)));
-                    *vj = _mm256_add_ps(*vj, _mm256_and_ps(prod, nonzero));
-                }
-            } else {
-                for (j, vj) in v.iter_mut().enumerate() {
-                    *vj = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*brow.add(j)), *vj);
-                }
+            for (j, vj) in v.iter_mut().enumerate() {
+                *vj = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*brow.add(j)), *vj);
             }
         }
         for (vj, col) in v.iter().zip(cols.iter_mut()) {

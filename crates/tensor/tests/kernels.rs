@@ -13,9 +13,9 @@
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl,
-    fake_quantize_in_place, gemm_prepacked, gemm_sparse, im2col, im2col_into, nchw_to_rows, pool,
+    fake_quantize_in_place, gemm_prepacked, im2col, im2col_into, nchw_to_rows, pool,
     quantize_activations, quantize_patches_into, rows_to_nchw, simd, Conv2dGeometry, ConvImpl,
-    ConvScratch, Init, KernelBackend, MatmulKernel, PackedGemmB, QActivations, Tensor,
+    ConvScratch, Init, KernelBackend, PackedGemmB, QActivations, Tensor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -46,10 +46,10 @@ fn naive(a: &Tensor, b: &Tensor) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pooled matmul (both kernels), the serial blocked kernel and the
-    /// naive reference agree for every thread cap, including row counts
-    /// that do not divide evenly into bands. Sizes straddle the parallel
-    /// threshold so both the serial and the pooled dispatch run.
+    /// Pooled matmul on both backends and the naive reference agree for
+    /// every thread cap, including row counts that do not divide evenly
+    /// into bands. Sizes straddle the parallel threshold so both the serial
+    /// and the pooled dispatch run.
     #[test]
     fn kernels_agree_under_thread_caps(
         m in 1usize..70,
@@ -67,22 +67,12 @@ proptest! {
         // Both explicit backends must agree with the reference regardless
         // of which one ADVCOMP_KERNEL selected for this process.
         for be in [KernelBackend::Scalar, KernelBackend::Simd] {
-            let dense = a.matmul_with(&b, MatmulKernel::Dense, be).unwrap();
-            prop_assert!(dense.allclose(&reference, 1e-4), "dense/{} vs naive", be.name());
-            let sparse = a.matmul_with(&b, MatmulKernel::Sparse, be).unwrap();
-            prop_assert!(sparse.allclose(&reference, 1e-4), "sparse/{} vs naive", be.name());
+            let out = a.matmul_with(&b, be).unwrap();
+            prop_assert!(out.allclose(&reference, 1e-4), "{} vs naive", be.name());
         }
         for cap in [1usize, 2, 8] {
-            let (pooled, dense, sparse) = pool::with_thread_cap(cap, || {
-                (
-                    a.matmul(&b).unwrap(),
-                    a.matmul_with_kernel(&b, MatmulKernel::Dense).unwrap(),
-                    a.matmul_with_kernel(&b, MatmulKernel::Sparse).unwrap(),
-                )
-            });
+            let pooled = pool::with_thread_cap(cap, || a.matmul(&b).unwrap());
             prop_assert!(pooled.allclose(&reference, 1e-4), "pooled vs naive, cap {cap}");
-            prop_assert!(dense.allclose(&reference, 1e-4), "dense vs naive, cap {cap}");
-            prop_assert!(sparse.allclose(&reference, 1e-4), "sparse vs naive, cap {cap}");
         }
     }
 
@@ -155,10 +145,7 @@ fn acceptance_size_agrees_across_kernels() {
     let reference = naive(&a, &b);
     assert!(a.matmul(&b).unwrap().allclose(&reference, 1e-4));
     for be in [KernelBackend::Scalar, KernelBackend::Simd] {
-        assert!(a
-            .matmul_with(&b, MatmulKernel::Dense, be)
-            .unwrap()
-            .allclose(&reference, 1e-4));
+        assert!(a.matmul_with(&b, be).unwrap().allclose(&reference, 1e-4));
     }
 }
 
@@ -184,25 +171,6 @@ fn fma_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     out
 }
 
-/// Reference: every element as an in-order `acc + a * b` chain from +0
-/// that skips each `a == 0` (either sign).
-fn zero_skip_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                let av = a[i * k + kk];
-                if av != 0.0 {
-                    acc += av * b[kk * n + j];
-                }
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    out
-}
-
 /// `m × k` left operand: uniform values with about a third of the entries
 /// replaced by +0 or −0, and every fifth column (from column 1) all zero so
 /// the right operand can hold non-finite rows there.
@@ -221,11 +189,23 @@ fn pin_lhs(m: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
     a
 }
 
-fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
+/// Equal bits.
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits()
+}
+
+/// Equal bits, or both NaN: a NaN's payload depends on which operand an
+/// instruction propagates, not on the arithmetic under test.
+fn same_value(a: f32, b: f32) -> bool {
+    same_bits(a, b) || (a.is_nan() && b.is_nan())
+}
+
+/// Asserts `same(got[i], want[i])` for every element.
+fn assert_elements(label: &str, got: &[f32], want: &[f32], same: fn(f32, f32) -> bool) {
     assert_eq!(got.len(), want.len(), "{label}: length");
     for (idx, (g, w)) in got.iter().zip(want).enumerate() {
         assert!(
-            g.to_bits() == w.to_bits(),
+            same(*g, *w),
             "{label}: element {idx} is {g:e} ({:#010x}), want {w:e} ({:#010x})",
             g.to_bits(),
             w.to_bits()
@@ -233,9 +213,14 @@ fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
     }
 }
 
+fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
+    assert_elements(label, got, want, same_bits);
+}
+
 /// Runs `gemm(a, m)` on the whole `m`-row operand and on each row alone,
 /// checks the full product against `want`, and checks that row `i` of it
-/// equals the 1-row product of row `i`.
+/// equals the 1-row product of row `i`, every element by `same`.
+#[allow(clippy::too_many_arguments)]
 fn check_product(
     label: &str,
     a: &[f32],
@@ -243,34 +228,34 @@ fn check_product(
     k: usize,
     n: usize,
     want: Option<&[f32]>,
+    same: fn(f32, f32) -> bool,
     gemm: &dyn Fn(&[f32], usize) -> Vec<f32>,
 ) {
     let full = gemm(a, m);
     if let Some(want) = want {
-        assert_bits(label, &full, want);
+        assert_elements(label, &full, want, same);
     }
     for i in 0..m {
         let row = gemm(&a[i * k..(i + 1) * k], 1);
-        assert_bits(
+        assert_elements(
             &format!("{label}: row {i} vs its 1-row product"),
             &full[i * n..(i + 1) * n],
             &row,
+            same,
         );
     }
 }
 
-/// Pins the per-element arithmetic of both f32 GEMM kernels through all
-/// three entry points (`Tensor::matmul_with`, `gemm_prepacked`,
-/// `gemm_sparse`), so no kernel body — the AVX2 8-row tile for narrow
-/// outputs included — can drift from it:
+/// Pins the per-element arithmetic of the f32 GEMM through both entry
+/// points (`Tensor::matmul_with`, `gemm_prepacked`), so no kernel body —
+/// the AVX2 8-row tile for narrow outputs included — can drift from it:
 ///
-/// * on an AVX2+FMA host, the SIMD dense GEMM is an in-order `mul_add`
-///   chain from +0, bit for bit;
-/// * on both backends, the zero-skip GEMM is an in-order `acc + a·b` chain
-///   that skips `a == 0`, bit for bit, even where `b` holds ±∞ or NaN
-///   facing only zero multipliers;
-/// * on both backends and both kernels, row `i` of an `m`-row product is
-///   the 1-row product of row `i`.
+/// * on an AVX2+FMA host, the SIMD GEMM is an in-order `mul_add` chain
+///   from +0, bit for bit;
+/// * on both backends, a zero multiplier facing ±∞ or NaN in `b` gives NaN,
+///   as IEEE multiplication does, so no body skips a zero term;
+/// * on both backends, row `i` of an `m`-row product is the 1-row product
+///   of row `i`.
 #[test]
 fn gemm_kernels_keep_per_element_arithmetic() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -279,7 +264,8 @@ fn gemm_kernels_keep_per_element_arithmetic() {
             for n in PIN_N {
                 let a = pin_lhs(m, k, &mut rng);
                 let b_finite = uniform(&[k, n], &mut rng).into_data();
-                // Non-finite rows of b sit where every multiplier is zero.
+                // Non-finite rows of b sit where every multiplier is zero, so
+                // for k > 1 every element of the product is NaN.
                 let mut b_poisoned = b_finite.clone();
                 for kk in (1..k).step_by(5) {
                     let row = &mut b_poisoned[kk * n..(kk + 1) * n];
@@ -288,66 +274,49 @@ fn gemm_kernels_keep_per_element_arithmetic() {
                     }
                 }
                 let fma_want = fma_chain(&a, &b_finite, m, k, n);
-                let skip_want = zero_skip_chain(&a, &b_poisoned, m, k, n);
-                let packed = PackedGemmB::pack(&b_finite, k, n).unwrap();
-                let bt_finite = Tensor::new(&[k, n], b_finite.clone()).unwrap();
-                let bt_poisoned = Tensor::new(&[k, n], b_poisoned.clone()).unwrap();
+                let nan_want = vec![f32::NAN; m * n];
+                let operands = [(b_finite, "finite"), (b_poisoned, "poisoned")].map(|(b, name)| {
+                    let packed = PackedGemmB::pack(&b, k, n).unwrap();
+                    (Tensor::new(&[k, n], b).unwrap(), packed, name)
+                });
                 for be in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    let shape = format!("{m}x{k}x{n} {}", be.name());
-                    // The dense chain is pinned where the FMA body runs; the
-                    // scalar dense body sums 4 products per step.
-                    let dense_want = (be == KernelBackend::Simd && simd::simd_available())
-                        .then_some(&fma_want[..]);
-                    let matmul = |bt: &Tensor, kernel: MatmulKernel, a: &[f32], rows: usize| {
-                        let at = Tensor::new(&[rows, k], a.to_vec()).unwrap();
-                        at.matmul_with(bt, kernel, be).unwrap().into_data()
-                    };
-                    check_product(
-                        &format!("matmul dense {shape}"),
-                        &a,
-                        m,
-                        k,
-                        n,
-                        dense_want,
-                        &|a: &[f32], rows: usize| matmul(&bt_finite, MatmulKernel::Dense, a, rows),
-                    );
-                    check_product(
-                        &format!("gemm_prepacked {shape}"),
-                        &a,
-                        m,
-                        k,
-                        n,
-                        dense_want,
-                        &|a: &[f32], rows: usize| {
-                            let mut out = vec![f32::NAN; rows * n];
-                            gemm_prepacked(be, a, rows, &packed, &mut out).unwrap();
-                            out
-                        },
-                    );
-                    check_product(
-                        &format!("matmul zero-skip {shape}"),
-                        &a,
-                        m,
-                        k,
-                        n,
-                        Some(&skip_want),
-                        &|a: &[f32], rows: usize| {
-                            matmul(&bt_poisoned, MatmulKernel::Sparse, a, rows)
-                        },
-                    );
-                    check_product(
-                        &format!("gemm_sparse {shape}"),
-                        &a,
-                        m,
-                        k,
-                        n,
-                        Some(&skip_want),
-                        &|a: &[f32], rows: usize| {
-                            let mut out = vec![f32::NAN; rows * n];
-                            gemm_sparse(be, a, rows, &b_poisoned, k, n, &mut out).unwrap();
-                            out
-                        },
-                    );
+                    // The chain is pinned where the FMA body runs; the scalar
+                    // body sums 4 products per step.
+                    let fma = be == KernelBackend::Simd && simd::simd_available();
+                    for (bt, packed, name) in &operands {
+                        let (want, same): (_, fn(f32, f32) -> bool) = match *name {
+                            "finite" => (fma.then_some(&fma_want[..]), same_bits),
+                            _ => ((k > 1).then_some(&nan_want[..]), same_value),
+                        };
+                        let shape = format!("{m}x{k}x{n} {name} {}", be.name());
+                        check_product(
+                            &format!("matmul {shape}"),
+                            &a,
+                            m,
+                            k,
+                            n,
+                            want,
+                            same,
+                            &|a: &[f32], rows: usize| {
+                                let at = Tensor::new(&[rows, k], a.to_vec()).unwrap();
+                                at.matmul_with(bt, be).unwrap().into_data()
+                            },
+                        );
+                        check_product(
+                            &format!("gemm_prepacked {shape}"),
+                            &a,
+                            m,
+                            k,
+                            n,
+                            want,
+                            same,
+                            &|a: &[f32], rows: usize| {
+                                let mut out = vec![f32::NAN; rows * n];
+                                gemm_prepacked(be, a, rows, packed, &mut out).unwrap();
+                                out
+                            },
+                        );
+                    }
                 }
             }
         }
@@ -367,22 +336,9 @@ fn with_density(len: usize, density: f32, rng: &mut rand::rngs::StdRng) -> Vec<f
     v
 }
 
-/// Equal bits, or both NaN: a NaN's payload depends on which operand an
-/// instruction propagates, not on the arithmetic under test.
-fn same_value(a: f32, b: f32) -> bool {
-    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-}
-
 fn assert_same(label: &str, got: &Tensor, want: &Tensor) {
     assert_eq!(got.shape(), want.shape(), "{label}: shape");
-    for (idx, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-        assert!(
-            same_value(*g, *w),
-            "{label}: element {idx} is {g:e} ({:#010x}), want {w:e} ({:#010x})",
-            g.to_bits(),
-            w.to_bits()
-        );
-    }
+    assert_elements(label, got.data(), want.data(), same_value);
 }
 
 /// One convolution: geometry, output channels and batch.
@@ -534,15 +490,12 @@ fn conv_forward(
     y
 }
 
-/// Every pass of `case` through the SIMD lowering with the dense GEMM
-/// forced, built from public calls: `im2col → matmul → bias add →
-/// rows_to_nchw` forward, `nchw_to_rows → matmul → col2im` input gradient,
-/// and `g2dᵀ · im2col` weight and `sum_axis0` bias gradients.
+/// Every pass of `case` through the SIMD lowering, built from public
+/// calls: `im2col → matmul → bias add → rows_to_nchw` forward,
+/// `nchw_to_rows → matmul → col2im` input gradient, and `g2dᵀ · im2col`
+/// weight and `sum_axis0` bias gradients.
 fn dense_lowering(case: &ConvCase, data: &ConvData) -> [Tensor; 4] {
-    let dense = |a: &Tensor, b: &Tensor| {
-        a.matmul_with(b, MatmulKernel::Dense, KernelBackend::Simd)
-            .unwrap()
-    };
+    let dense = |a: &Tensor, b: &Tensor| a.matmul_with(b, KernelBackend::Simd).unwrap();
     let geom = case.geom();
     let (n, oc) = (case.batch, case.oc);
     let (oh, ow) = geom.output_hw().unwrap();
@@ -596,8 +549,8 @@ fn check_direct_conv(label: &str, case: &ConvCase, data: &ConvData, cap: usize) 
     }
 }
 
-/// The direct stride-1 kernels return the bits of the SIMD lowering run
-/// with the dense GEMM, at thread caps 1, 2 and 8, on inputs and output
+/// The direct stride-1 kernels return the bits of the SIMD lowering, at
+/// thread caps 1, 2 and 8, on inputs and output
 /// gradients whose zeros (of both signs) they may skip.
 #[test]
 fn direct_conv_matches_dense_lowering() {
@@ -614,25 +567,19 @@ fn direct_conv_matches_dense_lowering() {
     }
 }
 
-/// A sample's forward and input gradient on the direct path are its
-/// batch-1 bits, whatever its batchmates hold: the six sweep convolutions,
-/// a batch of 16 that alternates sparse samples (densities 0.1 to 0.6,
-/// zeros of both signs) with dense ones, at thread caps 1, 2 and 8. A
-/// density probe over the whole batch would pick the sparse samples'
-/// arithmetic by their dense batchmates.
+/// A sample's forward and input gradient are its batch-1 bits, whatever
+/// its batchmates hold, by either implementation on either backend: the
+/// six sweep convolutions, a batch of 16 that alternates sparse samples
+/// (densities 0.1 to 0.6, zeros of both signs) with dense ones, at thread
+/// caps 1, 2 and 8. A kernel choice made from the whole batch (a density
+/// probe over the patch matrix or the gradient rows) would pick the sparse
+/// samples' arithmetic by their dense batchmates.
 #[test]
-fn direct_conv_samples_ignore_their_batchmates() {
-    if !simd::simd_available() {
-        eprintln!("skipping: no AVX2+FMA on this machine");
-        return;
-    }
+fn conv_samples_ignore_their_batchmates() {
     const BATCH: usize = 16;
-    let be = KernelBackend::Simd;
     let mut rng = rand::rngs::StdRng::seed_from_u64(61);
     for (c, oc, k, pad, hw) in SWEEP_CONVS {
         let geom = Conv2dGeometry::square(c, hw, k, 1, pad);
-        let imp = conv_impl(be, &geom);
-        assert_eq!(imp, ConvImpl::Direct, "{geom:?}");
         let (oh, ow) = geom.output_hw().unwrap();
         let weight = uniform(&[oc, c, k, k], &mut rng);
         let bias = uniform(&[oc], &mut rng);
@@ -650,35 +597,49 @@ fn direct_conv_samples_ignore_their_batchmates() {
             .iter()
             .map(|&d| with_density(oc * oh * ow, d, &mut rng))
             .collect();
-        let passes = |n: usize, x: Vec<f32>, dy: Vec<f32>| {
-            let x = Tensor::new(&[n, c, hw, hw], x).unwrap();
-            let dy = Tensor::new(&[n, oc, oh, ow], dy).unwrap();
-            let y = conv_forward(
-                be,
-                &x,
-                &weight,
-                &bias,
-                &geom,
-                imp,
-                &mut ConvScratch::default(),
-            );
-            let dx = conv2d_input_grad(be, &dy, &weight, &geom, imp).unwrap();
-            (y, dx)
-        };
-        let alone: Vec<(Tensor, Tensor)> = xs
-            .iter()
-            .zip(&dys)
-            .map(|(x, dy)| passes(1, x.clone(), dy.clone()))
-            .collect();
-        for cap in [1usize, 2, 8] {
-            let (y, dx) = pool::with_thread_cap(cap, || passes(BATCH, xs.concat(), dys.concat()));
-            for (b, (y1, dx1)) in alone.iter().enumerate() {
-                let label = format!("{geom:?} sample {b} (density {}) cap {cap}", densities[b]);
-                let (ylen, dxlen) = (y1.len(), dx1.len());
-                let y_b = &y.data()[b * ylen..(b + 1) * ylen];
-                assert_bits(&format!("{label}: forward"), y_b, y1.data());
-                let dx_b = &dx.data()[b * dxlen..(b + 1) * dxlen];
-                assert_bits(&format!("{label}: input gradient"), dx_b, dx1.data());
+        let mut runs = vec![
+            (KernelBackend::Scalar, ConvImpl::Lowering),
+            (KernelBackend::Simd, ConvImpl::Lowering),
+        ];
+        if simd::simd_available() {
+            assert_eq!(conv_impl(KernelBackend::Simd, &geom), ConvImpl::Direct);
+            runs.push((KernelBackend::Simd, ConvImpl::Direct));
+        }
+        for (be, imp) in runs {
+            let passes = |n: usize, x: Vec<f32>, dy: Vec<f32>| {
+                let x = Tensor::new(&[n, c, hw, hw], x).unwrap();
+                let dy = Tensor::new(&[n, oc, oh, ow], dy).unwrap();
+                let y = conv_forward(
+                    be,
+                    &x,
+                    &weight,
+                    &bias,
+                    &geom,
+                    imp,
+                    &mut ConvScratch::default(),
+                );
+                let dx = conv2d_input_grad(be, &dy, &weight, &geom, imp).unwrap();
+                (y, dx)
+            };
+            let alone: Vec<(Tensor, Tensor)> = xs
+                .iter()
+                .zip(&dys)
+                .map(|(x, dy)| passes(1, x.clone(), dy.clone()))
+                .collect();
+            for cap in [1usize, 2, 8] {
+                let (y, dx) =
+                    pool::with_thread_cap(cap, || passes(BATCH, xs.concat(), dys.concat()));
+                for (b, (y1, dx1)) in alone.iter().enumerate() {
+                    let label = format!(
+                        "{geom:?} {be:?} {imp:?} sample {b} (density {}) cap {cap}",
+                        densities[b]
+                    );
+                    let (ylen, dxlen) = (y1.len(), dx1.len());
+                    let y_b = &y.data()[b * ylen..(b + 1) * ylen];
+                    assert_bits(&format!("{label}: forward"), y_b, y1.data());
+                    let dx_b = &dx.data()[b * dxlen..(b + 1) * dxlen];
+                    assert_bits(&format!("{label}: input gradient"), dx_b, dx1.data());
+                }
             }
         }
     }

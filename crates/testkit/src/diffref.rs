@@ -1,7 +1,7 @@
 //! Obviously-correct reference implementations for differential fuzzing.
 //!
-//! The production kernels (`Tensor::matmul` packed-dense / zero-skip-sparse
-//! and the `im2col`-backed `Conv2d`) are optimised for speed; these
+//! The production kernels (`Tensor::matmul`'s packed dense GEMM and
+//! `Conv2d`'s lowering and direct kernels) are optimised for speed; these
 //! references are optimised for being trivially auditable. Sums accumulate
 //! in `f64`, so the reference is strictly more accurate than any f32
 //! production path and the fuzz comparison tolerance
@@ -118,10 +118,8 @@ pub struct GemmCase {
 /// Generates `count` randomized GEMM cases from `seed`.
 ///
 /// Shapes sweep `[1, max_dim]` per axis and the left operand's density
-/// sweeps the full range, so both the dense-branch and the zero-skip
-/// sparse-branch of the production kernel (density cutoff 0.25) get
-/// exercised, as do sizes on either side of the parallel threshold when
-/// `max_dim` is large enough.
+/// sweeps the full range, from dense to almost all zeros, as do sizes on
+/// either side of the parallel threshold when `max_dim` is large enough.
 pub fn gemm_cases(seed: u64, count: usize, max_dim: usize) -> Vec<GemmCase> {
     let mut rng = DetRng::new(seed);
     (0..count)

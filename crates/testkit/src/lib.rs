@@ -16,8 +16,8 @@
 //! 2. **Differential kernel fuzzing** ([`diffref`]): obviously-correct
 //!    reference implementations (triple-loop GEMM lives in
 //!    `advcomp_tensor`, direct convolution lives here) that randomized
-//!    shape/density sweeps compare against the production packed-dense,
-//!    zero-skip-sparse and `im2col` kernels.
+//!    shape/density sweeps compare against the production packed-dense
+//!    GEMM on both backends and the `im2col` lowering.
 //! 3. **Determinism harness** ([`determinism`]): runs an operation under
 //!    kernel-parallelism caps `{1, 2, 8}` and repeated invocations,
 //!    asserting bit-exact equality of every output — the property that

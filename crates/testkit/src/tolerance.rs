@@ -6,8 +6,8 @@
 //!   The pipeline is deterministic by construction, so any drift — down to
 //!   a single ulp — is a real behaviour change and must fail loudly.
 //! * [`Tolerance::AbsRel`] — cross-kernel agreement. Different summation
-//!   orders (packed-dense vs zero-skip vs triple-loop) legitimately differ
-//!   in the last few ulps; the differential fuzzer allows
+//!   orders (the FMA chain vs the scalar 4-step body vs the triple loop)
+//!   legitimately differ in the last few ulps; the differential fuzzer allows
 //!   `|a − b| ≤ abs + rel · max(|a|, |b|)` per element.
 //! * [`rel_l2_error`] — gradient checks. Finite differences of a piecewise
 //!   smooth loss (ReLU kinks, max-pool argmax flips) can be badly wrong in

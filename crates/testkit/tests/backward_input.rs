@@ -16,9 +16,16 @@
 //! `backward`: the second test pins that a `backward` after an
 //! `Eval`-mode forward accumulates the same parameter gradients as after a
 //! `Train`-mode one (none of these nets has dropout).
+//!
+//! The third pins batch invariance, which a batched attack needs: seeded
+//! with one-hot logit rows, row `i` of a batch's `backward_input` is sample
+//! `i`'s batch-1 input gradient, bit for bit, over the paper nets' own test
+//! inputs.
 
+use advcomp_attacks::NetKind;
 use advcomp_compress::{PruneMask, Quantizer};
-use advcomp_models::{cifarnet, lenet5, ModelKind};
+use advcomp_core::{ExperimentScale, TaskSetup, TrainedModel};
+use advcomp_models::{cifarnet, lenet5};
 use advcomp_nn::{Mode, Sequential};
 use advcomp_tensor::Tensor;
 use advcomp_testkit::fixtures::{strided, STRIDED_INPUT};
@@ -35,34 +42,48 @@ fn det_tensor(seed: u64, batch: usize, shape: &[usize], lo: f32, hi: f32) -> Ten
 /// Builds one net under test.
 type Build = fn() -> Sequential;
 
-/// The nets under test with their input shapes: both paper nets at reduced
-/// width, and [`strided`].
-fn nets() -> [(&'static str, Vec<usize>, Build); 3] {
+/// How many inputs [`nets`] holds per net: the largest batch here.
+const INPUTS: usize = 64;
+
+/// The first [`INPUTS`] test inputs of `net`'s task at `tiny` scale.
+fn task_rows(net: NetKind) -> Tensor {
+    let setup = TaskSetup::new(net, &ExperimentScale::tiny());
+    let (rows, _) = setup
+        .test
+        .slice(0, INPUTS)
+        .expect("the tiny test split holds 64");
+    rows
+}
+
+/// The nets under test with [`INPUTS`] inputs each: both paper nets at
+/// reduced width on their task's test inputs, and [`strided`] on uniform
+/// values.
+fn nets() -> [(&'static str, Tensor, Build); 3] {
     [
-        ("lenet5", ModelKind::LeNet5.input_shape().to_vec(), || {
-            lenet5(0.5, 31)
+        ("lenet5", task_rows(NetKind::LeNet5), || lenet5(0.5, 31)),
+        ("cifarnet", task_rows(NetKind::CifarNet), || {
+            cifarnet(0.35, 32)
         }),
         (
-            "cifarnet",
-            ModelKind::CifarNet.input_shape().to_vec(),
-            || cifarnet(0.35, 32),
+            "strided",
+            det_tensor(34, INPUTS, &STRIDED_INPUT, 0.0, 1.0),
+            || strided(33),
         ),
-        ("strided", STRIDED_INPUT.to_vec(), || strided(33)),
     ]
 }
 
 /// Every net of [`nets`] at f32, DNS-pruned to density 0.1 and with 4-bit
 /// weights and FakeQuant activation formats installed (simulated, so the
-/// layers stay differentiable).
-fn variants() -> Vec<(String, Vec<usize>, Sequential)> {
+/// layers stay differentiable), with the net's inputs.
+fn variants() -> Vec<(String, Tensor, Sequential)> {
     let mut out = Vec::new();
-    for (name, shape, build) in nets() {
-        out.push((format!("{name} f32"), shape.clone(), build()));
+    for (name, inputs, build) in nets() {
+        out.push((format!("{name} f32"), inputs.clone(), build()));
         let mut pruned = build();
         PruneMask::from_magnitude(&pruned, 0.1)
             .and_then(|mask| mask.apply(&mut pruned))
             .expect("prune");
-        out.push((format!("{name} dns 0.1"), shape.clone(), pruned));
+        out.push((format!("{name} dns 0.1"), inputs.clone(), pruned));
         let mut quantized = build();
         Quantizer::for_bitwidth(4)
             .expect("4-bit quantizer")
@@ -74,7 +95,7 @@ fn variants() -> Vec<(String, Vec<usize>, Sequential)> {
                 .any(|l| l.activation_format().is_some()),
             "{name}: no FakeQuant format installed"
         );
-        out.push((format!("{name} fakequant 4"), shape, quantized));
+        out.push((format!("{name} fakequant 4"), inputs, quantized));
     }
     out
 }
@@ -91,10 +112,11 @@ fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
 
 #[test]
 fn backward_input_is_the_input_half_of_backward() {
-    for (name, shape, mut model) in variants() {
+    for (name, inputs, mut model) in variants() {
+        let shape = &inputs.shape()[1..];
         for batch in [1usize, 48] {
             let label = format!("{name} batch {batch}");
-            let x = det_tensor(batch as u64, batch, &shape, 0.0, 1.0);
+            let x = det_tensor(batch as u64, batch, shape, 0.0, 1.0);
             let logits = model.forward(&x, Mode::Eval).expect("forward");
             let classes = logits.shape()[1];
             let seed = det_tensor(100 + batch as u64, batch, &[classes], -1.0, 1.0);
@@ -146,10 +168,11 @@ fn gradients_after(model: &mut Sequential, x: &Tensor, mode: Mode) -> (Vec<Tenso
 
 #[test]
 fn backward_after_eval_forward_matches_train_forward() {
-    for (name, shape, mut model) in variants() {
+    for (name, inputs, mut model) in variants() {
+        let shape = &inputs.shape()[1..];
         for batch in [1usize, 48] {
             let label = format!("{name} batch {batch}");
-            let x = det_tensor(50 + batch as u64, batch, &shape, 0.0, 1.0);
+            let x = det_tensor(50 + batch as u64, batch, shape, 0.0, 1.0);
             let (eval_grads, eval_dx) = gradients_after(&mut model, &x, Mode::Eval);
             let (train_grads, train_dx) = gradients_after(&mut model, &x, Mode::Train);
             for ((p, e), t) in model.params().iter().zip(&eval_grads).zip(&train_grads) {
@@ -166,6 +189,62 @@ fn backward_after_eval_forward_matches_train_forward() {
                     .any(|g| g.data().iter().any(|&v| v != 0.0)),
                 "{label}: backward accumulated no parameter gradient"
             );
+        }
+    }
+}
+
+/// Input gradient of an `Eval` forward of `inputs` rows `start..start +
+/// batch`, seeded with one-hot logit rows (row `r` hot at class `(start +
+/// r) % classes`), so the seed carries no batch-size scale.
+fn one_hot_input_grad(
+    model: &mut Sequential,
+    inputs: &Tensor,
+    start: usize,
+    batch: usize,
+) -> Tensor {
+    let x = inputs
+        .narrow(start, batch)
+        .expect("inputs hold every batch");
+    let logits = model.forward(&x, Mode::Eval).expect("forward");
+    let classes = logits.shape()[1];
+    let mut seed = Tensor::zeros(logits.shape());
+    for (r, row) in seed.data_mut().chunks_exact_mut(classes).enumerate() {
+        row[(start + r) % classes] = 1.0;
+    }
+    model.backward_input(&seed).expect("backward_input")
+}
+
+/// Every variant, and LeNet-5 trained at `tiny` scale (seed 11), whose
+/// `Dense` layers see a trained net's sparse activations and gradients.
+#[test]
+fn backward_input_rows_ignore_their_batchmates() {
+    let scale = ExperimentScale::tiny();
+    let setup = TaskSetup::new(NetKind::LeNet5, &scale);
+    let trained = TrainedModel::train(&setup, &scale, 11).expect("tiny baseline trains");
+    let mut cases = variants();
+    cases.push((
+        "lenet5 trained".into(),
+        task_rows(NetKind::LeNet5),
+        trained.instantiate().expect("checkpoint restores"),
+    ));
+    for (name, inputs, mut model) in cases {
+        let alone: Vec<Tensor> = (0..INPUTS)
+            .map(|i| one_hot_input_grad(&mut model, &inputs, i, 1))
+            .collect();
+        for batch in [1usize, 3, 16, INPUTS] {
+            let dx = one_hot_input_grad(&mut model, &inputs, 0, batch);
+            for (i, (row, one)) in dx
+                .data()
+                .chunks_exact(dx.len() / batch)
+                .zip(&alone)
+                .enumerate()
+            {
+                assert_bits(
+                    &format!("{name} batch {batch}: row {i} vs its batch-1 input gradient"),
+                    row,
+                    one.data(),
+                );
+            }
         }
     }
 }

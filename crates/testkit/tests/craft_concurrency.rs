@@ -4,8 +4,8 @@
 //! health events in order, and their first error.
 //!
 //! The models are both paper nets at the sweep widths, at f32, DNS-pruned
-//! to density 0.1 (whose sparse weights take the zero-skip GEMM flavour)
-//! and with 4-bit FakeQuant installed, on the task's own test inputs. Each
+//! to density 0.1 and with 4-bit FakeQuant installed, on the task's own
+//! test inputs. Each
 //! comparison runs at the pool's default parallelism and under
 //! `with_thread_cap(1)`. `scripts/check.sh` also runs this binary at
 //! `ADVCOMP_THREADS=8`, so seven helpers interleave the samples.

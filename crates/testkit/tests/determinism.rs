@@ -44,7 +44,8 @@ fn pipeline_is_bit_exact_across_thread_caps() {
     })
     .unwrap();
 
-    // Sparse operand above the threshold: zero-skip kernel path.
+    // Sparse operand above the threshold: the same dense kernel, which
+    // multiplies every zero like any other value.
     check_bit_exact("sparse matmul", &STANDARD_CAPS, REPEATS, || {
         let mut rng = DetRng::new(0x5EED);
         let a = Tensor::new(&[96, 96], rng.sparse_vec_f32(96 * 96, -1.0, 1.0, 0.9)).unwrap();

@@ -4,18 +4,18 @@
 //! Every case asserts agreement within [`Tolerance::kernel_default`]
 //! (1e-4 absolute + 1e-4 relative) between:
 //!
-//! * packed-dense GEMM, zero-skip sparse GEMM, the triple-loop f32
-//!   `matmul_naive`, the auto-dispatching `matmul`, and an f64-accumulated
-//!   reference;
+//! * the f32 GEMM on both backends (`matmul_with`) and on the process
+//!   default (`matmul`), the triple-loop f32 `matmul_naive`, and an
+//!   f64-accumulated reference;
 //! * the `im2col`-backed `Conv2d` layer and a direct quadruple-loop
 //!   convolution reference.
 //!
 //! The sweeps total well over 200 cases and include shapes on both sides
-//! of the GEMM parallel threshold and densities on both sides of the
-//! sparse-dispatch cutoff.
+//! of the GEMM parallel threshold and left operands from dense to almost
+//! all zeros.
 
 use advcomp_nn::{Conv2d, Layer, Mode};
-use advcomp_tensor::{MatmulKernel, Tensor};
+use advcomp_tensor::{KernelBackend, Tensor};
 use advcomp_testkit::diffref::{self, conv2d_direct, matmul_f64};
 use advcomp_testkit::tolerance::{compare_slices, Tolerance};
 use rand::SeedableRng;
@@ -37,27 +37,22 @@ fn fuzz_gemm_sweep(seed: u64, count: usize, max_dim: usize) {
             case.zero_prob
         );
         let reference = matmul_f64(&case.a, &case.b);
-        let dense = case
-            .a
-            .matmul_with_kernel(&case.b, MatmulKernel::Dense)
-            .unwrap();
-        let sparse = case
-            .a
-            .matmul_with_kernel(&case.b, MatmulKernel::Sparse)
-            .unwrap();
+        for be in [KernelBackend::Scalar, KernelBackend::Simd] {
+            let out = case.a.matmul_with(&case.b, be).unwrap();
+            assert_agrees(
+                &format!("{label}: {} vs f64 ref", be.name()),
+                &reference,
+                &out,
+            );
+        }
         let naive = case.a.matmul_naive(&case.b).unwrap();
         let auto = case.a.matmul(&case.b).unwrap();
-        assert_agrees(&format!("{label}: dense vs f64 ref"), &reference, &dense);
-        assert_agrees(&format!("{label}: sparse vs f64 ref"), &reference, &sparse);
         assert_agrees(&format!("{label}: naive vs f64 ref"), &reference, &naive);
         assert_agrees(&format!("{label}: auto vs f64 ref"), &reference, &auto);
-        // Dense and sparse must agree with each other directly too — the
-        // dispatch choice must never be observable beyond rounding.
-        assert_agrees(&format!("{label}: dense vs sparse"), &dense, &sparse);
     }
 }
 
-/// 150 small-shape cases: every kernel, full density range.
+/// 150 small-shape cases: both backends, full density range.
 #[test]
 fn gemm_kernels_agree_small_shapes() {
     fuzz_gemm_sweep(0xD1FF, 150, 48);
@@ -128,9 +123,9 @@ fn gemm_kernels_agree_on_edge_shapes() {
         let b = Tensor::new(&[k, n], rng.vec_f32(k * n, -2.0, 2.0)).unwrap();
         let reference = matmul_f64(&a, &b);
         let label = format!("edge shape {m}×{k}×{n}");
-        for kernel in [MatmulKernel::Dense, MatmulKernel::Sparse] {
-            let out = a.matmul_with_kernel(&b, kernel).unwrap();
-            assert_agrees(&format!("{label} {kernel:?}"), &reference, &out);
+        for be in [KernelBackend::Scalar, KernelBackend::Simd] {
+            let out = a.matmul_with(&b, be).unwrap();
+            assert_agrees(&format!("{label} {}", be.name()), &reference, &out);
         }
         assert_agrees(&label, &reference, &a.matmul_naive(&b).unwrap());
     }

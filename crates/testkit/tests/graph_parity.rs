@@ -11,9 +11,15 @@
 //! additionally compared under a relative-L2 gate, since FMA reassociation
 //! makes cross-backend equality approximate.
 //!
-//! The DNS-pruned cases cover the sweep's pruned recipes, whose sparse
-//! activations take the zero-skipping GEMM dispatch, and batch 64 is the
-//! batch `evaluate_model` runs. Plan and layer run one f32 convolution
+//! Both forwards must also be **batch-invariant**: row `i` of a batch-B
+//! forward is sample `i`'s batch-1 forward, bit for bit, at B ∈ {1, 3, 16,
+//! 64} over the task's own test inputs, so a sample's logits never depend
+//! on what it was batched with (no kernel may choose its arithmetic from
+//! the whole batch).
+//!
+//! The DNS-pruned cases cover the sweep's pruned recipes, the trained
+//! cases the sparse activations of the sweep's baselines, and batch 64 is
+//! the batch `evaluate_model` runs. Plan and layer run one f32 convolution
 //! forward (`tensor::conv2d_forward`), by the implementation `conv_impl`
 //! picks: on AVX2 the paper nets' stride-1 convs all run the direct
 //! kernels, so the `strided` fixture's stride-2 conv keeps the plan's
@@ -28,7 +34,7 @@
 
 use advcomp_attacks::NetKind;
 use advcomp_compress::{DnsPruner, Quantizer, TrainConfig};
-use advcomp_core::{ExperimentScale, TaskSetup};
+use advcomp_core::{ExperimentScale, TaskSetup, TrainedModel};
 use advcomp_graph::{plan_arena, validate_no_alias, BufferLife, ExecPlan};
 use advcomp_models::{cifarnet, lenet5, ModelKind};
 use advcomp_nn::{Conv2d, Dense, Flatten, MaxPool2d, Mode, Relu, Sequential};
@@ -36,6 +42,10 @@ use advcomp_tensor::{simd, KernelBackend, Tensor};
 use advcomp_testkit::fixtures::{strided, STRIDED_INPUT};
 use advcomp_testkit::DetRng;
 use rand::SeedableRng;
+
+/// The batch sizes of every parity check; 64 is the batch `evaluate_model`
+/// runs.
+const BATCHES: [usize; 4] = [1, 3, 16, 64];
 
 /// Relative L2 distance `|a - b|₂ / max(|b|₂, ε)`.
 fn rel_l2(actual: &[f32], expected: &[f32]) -> f64 {
@@ -62,26 +72,40 @@ fn net_batch(shape: &[usize], seed: u64, batch: usize) -> Tensor {
     Tensor::new(&full, data).expect("fixture shape is consistent")
 }
 
-/// The two paper nets with their input shapes, at reduced width so the
-/// suite stays fast while covering every layer pattern.
-fn paper_nets(seed: u64) -> Vec<(&'static str, &'static [usize], Sequential)> {
+/// The two paper nets, at reduced width so the suite stays fast while
+/// covering every layer pattern.
+fn paper_nets(seed: u64) -> Vec<(NetKind, &'static str, Sequential)> {
     vec![
-        ("lenet5", ModelKind::LeNet5.input_shape(), lenet5(0.5, seed)),
-        (
-            "cifarnet",
-            ModelKind::CifarNet.input_shape(),
-            cifarnet(0.25, seed),
-        ),
+        (NetKind::LeNet5, "lenet5", lenet5(0.5, seed)),
+        (NetKind::CifarNet, "cifarnet", cifarnet(0.25, seed)),
     ]
 }
 
-/// Asserts per-logit bit-identity between the compiled plan and the
-/// `Sequential` forward of per-sample `input_shape` over a few batch
-/// sizes.
-fn assert_bit_exact(name: &str, input_shape: &[usize], model: &mut Sequential) {
+/// The first 64 test inputs of `net`'s task at `tiny` scale.
+fn task_rows(net: NetKind) -> Tensor {
+    let setup = TaskSetup::new(net, &ExperimentScale::tiny());
+    let (rows, _) = setup
+        .test
+        .slice(0, 64)
+        .expect("the tiny test split holds 64");
+    rows
+}
+
+/// Asserts, at every batch size of [`BATCHES`] over the leading rows of
+/// `inputs`, that the compiled plan's logits equal the `Sequential`
+/// forward's bit for bit, and that row `i` of each equals sample `i`'s
+/// batch-1 `Sequential` forward bit for bit.
+fn assert_bit_exact(name: &str, inputs: &Tensor, model: &mut Sequential) {
+    let input_shape = &inputs.shape()[1..];
     let mut plan = ExecPlan::compile(model, input_shape).expect("plan compiles without hand edits");
-    for batch in [1usize, 3, 64] {
-        let x = net_batch(input_shape, 7 + batch as u64, batch);
+    let alone: Vec<Tensor> = (0..BATCHES[BATCHES.len() - 1])
+        .map(|i| {
+            let x = inputs.narrow(i, 1).expect("inputs hold every batch");
+            model.forward(&x, Mode::Eval).expect("batch-1 forward")
+        })
+        .collect();
+    for batch in BATCHES {
+        let x = inputs.narrow(0, batch).expect("inputs hold every batch");
         let want = model.forward(&x, Mode::Eval).expect("reference forward");
         let got = plan.forward(&x).expect("compiled forward");
         assert_eq!(want.shape(), got.shape(), "{name}: shape diverged");
@@ -90,6 +114,19 @@ fn assert_bit_exact(name: &str, input_shape: &[usize], model: &mut Sequential) {
                 w.to_bits() == g.to_bits(),
                 "{name}: logit {i} diverged at batch {batch}: {w} vs {g}"
             );
+        }
+        for (i, one) in alone[..batch].iter().enumerate() {
+            let classes = one.len();
+            for (path, logits) in [("Sequential", &want), ("plan", &got)] {
+                let row = &logits.data()[i * classes..(i + 1) * classes];
+                assert!(
+                    row.iter()
+                        .zip(one.data())
+                        .all(|(r, o)| r.to_bits() == o.to_bits()),
+                    "{name}: {path} row {i} at batch {batch} is {row:?}, its batch-1 forward {:?}",
+                    one.data()
+                );
+            }
         }
     }
 }
@@ -100,20 +137,20 @@ fn assert_bit_exact(name: &str, input_shape: &[usize], model: &mut Sequential) {
 
 #[test]
 fn compiled_forward_is_bit_exact_f32() {
-    for (name, shape, mut model) in paper_nets(21) {
-        assert_bit_exact(name, shape, &mut model);
+    for (net, name, mut model) in paper_nets(21) {
+        assert_bit_exact(name, &task_rows(net), &mut model);
     }
 }
 
 #[test]
 fn compiled_forward_is_bit_exact_q8_frozen() {
-    for (name, shape, mut model) in paper_nets(22) {
+    for (net, name, mut model) in paper_nets(22) {
         let frozen = Quantizer::for_bitwidth(8)
             .unwrap()
             .quantize_frozen(&mut model)
             .unwrap();
         assert!(frozen > 0, "{name}: nothing froze");
-        assert_bit_exact(name, shape, &mut model);
+        assert_bit_exact(name, &task_rows(net), &mut model);
     }
 }
 
@@ -121,21 +158,20 @@ fn compiled_forward_is_bit_exact_q8_frozen() {
 fn compiled_forward_is_bit_exact_q4_frozen() {
     // Q4 weights hold one byte per code like Q8, and the plan shares the
     // layer's blocks, so both paths run the same int8 kernel.
-    for (name, shape, mut model) in paper_nets(23) {
+    for (net, name, mut model) in paper_nets(23) {
         let frozen = Quantizer::for_bitwidth(4)
             .unwrap()
             .quantize_frozen(&mut model)
             .unwrap();
         assert!(frozen > 0, "{name}: nothing froze");
-        assert_bit_exact(name, shape, &mut model);
+        assert_bit_exact(name, &task_rows(net), &mut model);
     }
 }
 
 #[test]
 fn compiled_forward_is_bit_exact_dns_pruned() {
     for density in [0.5, 0.1] {
-        let nets = [NetKind::LeNet5, NetKind::CifarNet];
-        for (net, (name, shape, mut model)) in nets.into_iter().zip(paper_nets(26)) {
+        for (net, name, mut model) in paper_nets(26) {
             // A short DNS fine-tune on real task data, as the sweep's
             // `DnsPrune` recipe runs it, so the mask has moved off its
             // one-shot magnitude start.
@@ -153,8 +189,25 @@ fn compiled_forward_is_bit_exact_dns_pruned() {
                 (kept - density).abs() < 0.05,
                 "{name}: density {kept} off target {density}"
             );
-            assert_bit_exact(name, shape, &mut model);
+            let (rows, _) = setup.test.slice(0, 64).unwrap();
+            assert_bit_exact(name, &rows, &mut model);
         }
+    }
+}
+
+/// Both nets trained at `tiny` scale (seed 11): their `Dense` layers see
+/// the sparse activations a trained net makes, where a kernel picked by
+/// the batch's density would make a sample's logits depend on its
+/// batchmates.
+#[test]
+fn compiled_forward_is_bit_exact_trained() {
+    let scale = ExperimentScale::tiny();
+    for net in [NetKind::LeNet5, NetKind::CifarNet] {
+        let setup = TaskSetup::new(net, &scale);
+        let trained = TrainedModel::train(&setup, &scale, 11).expect("tiny baseline trains");
+        let mut model = trained.instantiate().expect("checkpoint restores");
+        let (rows, _) = setup.test.slice(0, 64).unwrap();
+        assert_bit_exact(&format!("{net:?} trained"), &rows, &mut model);
     }
 }
 
@@ -165,16 +218,17 @@ fn compiled_forward_is_bit_exact_simulated_quant() {
     // elementwise steps, at both of the paper's packed formats (Q1.3 and
     // Q2.6) — the fake-quantiser the plan and `FakeQuant` share.
     for bits in [4, 8] {
-        for (name, shape, mut model) in paper_nets(24) {
+        for (net, name, mut model) in paper_nets(24) {
             Quantizer::for_bitwidth(bits).unwrap().quantize(&mut model);
-            let plan = ExecPlan::compile(&model, shape).unwrap();
+            let rows = task_rows(net);
+            let plan = ExecPlan::compile(&model, &rows.shape()[1..]).unwrap();
             let name = format!("{name} {bits}-bit");
             assert_eq!(
                 plan.stats().elided_quantize,
                 0,
                 "{name}: simulated quantise must not elide"
             );
-            assert_bit_exact(&name, shape, &mut model);
+            assert_bit_exact(&name, &rows, &mut model);
         }
     }
 }
@@ -184,12 +238,13 @@ fn compiled_forward_is_bit_exact_simulated_quant() {
 /// installed (Q1.3 and Q2.6).
 #[test]
 fn compiled_forward_is_bit_exact_strided() {
-    assert_bit_exact("strided f32", &STRIDED_INPUT, &mut strided(27));
+    let inputs = net_batch(&STRIDED_INPUT, 7, 64);
+    assert_bit_exact("strided f32", &inputs, &mut strided(27));
     for bits in [4, 8] {
         let mut model = strided(28);
         Quantizer::for_bitwidth(bits).unwrap().quantize(&mut model);
         let name = format!("strided {bits}-bit");
-        assert_bit_exact(&name, &STRIDED_INPUT, &mut model);
+        assert_bit_exact(&name, &inputs, &mut model);
     }
 }
 
@@ -198,7 +253,12 @@ fn scalar_and_simd_plans_agree_within_rel_l2() {
     if !simd::simd_available() {
         return;
     }
-    for (name, shape, mut model) in paper_nets(25) {
+    for (net, name, mut model) in paper_nets(25) {
+        let shape = match net {
+            NetKind::LeNet5 => ModelKind::LeNet5,
+            NetKind::CifarNet => ModelKind::CifarNet,
+        }
+        .input_shape();
         Quantizer::for_bitwidth(8)
             .unwrap()
             .quantize_frozen(&mut model)

@@ -17,7 +17,7 @@
 //! on a machine without AVX2 the Simd backend falls back to scalar and the
 //! comparisons hold trivially.
 
-use advcomp_tensor::{simd, Init, KernelBackend, MatmulKernel, Tensor};
+use advcomp_tensor::{simd, Init, KernelBackend};
 use advcomp_testkit::DetRng;
 
 const SCALAR: KernelBackend = KernelBackend::Scalar;
@@ -130,18 +130,6 @@ fn fused_attack_steps_bit_exact_across_backends() {
 }
 
 #[test]
-fn tensor_ops_bit_exact_across_explicit_gemm_backends() {
-    // The sparse GEMM kernel's inner loop is an axpy (bit-exact class), so
-    // unlike the dense FMA path it must agree to the bit.
-    let mut rng = DetRng::new(0x5BA);
-    let a = Tensor::new(&[37, 29], rng.sparse_vec_f32(37 * 29, -1.0, 1.0, 0.7)).unwrap();
-    let b = Tensor::new(&[29, 23], rng.vec_f32(29 * 23, -1.0, 1.0)).unwrap();
-    let s = a.matmul_with(&b, MatmulKernel::Sparse, SCALAR).unwrap();
-    let v = a.matmul_with(&b, MatmulKernel::Sparse, SIMD).unwrap();
-    assert_bits_eq(s.data(), v.data(), "sparse matmul");
-}
-
-#[test]
 fn dense_gemm_within_relative_l2_tolerance() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -151,8 +139,8 @@ fn dense_gemm_within_relative_l2_tolerance() {
     for (m, k, n) in [(1, 1, 1), (5, 7, 9), (33, 17, 40), (128, 128, 128)] {
         let a = init.tensor(&[m, k], &mut rng);
         let b = init.tensor(&[k, n], &mut rng);
-        let s = a.matmul_with(&b, MatmulKernel::Dense, SCALAR).unwrap();
-        let v = a.matmul_with(&b, MatmulKernel::Dense, SIMD).unwrap();
+        let s = a.matmul_with(&b, SCALAR).unwrap();
+        let v = a.matmul_with(&b, SIMD).unwrap();
         let err = rel_l2(s.data(), v.data());
         assert!(err < 1e-5, "dense GEMM {m}x{k}x{n}: rel L2 {err}");
     }

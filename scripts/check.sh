@@ -76,13 +76,15 @@ echo "quant parity: packed storage and int8 kernels agree"
 # scratch allocation-free in the steady state; the Dense+ReLU fusion must
 # fire on its pattern, a ReLU after a non-GEMM layer must stay bit-exact
 # as a standalone step, and the static memory plan must never alias
-# simultaneously live buffers under any topological order. Run under
-# both dispatch values like kernel_parity.
+# simultaneously live buffers under any topological order. Both forwards,
+# and `backward_input` seeded with one-hot logit rows, must be batch-
+# invariant: row i of a batch of 1, 3, 16 or 64 equals sample i's batch-1
+# result bit for bit. Run under both dispatch values like kernel_parity.
 for kernel in scalar simd; do
     ADVCOMP_KERNEL="$kernel" \
-        cargo test -q -p advcomp-testkit --test graph_parity >/dev/null
+        cargo test -q -p advcomp-testkit --test graph_parity --test backward_input >/dev/null
 done
-echo "graph parity: compiled plans bit-identical to Sequential"
+echo "graph parity: compiled plans bit-identical to Sequential, every row its batch-1 bits"
 
 # Paper-claim verdicts: `summary` reads the committed results/ CSVs (no
 # retraining, seconds) and exits 1 when any claim's verdict is ✗ — Figure
