@@ -152,7 +152,7 @@ mod tests {
             .unwrap();
         let (_, grads) = logit_input_grads(&mut model, &x).unwrap();
         model.forward(&x, Mode::Eval).unwrap();
-        let total = model.backward(&Tensor::ones(&[1, 3])).unwrap();
+        let total = model.backward_input(&Tensor::ones(&[1, 3])).unwrap();
         let mut acc = Tensor::zeros(&[1, 4]);
         for g in &grads {
             acc.add_assign(g).unwrap();

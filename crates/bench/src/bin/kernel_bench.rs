@@ -38,6 +38,13 @@
 //! = 75,264 values) at Q1.3 and Q2.6, scalar body against AVX2 body, the
 //! speedup gated at ≥ 1 on an AVX2+FMA host.
 //!
+//! The `simd.max_pool2d.*` records time `tensor::max_pool2d` with its
+//! window offsets (the `MaxPool2d` forward) on the five pools of the sweep
+//! nets (LeNet-5 at width 0.5: pool1, pool2; CifarNet at width 0.35:
+//! pool1–pool3) at batch 48, the scalar window scan against the AVX2 2×2
+//! stride-2 body in alternating iterations, the speedup gated at ≥ 1 on
+//! an AVX2+FMA host.
+//!
 //! ```text
 //! scripts/bench.sh kernel [--out FILE] [--iters N]
 //! ```
@@ -47,8 +54,8 @@ use advcomp_bench::record::{median_ns, median_ns_pair, speedup, Flags, Report};
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, fake_quantize_in_place,
-    gemm_prepacked, im2col, pool, simd, Conv2dGeometry, ConvImpl, ConvScratch, Init, KernelBackend,
-    PackedGemmB, Tensor,
+    gemm_prepacked, im2col, max_pool2d, pool, simd, Conv2dGeometry, ConvImpl, ConvScratch, Init,
+    KernelBackend, PackedGemmB, Tensor,
 };
 use std::hint::black_box;
 
@@ -159,6 +166,53 @@ fn simd_ablation(iters: usize, report: &mut Report) {
     conv_direct(iters.min(50), report);
     conv_wgrad(iters.min(50), report);
     fake_quantize_rows(iters, report);
+    max_pool_rows(iters.min(50), report);
+}
+
+/// The five pools of the sweep nets (LeNet-5 at width 0.5, CifarNet at
+/// width 0.35), all 2×2 stride 2, as `(name, channels, input size)`.
+const SWEEP_POOLS: [(&str, usize, usize); 5] = [
+    ("lenet5_pool1", 3, 28),
+    ("lenet5_pool2", 8, 10),
+    ("cifarnet_pool1", 11, 32),
+    ("cifarnet_pool2", 22, 16),
+    ("cifarnet_pool3", 22, 8),
+];
+
+/// Times `max_pool2d` with its window offsets on the five sweep pools at
+/// batch 48, scalar scan against AVX2 body in alternating iterations, into
+/// the `simd.max_pool2d.*` records; the speedup is gated on AVX2+FMA.
+fn max_pool_rows(iters: usize, report: &mut Report) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(31);
+    const BATCH: usize = 48;
+    for (name, c, hw) in SWEEP_POOLS {
+        let dims = [BATCH, c, hw, hw];
+        let x = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&dims, &mut rng);
+        let len = BATCH * c * (hw / 2) * (hw / 2);
+        let mut scalar = (vec![0.0f32; len], vec![0u8; len]);
+        let mut vector = scalar.clone();
+        let pool = |be: KernelBackend, (out, offsets): &mut (Vec<f32>, Vec<u8>)| {
+            max_pool2d(be, x.data(), dims, 2, 2, out, Some(offsets)).expect("sweep pool");
+            black_box((out, offsets));
+        };
+        let (scalar_ns, simd_ns) = median_ns_pair(
+            iters,
+            || pool(KernelBackend::Scalar, &mut scalar),
+            || pool(KernelBackend::Simd, &mut vector),
+        );
+        let x = speedup(scalar_ns, simd_ns);
+        println!(
+            "{:>28}: scalar {scalar_ns:>10} ns  simd {simd_ns:>10} ns  ({x:.2}x)",
+            format!("max_pool2d.{name}.b{BATCH}")
+        );
+        let row = format!("simd.max_pool2d.{name}.b{BATCH}");
+        report.push(format!("{row}.scalar_ns"), "ns", scalar_ns as f64);
+        report.push(format!("{row}.simd_ns"), "ns", simd_ns as f64);
+        let record = report.push(format!("{row}.speedup"), "x", x);
+        if simd::simd_available() {
+            record.min(1.0);
+        }
+    }
 }
 
 /// The six sweep convolutions (LeNet-5 at width 0.5, CifarNet at width

@@ -6,7 +6,7 @@ use crate::finetune::TrainConfig;
 use crate::{CompressError, Result};
 use advcomp_data::{Batches, Dataset};
 use advcomp_nn::{softmax_cross_entropy, LrSchedule, Mode, ParamKind, Sequential};
-use advcomp_tensor::Tensor;
+use advcomp_tensor::{simd, Tensor};
 use std::collections::HashMap;
 
 /// Magnitude threshold that keeps approximately `density · len` of the
@@ -264,18 +264,29 @@ impl MaskedSgdState {
         }
     }
 
-    /// Installs `dense ⊙ mask` into the model's weight params (and plain
-    /// dense values for biases).
+    /// Writes `dense ⊙ mask` into each weight parameter's own storage (and
+    /// the plain dense values into biases), as `quant::install` does.
     fn install(&self, model: &mut Sequential) -> Result<()> {
         for p in model.params_mut() {
             let dense = self
                 .dense
                 .get(&p.name)
                 .ok_or_else(|| CompressError::MaskMismatch(format!("no master for {}", p.name)))?;
-            p.value = match self.mask.mask(&p.name) {
-                Some(m) => dense.mul(m)?,
-                None => dense.clone(),
-            };
+            let mask = self.mask.mask(&p.name);
+            let fits = |t: &Tensor| t.shape() == dense.shape();
+            if !fits(&p.value) || !mask.is_none_or(fits) {
+                return Err(CompressError::MaskMismatch(format!(
+                    "{}: value or mask shaped unlike its master {:?}",
+                    p.name,
+                    dense.shape()
+                )));
+            }
+            match mask {
+                Some(m) => {
+                    simd::mul_slices(simd::backend(), dense.data(), m.data(), p.value.data_mut())
+                }
+                None => p.value.data_mut().copy_from_slice(dense.data()),
+            }
         }
         Ok(())
     }
@@ -356,28 +367,22 @@ fn run_masked_finetune(
 }
 
 /// Recomputes every mask from the dense master weights with hysteresis
-/// (Equation 3 of the paper).
+/// (Equation 3 of the paper), each into its old mask's buffer: a weight
+/// between the two thresholds keeps its old bit.
 fn update_dns_masks(state: &mut MaskedSgdState, density: f64, hysteresis: f32) {
-    let names: Vec<String> = state.mask.names().map(str::to_owned).collect();
-    for name in names {
-        let dense = state.dense.get(&name).expect("captured master");
+    for (name, mask) in &mut state.mask.masks {
+        let dense = state.dense.get(name).expect("captured master");
         let t = magnitude_threshold(dense.data(), density);
         let alpha = t * (1.0 - hysteresis);
         let beta = t * (1.0 + hysteresis);
-        let old = state.mask.masks.get(&name).expect("mask exists").clone();
-        let new = dense
-            .zip_map(&old, |w, m| {
-                let a = w.abs();
-                if a < alpha {
-                    0.0
-                } else if a > beta {
-                    1.0
-                } else {
-                    m
-                }
-            })
-            .expect("mask shape matches dense by construction");
-        state.mask.masks.insert(name, new);
+        for (m, &w) in mask.data_mut().iter_mut().zip(dense.data()) {
+            let a = w.abs();
+            if a < alpha {
+                *m = 0.0;
+            } else if a > beta {
+                *m = 1.0;
+            }
+        }
     }
 }
 

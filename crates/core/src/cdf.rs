@@ -45,18 +45,19 @@ pub fn weight_values(model: &Sequential) -> Vec<f32> {
         .collect()
 }
 
-/// All activation values the model produces on `images` — collected from
-/// every layer that retains its last output (ReLU and FakeQuant points),
-/// matching the paper's "ten randomly chosen input images" methodology.
+/// All activation values the model produces on `images` — the outputs of
+/// every ReLU and FakeQuant point, in layer order, from
+/// [`Sequential::forward_outputs`], matching the paper's "ten randomly
+/// chosen input images" methodology.
 ///
 /// # Errors
 ///
 /// Propagates forward-pass errors.
 pub fn activation_values(model: &mut Sequential, images: &Tensor) -> Result<Vec<f32>> {
-    model.forward(images, Mode::Eval)?;
+    let outputs = model.forward_outputs(images, Mode::Eval)?;
     let mut out = Vec::new();
-    for layer in model.layers() {
-        if let Some(t) = layer.last_output() {
+    for (layer, t) in model.layers().iter().zip(&outputs) {
+        if matches!(layer.kind(), "relu" | "fakequant") {
             out.extend_from_slice(t.data());
         }
     }

@@ -134,7 +134,8 @@ enum Step {
         oh: usize,
         ow: usize,
     },
-    /// 2-D max pooling (`tensor::max_pool2d`, `MaxPool2d`'s window loop).
+    /// 2-D max pooling (`tensor::max_pool2d`, `MaxPool2d`'s window loop
+    /// and its AVX2 2×2 stride-2 body).
     MaxPool {
         src: Src,
         dst: usize,
@@ -144,7 +145,8 @@ enum Step {
         kernel: usize,
         stride: usize,
     },
-    /// In-place ReLU.
+    /// In-place ReLU (`tensor::simd::relu_in_place`, the `Relu` layer's
+    /// kernel).
     EltRelu { buf: usize },
     /// In-place simulated quantisation (`tensor::fake_quantize_in_place`).
     EltQuantize { buf: usize, format: QFormat },
@@ -708,13 +710,11 @@ impl ExecPlan {
                         Src::Input => (input_data, &mut arena[rng(*dst)]),
                         Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
                     };
-                    max_pool2d(sl, [n, *c, *h, *w], *kernel, *stride, dl, None)?;
+                    max_pool2d(backend, sl, [n, *c, *h, *w], *kernel, *stride, dl, None)?;
                 }
                 Step::EltRelu { buf } => {
-                    // `v.max(0.0)`, as the Relu layer computes it.
-                    for v in &mut arena[rng(*buf)] {
-                        *v = v.max(0.0);
-                    }
+                    // The `Relu` layer's kernel, without its backward mask.
+                    simd::relu_in_place(backend, &mut arena[rng(*buf)], None);
                 }
                 Step::EltQuantize { buf, format } => {
                     // `FakeQuant`'s kernel, so the same bits on either backend.

@@ -107,7 +107,8 @@ mod tests {
         let logits = net.forward(&x, Mode::Eval).unwrap();
         let loss = softmax_cross_entropy(&logits, &labels).unwrap();
         net.zero_grad();
-        let analytic_input = net.backward(&loss.grad).unwrap();
+        net.backward(&loss.grad).unwrap();
+        let analytic_input = net.backward_input(&loss.grad).unwrap();
         let analytic_w = net.param("a.weight").unwrap().grad.clone();
         let analytic_b = net.param("b.bias").unwrap().grad.clone();
 

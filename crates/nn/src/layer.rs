@@ -83,17 +83,24 @@ pub enum LayerSpec<'a> {
 ///
 /// Contract:
 ///
-/// * `forward` must cache whatever `backward` needs and may be called
-///   repeatedly; each call replaces the cache.
-/// * `backward` consumes a gradient with the shape of the **last forward
-///   output** and returns the gradient with the shape of that forward's
-///   input, *accumulating* (not overwriting) parameter gradients.
-/// * `backward` must not destroy the cache: callers such as DeepFool
-///   backpropagate several different seed gradients through one forward.
-/// * `backward_input` returns the bits `backward` returns for the same
-///   cache and seed, and leaves every parameter gradient as it was.
-///   Attacks differentiate with it, so they never pay for weight
-///   gradients they would throw away.
+/// * `forward` takes its input by value and must cache whatever the
+///   backward methods need; it may be called repeatedly, and each call
+///   replaces the cache. A layer whose output has its input's shape and
+///   length reuses the input's buffer: `Relu`, `FakeQuant` and `Flatten`
+///   always, `Dropout` in [`Mode::Eval`]. `Conv2d` and `Dense` move the
+///   input into their cache.
+/// * `backward_params` consumes a gradient with the shape of the **last
+///   forward output** and *accumulates* (does not overwrite) the layer's
+///   parameter gradients; a layer without parameters has nothing to do.
+/// * `backward_input` consumes the same gradient by value and returns the
+///   gradient with the shape of that forward's input, leaving every
+///   parameter gradient as it was. Attacks differentiate with it alone, so
+///   they never pay for weight gradients they would throw away; training
+///   ([`crate::Sequential::backward`]) never asks it of the first layer
+///   with parameters, whose input gradient nothing reads.
+/// * Neither backward method may destroy the cache: callers such as
+///   DeepFool backpropagate several different seed gradients through one
+///   forward.
 /// * An [`Mode::Eval`] `forward` must not mutate *persistent* state —
 ///   parameters, dropout RNG position, installed quantisation formats.
 ///   The transient backward cache is the only thing it may touch, so a
@@ -105,29 +112,27 @@ pub trait Layer: Send + Sync {
     /// # Errors
     ///
     /// Returns an [`crate::NnError`] when the input shape is incompatible.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
+    fn forward(&mut self, input: Tensor, mode: Mode) -> Result<Tensor>;
 
-    /// Backpropagates `grad_output`, returning the input gradient.
+    /// Accumulates this layer's parameter gradients for `grad_output`. The
+    /// default does nothing, which is exact for layers without parameters.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
     /// cache exists, or shape errors when `grad_output` is malformed.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+    fn backward_params(&mut self, _grad_output: &Tensor) -> Result<()> {
+        Ok(())
+    }
 
-    /// Backpropagates `grad_output` to the input gradient only: the result
-    /// of [`Layer::backward`], with no parameter gradient touched. The
-    /// default calls `backward`, which is exact for layers without
-    /// parameters; a layer with parameters overrides it and builds
-    /// `backward` as "accumulate parameter gradients, then the input
-    /// gradient".
+    /// Backpropagates `grad_output` to the input gradient, touching no
+    /// parameter gradient.
     ///
     /// # Errors
     ///
-    /// The conditions of [`Layer::backward`].
-    fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward(grad_output)
-    }
+    /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
+    /// cache exists, or shape errors when `grad_output` is malformed.
+    fn backward_input(&mut self, grad_output: Tensor) -> Result<Tensor>;
 
     /// Immutable views of this layer's parameters (empty for stateless
     /// layers).
@@ -156,17 +161,10 @@ pub trait Layer: Send + Sync {
     /// fine-tunes a hardened copy, and `detect::grid` crafts through
     /// surrogate copies and compresses member copies of one baseline.
     /// Serving workers do not clone models; each clones a compiled
-    /// `ExecPlan`. Because the clone starts cache-free, `backward` before a
-    /// `forward` on it fails with [`crate::NnError::BackwardBeforeForward`]
-    /// as on a new layer.
+    /// `ExecPlan`. Because the clone starts cache-free, a backward method
+    /// before a `forward` on it fails with
+    /// [`crate::NnError::BackwardBeforeForward`] as on a new layer.
     fn clone_layer(&self) -> Box<dyn Layer>;
-
-    /// The activation tensor this layer produced in its last forward pass,
-    /// if it retains one. Used to sample activation distributions for the
-    /// paper's Figure 6 CDFs.
-    fn last_output(&self) -> Option<&Tensor> {
-        None
-    }
 
     /// Installs (or clears) a fixed-point activation format on this layer.
     ///
@@ -187,7 +185,8 @@ pub trait Layer: Send + Sync {
     /// Freezes this layer's weights into packed block-quantised form for
     /// integer-GEMM inference: the f32 weight tensor is replaced by a
     /// [`crate::QuantizedWeights`] handle, the weight leaves `params()`,
-    /// and `backward` starts failing (frozen layers are inference-only).
+    /// and both backward methods start failing (frozen layers are
+    /// inference-only).
     ///
     /// Returns `true` when the layer holds packable weights (`Dense`,
     /// `Conv2d`); parameter-free and non-GEMM layers return `false`

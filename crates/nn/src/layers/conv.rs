@@ -21,9 +21,10 @@ use rand::Rng;
 /// kernel runs the direct kernels, which build no patch matrix and give
 /// the dense lowering's bits, so a sample's forward and input gradient do
 /// not depend on the rest of its batch; every other conv lowers to
-/// `im2col` + matmul. The forward caches its input, from which `backward` after a forward in
-/// either mode computes the weight gradient `g2dᵀ · cols`; `backward_input`
-/// needs no patch matrix at all. The f32 forward is
+/// `im2col` + matmul. The forward moves its input into its cache, from
+/// which `backward_params` after a forward in either mode computes the
+/// weight gradient `g2dᵀ · cols`; `backward_input` needs no patch matrix
+/// at all. The f32 forward is
 /// [`advcomp_tensor::conv2d_forward`], the graph executor's too. A lowered
 /// forward leaves its patch matrix and GEMM rows in the layer's
 /// [`ConvScratch`], rewritten in place instead of reallocated, and the
@@ -142,23 +143,10 @@ impl Conv2d {
         }
         Ok(cache)
     }
-
-    /// dL/dx for a `grad_output` that [`Self::checked_cache`] accepted.
-    fn input_grad(&self, geom: &Conv2dGeometry, grad_output: &Tensor) -> Result<Tensor> {
-        let backend = simd::backend();
-        let imp = conv_impl(backend, geom);
-        Ok(conv2d_input_grad(
-            backend,
-            grad_output,
-            &self.weight.value,
-            geom,
-            imp,
-        )?)
-    }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
         if input.ndim() != 4 {
             return Err(NnError::Tensor(advcomp_tensor::TensorError::RankMismatch {
                 expected: 4,
@@ -187,7 +175,7 @@ impl Layer for Conv2d {
             // int8 GEMM directly; only the codes of the weight blocks and
             // the quantised patches touch memory in the hot loop.
             let cols = &mut self.scratch.cols;
-            im2col_into(input, &geom, cols)?;
+            im2col_into(&input, &geom, cols)?;
             let (rows, oc) = (cols.shape()[0], q.tensor().rows());
             let mut out = vec![0.0f32; rows * oc];
             qmatmul_f32(
@@ -220,13 +208,13 @@ impl Layer for Conv2d {
         )?;
         self.cache = Some(ConvCache {
             geom,
-            input: input.clone(),
+            input,
             out_hw: (oh, ow),
         });
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         let cache = self.checked_cache(grad_output)?;
         let backend = simd::backend();
         let imp = conv_impl(backend, &cache.geom);
@@ -234,15 +222,22 @@ impl Layer for Conv2d {
         let cols = (imp == ConvImpl::Lowering).then_some(&self.scratch.cols);
         let (gw, gb) =
             conv2d_weight_grad(backend, &cache.input, grad_output, &cache.geom, imp, cols)?;
-        let geom = cache.geom;
         self.weight.grad.add_assign(&gw)?;
         self.bias.grad.add_assign(&gb)?;
-        self.input_grad(&geom, grad_output)
+        Ok(())
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let geom = self.checked_cache(grad_output)?.geom;
-        self.input_grad(&geom, grad_output)
+    fn backward_input(&mut self, grad_output: Tensor) -> Result<Tensor> {
+        let geom = self.checked_cache(&grad_output)?.geom;
+        let backend = simd::backend();
+        let imp = conv_impl(backend, &geom);
+        Ok(conv2d_input_grad(
+            backend,
+            &grad_output,
+            &self.weight.value,
+            &geom,
+            imp,
+        )?)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -352,7 +347,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng());
         conv.params_mut()[0].value = Tensor::new(&[1, 1, 1, 1], vec![1.0]).unwrap();
         let x = Tensor::new(&[1, 1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
-        let y = conv.forward(&x, Mode::Eval).unwrap();
+        let y = conv.forward(x.clone(), Mode::Eval).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), x.data());
     }
@@ -363,7 +358,7 @@ mod tests {
         conv.params_mut()[0].value = Tensor::ones(&[1, 1, 3, 3]);
         conv.params_mut()[1].value = Tensor::from_vec(vec![0.5]);
         let x = Tensor::new(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
-        let y = conv.forward(&x, Mode::Eval).unwrap();
+        let y = conv.forward(x.clone(), Mode::Eval).unwrap();
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.data(), &[45.5]);
     }
@@ -373,7 +368,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 1, 1, 0, &mut rng());
         conv.params_mut()[0].value = Tensor::new(&[2, 1, 1, 1], vec![1.0, 10.0]).unwrap();
         let x = Tensor::new(&[1, 1, 1, 2], vec![3.0, 4.0]).unwrap();
-        let y = conv.forward(&x, Mode::Eval).unwrap();
+        let y = conv.forward(x.clone(), Mode::Eval).unwrap();
         assert_eq!(y.shape(), &[1, 2, 1, 2]);
         assert_eq!(y.data(), &[3.0, 4.0, 30.0, 40.0]);
     }
@@ -381,16 +376,17 @@ mod tests {
     #[test]
     fn rejects_non_4d_input() {
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng());
-        assert!(conv.forward(&Tensor::zeros(&[4, 4]), Mode::Eval).is_err());
+        assert!(conv.forward(Tensor::zeros(&[4, 4]), Mode::Eval).is_err());
     }
 
     #[test]
     fn backward_shapes() {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng());
         let x = Tensor::zeros(&[2, 2, 5, 5]);
-        let y = conv.forward(&x, Mode::Train).unwrap();
+        let y = conv.forward(x.clone(), Mode::Train).unwrap();
         assert_eq!(y.shape(), &[2, 3, 5, 5]);
-        let gx = conv.backward(&Tensor::ones(y.shape())).unwrap();
+        conv.backward_params(&Tensor::ones(y.shape())).unwrap();
+        let gx = conv.backward_input(Tensor::ones(y.shape())).unwrap();
         assert_eq!(gx.shape(), x.shape());
         assert_eq!(conv.params()[0].grad.shape(), &[3, 2, 3, 3]);
         assert_eq!(conv.params()[1].grad.shape(), &[3]);
@@ -404,7 +400,7 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng());
         assert!(matches!(
-            conv.backward(&Tensor::zeros(&[1, 1, 1, 1])),
+            conv.backward_params(&Tensor::zeros(&[1, 1, 1, 1])),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }
@@ -422,7 +418,8 @@ mod tests {
         let logits = net.forward(&x, Mode::Train).unwrap();
         let loss = crate::softmax_cross_entropy(&logits, &labels).unwrap();
         net.zero_grad();
-        let gx = net.backward(&loss.grad).unwrap();
+        net.backward(&loss.grad).unwrap();
+        let gx = net.backward_input(&loss.grad).unwrap();
         let num_gx = finite_diff_input_grad(&mut net, &x, &labels, 1e-2).unwrap();
         assert!(gx.allclose(&num_gx, 3e-2), "input gradient mismatch");
         let num_gw = finite_diff_param_grad(&mut net, &x, &labels, "conv.weight", 1e-2).unwrap();
@@ -447,12 +444,12 @@ mod tests {
         conv.params_mut()[0].value = Tensor::ones(&[1, 1, 3, 3]);
         let x1 = Tensor::new(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
         let x2 = Tensor::new(&[1, 1, 3, 3], vec![1.0; 9]).unwrap();
-        let y1 = conv.forward(&x1, Mode::Train).unwrap();
+        let y1 = conv.forward(x1.clone(), Mode::Train).unwrap();
         assert_eq!(y1.data(), &[45.0]);
-        let y2 = conv.forward(&x2, Mode::Train).unwrap();
+        let y2 = conv.forward(x2.clone(), Mode::Train).unwrap();
         assert_eq!(y2.data(), &[9.0]);
         // Weight grad for all-ones upstream = im2col(x2) = x2's patch.
-        conv.backward(&Tensor::ones(&[1, 1, 1, 1])).unwrap();
+        conv.backward_params(&Tensor::ones(&[1, 1, 1, 1])).unwrap();
         assert!(conv.params()[0]
             .grad
             .allclose(&Tensor::ones(&[1, 1, 3, 3]), 1e-6));

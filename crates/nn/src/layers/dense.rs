@@ -70,7 +70,7 @@ impl Dense {
         }
     }
 
-    /// The last forward's input, which every backward needs.
+    /// The last forward's input, which both backward methods need.
     fn cached_input(&self) -> Result<&Tensor> {
         if self.packed.is_some() {
             return Err(NnError::InvalidConfig(
@@ -84,7 +84,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
         if let Some(q) = &self.packed {
             let (m, n) = (input.shape()[0], q.tensor().rows());
             let mut out = vec![0.0f32; m * n];
@@ -103,20 +103,20 @@ impl Layer for Dense {
         let wt = self.weight.value.t()?;
         let y = input.matmul(&wt)?;
         let y = y.add_row_broadcast(&self.bias.value)?;
-        self.cached_input = Some(input.clone());
+        self.cached_input = Some(input);
         Ok(y)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        // dL/dW = gᵀ x, dL/db = Σ_batch g, then dL/dx from backward_input.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        // dL/dW = gᵀ x, dL/db = Σ_batch g.
         let gw = grad_output.t()?.matmul(self.cached_input()?)?;
         self.weight.grad.add_assign(&gw)?;
         let gb = grad_output.sum_axis0()?;
         self.bias.grad.add_assign(&gb)?;
-        self.backward_input(grad_output)
+        Ok(())
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward_input(&mut self, grad_output: Tensor) -> Result<Tensor> {
         // dL/dx = g W.
         self.cached_input()?;
         Ok(grad_output.matmul(&self.weight.value)?)
@@ -224,7 +224,7 @@ mod tests {
         layer.params_mut()[0].value = Tensor::new(&[2, 3], vec![1., 0., 0., 0., 1., 0.]).unwrap();
         layer.params_mut()[1].value = Tensor::from_vec(vec![10.0, 20.0]);
         let x = Tensor::new(&[1, 3], vec![1.0, 2.0, 3.0]).unwrap();
-        let y = layer.forward(&x, Mode::Eval).unwrap();
+        let y = layer.forward(x, Mode::Eval).unwrap();
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[11.0, 22.0]);
     }
@@ -234,7 +234,7 @@ mod tests {
         let mut layer = Dense::new(3, 2, &mut rng());
         let g = Tensor::zeros(&[1, 2]);
         assert!(matches!(
-            layer.backward(&g),
+            layer.backward_params(&g),
             Err(NnError::BackwardBeforeForward { layer: "dense" })
         ));
     }
@@ -245,9 +245,10 @@ mod tests {
         layer.params_mut()[0].value = Tensor::new(&[1, 2], vec![3.0, 4.0]).unwrap();
         layer.params_mut()[1].value = Tensor::from_vec(vec![0.0]);
         let x = Tensor::new(&[1, 2], vec![5.0, 6.0]).unwrap();
-        layer.forward(&x, Mode::Train).unwrap();
+        layer.forward(x, Mode::Train).unwrap();
         let g = Tensor::new(&[1, 1], vec![2.0]).unwrap();
-        let gx = layer.backward(&g).unwrap();
+        layer.backward_params(&g).unwrap();
+        let gx = layer.backward_input(g).unwrap();
         assert_eq!(gx.data(), &[6.0, 8.0]); // g * W
         assert_eq!(layer.params()[0].grad.data(), &[10.0, 12.0]); // gᵀ x
         assert_eq!(layer.params()[1].grad.data(), &[2.0]);
@@ -257,11 +258,11 @@ mod tests {
     fn backward_accumulates() {
         let mut layer = Dense::new(2, 1, &mut rng());
         let x = Tensor::new(&[1, 2], vec![1.0, 1.0]).unwrap();
-        layer.forward(&x, Mode::Train).unwrap();
+        layer.forward(x, Mode::Train).unwrap();
         let g = Tensor::new(&[1, 1], vec![1.0]).unwrap();
-        layer.backward(&g).unwrap();
+        layer.backward_params(&g).unwrap();
         let first = layer.params()[1].grad.data()[0];
-        layer.backward(&g).unwrap();
+        layer.backward_params(&g).unwrap();
         assert_eq!(layer.params()[1].grad.data()[0], 2.0 * first);
     }
 
@@ -281,7 +282,7 @@ mod tests {
         let analytic = {
             let logits = net.forward(&x, Mode::Train).unwrap();
             let loss = crate::softmax_cross_entropy(&logits, &labels).unwrap();
-            net.backward(&loss.grad).unwrap()
+            net.backward_input(&loss.grad).unwrap()
         };
         let numeric = finite_diff_input_grad(&mut net, &x, &labels, 1e-3).unwrap();
         assert!(analytic.allclose(&numeric, 1e-2));

@@ -7,7 +7,8 @@ use rand::{Rng, SeedableRng};
 
 /// Inverted dropout: in training mode each element is zeroed with
 /// probability `p` and survivors are scaled by `1/(1-p)` so evaluation mode
-/// is a plain identity.
+/// is a plain identity, which hands its buffer on. Training multiplies the
+/// input and the gradient by the mask in place.
 #[derive(Debug)]
 pub struct Dropout {
     p: f32,
@@ -43,11 +44,11 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, mut input: Tensor, mode: Mode) -> Result<Tensor> {
         self.last_mode = mode;
         if mode == Mode::Eval || self.p == 0.0 {
             self.mask = None;
-            return Ok(input.clone());
+            return Ok(input);
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
@@ -61,14 +62,14 @@ impl Layer for Dropout {
             })
             .collect();
         let mask = Tensor::new(input.shape(), mask_data)?;
-        let y = input.mul(&mask)?;
+        mul_in_place(&mut input, &mask);
         self.mask = Some(mask);
-        Ok(y)
+        Ok(input)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward_input(&mut self, mut grad_output: Tensor) -> Result<Tensor> {
         match (self.last_mode, &self.mask) {
-            (Mode::Eval, _) | (Mode::Train, None) => Ok(grad_output.clone()),
+            (Mode::Eval, _) | (Mode::Train, None) => Ok(grad_output),
             (Mode::Train, Some(mask)) => {
                 if mask.shape() != grad_output.shape() {
                     return Err(NnError::Tensor(
@@ -79,7 +80,8 @@ impl Layer for Dropout {
                         },
                     ));
                 }
-                Ok(grad_output.mul(mask)?)
+                mul_in_place(&mut grad_output, mask);
+                Ok(grad_output)
             }
         }
     }
@@ -104,6 +106,13 @@ impl Layer for Dropout {
     }
 }
 
+/// `t[i] *= mask[i]`; the caller has checked the shapes.
+fn mul_in_place(t: &mut Tensor, mask: &Tensor) {
+    for (v, &m) in t.data_mut().iter_mut().zip(mask.data()) {
+        *v *= m;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,9 +121,9 @@ mod tests {
     fn eval_is_identity() {
         let mut d = Dropout::new(0.5, 0);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0]);
-        let y = d.forward(&x, Mode::Eval).unwrap();
+        let y = d.forward(x.clone(), Mode::Eval).unwrap();
         assert_eq!(y.data(), x.data());
-        let g = d.backward(&Tensor::ones(&[3])).unwrap();
+        let g = d.backward_input(Tensor::ones(&[3])).unwrap();
         assert_eq!(g.data(), &[1.0, 1.0, 1.0]);
     }
 
@@ -122,7 +131,7 @@ mod tests {
     fn train_zeroes_roughly_p_fraction() {
         let mut d = Dropout::new(0.5, 7);
         let x = Tensor::ones(&[10_000]);
-        let y = d.forward(&x, Mode::Train).unwrap();
+        let y = d.forward(x, Mode::Train).unwrap();
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         assert!((4_000..6_000).contains(&zeros), "zeros = {zeros}");
         // Survivors are scaled so the expectation is preserved.
@@ -133,8 +142,8 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[64]);
-        let y = d.forward(&x, Mode::Train).unwrap();
-        let g = d.backward(&Tensor::ones(&[64])).unwrap();
+        let y = d.forward(x, Mode::Train).unwrap();
+        let g = d.backward_input(Tensor::ones(&[64])).unwrap();
         // Gradient is zero exactly where the output was dropped.
         for (o, gr) in y.data().iter().zip(g.data()) {
             assert_eq!(*o == 0.0, *gr == 0.0);
@@ -145,7 +154,7 @@ mod tests {
     fn p_zero_is_identity_even_in_train() {
         let mut d = Dropout::new(0.0, 0);
         let x = Tensor::from_vec(vec![5.0; 8]);
-        let y = d.forward(&x, Mode::Train).unwrap();
+        let y = d.forward(x.clone(), Mode::Train).unwrap();
         assert_eq!(y.data(), x.data());
     }
 

@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
 use advcomp_qformat::QFormat;
-use advcomp_tensor::{fake_quantize_in_place, simd, Tensor};
+use advcomp_tensor::{fake_quantize_in_place, simd, Tensor, TensorError};
 
 /// Simulated fixed-point quantisation of activations.
 ///
@@ -15,17 +15,22 @@ use advcomp_tensor::{fake_quantize_in_place, simd, Tensor};
 ///
 /// The backward pass uses the clipped straight-through estimator: gradients
 /// pass unchanged where the input was inside the representable range and are
-/// zeroed where it saturated. The forward, in either mode, copies its input
-/// and rewrites the copy to the rounded activations, writing that pass mask
-/// in the same [`advcomp_tensor::fake_quantize_in_place`] pass, whose AVX2
-/// body returns `QFormat::quantize`'s bits. When no format is installed the
-/// layer is an identity, so model builders can place `FakeQuant` everywhere
+/// zeroed where it saturated. The forward, in either mode, rounds its
+/// input's buffer in place and writes that pass mask, into a buffer the
+/// layer keeps between calls, in the same
+/// [`advcomp_tensor::fake_quantize_in_place`] pass, whose AVX2 body returns
+/// `QFormat::quantize`'s bits; the backward multiplies the gradient by the
+/// mask in place. When no format is installed the layer is an identity that
+/// hands its buffer on, so model builders can place `FakeQuant` everywhere
 /// and enable quantisation later without rebuilding.
 #[derive(Debug, Default)]
 pub struct FakeQuant {
     format: Option<QFormat>,
-    pass_mask: Option<Tensor>,
-    last_output: Option<Tensor>,
+    /// The last forward's pass mask (1 where the value passed, 0 where it
+    /// saturated); empty when that forward had no format.
+    pass_mask: Vec<f32>,
+    /// The last forward's shape; `None` before the first.
+    shape: Option<Vec<usize>>,
 }
 
 impl FakeQuant {
@@ -38,8 +43,7 @@ impl FakeQuant {
     pub fn with_format(format: QFormat) -> Self {
         FakeQuant {
             format: Some(format),
-            pass_mask: None,
-            last_output: None,
+            ..FakeQuant::default()
         }
     }
 
@@ -55,32 +59,40 @@ impl FakeQuant {
 }
 
 impl Layer for FakeQuant {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        match self.format {
-            None => {
-                self.pass_mask = None;
-                self.last_output = Some(input.clone());
-                Ok(input.clone())
-            }
-            Some(q) => {
-                let mut y = input.clone();
-                let mut mask = Tensor::zeros(input.shape());
-                fake_quantize_in_place(simd::backend(), q, y.data_mut(), Some(mask.data_mut()))?;
-                self.pass_mask = Some(mask);
-                self.last_output = Some(y.clone());
-                Ok(y)
-            }
+    fn forward(&mut self, mut input: Tensor, _mode: Mode) -> Result<Tensor> {
+        self.pass_mask.clear();
+        if let Some(q) = self.format {
+            self.pass_mask.resize(input.len(), 0.0);
+            fake_quantize_in_place(
+                simd::backend(),
+                q,
+                input.data_mut(),
+                Some(&mut self.pass_mask),
+            )?;
         }
+        self.shape = Some(input.shape().to_vec());
+        Ok(input)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.last_output.is_none() {
-            return Err(NnError::BackwardBeforeForward { layer: "fakequant" });
+    fn backward_input(&mut self, mut grad_output: Tensor) -> Result<Tensor> {
+        let shape = self
+            .shape
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "fakequant" })?;
+        if self.pass_mask.is_empty() {
+            return Ok(grad_output);
         }
-        match &self.pass_mask {
-            None => Ok(grad_output.clone()),
-            Some(mask) => Ok(grad_output.mul(mask)?),
+        if grad_output.shape() != shape.as_slice() {
+            return Err(NnError::Tensor(TensorError::ShapeMismatch {
+                lhs: grad_output.shape().to_vec(),
+                rhs: shape.clone(),
+                op: "fakequant backward",
+            }));
         }
+        for (g, &m) in grad_output.data_mut().iter_mut().zip(&self.pass_mask) {
+            *g *= m;
+        }
+        Ok(grad_output)
     }
 
     fn kind(&self) -> &'static str {
@@ -96,13 +108,8 @@ impl Layer for FakeQuant {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(FakeQuant {
             format: self.format,
-            pass_mask: None,
-            last_output: None,
+            ..FakeQuant::default()
         })
-    }
-
-    fn last_output(&self) -> Option<&Tensor> {
-        self.last_output.as_ref()
     }
 
     fn set_activation_format(&mut self, format: Option<QFormat>) -> bool {
@@ -123,9 +130,9 @@ mod tests {
     fn disabled_is_identity() {
         let mut fq = FakeQuant::new();
         let x = Tensor::from_vec(vec![0.33, -7.5]);
-        let y = fq.forward(&x, Mode::Eval).unwrap();
+        let y = fq.forward(x.clone(), Mode::Eval).unwrap();
         assert_eq!(y.data(), x.data());
-        let g = fq.backward(&Tensor::ones(&[2])).unwrap();
+        let g = fq.backward_input(Tensor::ones(&[2])).unwrap();
         assert_eq!(g.data(), &[1.0, 1.0]);
     }
 
@@ -134,7 +141,7 @@ mod tests {
         let q = QFormat::new(1, 3).unwrap(); // step 0.125, range [-1, 0.875]
         let mut fq = FakeQuant::with_format(q);
         let x = Tensor::from_vec(vec![0.3, -0.99, 5.0]);
-        let y = fq.forward(&x, Mode::Eval).unwrap();
+        let y = fq.forward(x, Mode::Eval).unwrap();
         assert_eq!(y.data(), &[0.25, -1.0, 0.875]);
     }
 
@@ -143,8 +150,8 @@ mod tests {
         let q = QFormat::new(1, 3).unwrap();
         let mut fq = FakeQuant::with_format(q);
         let x = Tensor::from_vec(vec![0.3, 5.0, -5.0]);
-        fq.forward(&x, Mode::Train).unwrap();
-        let g = fq.backward(&Tensor::ones(&[3])).unwrap();
+        fq.forward(x, Mode::Train).unwrap();
+        let g = fq.backward_input(Tensor::ones(&[3])).unwrap();
         assert_eq!(g.data(), &[1.0, 0.0, 0.0]);
     }
 
@@ -162,15 +169,16 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut fq = FakeQuant::new();
-        assert!(fq.backward(&Tensor::zeros(&[1])).is_err());
+        assert!(fq.backward_input(Tensor::zeros(&[1])).is_err());
     }
 
     #[test]
-    fn exposes_quantised_activations() {
+    fn forward_outputs_expose_quantised_activations() {
         let q = QFormat::new(1, 3).unwrap();
-        let mut fq = FakeQuant::with_format(q);
-        fq.forward(&Tensor::from_vec(vec![0.3]), Mode::Eval)
+        let mut net = crate::Sequential::new(vec![Box::new(FakeQuant::with_format(q))]);
+        let outputs = net
+            .forward_outputs(&Tensor::from_vec(vec![0.3]), Mode::Eval)
             .unwrap();
-        assert_eq!(fq.last_output().unwrap().data(), &[0.25]);
+        assert_eq!(outputs[0].data(), &[0.25]);
     }
 }

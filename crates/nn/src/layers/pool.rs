@@ -2,26 +2,24 @@
 
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Result};
-use advcomp_tensor::{max_pool2d, Tensor, TensorError};
+use advcomp_tensor::{max_pool2d, max_pool2d_backward, simd, Tensor, TensorError};
 
 /// 2-D max pooling over NCHW input with a square window.
 ///
-/// Caches the argmax position of every window so the backward pass routes
-/// each output gradient to the single input element that produced it. The
-/// window loop is [`advcomp_tensor::max_pool2d`], which the graph
-/// executor's pooling step shares.
+/// Caches the window offset of every output's maximum, one byte each, in a
+/// buffer kept between calls, so the backward pass routes each output
+/// gradient to the single input element that produced it
+/// ([`advcomp_tensor::max_pool2d_backward`]). The window loop is
+/// [`advcomp_tensor::max_pool2d`], which the graph executor's pooling step
+/// shares.
 #[derive(Debug)]
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
-    cache: Option<PoolCache>,
-}
-
-#[derive(Debug)]
-struct PoolCache {
-    input_shape: Vec<usize>,
-    /// Linear input index of the max of each output position.
-    argmax: Vec<usize>,
+    /// The last forward's input shape; `None` before the first.
+    input_dims: Option<[usize; 4]>,
+    /// Window offset (`ky · kernel + kx`) of each output's maximum.
+    argmax: Vec<u8>,
 }
 
 impl MaxPool2d {
@@ -35,7 +33,8 @@ impl MaxPool2d {
         MaxPool2d {
             kernel,
             stride,
-            cache: None,
+            input_dims: None,
+            argmax: Vec::new(),
         }
     }
 
@@ -54,54 +53,43 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        if input.ndim() != 4 {
+    fn forward(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
+        let &[n, c, h, w] = input.shape() else {
             return Err(NnError::Tensor(TensorError::RankMismatch {
                 expected: 4,
                 actual: input.ndim(),
                 op: "maxpool2d",
             }));
-        }
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
+        };
         let (oh, ow) = self.output_hw(h, w)?;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        self.argmax.resize(out.len(), 0);
         max_pool2d(
+            simd::backend(),
             input.data(),
             [n, c, h, w],
             self.kernel,
             self.stride,
             out.data_mut(),
-            Some(&mut argmax),
+            Some(&mut self.argmax),
         )?;
-        self.cache = Some(PoolCache {
-            input_shape: input.shape().to_vec(),
-            argmax,
-        });
+        self.input_dims = Some([n, c, h, w]);
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
+    fn backward_input(&mut self, grad_output: Tensor) -> Result<Tensor> {
+        let dims = self
+            .input_dims
             .ok_or(NnError::BackwardBeforeForward { layer: "maxpool2d" })?;
-        if grad_output.len() != cache.argmax.len() {
-            return Err(NnError::Tensor(TensorError::LengthMismatch {
-                expected: cache.argmax.len(),
-                actual: grad_output.len(),
-            }));
-        }
-        let mut gx = Tensor::zeros(&cache.input_shape);
-        let dst = gx.data_mut();
-        for (o, &idx) in cache.argmax.iter().enumerate() {
-            dst[idx] += grad_output.data()[o];
-        }
+        let mut gx = Tensor::zeros(&dims);
+        max_pool2d_backward(
+            grad_output.data(),
+            dims,
+            self.kernel,
+            self.stride,
+            &self.argmax,
+            gx.data_mut(),
+        )?;
         Ok(gx)
     }
 
@@ -117,11 +105,7 @@ impl Layer for MaxPool2d {
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(MaxPool2d {
-            kernel: self.kernel,
-            stride: self.stride,
-            cache: None,
-        })
+        Box::new(MaxPool2d::new(self.kernel, self.stride))
     }
 }
 
@@ -142,7 +126,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let y = pool.forward(&x, Mode::Eval).unwrap();
+        let y = pool.forward(x, Mode::Eval).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6., 8., 14., 16.]);
     }
@@ -151,9 +135,9 @@ mod tests {
     fn backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::new(&[1, 1, 2, 2], vec![1., 9., 3., 4.]).unwrap();
-        pool.forward(&x, Mode::Train).unwrap();
+        pool.forward(x, Mode::Train).unwrap();
         let g = Tensor::new(&[1, 1, 1, 1], vec![5.0]).unwrap();
-        let gx = pool.backward(&g).unwrap();
+        let gx = pool.backward_input(g).unwrap();
         assert_eq!(gx.data(), &[0., 5., 0., 0.]);
     }
 
@@ -161,11 +145,11 @@ mod tests {
     fn overlapping_windows_accumulate() {
         let mut pool = MaxPool2d::new(2, 1);
         let x = Tensor::new(&[1, 1, 2, 3], vec![0., 9., 0., 0., 0., 0.]).unwrap();
-        let y = pool.forward(&x, Mode::Train).unwrap();
+        let y = pool.forward(x, Mode::Train).unwrap();
         assert_eq!(y.shape(), &[1, 1, 1, 2]);
         assert_eq!(y.data(), &[9., 9.]);
         let g = Tensor::new(&[1, 1, 1, 2], vec![1.0, 1.0]).unwrap();
-        let gx = pool.backward(&g).unwrap();
+        let gx = pool.backward_input(g).unwrap();
         assert_eq!(gx.data()[1], 2.0);
     }
 
@@ -173,9 +157,9 @@ mod tests {
     fn rejects_small_input() {
         let mut pool = MaxPool2d::new(3, 1);
         assert!(pool
-            .forward(&Tensor::zeros(&[1, 1, 2, 2]), Mode::Eval)
+            .forward(Tensor::zeros(&[1, 1, 2, 2]), Mode::Eval)
             .is_err());
-        assert!(pool.forward(&Tensor::zeros(&[2, 2]), Mode::Eval).is_err());
+        assert!(pool.forward(Tensor::zeros(&[2, 2]), Mode::Eval).is_err());
     }
 
     #[test]
@@ -187,6 +171,6 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut pool = MaxPool2d::new(2, 2);
-        assert!(pool.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
+        assert!(pool.backward_input(Tensor::zeros(&[1, 1, 1, 1])).is_err());
     }
 }

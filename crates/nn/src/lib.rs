@@ -2,11 +2,16 @@
 //!
 //! This crate replaces the TensorFlow/Mayo training stack the paper used.
 //! Networks are [`Sequential`] chains of [`Layer`]s; each layer implements
-//! `forward` (caching what it needs) and `backward` (consuming an output
-//! gradient, accumulating parameter gradients, and returning the **input
-//! gradient**). Input gradients are first-class because every attack in the
-//! paper — FGM, FGSM, their iterative variants and DeepFool — differentiates
-//! the network with respect to its *input*, not its weights.
+//! `forward` (taking its input by value and caching what it needs),
+//! `backward_params` (accumulating parameter gradients) and
+//! `backward_input` (consuming an output gradient and returning the **input
+//! gradient**). Tensors move down the chain: elementwise layers work in
+//! their input's buffer. Input gradients are first-class because every
+//! attack in the paper — FGM, FGSM, their iterative variants and DeepFool —
+//! differentiates the network with respect to its *input*, not its weights
+//! ([`Sequential::backward_input`]); training's [`Sequential::backward`]
+//! accumulates parameter gradients and carries no gradient below the first
+//! layer with parameters.
 //!
 //! Provided layers — the paper's layer vocabulary and nothing more:
 //! [`Dense`], [`Conv2d`], [`Relu`], [`MaxPool2d`], [`Flatten`], [`Dropout`],

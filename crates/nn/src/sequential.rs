@@ -7,9 +7,11 @@ use advcomp_tensor::Tensor;
 
 /// A feed-forward network: an ordered chain of boxed [`Layer`]s.
 ///
-/// `forward` threads the input through every layer; `backward` runs the
-/// reverse chain and returns the gradient **with respect to the network
-/// input** — the quantity every adversarial attack in the paper consumes.
+/// `forward` threads the input through every layer, moving one tensor down
+/// the chain; `backward_input` runs the reverse chain and returns the
+/// gradient **with respect to the network input** — the quantity every
+/// adversarial attack in the paper consumes — and `backward` accumulates
+/// the parameter gradients training consumes.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -35,62 +37,97 @@ impl Sequential {
         &self.layers
     }
 
-    /// Runs the network on a batch.
+    /// Runs the network on a batch. The input is copied once; each layer
+    /// then takes the tensor the layer before it returned.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] for an empty network or any layer
     /// error (shape mismatches and the like).
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.forward_each(input, mode, |_| ())
+    }
+
+    /// Runs the network on a batch like [`Sequential::forward`] and returns
+    /// a copy of every layer's output, in layer order (the last is the
+    /// network output). `core::cdf` samples the paper's Figure 6
+    /// activation distributions from it.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`Sequential::forward`].
+    pub fn forward_outputs(&mut self, input: &Tensor, mode: Mode) -> Result<Vec<Tensor>> {
+        let mut outputs = Vec::with_capacity(self.layers.len());
+        self.forward_each(input, mode, |y| outputs.push(y.clone()))?;
+        Ok(outputs)
+    }
+
+    /// Threads `input` through the layers, showing `seen` each output.
+    fn forward_each(
+        &mut self,
+        input: &Tensor,
+        mode: Mode,
+        mut seen: impl FnMut(&Tensor),
+    ) -> Result<Tensor> {
         if self.layers.is_empty() {
             return Err(NnError::InvalidConfig("empty network".into()));
         }
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, mode)?;
+            x = layer.forward(x, mode)?;
+            seen(&x);
         }
         Ok(x)
     }
 
-    /// Backpropagates a gradient seeded at the network output, accumulating
-    /// parameter gradients and returning the input gradient.
+    /// Backpropagates a gradient seeded at the network output and
+    /// accumulates every parameter gradient ([`Layer::backward_params`]).
+    /// The input gradient is carried down only as far as the first layer
+    /// with parameters, which computes none: training has no use for it.
+    /// [`Sequential::backward_input`] returns it.
     ///
     /// May be called several times after one `forward` with different seed
-    /// gradients (DeepFool differentiates each logit separately).
+    /// gradients, and either backward after the other.
     ///
     /// # Errors
     ///
     /// Returns layer errors; in particular
     /// [`NnError::BackwardBeforeForward`] when `forward` has not run.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_chain(grad_output, |layer, g| layer.backward(g))
+    pub fn backward(&mut self, grad_output: &Tensor) -> Result<()> {
+        if self.layers.is_empty() {
+            return Err(NnError::InvalidConfig("empty network".into()));
+        }
+        let first = self
+            .layers
+            .iter()
+            .position(|l| !l.params().is_empty())
+            .unwrap_or(0);
+        let (bottom, above) = self.layers[first..]
+            .split_first_mut()
+            .expect("first indexes a layer");
+        let mut g = grad_output.clone();
+        for layer in above.iter_mut().rev() {
+            layer.backward_params(&g)?;
+            g = layer.backward_input(g)?;
+        }
+        bottom.backward_params(&g)
     }
 
     /// Backpropagates a gradient seeded at the network output to the input
-    /// gradient only ([`Layer::backward_input`]): the bits of
-    /// [`Sequential::backward`], with every parameter gradient left as it
-    /// was. The attacks' gradient helpers use it, so crafting computes no
-    /// weight gradients.
+    /// gradient ([`Layer::backward_input`]), leaving every parameter
+    /// gradient as it was. The attacks' gradient helpers use it, so
+    /// crafting computes no weight gradients.
     ///
     /// # Errors
     ///
     /// The conditions of [`Sequential::backward`].
     pub fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_chain(grad_output, |layer, g| layer.backward_input(g))
-    }
-
-    /// Runs `step` through the layers last to first, from `grad_output`.
-    fn backward_chain(
-        &mut self,
-        grad_output: &Tensor,
-        step: impl Fn(&mut dyn Layer, &Tensor) -> Result<Tensor>,
-    ) -> Result<Tensor> {
         if self.layers.is_empty() {
             return Err(NnError::InvalidConfig("empty network".into()));
         }
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = step(layer.as_mut(), &g)?;
+            g = layer.backward_input(g)?;
         }
         Ok(g)
     }
@@ -297,7 +334,8 @@ mod tests {
         let x = Tensor::zeros(&[5, 4]);
         let y = n.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.shape(), &[5, 3]);
-        let gx = n.backward(&Tensor::ones(&[5, 3])).unwrap();
+        n.backward(&Tensor::ones(&[5, 3])).unwrap();
+        let gx = n.backward_input(&Tensor::ones(&[5, 3])).unwrap();
         assert_eq!(gx.shape(), &[5, 4]);
     }
 
@@ -306,6 +344,10 @@ mod tests {
         let mut n = Sequential::new(vec![]);
         assert!(n.forward(&Tensor::zeros(&[1, 1]), Mode::Eval).is_err());
         assert!(n.backward(&Tensor::zeros(&[1, 1])).is_err());
+        assert!(n.backward_input(&Tensor::zeros(&[1, 1])).is_err());
+        assert!(n
+            .forward_outputs(&Tensor::zeros(&[1, 1]), Mode::Eval)
+            .is_err());
     }
 
     #[test]
@@ -355,13 +397,79 @@ mod tests {
         let mut n = net();
         let x = Tensor::ones(&[1, 4]);
         n.forward(&x, Mode::Eval).unwrap();
-        let g1 = n
-            .backward(&Tensor::new(&[1, 3], vec![1.0, 0.0, 0.0]).unwrap())
-            .unwrap();
-        let g2 = n
-            .backward(&Tensor::new(&[1, 3], vec![1.0, 0.0, 0.0]).unwrap())
-            .unwrap();
-        assert!(g1.allclose(&g2, 1e-6));
+        let seed = Tensor::new(&[1, 3], vec![1.0, 0.0, 0.0]).unwrap();
+        let g1 = n.backward_input(&seed).unwrap();
+        n.backward(&seed).unwrap();
+        let g2 = n.backward_input(&seed).unwrap();
+        assert_eq!(g1.data(), g2.data());
+    }
+
+    #[test]
+    fn forward_outputs_are_every_layer_output() {
+        let mut n = net();
+        let x = Tensor::new(&[1, 4], vec![0.5, -1.0, 2.0, 0.25]).unwrap();
+        let outputs = n.forward_outputs(&x, Mode::Eval).unwrap();
+        assert_eq!(outputs.len(), 3);
+        let rectified: Vec<f32> = outputs[0].data().iter().map(|v| v.max(0.0)).collect();
+        assert_eq!(outputs[1].data(), rectified.as_slice());
+        assert_eq!(outputs[2].data(), n.forward(&x, Mode::Eval).unwrap().data());
+    }
+
+    /// A parameter-free identity that counts the gradients it is asked to
+    /// carry down.
+    struct Counting(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Layer for Counting {
+        fn forward(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
+            Ok(input)
+        }
+
+        fn backward_input(&mut self, grad_output: Tensor) -> Result<Tensor> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(grad_output)
+        }
+
+        fn kind(&self) -> &'static str {
+            "counting"
+        }
+
+        fn spec(&self) -> crate::LayerSpec<'_> {
+            crate::LayerSpec::Flatten
+        }
+
+        fn clone_layer(&self) -> Box<dyn Layer> {
+            Box::new(Counting(self.0.clone()))
+        }
+    }
+
+    #[test]
+    fn backward_stops_at_the_first_weighted_layer() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (below, between) = (
+            std::sync::Arc::new(AtomicUsize::new(0)),
+            std::sync::Arc::new(AtomicUsize::new(0)),
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut n = Sequential::new(vec![
+            Box::new(Counting(below.clone())),
+            Box::new(Dense::with_name("fc1", 4, 8, &mut rng)),
+            Box::new(Counting(between.clone())),
+            Box::new(Dense::with_name("fc2", 8, 3, &mut rng)),
+        ]);
+        n.forward(&Tensor::ones(&[2, 4]), Mode::Train).unwrap();
+        let seed = Tensor::ones(&[2, 3]);
+        n.backward(&seed).unwrap();
+        // fc1 accumulated its gradients, and no gradient went below it.
+        assert!(n.params().iter().all(|p| p.grad.l0_norm() > 0));
+        let counts = || {
+            (
+                below.load(Ordering::Relaxed),
+                between.load(Ordering::Relaxed),
+            )
+        };
+        assert_eq!(counts(), (0, 1));
+        n.backward_input(&seed).unwrap();
+        assert_eq!(counts(), (1, 2));
     }
 
     #[test]

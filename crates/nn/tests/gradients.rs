@@ -31,7 +31,8 @@ fn check_input_grad(net: &mut Sequential, x: &Tensor, labels: &[usize], threshol
     let logits = net.forward(x, Mode::Eval).unwrap();
     let loss = softmax_cross_entropy(&logits, labels).unwrap();
     net.zero_grad();
-    let analytic = net.backward(&loss.grad).unwrap();
+    net.backward(&loss.grad).unwrap();
+    let analytic = net.backward_input(&loss.grad).unwrap();
     let numeric = finite_diff_input_grad(net, x, labels, 1e-3).unwrap();
     let err = rel_l2(&analytic, &numeric);
     assert!(
@@ -119,12 +120,12 @@ fn fakequant_ste_passes_in_range_gradients() {
     let mut plain = build(false, &w);
     let logits = plain.forward(&x, Mode::Eval).unwrap();
     let loss = softmax_cross_entropy(&logits, &labels).unwrap();
-    let g_plain = plain.backward(&loss.grad).unwrap();
+    let g_plain = plain.backward_input(&loss.grad).unwrap();
 
     let mut fq = build(true, &w);
     let logits = fq.forward(&x, Mode::Eval).unwrap();
     let loss = softmax_cross_entropy(&logits, &labels).unwrap();
-    let g_fq = fq.backward(&loss.grad).unwrap();
+    let g_fq = fq.backward_input(&loss.grad).unwrap();
 
     // Q4.20 has resolution ~1e-6: activations and logits are essentially
     // unquantised, so gradients agree tightly.
@@ -137,7 +138,7 @@ fn fakequant_ste_blocks_saturated_gradients() {
     let mut net = Sequential::new(vec![Box::new(FakeQuant::with_format(q))]);
     let x = Tensor::new(&[1, 3], vec![0.5, 3.0, -3.0]).unwrap();
     net.forward(&x, Mode::Eval).unwrap();
-    let g = net.backward(&Tensor::ones(&[1, 3])).unwrap();
+    let g = net.backward_input(&Tensor::ones(&[1, 3])).unwrap();
     assert_eq!(g.data(), &[1.0, 0.0, 0.0]);
 }
 
@@ -196,7 +197,8 @@ fn deep_lenet_style_gradcheck() {
     let logits = net.forward(&x, Mode::Eval).unwrap();
     let loss = softmax_cross_entropy(&logits, &labels).unwrap();
     net.zero_grad();
-    let analytic = net.backward(&loss.grad).unwrap();
+    net.backward(&loss.grad).unwrap();
+    let analytic = net.backward_input(&loss.grad).unwrap();
     let numeric = finite_diff_input_grad(&mut net, &x, &labels, 1e-3).unwrap();
     let diff = analytic.sub(&numeric).unwrap().l2_norm();
     let denom = numeric.l2_norm().max(1e-6);

@@ -39,7 +39,8 @@
 //! or plan that lowers allocates them once rather than once per step.
 //!
 //! [`max_pool2d`] is the one max-pooling window loop, shared by the layer
-//! and the graph executor.
+//! and the graph executor; [`max_pool2d_backward`] routes the layer's
+//! gradients back through the window offsets it records.
 
 use crate::simd::{self, DirectConv, WgradTiling, WGRAD_GROUP};
 use crate::{pool, KernelBackend, QActivations, Result, Tensor, TensorError};
@@ -445,34 +446,35 @@ pub fn nchw_to_rows(t: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Re
 /// 2-D max pooling of the NCHW batch `input` (`[n, c, h, w]` = `dims`) with
 /// a square `kernel` window, `stride` and no padding into `out` (`n × c ×
 /// oh × ow`, `oh = (h − kernel) / stride + 1`), fully overwritten. Where
-/// `argmax` is given it receives, per output, the flat `input` index of
-/// the value chosen — what the layer's backward routes gradients to.
+/// `argmax` is given it receives, per output, the offset `ky · kernel + kx`
+/// of the value chosen within its window — what the layer's backward
+/// ([`max_pool2d_backward`]) routes gradients to.
 ///
 /// Each window is scanned row by row from its first element with a strict
 /// `>`: the first maximum wins, and a NaN never replaces the running
-/// maximum (a window starting with NaN yields NaN). `MaxPool2d` and the
-/// graph executor's pooling step both run this loop.
+/// maximum (a window starting with NaN yields NaN). On the AVX2 backend
+/// the 2×2 stride-2 window of the paper nets runs a vector body
+/// ([`crate::simd`]) with the scan's bits: its ordered `>` compares and
+/// blends take the taps in scan order. `MaxPool2d` and the graph
+/// executor's pooling step both run this function, on the calling thread.
 ///
 /// # Errors
 ///
-/// [`TensorError::InvalidGeometry`] when `kernel` or `stride` is zero or
-/// the window is larger than the input, and
-/// [`TensorError::LengthMismatch`] when a slice disagrees with the shape.
+/// [`TensorError::InvalidGeometry`] when `kernel` or `stride` is zero, the
+/// window is larger than the input, or `argmax` is given for a window of
+/// more than 256 elements, and [`TensorError::LengthMismatch`] when a
+/// slice disagrees with the shape.
 pub fn max_pool2d(
+    backend: KernelBackend,
     input: &[f32],
     dims: [usize; 4],
     kernel: usize,
     stride: usize,
     out: &mut [f32],
-    mut argmax: Option<&mut [usize]>,
+    mut argmax: Option<&mut [u8]>,
 ) -> Result<()> {
     let [n, c, h, w] = dims;
-    if kernel == 0 || stride == 0 || h < kernel || w < kernel {
-        return Err(TensorError::InvalidGeometry(format!(
-            "pool window {kernel} (stride {stride}) does not fit input {h}x{w}"
-        )));
-    }
-    let (oh, ow) = ((h - kernel) / stride + 1, (w - kernel) / stride + 1);
+    let (oh, ow) = pool_output_hw(dims, kernel, stride, argmax.is_some())?;
     let lens = [
         (input.len(), n * c * h * w),
         (out.len(), n * c * oh * ow),
@@ -481,33 +483,101 @@ pub fn max_pool2d(
     if let Some(&(actual, expected)) = lens.iter().find(|(a, e)| a != e) {
         return Err(TensorError::LengthMismatch { expected, actual });
     }
-    for b in 0..n {
-        for ch in 0..c {
-            let plane = (b * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best_idx = plane + oy * stride * w + ox * stride;
-                    let mut best = input[best_idx];
-                    for ky in 0..kernel {
-                        let row = plane + (oy * stride + ky) * w + ox * stride;
-                        for kx in 0..kernel {
-                            let idx = row + kx;
-                            if input[idx] > best {
-                                best = input[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = ((b * c + ch) * oh + oy) * ow + ox;
-                    out[o] = best;
-                    if let Some(argmax) = argmax.as_deref_mut() {
-                        argmax[o] = best_idx;
-                    }
+    if kernel == 2
+        && stride == 2
+        && simd::max_pool_2x2(backend, input, n * c, [h, w], out, argmax.as_deref_mut())
+    {
+        return Ok(());
+    }
+    for plane in 0..n * c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let base = (plane * h + oy * stride) * w + ox * stride;
+                let (best, off) = window_max(input, base, w, kernel);
+                let o = (plane * oh + oy) * ow + ox;
+                out[o] = best;
+                if let Some(argmax) = argmax.as_deref_mut() {
+                    argmax[o] = off;
                 }
             }
         }
     }
     Ok(())
+}
+
+/// The max-pool backward: adds each output gradient `grad_out[o]` into
+/// `grad_in` at the input element whose window offset [`max_pool2d`] wrote
+/// to `argmax[o]` (same `dims`, `kernel` and `stride`). Over a zeroed
+/// `grad_in` that is the pool's input gradient: the adds make overlapping
+/// windows accumulate, and leave `+0` where a `−0` gradient lands.
+///
+/// # Errors
+///
+/// The geometry errors of [`max_pool2d`], and
+/// [`TensorError::LengthMismatch`] when a slice disagrees with the shape.
+pub fn max_pool2d_backward(
+    grad_out: &[f32],
+    dims: [usize; 4],
+    kernel: usize,
+    stride: usize,
+    argmax: &[u8],
+    grad_in: &mut [f32],
+) -> Result<()> {
+    let [n, c, h, w] = dims;
+    let (oh, ow) = pool_output_hw(dims, kernel, stride, true)?;
+    let lens = [
+        (grad_in.len(), n * c * h * w),
+        (grad_out.len(), n * c * oh * ow),
+        (argmax.len(), n * c * oh * ow),
+    ];
+    if let Some(&(actual, expected)) = lens.iter().find(|(a, e)| a != e) {
+        return Err(TensorError::LengthMismatch { expected, actual });
+    }
+    for plane in 0..n * c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let o = (plane * oh + oy) * ow + ox;
+                let (ky, kx) = (argmax[o] as usize / kernel, argmax[o] as usize % kernel);
+                grad_in[(plane * h + oy * stride + ky) * w + ox * stride + kx] += grad_out[o];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Validates a pooling geometry and returns `(oh, ow)`; `offsets` asks
+/// that every window offset fit a byte.
+fn pool_output_hw(
+    [_, _, h, w]: [usize; 4],
+    kernel: usize,
+    stride: usize,
+    offsets: bool,
+) -> Result<(usize, usize)> {
+    if kernel == 0 || stride == 0 || h < kernel || w < kernel || (offsets && kernel > 16) {
+        return Err(TensorError::InvalidGeometry(format!(
+            "pool window {kernel} (stride {stride}) does not fit input {h}x{w}"
+        )));
+    }
+    Ok(((h - kernel) / stride + 1, (w - kernel) / stride + 1))
+}
+
+/// The window scan of [`max_pool2d`]: the maximum of the `kernel × kernel`
+/// window whose first element is `input[base]`, in rows `w` wide, and its
+/// offset `ky · kernel + kx`. The first maximum wins under the strict `>`,
+/// and a NaN never replaces the running maximum.
+#[inline]
+pub(crate) fn window_max(input: &[f32], base: usize, w: usize, kernel: usize) -> (f32, u8) {
+    let (mut best, mut off) = (input[base], 0);
+    for ky in 0..kernel {
+        for kx in 0..kernel {
+            let v = input[base + ky * w + kx];
+            if v > best {
+                best = v;
+                off = ky * kernel + kx;
+            }
+        }
+    }
+    (best, off as u8)
 }
 
 /// Which implementation runs a convolution pass. See [`conv_impl`].

@@ -13,7 +13,9 @@
 //!   the GEMM microkernel, elementwise ops and reductions ([`simd`],
 //!   selected once per process by `ADVCOMP_KERNEL=scalar|simd|auto`),
 //! * convolution for the `nn` layers: the `im2col`/`col2im` lowering and
-//!   direct stride-1 AVX2 kernels bit-identical to it ([`conv_impl`]), and
+//!   direct stride-1 AVX2 kernels bit-identical to it ([`conv_impl`]),
+//! * max pooling with one-byte window offsets for the backward
+//!   ([`max_pool2d`], with an AVX2 body for the 2×2 stride-2 window), and
 //! * random initialisers (uniform, Gaussian, Kaiming/Xavier fan-scaled).
 //!
 //! # Example
@@ -44,8 +46,8 @@ mod tensor;
 
 pub use conv::{
     col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl, im2col, im2col_into,
-    max_pool2d, nchw_to_rows, quantize_patches_into, rows_to_nchw, rows_to_nchw_slice,
-    Conv2dGeometry, ConvImpl, ConvScratch,
+    max_pool2d, max_pool2d_backward, nchw_to_rows, quantize_patches_into, rows_to_nchw,
+    rows_to_nchw_slice, Conv2dGeometry, ConvImpl, ConvScratch,
 };
 pub use error::TensorError;
 pub use init::{FanMode, Init};

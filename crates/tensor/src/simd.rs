@@ -19,8 +19,14 @@
 //!   deliberately uses multiply-then-add rather than FMA). For finite
 //!   inputs the results are bitwise identical across backends, so the
 //!   golden-vector suite passes under either backend for these ops. The
-//!   fake-quantiser (`crate::quant::fake_quantize_in_place`) is in this
-//!   class too, for every input, ±∞ and NaN included.
+//!   fake-quantiser (`crate::quant::fake_quantize_in_place`), the in-place
+//!   ReLU pair ([`relu_in_place`], whose `max(v, +0)` maps `−0` and NaN to
+//!   `+0` in lanes and tail alike, and [`relu_grad_in_place`]) and the
+//!   2×2 stride-2 max-pool body behind [`crate::max_pool2d`] are in this
+//!   class too, for every input, ±∞ and NaN included: the pool only
+//!   selects, with ordered `_CMP_GT_OQ` compares and blends over the
+//!   window's taps in the scalar scan's order, so the first maximum wins
+//!   and a NaN never replaces one.
 //! * **Tolerance-class** — the dense GEMM uses FMA contraction and the
 //!   reductions (`sum`, `sumsq`, `sum_abs`) use lane-parallel
 //!   accumulators, so results differ from scalar by reassociation /
@@ -296,6 +302,101 @@ pub fn relu_slices(backend: KernelBackend, a: &[f32], out: &mut [f32]) {
     for (o, &x) in out.iter_mut().zip(a) {
         *o = x.max(0.0);
     }
+}
+
+/// `a[i] = max(a[i], 0)` in place, [`relu_slices`]' operation per element:
+/// `−0` and NaN rectify to `+0` on both backends. Where `mask` is given
+/// (`a.len().div_ceil(8)` bytes) the same pass writes the ReLU backward's
+/// mask: bit `i % 8` of `mask[i / 8]` is set where the rectified `a[i] >
+/// 0`, and the last byte's bits past the end of `a` are clear.
+///
+/// # Panics
+///
+/// Panics when `mask` has the wrong length.
+pub fn relu_in_place(backend: KernelBackend, a: &mut [f32], mask: Option<&mut [u8]>) {
+    if let Some(mask) = &mask {
+        assert_eq!(mask.len(), a.len().div_ceil(8), "relu mask length");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        // SAFETY: `use_avx2` checked the CPU; the mask length is checked.
+        return unsafe { avx2::relu_in_place(a, mask) };
+    }
+    let _ = backend;
+    match mask {
+        Some(mask) => {
+            for (chunk, byte) in a.chunks_mut(8).zip(mask) {
+                *byte = relu_byte(chunk);
+            }
+        }
+        None => a.iter_mut().for_each(|v| *v = v.max(0.0)),
+    }
+}
+
+/// Rectifies up to 8 values in place and returns their `> 0` bits.
+#[inline]
+fn relu_byte(chunk: &mut [f32]) -> u8 {
+    let mut bits = 0;
+    for (j, v) in chunk.iter_mut().enumerate() {
+        *v = v.max(0.0);
+        bits |= u8::from(*v > 0.0) << j;
+    }
+    bits
+}
+
+/// The ReLU backward in place over the mask [`relu_in_place`] wrote:
+/// `g[i] = if out[i] > 0 { g[i] } else { 0.0 }`, so `+0` where the output
+/// was not positive and `g[i]`, NaN included, where it was.
+///
+/// # Panics
+///
+/// Panics unless `mask.len() == g.len().div_ceil(8)`.
+pub fn relu_grad_in_place(backend: KernelBackend, g: &mut [f32], mask: &[u8]) {
+    assert_eq!(mask.len(), g.len().div_ceil(8), "relu mask length");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        // SAFETY: `use_avx2` checked the CPU; the mask length is checked.
+        return unsafe { avx2::relu_grad_in_place(g, mask) };
+    }
+    let _ = backend;
+    for (chunk, &byte) in g.chunks_mut(8).zip(mask) {
+        relu_grad_byte(chunk, byte);
+    }
+}
+
+/// Zeroes the values of `chunk` (up to 8) whose bit in `byte` is clear.
+#[inline]
+fn relu_grad_byte(chunk: &mut [f32], byte: u8) {
+    for (j, v) in chunk.iter_mut().enumerate() {
+        if byte >> j & 1 == 0 {
+            *v = 0.0;
+        }
+    }
+}
+
+/// The AVX2 body of [`crate::max_pool2d`]'s 2×2 stride-2 window, with its
+/// bits: pools `planes` NCHW planes of `h × w` into `out` (`planes ×
+/// (h/2) × (w/2)`), with each output's window offset in `argmax` when
+/// given. Returns `false`, writing nothing, when the AVX2 path is
+/// unavailable (or the backend is `Scalar`), so the caller runs its window
+/// scan. The caller has checked the lengths.
+pub(crate) fn max_pool_2x2(
+    backend: KernelBackend,
+    input: &[f32],
+    planes: usize,
+    [h, w]: [usize; 2],
+    out: &mut [f32],
+    argmax: Option<&mut [u8]>,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        // SAFETY: `use_avx2` checked the CPU; every vector load and store
+        // is bounds-checked in `pool_quads`.
+        unsafe { avx2::max_pool_2x2(input, planes, h, w, out, argmax) };
+        return true;
+    }
+    let _ = (backend, input, planes, h, w, out, argmax);
+    false
 }
 
 /// `out[i] = clamp(a[i], lo, hi)` (caller guarantees `lo <= hi`).
@@ -1056,6 +1157,179 @@ mod avx2 {
         while i < n {
             *op.add(i) = (*ap.add(i)).max(0.0);
             i += 1;
+        }
+    }
+
+    /// `relu`'s `max(v, +0)` in place; with a mask, the movemask of the
+    /// ordered `r > 0` compare is the byte of each 8 values.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn relu_in_place(a: &mut [f32], mask: Option<&mut [u8]>) {
+        let n = a.len();
+        let p = a.as_mut_ptr();
+        let zero = _mm256_setzero_ps();
+        let mut i = 0;
+        match mask {
+            Some(mask) => {
+                while i + LANES <= n {
+                    let r = _mm256_max_ps(_mm256_loadu_ps(p.add(i)), zero);
+                    _mm256_storeu_ps(p.add(i), r);
+                    let positive = _mm256_cmp_ps(r, zero, _CMP_GT_OQ);
+                    mask[i / LANES] = _mm256_movemask_ps(positive) as u8;
+                    i += LANES;
+                }
+                if i < n {
+                    mask[i / LANES] = super::relu_byte(&mut a[i..]);
+                }
+            }
+            None => {
+                while i + LANES <= n {
+                    _mm256_storeu_ps(p.add(i), _mm256_max_ps(_mm256_loadu_ps(p.add(i)), zero));
+                    i += LANES;
+                }
+                a[i..].iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+        }
+    }
+
+    /// Spreads each mask byte over 8 lanes (lane `j` all-ones where bit
+    /// `j` is set) and ANDs it into the gradient: a clear bit leaves `+0`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn relu_grad_in_place(g: &mut [f32], mask: &[u8]) {
+        let n = g.len();
+        let p = g.as_mut_ptr();
+        let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        let mut i = 0;
+        while i + LANES <= n {
+            let byte = _mm256_set1_epi32(i32::from(mask[i / LANES]));
+            let keep = _mm256_cmpeq_epi32(_mm256_and_si256(byte, bits), bits);
+            let kept = _mm256_and_ps(_mm256_loadu_ps(p.add(i)), _mm256_castsi256_ps(keep));
+            _mm256_storeu_ps(p.add(i), kept);
+            i += LANES;
+        }
+        if i < n {
+            super::relu_grad_byte(&mut g[i..], mask[i / LANES]);
+        }
+    }
+
+    /// 2×2 stride-2 max pooling of `planes` planes of `h × w` (see
+    /// `super::max_pool_2x2`). Each output row's groups of 4 windows
+    /// ("quads") are paired, across rows and planes, into one 8-lane step
+    /// (an unpaired last quad with itself); a row's last `ow % 4` windows
+    /// take `conv::window_max`, the scalar scan.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn max_pool_2x2(
+        input: &[f32],
+        planes: usize,
+        h: usize,
+        w: usize,
+        out: &mut [f32],
+        mut argmax: Option<&mut [u8]>,
+    ) {
+        let (oh, ow) = (h / 2, w / 2);
+        let quads = ow / 4;
+        // (input index of a quad's first window, output index of its first
+        // output) of a quad waiting for its pair.
+        let mut pending: Option<(usize, usize)> = None;
+        for plane in 0..planes {
+            for oy in 0..oh {
+                let (row, out_row) = ((plane * h + 2 * oy) * w, (plane * oh + oy) * ow);
+                for q in 0..quads {
+                    let quad = (row + 8 * q, out_row + 4 * q);
+                    match pending.take() {
+                        None => pending = Some(quad),
+                        Some(first) => {
+                            pool_quads(input, w, first, quad, out, argmax.as_deref_mut());
+                        }
+                    }
+                }
+                for ox in 4 * quads..ow {
+                    let (best, off) = crate::conv::window_max(input, row + 2 * ox, w, 2);
+                    out[out_row + ox] = best;
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax[out_row + ox] = off;
+                    }
+                }
+            }
+        }
+        if let Some(last) = pending {
+            pool_quads(input, w, last, last, out, argmax);
+        }
+    }
+
+    /// Two quads `a` and `b` (input index of the first window's top-left
+    /// tap, output index) of a 2×2 stride-2 pool over rows `w` wide: the
+    /// window scan's four taps in order, each replacing the running
+    /// maximum (and its offset) where the ordered compare `tap > best`
+    /// holds, so the first maximum wins and a NaN never replaces one.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; every access is bounds-checked.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pool_quads(
+        input: &[f32],
+        w: usize,
+        a: (usize, usize),
+        b: (usize, usize),
+        out: &mut [f32],
+        argmax: Option<&mut [u8]>,
+    ) {
+        assert!(a.0.max(b.0) + w + LANES <= input.len() && a.1.max(b.1) + 4 <= out.len());
+        let ip = input.as_ptr();
+        let (a0, a1) = (
+            _mm256_loadu_ps(ip.add(a.0)),
+            _mm256_loadu_ps(ip.add(a.0 + w)),
+        );
+        let (b0, b1) = (
+            _mm256_loadu_ps(ip.add(b.0)),
+            _mm256_loadu_ps(ip.add(b.0 + w)),
+        );
+        // Taps (0,0), (0,1), (1,0), (1,1); lanes [a0 a1 b0 b1 | a2 a3 b2 b3]
+        // for windows a0..a3 of quad `a` and b0..b3 of quad `b`.
+        let taps = [
+            _mm256_shuffle_ps::<0x88>(a0, b0),
+            _mm256_shuffle_ps::<0xDD>(a0, b0),
+            _mm256_shuffle_ps::<0x88>(a1, b1),
+            _mm256_shuffle_ps::<0xDD>(a1, b1),
+        ];
+        let mut best = taps[0];
+        let mut off = _mm256_setzero_si256();
+        for (k, &tap) in taps.iter().enumerate().skip(1) {
+            let gt = _mm256_cmp_ps(tap, best, _CMP_GT_OQ);
+            best = _mm256_blendv_ps(best, tap, gt);
+            off = _mm256_blendv_epi8(off, _mm256_set1_epi32(k as i32), _mm256_castps_si256(gt));
+        }
+        // Lanes back to [a0 a1 a2 a3 | b0 b1 b2 b3].
+        let best = _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(best)));
+        let op = out.as_mut_ptr();
+        _mm_storeu_ps(op.add(a.1), _mm256_castps256_ps128(best));
+        _mm_storeu_ps(op.add(b.1), _mm256_extractf128_ps::<1>(best));
+        if let Some(argmax) = argmax {
+            assert!(a.1.max(b.1) + 4 <= argmax.len());
+            let off = _mm256_permute4x64_epi64::<0xD8>(off);
+            // The low byte of each offset, packed into each half's dword 0.
+            #[rustfmt::skip]
+            let low_bytes = _mm256_setr_epi8(
+                0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+            );
+            let packed = _mm256_shuffle_epi8(off, low_bytes);
+            let ap = argmax.as_mut_ptr();
+            (ap.add(a.1) as *mut i32).write_unaligned(_mm256_extract_epi32::<0>(packed));
+            (ap.add(b.1) as *mut i32).write_unaligned(_mm256_extract_epi32::<4>(packed));
         }
     }
 

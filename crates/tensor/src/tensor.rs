@@ -177,6 +177,15 @@ impl Tensor {
         Tensor::new(shape, self.data.clone())
     }
 
+    /// [`Tensor::reshape`] by value: the same buffer under a new shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] if element counts differ.
+    pub fn into_shape(self, shape: &[usize]) -> Result<Tensor> {
+        Tensor::new(shape, self.data)
+    }
+
     /// Reshapes `self` to `shape`, reusing the existing allocation when the
     /// element count already matches; contents are left unspecified. Used by
     /// kernels that fully overwrite a persistent scratch tensor.
@@ -541,12 +550,6 @@ impl Tensor {
     pub fn abs(&self) -> Tensor {
         let be = simd::backend();
         self.unary_kernel(move |a, o| simd::abs_slices(be, a, o))
-    }
-
-    /// Elementwise rectifier: `max(v, 0)` — the ReLU forward pass.
-    pub fn relu(&self) -> Tensor {
-        let be = simd::backend();
-        self.unary_kernel(move |a, o| simd::relu_slices(be, a, o))
     }
 
     /// Elementwise sign: -1, 0 or +1 (0 for NaN, matching the paper's FGSM

@@ -1,5 +1,6 @@
 //! Property tests for the pooled GEMM kernels and the parallelised
-//! convolution lowering.
+//! convolution lowering, and parity tests for the direct convolution,
+//! fake-quantiser, ReLU and max-pool kernels.
 //!
 //! The pool is sized once per process from `ADVCOMP_THREADS`, so a single
 //! test binary cannot vary the environment variable between cases. Instead
@@ -13,9 +14,9 @@
 use advcomp_qformat::QFormat;
 use advcomp_tensor::{
     col2im, conv2d_forward, conv2d_input_grad, conv2d_weight_grad, conv_impl,
-    fake_quantize_in_place, gemm_prepacked, im2col, im2col_into, nchw_to_rows, pool,
-    quantize_activations, quantize_patches_into, rows_to_nchw, simd, Conv2dGeometry, ConvImpl,
-    ConvScratch, Init, KernelBackend, PackedGemmB, QActivations, Tensor,
+    fake_quantize_in_place, gemm_prepacked, im2col, im2col_into, max_pool2d, max_pool2d_backward,
+    nchw_to_rows, pool, quantize_activations, quantize_patches_into, rows_to_nchw, simd,
+    Conv2dGeometry, ConvImpl, ConvScratch, Init, KernelBackend, PackedGemmB, QActivations, Tensor,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -964,4 +965,252 @@ fn quantize_patches_matches_the_quantised_patch_matrix() {
             }
         }
     }
+}
+
+/// Values for the ReLU pair: signed zeros, NaNs, subnormals, infinities
+/// and ordinary values of both signs.
+const RELU_VALUES: [f32; 13] = [
+    -0.0,
+    0.0,
+    f32::NAN,
+    -f32::NAN,
+    f32::from_bits(1),
+    -f32::from_bits(1),
+    f32::from_bits(0x007f_ffff),
+    -f32::MIN_POSITIVE,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1.5,
+    -2.5,
+    0.25,
+];
+
+/// `relu_in_place` equals `relu_slices` and `v > 0 ? v : +0` bit for bit
+/// on both backends, with and without its mask, and the mask holds `out >
+/// 0` with the bits past the end clear; `relu_grad_in_place` equals `if
+/// out > 0 { g } else { 0.0 }`. Lengths 0–67 put every value, `−0` and
+/// NaN included, in the 8-lane body and in the scalar tail.
+#[test]
+fn relu_pair_matches_relu_slices_and_its_mask() {
+    let n = RELU_VALUES.len();
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        for len in 0..=67usize {
+            let x: Vec<f32> = (0..len).map(|i| RELU_VALUES[(i + len) % n]).collect();
+            let g: Vec<f32> = (0..len).map(|i| RELU_VALUES[(i * 5 + 3) % n]).collect();
+            let label = format!("{} len {len}", backend.name());
+            let mut sliced = vec![f32::NAN; len];
+            simd::relu_slices(backend, &x, &mut sliced);
+            let rectified: Vec<f32> = x.iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
+            assert_bits(&format!("{label}: relu_slices"), &sliced, &rectified);
+
+            let mut out = x.clone();
+            let mut mask = vec![0xa5u8; len.div_ceil(8)];
+            simd::relu_in_place(backend, &mut out, Some(&mut mask));
+            assert_bits(&format!("{label}: relu_in_place"), &out, &sliced);
+            let mut unmasked = x.clone();
+            simd::relu_in_place(backend, &mut unmasked, None);
+            assert_bits(&format!("{label}: without mask"), &unmasked, &sliced);
+            for (i, byte) in mask.iter().enumerate() {
+                let want = (0..8)
+                    .filter(|j| out.get(i * 8 + j).is_some_and(|&v| v > 0.0))
+                    .fold(0u8, |bits, j| bits | 1 << j);
+                assert_eq!(*byte, want, "{label}: mask byte {i}");
+            }
+
+            let mut dx = g.clone();
+            simd::relu_grad_in_place(backend, &mut dx, &mask);
+            let want: Vec<f32> = g
+                .iter()
+                .zip(&out)
+                .map(|(&g, &out)| if out > 0.0 { g } else { 0.0 })
+                .collect();
+            assert_elements(
+                &format!("{label}: relu_grad_in_place"),
+                &dx,
+                &want,
+                same_value,
+            );
+        }
+    }
+}
+
+/// Max pooling as it was written before it recorded window offsets: each
+/// window scanned row by row with a strict `>`, returning per output the
+/// value and its flat input index.
+fn reference_pool(
+    input: &[f32],
+    [n, c, h, w]: [usize; 4],
+    kernel: usize,
+    stride: usize,
+) -> (Vec<f32>, Vec<usize>) {
+    let (oh, ow) = ((h - kernel) / stride + 1, (w - kernel) / stride + 1);
+    let (mut out, mut argmax) = (Vec::new(), Vec::new());
+    for plane in 0..n * c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best_idx = (plane * h + oy * stride) * w + ox * stride;
+                let mut best = input[best_idx];
+                for ky in 0..kernel {
+                    for kx in 0..kernel {
+                        let idx = (plane * h + oy * stride + ky) * w + ox * stride + kx;
+                        if input[idx] > best {
+                            best = input[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                out.push(best);
+                argmax.push(best_idx);
+            }
+        }
+    }
+    (out, argmax)
+}
+
+/// Pool inputs: half uniform values, half drawn from ties (±0, ±1), ±∞
+/// and NaN.
+fn pool_values(len: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+    use rand::Rng;
+    const SPECIAL: [f32; 7] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    (0..len)
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                SPECIAL[rng.gen_range(0..SPECIAL.len())]
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        })
+        .collect()
+}
+
+/// `max_pool2d` on both backends against [`reference_pool`]: the values
+/// bit for bit, with and without offsets, every output written, and the
+/// offsets decoding to the reference's flat indices. Then
+/// `max_pool2d_backward` over a zeroed buffer against the reference's
+/// scatter `+=` of gradients that include `−0`.
+fn check_pool(label: &str, input: &[f32], dims: [usize; 4], kernel: usize, stride: usize) {
+    let [_, _, h, w] = dims;
+    let (want, want_idx) = reference_pool(input, dims, kernel, stride);
+    let (oh, ow) = ((h - kernel) / stride + 1, (w - kernel) / stride + 1);
+    let grad: Vec<f32> = (0..want.len())
+        .map(|o| {
+            if o % 3 == 0 {
+                -0.0
+            } else {
+                o as f32 * 0.25 - 1.0
+            }
+        })
+        .collect();
+    let mut want_dx = vec![0.0f32; input.len()];
+    for (&idx, &g) in want_idx.iter().zip(&grad) {
+        want_dx[idx] += g;
+    }
+    let unwritten = f32::from_bits(0x7fc0_dead);
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        let label = format!("{label} {}", backend.name());
+        let mut out = vec![unwritten; want.len()];
+        let mut offsets = vec![0xeeu8; want.len()];
+        max_pool2d(
+            backend,
+            input,
+            dims,
+            kernel,
+            stride,
+            &mut out,
+            Some(&mut offsets),
+        )
+        .unwrap();
+        assert_bits(&format!("{label}: values"), &out, &want);
+        for (o, (&off, &idx)) in offsets.iter().zip(&want_idx).enumerate() {
+            let (plane, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+            let (ky, kx) = (usize::from(off) / kernel, usize::from(off) % kernel);
+            let decoded = (plane * h + oy * stride + ky) * w + ox * stride + kx;
+            assert_eq!(decoded, idx, "{label}: output {o} offset {off}");
+        }
+        let mut plain = vec![unwritten; want.len()];
+        max_pool2d(backend, input, dims, kernel, stride, &mut plain, None).unwrap();
+        assert_bits(&format!("{label}: values without offsets"), &plain, &want);
+        let mut dx = vec![0.0f32; input.len()];
+        max_pool2d_backward(&grad, dims, kernel, stride, &offsets, &mut dx).unwrap();
+        assert_bits(&format!("{label}: input gradient"), &dx, &want_dx);
+    }
+}
+
+/// The 2×2 stride-2 pool's AVX2 body (and the scalar scan) against the
+/// reference at output widths 1–33, which cover the paired 4-wide quads,
+/// an unpaired last quad (an odd count of quads: 3 or 9 rows of an odd
+/// number each) and every tail length, on even and odd input sizes, over
+/// inputs full of ties (±0), ±∞ and NaNs.
+#[test]
+fn max_pool_2x2_matches_the_window_scan() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    for ow in 1..=33usize {
+        for (n, oh, odd) in [(1usize, 1usize, 0usize), (2, 2, 1), (1, 3, 0)] {
+            let dims = [n, 3, 2 * oh + odd, 2 * ow + odd];
+            let input = pool_values(dims.iter().product(), &mut rng);
+            check_pool(&format!("2x2 ow {ow} dims {dims:?}"), &input, dims, 2, 2);
+        }
+    }
+}
+
+/// A NaN at each position of every window: it never replaces the running
+/// maximum, and one in the first position is the window's result.
+#[test]
+fn max_pool_skips_nan_at_every_window_position() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    for (kernel, stride, h, w) in [(2usize, 2usize, 6usize, 38usize), (3, 2, 7, 21)] {
+        let dims = [1, 2, h, w];
+        let (oh, ow) = ((h - kernel) / stride + 1, (w - kernel) / stride + 1);
+        for pos in 0..kernel * kernel {
+            let mut input = uniform(&[dims.iter().product()], &mut rng).into_data();
+            for plane in 0..2 {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let (ky, kx) = (pos / kernel, pos % kernel);
+                        input[(plane * h + oy * stride + ky) * w + ox * stride + kx] = f32::NAN;
+                    }
+                }
+            }
+            check_pool(
+                &format!("{kernel}x{kernel} NaN at {pos}"),
+                &input,
+                dims,
+                kernel,
+                stride,
+            );
+        }
+    }
+}
+
+/// Every pool of the sweep nets (LeNet-5 at width 0.5, CifarNet at width
+/// 0.35) at batch 1 and 48, and a 3×3 stride-2 pool, whose overlapping
+/// windows run the general loop and accumulate in the backward.
+#[test]
+fn max_pool_runs_every_net_pool() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    let pools = [
+        ("lenet5_pool1", 3usize, 28usize),
+        ("lenet5_pool2", 8, 10),
+        ("cifarnet_pool1", 11, 32),
+        ("cifarnet_pool2", 22, 16),
+        ("cifarnet_pool3", 22, 8),
+    ];
+    for (name, c, hw) in pools {
+        for batch in [1usize, 48] {
+            let dims = [batch, c, hw, hw];
+            let input = uniform(&[dims.iter().product()], &mut rng).into_data();
+            check_pool(&format!("{name} b{batch}"), &input, dims, 2, 2);
+        }
+    }
+    let dims = [2, 3, 9, 11];
+    let input = pool_values(dims.iter().product(), &mut rng);
+    check_pool("3x3 stride 2", &input, dims, 3, 2);
 }

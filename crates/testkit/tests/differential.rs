@@ -100,7 +100,9 @@ fn conv2d_matches_direct_reference() {
                 p.value = Tensor::new(&[oc], case.bias.clone()).unwrap();
             }
         }
-        let produced = conv.forward(&case.input, Mode::Eval).expect("conv forward");
+        let produced = conv
+            .forward(case.input.clone(), Mode::Eval)
+            .expect("conv forward");
         assert_agrees(&label, &reference, &produced);
     }
 }

@@ -52,7 +52,8 @@ fn check_net(
     let logits = net.forward(x, Mode::Eval).expect("forward");
     let loss = softmax_cross_entropy(&logits, labels).expect("loss");
     net.zero_grad();
-    let analytic_input = net.backward(&loss.grad).expect("backward");
+    net.backward(&loss.grad).expect("backward");
+    let analytic_input = net.backward_input(&loss.grad).expect("backward_input");
     let analytic_params: Vec<(String, Tensor)> = net
         .params()
         .iter()
@@ -145,9 +146,9 @@ fn fakequant_ste_saturation_mask() {
     let q = QFormat::new(1, 3).unwrap(); // range [-1, 0.875]
     let mut fq = FakeQuant::with_format(q);
     let x = Tensor::new(&[1, 5], vec![-2.0, -1.0, 0.3, 0.875, 1.5]).unwrap();
-    fq.forward(&x, Mode::Eval).unwrap();
+    fq.forward(x.clone(), Mode::Eval).unwrap();
     let g = fq
-        .backward(&Tensor::new(&[1, 5], vec![1.0; 5]).unwrap())
+        .backward_input(Tensor::new(&[1, 5], vec![1.0; 5]).unwrap())
         .unwrap();
     let expected: Vec<f32> = x
         .data()
@@ -183,7 +184,7 @@ fn full_lenet_stack_input_gradient() {
     let logits = net.forward(&x, Mode::Eval).unwrap();
     let loss = softmax_cross_entropy(&logits, &labels).unwrap();
     net.zero_grad();
-    let analytic = net.backward(&loss.grad).unwrap();
+    let analytic = net.backward_input(&loss.grad).unwrap();
     // eps 1e-3: coarser probes flip max-pool argmaxes on this fixture and
     // the finite-difference estimate stops converging (checked empirically:
     // rel-L2 0.33 at 1e-2, 0.004 at 1e-3).

@@ -245,7 +245,7 @@ fn frozen_conv2d_matches_f64_reference() {
             }
         }
         conv.freeze_quantized(fmt, fmt).unwrap();
-        let produced = conv.forward(&qinput, Mode::Eval).expect("frozen forward");
+        let produced = conv.forward(qinput, Mode::Eval).expect("frozen forward");
         assert_eq!(produced.shape(), reference.shape(), "case {}", case.index);
         let err = rel_l2(produced.data(), reference.data());
         assert!(

@@ -149,7 +149,7 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 
 # Bench gates: every measurement bench writes one record schema and
 # checks its own gates after writing, exiting 1 with every failed record
-# listed. The fifteen gates: on AVX2+FMA the SIMD GEMM is not slower than
+# listed. The sixteen gates: on AVX2+FMA the SIMD GEMM is not slower than
 # scalar at 128³, the SIMD dense GEMM is not slower than scalar at the
 # conv-width shapes (LeNet-5 conv1 and CifarNet conv2 forwards, whose
 # output widths are channel counts), the direct convolution kernels are
@@ -157,8 +157,9 @@ echo "serve soak: chaos, batching and hot-swap suites OK"
 # them (forward and input gradient of the six sweep convolutions, batch 1
 # and 48) nor on their weight gradients (batch 32), the AVX2
 # fake-quantiser is not slower than its scalar body (Q1.3 and Q2.6, a
-# LeNet-5 conv1-sized activation), and the packed Q8 GEMM is not slower
-# than dense f32; every
+# LeNet-5 conv1-sized activation), the AVX2 2x2 max-pool is not slower
+# than the scalar window scan (the sweep nets' five pools, batch 48), and
+# the packed Q8 GEMM is not slower than dense f32; every
 # graph row has zero steady-state allocations, and on AVX2 compiled q8
 # LeNet-5 is >= 1.3x unfused and compiled f32 LeNet-5 and CifarNet are
 # each >= 1x the layer path (all timed in alternating iterations, at the
